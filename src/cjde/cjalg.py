@@ -411,11 +411,17 @@ class AxiomReport:
 
 
 def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
-    """{Theta,Theta} versus Jacobi-in-Leibniz-form and flatness on frames."""
+    """{Theta,Theta} versus Jacobi-in-Leibniz-form and flatness on frames.
+
+    Every bracket that several residuals share is computed once: {[[e_i, e_j]],
+    Theta} per pair, ad_i [[e_j, e_l]] per triple (the Jacobi residuals of
+    (i, j, l) and (j, i, l) both use it) and ad_i ad_j lam per pair and lam.
+    """
     ctx = inst.context
     theta = inst.theta
     frame = inst.full_frame()
     k = len(frame)
+    pairs = list(itertools.product(range(k), repeat=2))
 
     theta_br = [jacobi_bracket(e, theta) for e in frame]
 
@@ -423,11 +429,14 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
         return jacobi_bracket(theta_br[i], s)
 
     table = [[ad(i, frame[j]) for j in range(k)] for i in range(k)]
+    table_theta = {(i, j): jacobi_bracket(table[i][j], theta) for i, j in pairs}
+    ad_table = {(i, j, l): ad(i, table[j][l])
+                for i, j, l in itertools.product(range(k), repeat=3)}
 
     jacobi_residuals = []
     for i, j, l in itertools.product(range(k), repeat=3):
-        r = ad(i, table[j][l]) - jacobi_bracket(jacobi_bracket(table[i][j], theta), frame[l]) \
-            - ad(j, table[i][l])
+        r = ad_table[i, j, l] - jacobi_bracket(table_theta[i, j], frame[l]) \
+            - ad_table[j, i, l]
         jacobi_residuals.append(((i, j, l), r))
 
     lams = [Section(ctx, ctx.algebra.one())]
@@ -435,12 +444,14 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     for i in range(ctx.m):
         lams.append(Section(ctx, ctx.x(i)))
         lam_names.append(f"x{i+1}*mu")
+    ad_lam = [[ad(j, lam) for lam in lams] for j in range(k)]
+    ad_ad_lam = {(i, j): [ad(i, s) for s in ad_lam[j]] for i, j in pairs}
 
     flatness_residuals = []
-    for i, j in itertools.product(range(k), repeat=2):
-        for lam, lname in zip(lams, lam_names):
-            lhs = jacobi_bracket(jacobi_bracket(table[i][j], theta), lam)
-            rhs = ad(i, ad(j, lam)) - ad(j, ad(i, lam))
+    for i, j in pairs:
+        for t, (lam, lname) in enumerate(zip(lams, lam_names)):
+            lhs = jacobi_bracket(table_theta[i, j], lam)
+            rhs = ad_ad_lam[i, j][t] - ad_ad_lam[j, i][t]
             flatness_residuals.append(((i, j, lname), lhs - rhs))
 
     return AxiomReport(jacobi_bracket(theta, theta), jacobi_residuals, flatness_residuals)
@@ -744,12 +755,16 @@ def tensor_witness(t: List[List[List[Section]]]) -> Optional[Tuple[Tuple[int, in
 
 
 def graph_frame(inst: SplitCJInstance, eta: Union[DeformationForm, Section]) -> List[Section]:
-    """Frame of gr(-eta) = { e_a - iota_{e_a} eta }."""
+    """Frame of gr(eta) = { e_a + iota_{e_a} eta }.
+
+    This is the sign for which the graph is Dirac-Jacobi exactly when eta
+    solves the Maurer-Cartan equation of `deformation_brackets`.
+    """
     ctx = inst.context
     sec = eta.to_section() if isinstance(eta, DeformationForm) else eta
     out = []
     for a in range(inst.n):
-        body = ctx.pa(a) - sec.body.partial(ctx.ix_u[a])
+        body = ctx.pa(a) + sec.body.partial(ctx.ix_u[a])
         out.append(Section(ctx, body))
     return out
 
@@ -1078,18 +1093,21 @@ def change_complement(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike
     def m_flow(s: Section) -> Section:
         return jacobi_bracket(eps_sec, s)
 
+    # {eps, -} has bidegree (1,-1) and no section has negative second degree,
+    # so the flow of Theta vanishes after as many steps as the highest second
+    # degree of Theta's components: at most 3, Theta being cubic.
     theta0 = inst.theta
+    steps = max((delta for _, delta in theta0.body.bidegree_components()), default=0)
     theta1 = theta0
     term = theta0
-    k = 1
-    while True:
+    for k in itertools.count(1):
         term = m_flow(term)
         if term.is_zero():
             break
+        if k > steps:
+            raise RuntimeError(f"complement flow step {k} is nonzero past its "
+                               f"bidegree bound of {steps} steps")
         theta1 = theta1 + term.scale(Fraction(1, math.factorial(k)))
-        k += 1
-        if k > 8:
-            raise RuntimeError("exp of the complement flow did not terminate")
 
     new_inst = extract_instance(inst, theta1, name=name or (inst.name + "+eps"))
 

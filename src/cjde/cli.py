@@ -9,6 +9,7 @@ Commands:
 
 Reports are line-oriented JSON (one check per line) or plain text; exit code
 0 means every check passed, 1 a mathematical failure, 2 an input error.
+`complement` checks every canonical word up to the truncation.
 Identical inputs and seeds produce byte-identical reports.
 """
 
@@ -251,10 +252,6 @@ def cmd_complement(args) -> int:
     space = deformation_space(inst)
     keys = _basis_keys(inst)
     words = space.words(keys, args.trunc)
-    if len(words) > args.max_words:
-        rng = random.Random(987)
-        words = [words[0]] + rng.sample(words[1:], args.max_words - 1)
-        words.sort()
     eM = out["exp_M"]
     if args.corrupt_m2:
         # test hook: break the arity-2 Taylor coefficient and expect failure
@@ -383,6 +380,13 @@ def _random_homogeneous(ctx: ContactContext, rng: random.Random,
     return Section(ctx, Poly(ctx.algebra, by_degree[rng.choice(sorted(by_degree))]))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cjde",
@@ -407,15 +411,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     g.add_argument("--eta", default=None, help="named deformation from the file")
     g.add_argument("--random", type=int, default=0, metavar="SEED",
                    help="random skew 2-form from a seed")
-    p.add_argument("--order", type=int, default=2, help="formal extension order")
+    p.add_argument("--order", type=_positive_int, default=2,
+                   help="formal extension order (>= 1)")
     common(p)
     p.set_defaults(fn=cmd_deform)
 
     p = sub.add_parser("complement", help="change the Lagrangian complement")
     p.add_argument("file")
     p.add_argument("--epsilon", required=True, help="named epsilon tensor from the file")
-    p.add_argument("--trunc", type=int, default=5, help="word-length truncation")
-    p.add_argument("--max-words", type=int, default=120, help=argparse.SUPPRESS)
+    p.add_argument("--trunc", type=_positive_int, default=5,
+                   help="word-length truncation (>= 1); every canonical word "
+                        "up to it is checked")
     p.add_argument("--corrupt-m2", action="store_true", help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(fn=cmd_complement)

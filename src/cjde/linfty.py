@@ -6,6 +6,18 @@ tuples of keys.  Taylor coefficients are callables on canonical words, and
 coderivations/morphisms are rebuilt from them by the usual unshuffle and
 partition sums.  Every computation carries an explicit arity truncation since
 the symmetric coalgebra is infinite-dimensional.
+
+A Taylor coefficient is a pure function of its canonical word, and the sums
+above evaluate the same coefficient on the same word many times.  So
+`TaylorCoderivation` and `TaylorMorphism` memoise every coefficient of arity
+>= 1: when the object is built, each entry of `coefficients` is wrapped in a
+callable that keeps one dict of results, keyed by canonical word.  The memo
+belongs to that wrapper, so it is freed with the structure, and an entry
+replaced later (`phi.coefficients[2] = f`) is called as given and never meets
+a result cached for the old entry.  A memoised vector is shared by every
+later call: treat the Vector a coefficient returns as read-only, and copy it
+before changing it (`vec_scale`, `vec_add` and `expand_word_of_vectors`
+already return new dicts).  `LInftyStructure.bracket` is not memoised.
 """
 
 from __future__ import annotations
@@ -160,6 +172,40 @@ class GradedSpace:
         return out
 
 
+def _memoised(fn: Callable[[Word], Vector]) -> Callable[[Word], Vector]:
+    """`fn` computed once per canonical word; see the module docstring."""
+    memo: Dict[Word, Vector] = {}
+
+    def coefficient(word: Word) -> Vector:
+        try:
+            return memo[word]
+        except KeyError:
+            value = memo[word] = fn(word)
+            return value
+    return coefficient
+
+
+class _EveryArity(dict):
+    """Taylor coefficients defined at every arity >= 1 by one function.
+
+    The memoised coefficient of an arity is built the first time that arity
+    is asked for.
+    """
+
+    def __init__(self, fn: Callable[[Word], Vector]):
+        super().__init__()
+        self._fn = fn
+
+    def __contains__(self, k: int) -> bool:
+        return k >= 1
+
+    def __missing__(self, k: int) -> Callable[[Word], Vector]:
+        if k not in self:
+            raise KeyError(k)
+        entry = self[k] = _memoised(self._fn)
+        return entry
+
+
 def _unshuffles(n: int, i: int) -> Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     positions = range(n)
     for sel in itertools.combinations(positions, i):
@@ -172,7 +218,8 @@ class TaylorCoderivation:
 
     `coefficients[k]` maps a canonical k-word to a Vector; arity 0, when
     present, is the curvature element (a Vector).  Arities missing from the
-    dict are zero maps.
+    dict are zero maps.  Coefficients of arity >= 1 are memoised per word and
+    their Vectors are read-only (module docstring).
     """
 
     def __init__(self, space: GradedSpace, degree: int,
@@ -180,7 +227,8 @@ class TaylorCoderivation:
                  name: str = ""):
         self.space = space
         self.degree = degree
-        self.coefficients = dict(coefficients)
+        self.coefficients = {k: entry if k == 0 else _memoised(entry)
+                             for k, entry in coefficients.items()}
         self.name = name
 
     def arities(self) -> List[int]:
@@ -230,13 +278,17 @@ class TaylorCoderivation:
 
 
 class TaylorMorphism:
-    """A degree-0 coalgebra morphism, by its Taylor coefficients."""
+    """A degree-0 coalgebra morphism, by its Taylor coefficients.
+
+    Coefficients are memoised per word and their Vectors are read-only
+    (module docstring).
+    """
 
     def __init__(self, space_src: GradedSpace, space_dst: GradedSpace,
                  coefficients: Dict[int, Callable[[Word], Vector]], name: str = ""):
         self.space_src = space_src
         self.space_dst = space_dst
-        self.coefficients = dict(coefficients)
+        self.coefficients = {k: _memoised(fn) for k, fn in coefficients.items()}
         self.name = name
 
     def coefficient(self, k: int, word: Word) -> Vector:
@@ -345,11 +397,14 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
     return report
 
 
-def exp_coderivation(M: TaylorCoderivation, max_words: int = 0) -> TaylorMorphism:
+def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
     """Exponential of a word-length-lowering coderivation, as a Taylor morphism.
 
-    Requires every Taylor coefficient of M to have arity >= 2, which makes
-    e^M(word) a finite sum.  The returned morphism also exposes the exact
+    Requires every Taylor coefficient of M to have arity >= 2.  Then each
+    application of M shortens a word by at least one letter, so on a word of
+    length L the series e^M = sum_j M^j / j! stops after at most L - 1
+    nonzero terms.  The returned morphism has a memoised Taylor coefficient
+    at every arity, each built on first use, and also exposes the exact
     series action as `apply_series`.
     """
     if any(k < 2 for k in M.arities()):
@@ -359,25 +414,22 @@ def exp_coderivation(M: TaylorCoderivation, max_words: int = 0) -> TaylorMorphis
     def apply_series(sv: SVector) -> SVector:
         total: SVector = dict(sv)
         term = dict(sv)
-        j = 1
-        while term:
+        longest = max((len(w) for w in sv), default=0)
+        for j in itertools.count(1):
             term = M.apply(term)
             if not term:
-                break
+                return total
+            if j >= longest:
+                raise RuntimeError(f"M^{j} is nonzero on words of length <= {longest}: "
+                                   "M does not lower word length")
             total = svec_add(total, svec_scale(term, Fraction(1, math.factorial(j))))
-            j += 1
-            if j > 64:
-                raise RuntimeError("exp series did not terminate")
-        return total
 
-    def make_coeff(k: int):
-        def coeff(word: Word) -> Vector:
-            full = apply_series({tuple(word): Fraction(1)})
-            return {w[0]: c for w, c in full.items() if len(w) == 1}
-        return coeff
+    def coeff(word: Word) -> Vector:
+        full = apply_series({tuple(word): Fraction(1)})
+        return {w[0]: c for w, c in full.items() if len(w) == 1}
 
-    coeffs = {k: make_coeff(k) for k in range(1, 9)}
-    phi = TaylorMorphism(space, space, coeffs, name=f"exp({M.name})")
+    phi = TaylorMorphism(space, space, {}, name=f"exp({M.name})")
+    phi.coefficients = _EveryArity(coeff)
     phi.apply_series = apply_series
     return phi
 

@@ -2,6 +2,7 @@
 deformation brackets, graphs, complement change, Cartan calculus."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from cjde.cjalg import (
     derived_bracket_sections,
     derived_operations,
     embed_anchored,
+    epsilon_section,
     extract_instance,
     gj_bracket_closed,
     graph_frame,
@@ -41,10 +43,20 @@ from cjde.cjalg import (
     vector_to_section,
     word_to_sections,
 )
+import cjde.cjalg as cjalg_module
 from cjde.contact import Section, jacobi_bracket, project_P
-from cjde.linfty import check_codifferential, check_morphism, vec_add, vec_scale
+from cjde.instancefile import load_instance
+from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
+                         vec_add, vec_scale)
 
 from conftest import basis_keys, random_form_section, random_instance, random_x_poly
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def load_fixture(name):
+    return load_instance(os.path.join(FIXTURES, name + ".json"))
 
 
 # --- Theta ------------------------------------------------------------------
@@ -116,6 +128,48 @@ def test_biconditional_random_50():
         inst = random_instance(rng, rng.choice([0, 1]), rng.choice([2, 3]), f"B{t}")
         rep = check_cj_axioms(inst)
         assert rep.biconditional
+
+
+def _axiom_residuals_one_by_one(inst):
+    """Every residual of check_cj_axioms from its own brackets, in report order."""
+    ctx, theta, frame = inst.context, inst.theta, inst.full_frame()
+
+    def ad(s, t):
+        return jacobi_bracket(jacobi_bracket(s, theta), t)
+
+    k = len(frame)
+    jac = [((i, j, l), ad(frame[i], ad(frame[j], frame[l]))
+            - jacobi_bracket(jacobi_bracket(ad(frame[i], frame[j]), theta), frame[l])
+            - ad(frame[j], ad(frame[i], frame[l])))
+           for i, j, l in itertools.product(range(k), repeat=3)]
+    lams = [("mu", Section(ctx, ctx.algebra.one()))] + \
+        [(f"x{i+1}*mu", Section(ctx, ctx.x(i))) for i in range(ctx.m)]
+    flat = [((i, j, name), ad(ad(frame[i], frame[j]), lam)
+             - (ad(frame[i], ad(frame[j], lam)) - ad(frame[j], ad(frame[i], lam))))
+            for i, j in itertools.product(range(k), repeat=2) for name, lam in lams]
+    return jac, flat
+
+
+def test_axiom_residuals_match_one_by_one_brackets():
+    rng = random.Random(77)
+    for m, n in ((1, 2), (0, 2)):
+        inst = random_instance(rng, m, n, "R")
+        rep = check_cj_axioms(inst)
+        jac, flat = _axiom_residuals_one_by_one(inst)
+        assert rep.jacobi_residuals == jac
+        assert rep.flatness_residuals == flat
+
+
+def test_axiom_check_bracket_count(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return jacobi_bracket(a, b)
+    monkeypatch.setattr(cjalg_module, "jacobi_bracket", counted)
+    check_cj_axioms(random_instance(random.Random(3), 1, 3, "R"))
+    # 6 frame elements, 2 test sections lam: 6 + 2*36 + 2*216 + 6*2 + 2*36*2 + 1
+    assert len(calls) == 667
 
 
 # --- derived operations -------------------------------------------------------
@@ -261,9 +315,9 @@ def test_graph_heis2_signs(heis2):
     ctx = heis2.context
     eta = DeformationForm.from_dict(heis2, {(0, 1): 1})
     frame = graph_frame(heis2, eta)
-    # iota_{e_1}(u1 u2) = u2, iota_{e_2}(u1 u2) = -u1
-    assert frame[0] == Section(ctx, ctx.pa(0) - ctx.u(1))
-    assert frame[1] == Section(ctx, ctx.pa(1) + ctx.u(0))
+    # gr(eta) = {e_a + iota_{e_a} eta}: iota_{e_1}(u1 u2) = u2, iota_{e_2}(u1 u2) = -u1
+    assert frame[0] == Section(ctx, ctx.pa(0) + ctx.u(1))
+    assert frame[1] == Section(ctx, ctx.pa(1) - ctx.u(0))
 
 
 def test_graphs_always_lagrangian(djmix):
@@ -286,6 +340,20 @@ def test_rank_one_instance_degenerate_sizes():
     L = deformation_brackets(inst, "derived")
     q = L.to_coderivation()
     assert check_codifferential(q, q.space.words(basis_keys(inst), 3)).ok
+
+
+def test_correspondence_on_every_point_fixture():
+    """gr(eta) is Dirac-Jacobi exactly when eta solves the MC equation."""
+    rng = random.Random(30)
+    for name in ("heis2", "obst1", "dgla1", "djmix", "curv1"):
+        inst = load_fixture(name).instance
+        for _ in range(8):
+            eta = DeformationForm.from_dict(
+                inst, {(a, b): Fraction(rng.randint(-2, 2))
+                       for a, b in itertools.combinations(range(inst.n), 2)})
+            mc = mc_residual_form(inst, eta)
+            involutive, _ = is_dirac_jacobi(inst, graph_frame(inst, eta))
+            assert mc.is_zero() == involutive, (name, eta.entries)
 
 
 def test_correspondence_over_polynomial_base():
@@ -542,6 +610,49 @@ def test_change_complement_transports_vdata_brackets(heis2):
         lhs = project_P(current)
         rhs = derived_bracket_sections(inst1, [a, b])
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["heis2", "djmix", "omni1"])
+def test_complement_flow_within_bidegree_bound(name):
+    doc = load_fixture(name)
+    inst, eps = doc.instance, doc.epsilons["eps1"]
+    eps_sec = epsilon_section(inst, eps)
+    theta_bidegrees = set(inst.theta.body.bidegree_components())
+    steps = max(delta for _, delta in theta_bidegrees)
+    assert steps <= 3
+    term = inst.theta
+    for k in range(1, steps + 1):
+        term = jacobi_bracket(eps_sec, term)
+        # each flow step moves bidegree by (1,-1)
+        assert set(term.body.bidegree_components()) <= \
+            {(p + k, delta - k) for p, delta in theta_bidegrees}
+    assert jacobi_bracket(eps_sec, term).is_zero()
+    assert check_cj_axioms(change_complement(inst, eps)["instance"]).ok
+
+
+def test_complement_flow_past_bound_raises(heis2, monkeypatch):
+    # a flow that never vanishes: the bidegree bound must catch it
+    monkeypatch.setattr(cjalg_module, "jacobi_bracket", lambda a, b: b)
+    with pytest.raises(RuntimeError):
+        change_complement(heis2, {(0, 1): 1})
+
+
+def test_replaced_m2_is_not_served_from_memo(heis2):
+    out = change_complement(heis2, {(0, 1): Fraction(1, 2)})
+    M = out["M"]
+    space = deformation_space(heis2)
+    words = space.words(basis_keys(heis2), 3)
+    for w in space.words(basis_keys(heis2), 2, 2):
+        M.coefficient(2, w)
+    Q0 = deformation_brackets(heis2, "derived").to_coderivation()
+    Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
+    assert check_morphism(out["exp_M"], Q0, Q1, words).ok
+    m2 = M.coefficients[2]
+    M.coefficients[2] = lambda w: vec_scale(m2(w), 2)
+    rep = check_morphism(exp_coderivation(M), Q0, Q1, words)
+    assert not rep.ok
+    word, residual = rep.witness()
+    assert residual
 
 
 def test_extract_instance_roundtrip(omni1):

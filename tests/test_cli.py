@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from cjde.cli import main
 
@@ -88,6 +91,41 @@ def test_deform_random_deterministic(capsys):
         ["deform", fixture("djmix.json"), "--random", "7"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_deform_dgla1_random_agrees(seed, capsys):
+    code, out, _ = run_cli(["deform", fixture("dgla1.json"), "--random", seed], capsys)
+    assert code == 0
+    by_check = {line["check"]: line for line in map(json.loads, out.strip().splitlines())}
+    assert by_check["mc <-> involutivity agreement"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("args", [
+    ["deform", fixture("obst1.json"), "--eta", "eta1", "--order", "0"],
+    ["deform", fixture("obst1.json"), "--eta", "eta1", "--order", "-3"],
+    ["complement", fixture("heis2.json"), "--epsilon", "eps1", "--trunc", "0"],
+])
+def test_nonpositive_order_or_trunc_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be at least 1" in out.err
+
+
+def test_complement_checks_every_word(capsys):
+    code, out, _ = run_cli(
+        ["complement", fixture("djmix.json"), "--epsilon", "eps1", "--trunc", "4"], capsys)
+    assert code == 0
+    by_check = {line["check"]: line for line in map(json.loads, out.strip().splitlines())}
+    # canonical words of length <= 4 over the 8 u-monomials of rank 3, four
+    # of them odd (no repeats) and four even
+    count = sum(math.comb(4, j) * math.comb(4 + (L - j) - 1, L - j)
+                for L in range(5) for j in range(L + 1))
+    assert count == 321
+    assert by_check["exp(M) intertwines codifferentials through arity 4"]["words"] == count
 
 
 def test_complement_identity(capsys, tmp_path):

@@ -200,6 +200,48 @@ def test_exp_coderivation(V):
         assert eM.apply_word(w) == eM.apply_series({w: F(1)})
 
 
+def test_exp_coefficients_at_every_arity():
+    # one even key, M_2(a, a) = a: the arity-k coefficient of e^M is what the
+    # series gives on the k-word, past any fixed arity cap
+    W = GradedSpace({"a": 0})
+    M = TaylorCoderivation(W, 0, {2: lambda w: {"a": F(1)}})
+    eM = exp_coderivation(M)
+    assert eM.coefficient(9, ("a",) * 9) == {"a": F(2835, 2)}
+    for k in range(1, 12):
+        word = ("a",) * k
+        series = eM.apply_series({word: F(1)})
+        assert eM.coefficient(k, word) == {"a": series[("a",)]}
+
+
+def test_exp_series_raises_when_words_do_not_shorten(V):
+    M = TaylorCoderivation(V, 0, {2: lambda w: {}})
+    eM = exp_coderivation(M)
+    M.coefficients[1] = lambda w: {w[0]: F(1)}  # no longer lowers word length
+    with pytest.raises(RuntimeError):
+        eM.apply_series({("a", "b"): F(1)})
+
+
+def test_coefficients_memoised_per_word(V):
+    calls = []
+
+    def m2(word):
+        calls.append(word)
+        return {"a": F(1)} if word == ("b", "c") else {}
+    Q = TaylorCoderivation(V, 1, {2: m2})
+    first = [Q.apply_word(w) for w in V.words(BASIS, 3, 3)]
+    assert [Q.apply_word(w) for w in V.words(BASIS, 3, 3)] == first
+    assert len(calls) == len(set(calls))
+    # a replaced entry is called as given, never served from the old memo
+    Q.coefficients[2] = lambda w: {}
+    assert Q.apply_word(("a", "b", "c")) == {}
+
+    phi_calls = []
+    phi = TaylorMorphism(V, V, {1: lambda w: phi_calls.append(w) or {w[0]: F(1)}})
+    for _ in range(2):
+        assert phi.apply_word(("a", "b")) == {("a", "b"): F(1)}
+    assert sorted(phi_calls) == [("a",), ("b",)]
+
+
 def test_exp_requires_lowering(V):
     M = TaylorCoderivation(V, 0, {1: lambda w: {w[0]: F(1)}})
     with pytest.raises(ValueError):
