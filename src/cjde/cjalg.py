@@ -11,6 +11,17 @@ the bracket / connection / pairing by double brackets against Theta, checks
 the equivalence of the structure equation {Theta,Theta} = 0 with the direct
 axioms, produces the cubic deformation brackets by two independent routes,
 and changes the Lagrangian complement via the exponential flow.
+
+A and A-dagger enter symmetrically, so the code for one side is written once
+over a private `_Side` record: the contact context the side's forms live in
+(`inst.context` for A, its mirror for A-dagger), the side's rho / c / lam /
+Upsilon tensors, the map carrying a base polynomial onto that context
+(identity, or `_mirror_xpoly`), and the maps taking sections from that
+context to `inst.context` and back (identity, or the Legendre transform F^*
+and its inverse).  The de Rham derivation, the cubic Upsilon form, 1-forms
+from coefficients, contraction, Lie derivative, section bracket and the
+reading of structure functions off Theta each take a side; Theta is the sum
+over both sides of the pulled-back h_d - Upsilon.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .contact import (
     ContactContext,
@@ -31,7 +42,7 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Monomial, Poly, Scalar
+from .gca import ContextMismatch, Monomial, Poly, Scalar, koszul_sign
 from .linfty import (
     GradedSpace,
     LInftyStructure,
@@ -40,7 +51,7 @@ from .linfty import (
     Word,
     exp_coderivation,
 )
-from .vdata import GLAOracle, VData
+from .vdata import GLAOracle, VData, higher_derived_bracket
 
 __all__ = [
     "SplitCJInstance",
@@ -77,15 +88,7 @@ __all__ = [
     "de_rham",
     "de_rham_koszul",
     "de_rham_derivation",
-    "de_rham_derivation_dual",
-    "de_rham_dual",
-    "iota_dual",
-    "lie_derivative_dual",
     "loday_bracket_formula",
-    "section_bracket_dual",
-    "gamma_A_to_mirror_form",
-    "gamma_dual_to_form",
-    "mirror_form_to_gamma_A",
     "upsilon_A_section",
     "upsilon_dual_section",
     "section_bracket_A",
@@ -124,6 +127,47 @@ def _zeros(ctx: ContactContext, *shape: int):
     return [_zeros(ctx, *shape[1:]) for _ in range(shape[0])]
 
 
+# Spread rules: the signed index tuples that one sparse entry fills.
+Spread = List[Tuple[Tuple[int, ...], int]]
+
+
+def _plain(key: Tuple[int, ...]) -> Spread:
+    return [(key, 1)]
+
+
+def _skew_last_two(key: Tuple[int, ...]) -> Spread:
+    cc, a, b = key
+    return [((cc, a, b), 1), ((cc, b, a), -1)]
+
+
+def _antisymmetric(key: Tuple[int, ...]) -> Spread:
+    """Every permutation of the key with its sign; a repeated index cancels."""
+    odd = (1,) * len(key)
+    return [(tuple(key[i] for i in perm), koszul_sign(perm, odd))
+            for perm in itertools.permutations(range(len(key)))]
+
+
+def _table(ctx: ContactContext, shape: Tuple[int, ...], entries: Optional[Dict],
+           spread: Callable[[Tuple[int, ...]], Spread]) -> list:
+    """Dense nested table of base polynomials from sparse entries.
+
+    A key is an index tuple (a bare int for one index); `spread` maps it to
+    the signed positions it fills.  Keys outside the shape raise ValueError.
+    """
+    out = _zeros(ctx, *shape)
+    for key, v in (entries or {}).items():
+        idx = key if isinstance(key, tuple) else (key,)
+        if len(idx) != len(shape) or not all(0 <= i < b for i, b in zip(idx, shape)):
+            raise ValueError(f"index {idx} out of range for shape {shape}")
+        p = _as_xpoly(ctx, v)
+        for pos, sign in spread(idx):
+            row = out
+            for i in pos[:-1]:
+                row = row[i]
+            row[pos[-1]] = row[pos[-1]] + (p if sign > 0 else -p)
+    return out
+
+
 class SplitCJInstance:
     """Structure functions of a split Courant-Jacobi algebroid over Q[x]."""
 
@@ -153,64 +197,14 @@ class SplitCJInstance:
         if ctx.m != m or ctx.n != n:
             raise ValueError("context dimensions do not match the instance")
 
-        def guard(key, *bounds):
-            for idx, bound in zip(key, bounds):
-                if not 0 <= idx < bound:
-                    raise ValueError(f"index {key} out of range for (m={m}, n={n})")
-
-        for table, bounds in ((rho, (m, n)), (rho_dual, (m, n)),
-                              (c, (n, n, n)), (c_dual, (n, n, n)),
-                              (phi, (n, n, n)), (psi, (n, n, n))):
-            for key in (table or {}):
-                guard(key, *bounds)
-        for table in (lam, lam_dual):
-            for key in (table or {}):
-                guard((key,), n)
-
-        self.rho = _zeros(ctx, m, n)
-        for (i, a), v in (rho or {}).items():
-            self.rho[i][a] = self.rho[i][a] + _as_xpoly(ctx, v)
-
-        self.lam = _zeros(ctx, n)
-        for a, v in (lam or {}).items():
-            self.lam[a] = self.lam[a] + _as_xpoly(ctx, v)
-
-        self.c = _zeros(ctx, n, n, n)
-        for (cc, a, b), v in (c or {}).items():
-            p = _as_xpoly(ctx, v)
-            self.c[cc][a][b] = self.c[cc][a][b] + p
-            self.c[cc][b][a] = self.c[cc][b][a] - p
-
-        self.rho_dual = _zeros(ctx, m, n)
-        for (i, a), v in (rho_dual or {}).items():
-            self.rho_dual[i][a] = self.rho_dual[i][a] + _as_xpoly(ctx, v)
-
-        self.lam_dual = _zeros(ctx, n)
-        for a, v in (lam_dual or {}).items():
-            self.lam_dual[a] = self.lam_dual[a] + _as_xpoly(ctx, v)
-
-        self.c_dual = _zeros(ctx, n, n, n)
-        for (cc, a, b), v in (c_dual or {}).items():
-            p = _as_xpoly(ctx, v)
-            self.c_dual[cc][a][b] = self.c_dual[cc][a][b] + p
-            self.c_dual[cc][b][a] = self.c_dual[cc][b][a] - p
-
-        self.phi = _zeros(ctx, n, n, n)
-        for (a, b, cc), v in (phi or {}).items():
-            p = _as_xpoly(ctx, v)
-            for perm in itertools.permutations((a, b, cc)):
-                sgn = _perm_sign((a, b, cc), perm)
-                cur = self.phi[perm[0]][perm[1]][perm[2]]
-                self.phi[perm[0]][perm[1]][perm[2]] = cur + p.scale(sgn)
-
-        self.psi = _zeros(ctx, n, n, n)
-        for (a, b, cc), v in (psi or {}).items():
-            p = _as_xpoly(ctx, v)
-            for perm in itertools.permutations((a, b, cc)):
-                sgn = _perm_sign((a, b, cc), perm)
-                cur = self.psi[perm[0]][perm[1]][perm[2]]
-                self.psi[perm[0]][perm[1]][perm[2]] = cur + p.scale(sgn)
-
+        self.rho = _table(ctx, (m, n), rho, _plain)
+        self.c = _table(ctx, (n, n, n), c, _skew_last_two)
+        self.lam = _table(ctx, (n,), lam, _plain)
+        self.rho_dual = _table(ctx, (m, n), rho_dual, _plain)
+        self.c_dual = _table(ctx, (n, n, n), c_dual, _skew_last_two)
+        self.lam_dual = _table(ctx, (n,), lam_dual, _plain)
+        self.phi = _table(ctx, (n, n, n), phi, _antisymmetric)
+        self.psi = _table(ctx, (n, n, n), psi, _antisymmetric)
         self._theta: Optional[Section] = None
 
     # -- frames ----------------------------------------------------------
@@ -234,17 +228,7 @@ class SplitCJInstance:
         return self._theta
 
 
-def _perm_sign(base: Tuple[int, ...], perm: Tuple[int, ...]) -> int:
-    """Sign of the permutation taking `base` (distinct entries) to `perm`."""
-    order = [base.index(p) for p in perm]
-    sgn = 1
-    for i, j in itertools.combinations(range(len(order)), 2):
-        if order[i] > order[j]:
-            sgn = -sgn
-    return sgn
-
-
-# --- assembling Theta ------------------------------------------------------
+# --- one side of the split ---------------------------------------------------
 
 
 def _mirror_xpoly(inst: SplitCJInstance, f: Poly) -> Poly:
@@ -254,72 +238,136 @@ def _mirror_xpoly(inst: SplitCJInstance, f: Poly) -> Poly:
     return f.substitute(mir.algebra, images)
 
 
-def de_rham_derivation(inst: SplitCJInstance) -> LineDerivation:
-    """d_{A,L} as a degree-1 derivation of the line bundle over A[1]."""
-    ctx = inst.context
+@dataclass(frozen=True)
+class _Side:
+    """A or A-dagger (see the module docstring); tensors on inst.context's base ring."""
+
+    inst: SplitCJInstance
+    context: ContactContext
+    rho: List[List[Poly]]
+    c: List[List[List[Poly]]]
+    lam: List[Poly]
+    upsilon: List[List[List[Poly]]]
+    carry: Callable[[Poly], Poly]
+    pullback: Callable[[Section], Section]
+    push: Callable[[Section], Section]
+
+
+def _side_A(inst: SplitCJInstance) -> _Side:
+    return _Side(inst, inst.context, inst.rho, inst.c, inst.lam, inst.phi,
+                 carry=lambda f: f, pullback=lambda s: s, push=lambda s: s)
+
+
+def _side_dual(inst: SplitCJInstance) -> _Side:
+    return _Side(inst, inst.context.mirror, inst.rho_dual, inst.c_dual, inst.lam_dual,
+                 inst.psi, carry=lambda f: _mirror_xpoly(inst, f),
+                 pullback=lambda s: legendre_pullback(s, inst.context),
+                 push=lambda s: legendre_pullback(s, inst.context.mirror))
+
+
+def _de_rham_derivation(side: _Side) -> LineDerivation:
+    """d_{S,L} as a degree-1 derivation of the line bundle over S[1]."""
+    ctx, n = side.context, side.inst.n
     f = ctx.algebra.zero()
-    for a in range(inst.n):
-        f = f + inst.lam[a] * ctx.u(a)
+    for a in range(n):
+        f = f + side.carry(side.lam[a]) * ctx.u(a)
     f_x = []
-    for i in range(inst.m):
+    for i in range(ctx.m):
         coeff = ctx.algebra.zero()
-        for a in range(inst.n):
-            coeff = coeff + inst.rho[i][a] * ctx.u(a)
+        for a in range(n):
+            coeff = coeff + side.carry(side.rho[i][a]) * ctx.u(a)
         f_x.append(coeff)
     f_u = []
-    for cc in range(inst.n):
+    for cc in range(n):
         coeff = ctx.algebra.zero()
-        for a, b in itertools.combinations(range(inst.n), 2):
-            coeff = coeff - inst.c[cc][a][b] * ctx.u(a) * ctx.u(b)
+        for a, b in itertools.combinations(range(n), 2):
+            coeff = coeff - side.carry(side.c[cc][a][b]) * ctx.u(a) * ctx.u(b)
         f_u.append(coeff)
     return LineDerivation(ctx, 1, f, f_x, f_u)
 
 
-def de_rham_derivation_dual(inst: SplitCJInstance) -> LineDerivation:
-    """d_{A†,L} as a derivation over the mirror base A†[1]."""
-    mir = inst.context.mirror
-    f = mir.algebra.zero()
-    for a in range(inst.n):
-        f = f + _mirror_xpoly(inst, inst.lam_dual[a]) * mir.u(a)
-    f_x = []
-    for i in range(inst.m):
-        coeff = mir.algebra.zero()
-        for a in range(inst.n):
-            coeff = coeff + _mirror_xpoly(inst, inst.rho_dual[i][a]) * mir.u(a)
-        f_x.append(coeff)
-    f_u = []
-    for cc in range(inst.n):
-        coeff = mir.algebra.zero()
-        for a, b in itertools.combinations(range(inst.n), 2):
-            coeff = coeff - _mirror_xpoly(inst, inst.c_dual[cc][a][b]) * mir.u(a) * mir.u(b)
-        f_u.append(coeff)
-    return LineDerivation(mir, 1, f, f_x, f_u)
+def _upsilon_form(side: _Side) -> Section:
+    """The cubic form Upsilon of the side, over its own context."""
+    ctx = side.context
+    body = ctx.algebra.zero()
+    for a, b, cc in itertools.combinations(range(side.inst.n), 3):
+        body = body + side.carry(side.upsilon[a][b][cc]) * ctx.u(a) * ctx.u(b) * ctx.u(cc)
+    return Section(ctx, body)
+
+
+def _one_form(side: _Side, coeffs: Sequence[Poly]) -> Section:
+    """The 1-form coeffs_a u^a on the side, from base polynomials."""
+    ctx = side.context
+    body = ctx.algebra.zero()
+    for a in range(side.inst.n):
+        body = body + side.carry(coeffs[a]) * ctx.u(a)
+    return Section(ctx, body)
+
+
+def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
+    """Left contraction of a form on the side by xi_a times the a-th frame element."""
+    ctx = side.context
+    if omega.context is not ctx:
+        raise ContextMismatch("form from the other side of the split")
+    body = ctx.algebra.zero()
+    for a in range(side.inst.n):
+        body = body + side.carry(xi[a]) * omega.body.partial(ctx.ix_u[a])
+    return Section(ctx, body)
+
+
+def _lie_derivative(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
+    """[d, iota_xi] = d iota_xi + iota_xi d on forms of the side."""
+    d = _de_rham_derivation(side)
+    return d(_iota(side, xi, omega)) + _iota(side, xi, d(omega))
+
+
+def _section_bracket(side: _Side, xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
+    """[xi, eta]_S for frame-coefficient sections, on the base ring."""
+    ctx = side.inst.context
+    n = side.inst.n
+    out = []
+    for cc in range(n):
+        acc = ctx.algebra.zero()
+        for a in range(n):
+            for i in range(ctx.m):
+                acc = acc + xi[a] * side.rho[i][a] * eta[cc].partial(ctx.ix_x[i])
+                acc = acc - eta[a] * side.rho[i][a] * xi[cc].partial(ctx.ix_x[i])
+            for b in range(n):
+                acc = acc + xi[a] * eta[b] * side.c[cc][a][b]
+        out.append(acc)
+    return out
+
+
+def _xpolys(inst: SplitCJInstance, values: Sequence[PolyLike]) -> List[Poly]:
+    return [_as_xpoly(inst.context, v) for v in values]
+
+
+# --- assembling Theta ------------------------------------------------------
+
+
+def de_rham_derivation(inst: SplitCJInstance) -> LineDerivation:
+    """d_{A,L} as a degree-1 derivation of the line bundle over A[1]."""
+    return _de_rham_derivation(_side_A(inst))
 
 
 def upsilon_A_section(inst: SplitCJInstance) -> Section:
     """pi^* Upsilon_A as a bidegree-(0,3) section."""
-    ctx = inst.context
-    body = ctx.algebra.zero()
-    for a, b, cc in itertools.combinations(range(inst.n), 3):
-        body = body + inst.phi[a][b][cc] * ctx.u(a) * ctx.u(b) * ctx.u(cc)
-    return Section(ctx, body)
+    return _upsilon_form(_side_A(inst))
 
 
 def upsilon_dual_section(inst: SplitCJInstance) -> Section:
     """F^* pi~^* Upsilon_{A†} as a bidegree-(3,0) section."""
-    ctx = inst.context
-    mir = ctx.mirror
-    body = mir.algebra.zero()
-    for a, b, cc in itertools.combinations(range(inst.n), 3):
-        body = body + _mirror_xpoly(inst, inst.psi[a][b][cc]) * mir.u(a) * mir.u(b) * mir.u(cc)
-    return legendre_pullback(Section(mir, body), ctx)
+    side = _side_dual(inst)
+    return side.pullback(_upsilon_form(side))
 
 
 def build_theta(inst: SplitCJInstance) -> Section:
     """Theta = -pi^*Y_A + h_{d_A} + F^*h_{d_dual} - F^*pi~^*Y_dual."""
-    h_d = hamiltonian_lift(de_rham_derivation(inst))
-    h_dual = legendre_pullback(hamiltonian_lift(de_rham_derivation_dual(inst)), inst.context)
-    return -upsilon_A_section(inst) + h_d + h_dual - upsilon_dual_section(inst)
+    theta = inst.context.zero_section()
+    for side in (_side_A(inst), _side_dual(inst)):
+        own = hamiltonian_lift(_de_rham_derivation(side)) - _upsilon_form(side)
+        theta = theta + side.pullback(own)
+    return theta
 
 
 # --- degree-1 sections and derived operations -------------------------------
@@ -460,6 +508,12 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
 # --- forms -------------------------------------------------------------------
 
 
+def _skew_matrix(ctx: ContactContext, n: int,
+                 data: Dict[Tuple[int, int], PolyLike]) -> List[List[Poly]]:
+    """Skew n x n matrix of base polynomials from its entries (a, b)."""
+    return _table(ctx, (n, n), data, _antisymmetric)
+
+
 @dataclass
 class DeformationForm:
     """An L-valued 2-form on A: skew matrix of base polynomials."""
@@ -470,13 +524,7 @@ class DeformationForm:
     @classmethod
     def from_dict(cls, inst: SplitCJInstance,
                   data: Dict[Tuple[int, int], PolyLike]) -> "DeformationForm":
-        ctx = inst.context
-        entries = _zeros(ctx, inst.n, inst.n)
-        for (a, b), v in data.items():
-            p = _as_xpoly(ctx, v)
-            entries[a][b] = entries[a][b] + p
-            entries[b][a] = entries[b][a] - p
-        return cls(inst, entries)
+        return cls(inst, _skew_matrix(inst.context, inst.n, data))
 
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
@@ -512,11 +560,7 @@ def form_degree(inst: SplitCJInstance, s: Section) -> int:
 
 def iota(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Section:
     """Left contraction of a form by xi = xi^a(x) e_a."""
-    ctx = inst.context
-    body = ctx.algebra.zero()
-    for a in range(inst.n):
-        body = body + _as_xpoly(ctx, xi[a]) * omega.body.partial(ctx.ix_u[a])
-    return Section(ctx, body)
+    return _iota(_side_A(inst), _xpolys(inst, xi), omega)
 
 
 def de_rham(inst: SplitCJInstance, omega: Section) -> Section:
@@ -570,7 +614,7 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
 
 def lie_derivative(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Section:
     """Lie derivative along xi in Gamma(A): [d, iota_xi] = d iota + iota d."""
-    return de_rham(inst, iota(inst, xi, omega)) + iota(inst, xi, de_rham(inst, omega))
+    return _lie_derivative(_side_A(inst), _xpolys(inst, xi), omega)
 
 
 def cartan_ops(inst: SplitCJInstance, xi: Sequence[PolyLike],
@@ -592,73 +636,19 @@ def cartan_ops(inst: SplitCJInstance, xi: Sequence[PolyLike],
     }
 
 
-def iota_dual(inst: SplitCJInstance, alpha: Sequence[PolyLike], omega: Section) -> Section:
-    """Left contraction of a mirror-side form by alpha = alpha_a eps^a."""
-    mir = inst.context.mirror
-    if omega.context is not mir:
-        raise ContextMismatch("expected a mirror-side form")
-    body = mir.algebra.zero()
-    for a in range(inst.n):
-        coeff = _mirror_xpoly(inst, _as_xpoly(inst.context, alpha[a]))
-        body = body + coeff * omega.body.partial(mir.ix_u[a])
-    return Section(mir, body)
+def _loday_component(own: _Side, other: _Side, s1: Sequence[Poly], s2: Sequence[Poly],
+                     t1: Sequence[Poly], t2: Sequence[Poly]) -> Section:
+    """The own-side 1-form part of [[s1 + t1, s2 + t2]], pulled back to inst.context.
 
-
-def de_rham_dual(inst: SplitCJInstance, omega: Section) -> Section:
-    """d_{A-dual,L} on mirror-side pullback forms."""
-    return de_rham_derivation_dual(inst)(omega)
-
-
-def lie_derivative_dual(inst: SplitCJInstance, alpha: Sequence[PolyLike],
-                        omega: Section) -> Section:
-    return de_rham_dual(inst, iota_dual(inst, alpha, omega)) + \
-        iota_dual(inst, alpha, de_rham_dual(inst, omega))
-
-
-def gamma_A_to_mirror_form(inst: SplitCJInstance, xi: Sequence[PolyLike]) -> Section:
-    """A section of A as a degree-1 form on the dual side."""
-    mir = inst.context.mirror
-    body = mir.algebra.zero()
-    for a in range(inst.n):
-        body = body + _mirror_xpoly(inst, _as_xpoly(inst.context, xi[a])) * mir.u(a)
-    return Section(mir, body)
-
-
-def mirror_form_to_gamma_A(inst: SplitCJInstance, omega: Section) -> List[Poly]:
-    """Coefficients of a degree-1 mirror form, transported back to the base ring."""
-    mir = inst.context.mirror
-    ctx = inst.context
-    images = {mir.ix_x[i]: ctx.x(i) for i in range(ctx.m)}
-    return [omega.body.partial(mir.ix_u[a]).substitute(ctx.algebra, images)
-            for a in range(inst.n)]
-
-
-def gamma_dual_to_form(inst: SplitCJInstance, alpha: Sequence[PolyLike]) -> Section:
-    """A section of the dual as a degree-1 pullback form on the A side."""
-    ctx = inst.context
-    body = ctx.algebra.zero()
-    for a in range(inst.n):
-        body = body + _as_xpoly(ctx, alpha[a]) * ctx.u(a)
-    return Section(ctx, body)
-
-
-def section_bracket_dual(inst: SplitCJInstance, alpha: Sequence[PolyLike],
-                         beta: Sequence[PolyLike]) -> List[Poly]:
-    """[alpha, beta]_{A-dual} for frame-coefficient sections of the dual side."""
-    ctx = inst.context
-    alpha = [_as_xpoly(ctx, v) for v in alpha]
-    beta = [_as_xpoly(ctx, v) for v in beta]
-    out = _zeros(ctx, inst.n)
-    for cc in range(inst.n):
-        acc = ctx.algebra.zero()
-        for a in range(inst.n):
-            for i in range(ctx.m):
-                acc = acc + alpha[a] * inst.rho_dual[i][a] * beta[cc].partial(ctx.ix_x[i])
-                acc = acc - beta[a] * inst.rho_dual[i][a] * alpha[cc].partial(ctx.ix_x[i])
-            for b in range(inst.n):
-                acc = acc + alpha[a] * beta[b] * inst.c_dual[cc][a][b]
-        out[cc] = acc
-    return out
+    s1, s2 are sections of `own`, t1, t2 sections of `other`, seen as 1-forms
+    on `own`:  iota_{s2} iota_{s1} Upsilon + L_{s1} t2 - iota_{s2} d t1 + [t1, t2].
+    """
+    d = _de_rham_derivation(own)
+    form = _iota(own, s2, _iota(own, s1, _upsilon_form(own)))
+    form = form + _lie_derivative(own, s1, _one_form(own, t2))
+    form = form - _iota(own, s2, d(_one_form(own, t1)))
+    form = form + _one_form(own, _section_bracket(other, t1, t2))
+    return own.pullback(form)
 
 
 def loday_bracket_formula(inst: SplitCJInstance, xi: Sequence[PolyLike],
@@ -669,53 +659,22 @@ def loday_bracket_formula(inst: SplitCJInstance, xi: Sequence[PolyLike],
     A-side:      [X,Y]_A - iota_beta d_dual X + L_alpha Y + iota_beta iota_alpha Y_dual
     dual side:   iota_Y iota_X Y_A + L_X beta - iota_Y d alpha + [alpha,beta]_dual
 
-    This is the display with the typographical stray plus removed; equality
-    with the derived bracket {{u,Theta},v} is enforced by the test suite.
+    This is the display with the typographical stray plus removed.  It is
+    unchanged by swapping A with A-dagger and X, Y with alpha, beta, so each
+    side is one `_loday_component` call: the A-side part is a 1-form on the
+    mirror carried back by F^*.  Equality with the derived bracket
+    {{u,Theta},v} is enforced by the test suite.
     """
-    ctx = inst.context
-    mir = ctx.mirror
-    n = inst.n
-
-    # A-side, computed as mirror 1-forms
-    a_part = gamma_A_to_mirror_form(inst, section_bracket_A(inst, xi, eta))
-    a_part = a_part - iota_dual(inst, beta, de_rham_dual(inst, gamma_A_to_mirror_form(inst, xi)))
-    a_part = a_part + lie_derivative_dual(inst, alpha, gamma_A_to_mirror_form(inst, eta))
-    ups_dual_mirror = Section(mir, mir.algebra.zero())
-    for a, b, cc in itertools.combinations(range(n), 3):
-        ups_dual_mirror = ups_dual_mirror + Section(
-            mir, _mirror_xpoly(inst, inst.psi[a][b][cc]) * mir.u(a) * mir.u(b) * mir.u(cc))
-    a_part = a_part + iota_dual(inst, beta, iota_dual(inst, alpha, ups_dual_mirror))
-    xi_out = mirror_form_to_gamma_A(inst, a_part)
-
-    # dual side, computed as pullback forms on the A side
-    d_part = iota(inst, eta, iota(inst, xi, upsilon_A_section(inst)))
-    d_part = d_part + lie_derivative(inst, xi, gamma_dual_to_form(inst, beta))
-    d_part = d_part - iota(inst, eta, de_rham(inst, gamma_dual_to_form(inst, alpha)))
-    d_part = d_part + gamma_dual_to_form(inst, section_bracket_dual(inst, alpha, beta))
-
-    body = ctx.algebra.zero()
-    for a in range(n):
-        body = body + xi_out[a] * ctx.pa(a)
-    return Section(ctx, body + d_part.body)
+    side_a, side_d = _side_A(inst), _side_dual(inst)
+    xi, alpha, eta, beta = (_xpolys(inst, v) for v in (xi, alpha, eta, beta))
+    return _loday_component(side_d, side_a, alpha, beta, xi, eta) + \
+        _loday_component(side_a, side_d, xi, eta, alpha, beta)
 
 
 def section_bracket_A(inst: SplitCJInstance, xi: Sequence[PolyLike],
                       eta: Sequence[PolyLike]) -> List[Poly]:
     """[xi, eta]_A for xi = xi^a e_a, eta = eta^a e_a with x-coefficients."""
-    ctx = inst.context
-    xi = [_as_xpoly(ctx, v) for v in xi]
-    eta = [_as_xpoly(ctx, v) for v in eta]
-    out = _zeros(ctx, inst.n)
-    for cc in range(inst.n):
-        acc = ctx.algebra.zero()
-        for a in range(inst.n):
-            for i in range(ctx.m):
-                acc = acc + xi[a] * inst.rho[i][a] * eta[cc].partial(ctx.ix_x[i])
-                acc = acc - eta[a] * inst.rho[i][a] * xi[cc].partial(ctx.ix_x[i])
-            for b in range(inst.n):
-                acc = acc + xi[a] * eta[b] * inst.c[cc][a][b]
-        out[cc] = acc
-    return out
+    return _section_bracket(_side_A(inst), _xpolys(inst, xi), _xpolys(inst, eta))
 
 
 # --- Courant tensor of a Lagrangian frame ------------------------------------
@@ -827,10 +786,7 @@ def contact_vdata(inst: SplitCJInstance) -> VData:
 
 def derived_bracket_sections(inst: SplitCJInstance, args: Sequence[Section]) -> Section:
     """m_k(a_1..a_k) = -P{...{{Theta,a_1},a_2},...,a_k} on pullback sections."""
-    current = -inst.theta
-    for a in args:
-        current = jacobi_bracket(current, a)
-    return project_P(current)
+    return higher_derived_bracket(contact_vdata(inst), len(args), args)
 
 
 def _m2_closed_pair(inst: SplitCJInstance, A: Poly, r: int, B: Poly) -> Poly:
@@ -872,13 +828,10 @@ def m2_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
 
 def gj_bracket_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
     """Gerstenhaber-Jacobi bracket of the dual side: [a,b] = (-1)^|a| m_2(a,b)."""
-    ctx = inst.context
-    out = ctx.algebra.zero()
-    for (eps, r), comp in alpha.body.bidegree_components().items():
-        if eps != 0:
-            raise ValueError("not a pullback form")
-        out = out + _m2_closed_pair(inst, comp, r, beta.body).scale((-1) ** (r % 2))
-    return Section(ctx, out)
+    twisted = inst.context.algebra.zero()
+    for (_, r), comp in alpha.body.bidegree_components().items():
+        twisted = twisted + comp.scale((-1) ** (r % 2))
+    return m2_closed(inst, Section(inst.context, twisted), beta)
 
 
 def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Section) -> Section:
@@ -893,8 +846,7 @@ def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Secti
         if coeff.is_zero():
             continue
         acc = ctx.algebra.zero()
-        for perm in itertools.permutations((a, b, cc)):
-            sgn = _perm_sign((a, b, cc), perm)
+        for perm, sgn in _antisymmetric((a, b, cc)):
             term = bodies[0].partial(ctx.ix_u[perm[0]]) \
                 * bodies[1].partial(ctx.ix_u[perm[1]]) \
                 * bodies[2].partial(ctx.ix_u[perm[2]])
@@ -915,12 +867,10 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> LInft
     curvature = section_to_vector(inst, upsilon_A_section(inst))
 
     if route == "derived":
-        def make(k: int):
-            def bracket(word: Word) -> Vector:
-                args = word_to_sections(inst, word)
-                return section_to_vector(inst, derived_bracket_sections(inst, args))
-            return bracket
-        brackets = {1: make(1), 2: make(2), 3: make(3)}
+        def derived(word: Word) -> Vector:
+            args = word_to_sections(inst, word)
+            return section_to_vector(inst, derived_bracket_sections(inst, args))
+        brackets = {1: derived, 2: derived, 3: derived}
     elif route == "closed":
         def m1(word: Word) -> Vector:
             [s] = word_to_sections(inst, word)
@@ -956,11 +906,7 @@ def mc_residual_form(inst: SplitCJInstance, eta: Union[DeformationForm, Section]
 def epsilon_section(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike]) -> Section:
     """A 2-form on the dual side as a bidegree-(2,0) section."""
     ctx = inst.context
-    entries = _zeros(ctx, inst.n, inst.n)
-    for (a, b), v in eps.items():
-        p = _as_xpoly(ctx, v)
-        entries[a][b] = entries[a][b] + p
-        entries[b][a] = entries[b][a] - p
+    entries = _skew_matrix(ctx, inst.n, eps)
     body = ctx.algebra.zero()
     for a, b in itertools.combinations(range(inst.n), 2):
         body = body + entries[a][b] * ctx.pa(a) * ctx.pa(b)
@@ -983,57 +929,37 @@ def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
     return out
 
 
-def extract_instance(inst: SplitCJInstance, theta: Section, name: str = "") -> SplitCJInstance:
-    """Read structure functions off a degree-3 section; asserts a clean round trip."""
-    ctx = inst.context
-    m, n = inst.m, inst.n
-    coeffs = fiber_split(ctx, theta.body)
+def _read_side(side: _Side, theta: Section) -> Tuple[Dict, Dict, Dict, Dict]:
+    """rho, c, lam and Upsilon of one side, as constructor dicts on the base ring.
+
+    Pushed to the side's own context, Theta is that side's h_d - Upsilon
+    plus the other side's part, which shares no monomial with it.
+    """
+    ctx, n = side.context, side.inst.n
+    coeffs = fiber_split(ctx, side.push(theta).body)
 
     def pick(*letters: int) -> Poly:
         _, mono = ctx.algebra.normalize_word(letters)
-        return coeffs.get(mono, ctx.algebra.zero())
+        if mono not in coeffs:
+            return side.inst.context.algebra.zero()
+        return side.pullback(Section(ctx, coeffs[mono])).body
 
-    lam, rho, c, phi = {}, {}, {}, {}
-    lam_d, rho_d, c_d, psi = {}, {}, {}, {}
-    for a in range(n):
-        v = pick(ctx.ix_u[a], ctx.ix_p)
-        if not v.is_zero():
-            lam[a] = v
-        v = pick(ctx.ix_pa[a], ctx.ix_p)
-        if not v.is_zero():
-            lam_d[a] = v
-        for i in range(m):
-            v = pick(ctx.ix_u[a], ctx.ix_pi[i])
-            if not v.is_zero():
-                rho[(i, a)] = v
-            v = pick(ctx.ix_pa[a], ctx.ix_pi[i])
-            if not v.is_zero():
-                rho_d[(i, a)] = v
-    for a, b in itertools.combinations(range(n), 2):
-        for cc in range(n):
-            v = pick(ctx.ix_u[a], ctx.ix_u[b], ctx.ix_pa[cc])
-            if not v.is_zero():
-                c[(cc, a, b)] = -v
-            # the canonical monomial u^cc pa_a pa_b also receives the
-            # lam~ cross term of the dual Hamiltonian lift
-            v = pick(ctx.ix_u[cc], ctx.ix_pa[a], ctx.ix_pa[b])
-            if cc == b:
-                v = v - lam_d.get(a, ctx.algebra.zero())
-            if cc == a:
-                v = v + lam_d.get(b, ctx.algebra.zero())
-            if not v.is_zero():
-                c_d[(cc, a, b)] = -v
-    for a, b, cc in itertools.combinations(range(n), 3):
-        v = pick(ctx.ix_u[a], ctx.ix_u[b], ctx.ix_u[cc])
-        if not v.is_zero():
-            phi[(a, b, cc)] = -v
-        v = pick(ctx.ix_pa[a], ctx.ix_pa[b], ctx.ix_pa[cc])
-        if not v.is_zero():
-            psi[(a, b, cc)] = -v
+    rho = {(i, a): pick(ctx.ix_u[a], ctx.ix_pi[i]) for i in range(ctx.m) for a in range(n)}
+    c = {(cc, a, b): -pick(ctx.ix_u[a], ctx.ix_u[b], ctx.ix_pa[cc])
+         for cc in range(n) for a, b in itertools.combinations(range(n), 2)}
+    lam = {a: pick(ctx.ix_u[a], ctx.ix_p) for a in range(n)}
+    upsilon = {key: -pick(*(ctx.ix_u[a] for a in key))
+               for key in itertools.combinations(range(n), 3)}
+    return rho, c, lam, upsilon
 
-    out = SplitCJInstance(m, n, rho=rho, c=c, lam=lam, rho_dual=rho_d,
+
+def extract_instance(inst: SplitCJInstance, theta: Section, name: str = "") -> SplitCJInstance:
+    """Read structure functions off a degree-3 section; asserts a clean round trip."""
+    rho, c, lam, phi = _read_side(_side_A(inst), theta)
+    rho_d, c_d, lam_d, psi = _read_side(_side_dual(inst), theta)
+    out = SplitCJInstance(inst.m, inst.n, rho=rho, c=c, lam=lam, rho_dual=rho_d,
                           c_dual=c_d, lam_dual=lam_d, phi=phi, psi=psi,
-                          context=ctx, name=name)
+                          context=inst.context, name=name)
     if build_theta(out) != theta:
         raise ValueError("theta does not come from split structure functions")
     return out
@@ -1055,10 +981,7 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
           for b in range(n)] for a in range(n)]
     d1, d2 = form_degree(inst, w1), form_degree(inst, w2)
     if d1 == 2 and d2 == 2:
-        M1 = [[w1.body.partial(ctx.ix_u[a]).partial(ctx.ix_u[b]) for b in range(n)]
-              for a in range(n)]
-        M2 = [[w2.body.partial(ctx.ix_u[a]).partial(ctx.ix_u[b]) for b in range(n)]
-              for a in range(n)]
+        M1, M2 = (DeformationForm.from_section(inst, w).entries for w in (w1, w2))
         body = ctx.algebra.zero()
         for a, d in itertools.combinations(range(n), 2):
             acc = ctx.algebra.zero()

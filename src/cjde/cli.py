@@ -40,10 +40,11 @@ from .cjalg import (
     vector_to_section,
     word_to_sections,
 )
-from .contact import ContactContext, Section, jacobi_bracket
+from .contact import ContactContext, jacobi_bracket
 from .deform import ComplexMatrices, NotFlat, UnsupportedBase, cohomology, extend_mc, kuranishi
 from .instancefile import InstanceFileError, load_instance
 from .linfty import check_codifferential, check_morphism
+from .samples import basis_keys, random_homogeneous_section, random_kernel_section, random_section
 from .vdata import validate
 
 EXIT_OK = 0
@@ -96,22 +97,8 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str):
-    return load_instance(path)
-
-
-def _basis_keys(inst: SplitCJInstance):
-    ctx = inst.context
-    keys = []
-    for k in range(0, inst.n + 1):
-        for combo in itertools.combinations(range(inst.n), k):
-            _, mono = ctx.algebra.normalize_word([ctx.ix_u[a] for a in combo])
-            keys.append(mono)
-    return keys
-
-
 def cmd_check(args) -> int:
-    doc = _load(args.file)
+    doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
     axioms = check_cj_axioms(inst)
@@ -134,8 +121,8 @@ def cmd_check(args) -> int:
 
     vd = contact_vdata(inst)
     rng = random.Random(0)
-    samples = [_random_section(inst.context, rng) for _ in range(12)]
-    kernel_samples = [_random_kernel_section(inst.context, rng) for _ in range(12)]
+    samples = [random_section(inst.context, rng, weight=3) for _ in range(12)]
+    kernel_samples = [random_kernel_section(inst.context, rng) for _ in range(12)]
     vrep = validate(vd, samples, kernel_samples)
     for name, ok, witness in vrep.checks:
         report.add(f"v-data: {name}", "pass" if ok else "fail",
@@ -146,23 +133,12 @@ def cmd_check(args) -> int:
     return EXIT_MATH_FAIL if report.failed else EXIT_OK
 
 
-def _random_section(ctx: ContactContext, rng: random.Random, weight: int = 3) -> Section:
-    from .gca import Poly
-    terms = {}
-    for _ in range(4):
-        k = rng.randint(0, weight)
-        word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
-        sign, mono = ctx.algebra.normalize_word(word)
-        if mono is None:
-            continue
-        terms[mono] = Fraction(rng.randint(-3, 3))
-    return Section(ctx, Poly(ctx.algebra, terms))
-
-
-def _random_kernel_section(ctx: ContactContext, rng: random.Random) -> Section:
-    from .contact import project_P
-    s = _random_section(ctx, rng)
-    return s - project_P(s)
+def _passes_check(inst: SplitCJInstance, report: Report) -> bool:
+    """Report the axiom check as the precondition of a deformation analysis."""
+    axioms = check_cj_axioms(inst)
+    report.add("precondition: instance passes check", "pass" if axioms.ok else "fail",
+               None if axioms.ok else str(axioms.witness()))
+    return axioms.ok
 
 
 def _get_eta(doc, args, inst) -> DeformationForm:
@@ -178,16 +154,12 @@ def _get_eta(doc, args, inst) -> DeformationForm:
 
 
 def cmd_deform(args) -> int:
-    doc = _load(args.file)
+    doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
-    axioms = check_cj_axioms(inst)
-    if not axioms.ok:
-        report.add("precondition: instance passes check", "fail",
-                   str(axioms.witness()))
+    if not _passes_check(inst, report):
         _emit(report, args)
         return EXIT_MATH_FAIL
-    report.add("precondition: instance passes check", "pass")
 
     eta = _get_eta(doc, args, inst)
     residual = mc_residual_form(inst, eta)
@@ -230,16 +202,12 @@ def cmd_deform(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    doc = _load(args.file)
+    doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
-    axioms = check_cj_axioms(inst)
-    if not axioms.ok:
-        report.add("precondition: instance passes check", "fail",
-                   str(axioms.witness()))
+    if not _passes_check(inst, report):
         _emit(report, args)
         return EXIT_MATH_FAIL
-    report.add("precondition: instance passes check", "pass")
 
     if args.epsilon not in doc.epsilons:
         raise InstanceFileError(f"unknown epsilon name {args.epsilon!r}")
@@ -250,7 +218,7 @@ def cmd_complement(args) -> int:
     Q0 = deformation_brackets(inst, "derived").to_coderivation()
     Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
     space = deformation_space(inst)
-    keys = _basis_keys(inst)
+    keys = basis_keys(inst)
     words = space.words(keys, args.trunc)
     eM = out["exp_M"]
     if args.corrupt_m2:
@@ -291,7 +259,7 @@ def _word_witness(inst, rep) -> str:
 
 
 def cmd_cohomology(args) -> int:
-    doc = _load(args.file)
+    doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
     try:
@@ -315,7 +283,7 @@ def cmd_selftest(args) -> int:
     ok = True
     witness = None
     for _ in range(40):
-        a, b, c = (_random_homogeneous(ctx, rng) for _ in range(3))
+        a, b, c = (random_homogeneous_section(ctx, rng) for _ in range(3))
         if a.is_zero() or b.is_zero() or c.is_zero():
             continue
         da, db = a.degree() - 2, b.degree() - 2
@@ -337,7 +305,7 @@ def cmd_selftest(args) -> int:
 
     L = deformation_brackets(heis2, "derived")
     Q = L.to_coderivation()
-    words = L.space.words(_basis_keys(heis2), 4)
+    words = L.space.words(basis_keys(heis2), 4)
     qrep = check_codifferential(Q, words)
     report.add("deformation codifferential squares to zero",
                "pass" if qrep.ok else "fail",
@@ -361,23 +329,6 @@ def cmd_selftest(args) -> int:
                None if ok else "bracket family mismatch")
     _emit(report, args)
     return EXIT_MATH_FAIL if report.failed else EXIT_OK
-
-
-def _random_homogeneous(ctx: ContactContext, rng: random.Random,
-                        weight: int = 4) -> Section:
-    from .gca import Poly
-    by_degree: Dict[int, Dict] = {}
-    for _ in range(5):
-        k = rng.randint(0, weight)
-        word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
-        _, mono = ctx.algebra.normalize_word(word)
-        if mono is None:
-            continue
-        by_degree.setdefault(ctx.algebra.monomial_degree(mono), {})[mono] = \
-            Fraction(rng.randint(-2, 2))
-    if not by_degree:
-        return ctx.zero_section()
-    return Section(ctx, Poly(ctx.algebra, by_degree[rng.choice(sorted(by_degree))]))
 
 
 def _positive_int(text: str) -> int:

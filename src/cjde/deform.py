@@ -2,8 +2,9 @@
 
 Over a point base the L-valued form spaces are finite dimensional, so the
 de Rham complex becomes a family of exact rational matrices.  This module
-computes kernels, images and cohomology representatives by fraction-free
-Gaussian elimination, evaluates the Kuranishi map, and extends infinitesimal
+computes kernels, images and cohomology representatives by Gauss-Jordan
+elimination over Q (each pivot row is divided by its pivot, in exact
+`Fraction` arithmetic), evaluates the Kuranishi map, and extends infinitesimal
 deformations order by order in a formal parameter, reporting the first
 obstructed order together with its cohomology class.
 """
@@ -25,7 +26,7 @@ from .cjalg import (
     m2_closed,
     m3_closed,
 )
-from .contact import Section
+from .contact import Section, jacobi_bracket
 
 __all__ = [
     "rref",
@@ -115,7 +116,8 @@ def solve_linear(matrix: Matrix, rhs: Vec) -> Optional[Vec]:
     return x
 
 
-def _columns(matrix: Matrix) -> List[Vec]:
+def _transpose(matrix: Matrix) -> Matrix:
+    """Rows become columns: also turns a list of column vectors into a matrix."""
     if not matrix:
         return []
     return [[row[j] for row in matrix] for j in range(len(matrix[0]))]
@@ -185,15 +187,11 @@ class ComplexMatrices:
         return coords
 
     def coords_to_form(self, coords: Vec, k: int) -> Section:
-        ctx = self.inst.context
-        body = ctx.algebra.zero()
+        out = self.inst.context.zero_section()
         for val, combo in zip(coords, self.basis[k]):
             if val:
-                mono = ctx.algebra.one()
-                for a in combo:
-                    mono = mono * ctx.u(a)
-                body = body + mono.scale(val)
-        return Section(ctx, body)
+                out = out + self._monomial_section(combo).scale(val)
+        return out
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -225,7 +223,7 @@ class Cohomology:
                 raise ValueError("nonzero form above the top degree")
             return []
         z = cm.form_to_coords(s, self.k)
-        dk = cm.matrices[self.k] if self.k < len(cm.matrices) else []
+        dk = cm.matrices[self.k]
         if dk and any(_apply(dk, z)):
             raise ValueError("not a cocycle")
         cols = self._image_basis + self._rep_coords
@@ -233,11 +231,17 @@ class Cohomology:
             if any(z):
                 raise ValueError("nonzero cocycle in zero space")
             return []
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(z))]
-        sol = solve_linear(mat, z)
+        sol = solve_linear(_transpose(cols), z)
         if sol is None:
             raise ValueError("cocycle not in span of image and representatives")
         return sol[len(self._image_basis):]
+
+    def representative(self, coords: Sequence[Fraction]) -> Section:
+        """The cocycle sum_i coords[i] * representatives[i]."""
+        rep = self.complex.inst.context.zero_section()
+        for c, r in zip(coords, self.representatives):
+            rep = rep + r.scale(c)
+        return rep
 
     def is_exact(self, s: Section) -> bool:
         return not any(self.class_coordinates(s))
@@ -265,31 +269,23 @@ def cohomology(inst: SplitCJInstance, k: int,
     cm = cm or ComplexMatrices(inst)
     if not 0 <= k <= cm.n:
         return Cohomology(cm, k, 0, [], [], [])
-    dim_k = len(cm.basis[k])
-    dk = cm.matrices[k] if k < len(cm.matrices) else []
-    kernel = nullspace(dk, dim_k) if dk else [
-        [Fraction(1) if j == i else Fraction(0) for j in range(dim_k)] for i in range(dim_k)
-    ]
-    if k == cm.n:
-        kernel = [[Fraction(1) if j == i else Fraction(0) for j in range(dim_k)]
-                  for i in range(dim_k)]
-    image = _columns(cm.matrices[k - 1]) if k >= 1 else []
+    # d on the top degree is the empty matrix, whose kernel is everything
+    kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
+    image = _transpose(cm.matrices[k - 1]) if k >= 1 else []
 
     # image columns first, then kernel vectors: new pivots from the kernel
     # part are the representatives
     combined = image + kernel
     reps: List[Vec] = []
     if combined:
-        mat = [[combined[j][i] for j in range(len(combined))] for i in range(dim_k)]
-        _, pivots = rref(mat)
+        _, pivots = rref(_transpose(combined))
         for p in pivots:
             if p >= len(image):
                 reps.append(kernel[p - len(image)])
     rep_secs = [cm.coords_to_form(v, k) for v in reps]
     img_red: List[Vec] = []
     if image:
-        mat = [[image[j][i] for j in range(len(image))] for i in range(dim_k)]
-        _, pivots = rref(mat)
+        _, pivots = rref(_transpose(image))
         img_red = [image[p] for p in pivots]
     return Cohomology(cm, k, len(reps), rep_secs, reps, img_red)
 
@@ -309,10 +305,7 @@ def kuranishi(inst: SplitCJInstance, eta: DeformationForm | Section,
     h3 = h3 or cohomology(inst, 3)
     w = derived_bracket_sections(inst, [sec, sec])
     coords = h3.class_coordinates(w)
-    rep = inst.context.zero_section()
-    for c, r in zip(coords, h3.representatives):
-        rep = rep + r.scale(c)
-    return coords, rep
+    return coords, h3.representative(coords)
 
 
 # --- order-by-order extension --------------------------------------------
@@ -336,6 +329,27 @@ class FormalCurve:
         return len(self.coefficients)
 
 
+def _mc_nonlinear_coefficient(inst: SplitCJInstance, coeffs: Sequence[Section],
+                              r: int) -> Section:
+    """t^r coefficient of 1/2 m_2(eta,eta) + 1/6 m_3(eta,eta,eta), eta = sum_k t^k eta_k.
+
+    `coeffs` holds eta_1, eta_2, ...; coefficients past its end count as zero.
+    """
+    known = len(coeffs)
+    acc = inst.context.zero_section()
+    for i in range(1, r):
+        j = r - i
+        if i <= known and j <= known:
+            acc = acc + m2_closed(inst, coeffs[i - 1], coeffs[j - 1]).scale(Fraction(1, 2))
+    for i in range(1, r - 1):
+        for j in range(1, r - i):
+            k = r - i - j
+            if max(i, j, k) <= known:
+                acc = acc + m3_closed(inst, coeffs[i - 1], coeffs[j - 1],
+                                      coeffs[k - 1]).scale(Fraction(1, 6))
+    return acc
+
+
 def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
                              order: int) -> List[Section]:
     """t-expansion of the MC residual of sum_k t^k eta_k through t^order.
@@ -345,19 +359,9 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     """
     out = []
     for r in range(1, order + 1):
-        acc = inst.context.zero_section()
+        acc = _mc_nonlinear_coefficient(inst, coeffs, r)
         if r <= len(coeffs):
-            acc = acc + de_rham(inst, coeffs[r - 1])
-        for i in range(1, r):
-            j = r - i
-            if i <= len(coeffs) and j <= len(coeffs):
-                acc = acc + m2_closed(inst, coeffs[i - 1], coeffs[j - 1]).scale(Fraction(1, 2))
-        for i in range(1, r - 1):
-            for j in range(1, r - i):
-                k = r - i - j
-                if k >= 1 and all(q <= len(coeffs) for q in (i, j, k)):
-                    acc = acc + m3_closed(inst, coeffs[i - 1], coeffs[j - 1],
-                                          coeffs[k - 1]).scale(Fraction(1, 6))
+            acc = de_rham(inst, coeffs[r - 1]) + acc
         out.append(acc)
     return out
 
@@ -376,28 +380,14 @@ def extend_mc(inst: SplitCJInstance, eta1: DeformationForm | Section, order: int
     h3 = h3 or cohomology(inst, 3)
     coeffs = [sec]
     for r in range(2, order + 1):
-        residual = inst.context.zero_section()
-        for i in range(1, r):
-            j = r - i
-            if i <= len(coeffs) and j <= len(coeffs):
-                residual = residual + m2_closed(inst, coeffs[i - 1], coeffs[j - 1]) \
-                    .scale(Fraction(1, 2))
-        for i in range(1, r - 1):
-            for j in range(1, r - i):
-                k = r - i - j
-                if k >= 1 and all(q <= len(coeffs) for q in (i, j, k)):
-                    residual = residual + m3_closed(inst, coeffs[i - 1], coeffs[j - 1],
-                                                    coeffs[k - 1]).scale(Fraction(1, 6))
+        residual = _mc_nonlinear_coefficient(inst, coeffs, r)
         if residual.is_zero():
             coeffs.append(inst.context.zero_section())
             continue
         cls = h3.class_coordinates(residual)
         if any(cls):
-            rep = inst.context.zero_section()
-            for c, rr in zip(cls, h3.representatives):
-                rep = rep + rr.scale(c)
-            return FormalCurve(inst, coeffs, obstructed_at=r,
-                               obstruction_class=cls, obstruction_representative=rep)
+            return FormalCurve(inst, coeffs, obstructed_at=r, obstruction_class=cls,
+                               obstruction_representative=h3.representative(cls))
         prim = h3.primitive(residual)
         if prim is None:
             raise RuntimeError("exact residual without primitive")
@@ -433,7 +423,7 @@ def _random_point_instance(rng: random.Random, n: int, *,
     return SplitCJInstance(0, n, name=name, **kw)
 
 
-def search_obstructed_instance(seed: int = 42, tries: int = 400, n: int = 3
+def search_obstructed_instance(seed: int = 42, tries: int = 2000, n: int = 3
                                ) -> Tuple[SplitCJInstance, DeformationForm, Vec]:
     """Seeded search for a valid instance with an obstructed 2-cocycle.
 
@@ -447,7 +437,6 @@ def search_obstructed_instance(seed: int = 42, tries: int = 400, n: int = 3
         inst = _random_point_instance(rng, n, allow_psi=True,
                                       name=f"search-{seed}-{attempt}")
         theta = inst.theta
-        from .contact import jacobi_bracket
         if not jacobi_bracket(theta, theta).is_zero():
             continue
         try:
@@ -481,7 +470,6 @@ def search_unobstructed_dgla(n: int = 3) -> Tuple[SplitCJInstance, DeformationFo
     binary bracket.  On such an instance every closed eta_1 extends to any
     order since the obstructions live in H^3.
     """
-    from .contact import jacobi_bracket
     aside_variants = [
         {"c": {(1, 0, 1): 1, (2, 0, 2): 1}, "lam": {}},
         {"c": {(1, 0, 1): 1, (2, 0, 2): 2}, "lam": {}},

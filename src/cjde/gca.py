@@ -422,9 +422,11 @@ class Poly:
 class Derivation:
     """A graded derivation of an Algebra, given by its values on generators.
 
-    `degree` is the total degree shift; the sign rule only uses its parity.
-    Generators without an assigned value are treated as errors when hit,
-    matching the requirement that D be defined on every generator in use.
+    `degree` is the total degree shift: the value on g must have degree
+    `degree + |g|` for the graded Leibniz rule to hold, and `commutator`
+    uses its parity.  Generators without an assigned value are treated as
+    errors when hit, matching the requirement that D be defined on every
+    generator in use.
     """
 
     def __init__(self, algebra: Algebra, degree: int, values: Dict[int, Poly]):
@@ -433,31 +435,16 @@ class Derivation:
         self.values = values
 
     def __call__(self, f: Poly) -> Poly:
+        """X(f) = sum_g X(g) * d f/d g over the generators g of f (left partials)."""
         if f.algebra is not self.algebra:
             raise ContextMismatch("derivation applied outside its algebra")
-        alg = self.algebra
-        out = alg.zero()
-        dpar = self.degree % 2
-        for mono, c in f.terms.items():
-            # expand the monomial into letters and apply the Leibniz rule
-            letters: List[int] = []
-            for idx, exp in mono:
-                letters.extend([idx] * exp)
-            prefix_parity = 0
-            for i, idx in enumerate(letters):
-                if idx not in self.values:
-                    raise UnknownGenerator(alg.gens[idx].name)
-                val = self.values[idx]
-                if not val.is_zero():
-                    sign = -1 if (dpar and prefix_parity) else 1
-                    left = alg.one()
-                    for j in letters[:i]:
-                        left = left * alg.gen(j)
-                    right = alg.one()
-                    for j in letters[i + 1:]:
-                        right = right * alg.gen(j)
-                    out = out + (left * val * right).scale(sign * c)
-                prefix_parity = (prefix_parity + alg.gens[idx].parity) % 2
+        out = self.algebra.zero()
+        for idx in sorted({idx for mono in f.terms for idx, _ in mono}):
+            if idx not in self.values:
+                raise UnknownGenerator(self.algebra.gens[idx].name)
+            val = self.values[idx]
+            if not val.is_zero():
+                out = out + val * f.partial(idx)
         return out
 
     def commutator(self, other: "Derivation") -> "Derivation":

@@ -13,14 +13,21 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .cjalg import DeformationForm, SplitCJInstance
-from .gca import Poly
+from .cjalg import DeformationForm, SplitCJInstance, _skew_matrix
+from .gca import Poly, koszul_sign
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
 SCHEMA_VERSION = 1
+
+# Largest accepted sizes.  A context has 2m+2n+1 generators and an instance
+# n^3 polynomials per tensor, all allocated before any check runs, so a file
+# is rejected on its declared sizes alone.  Rank 5 is the largest the engine
+# is meant to reach; one more is left as margin.
+MAX_BASE_DIM = 4
+MAX_RANK = 6
 
 
 class InstanceFileError(ValueError):
@@ -128,6 +135,9 @@ def load_instance(path: str) -> InstanceDocument:
         raise InstanceFileError("base_dim and rank must be integers") from None
     if m < 0 or n < 1:
         raise InstanceFileError("base_dim must be >= 0 and rank >= 1")
+    if m > MAX_BASE_DIM or n > MAX_RANK:
+        raise InstanceFileError(f"base_dim {m} and rank {n} exceed the supported "
+                                f"sizes (base_dim <= {MAX_BASE_DIM}, rank <= {MAX_RANK})")
 
     anchor = _expect_array(data, "anchor", (m, n), m)
     bracket = _expect_array(data, "bracket", (n, n, n), m)
@@ -139,156 +149,106 @@ def load_instance(path: str) -> InstanceDocument:
     ups_d = _expect_array(data, "upsilon_dual", (n, n, n), m)
 
     def check_skew_ab(arr, label):
-        if arr is None:
-            return
-        for cc in range(n):
-            for a in range(n):
-                for b in range(n):
-                    ab = arr[cc][a][b]
-                    ba = {k: -v for k, v in arr[cc][b][a].items()}
-                    if ab != ba:
-                        raise InstanceFileError(
-                            f"{label}[{cc}] is not skew in ({a},{b})")
+        if arr is not None:
+            for cc in range(n):
+                _check_skew(arr[cc], f"{label}[{cc}]", n)
 
     def check_antisym(arr, label):
         if arr is None:
             return
-        for a in range(n):
-            for b in range(n):
-                for cc in range(n):
-                    v = arr[a][b][cc]
-                    for perm in itertools.permutations((a, b, cc)):
-                        sgn = _list_perm_sign((a, b, cc), perm)
-                        if sgn is None:
-                            if any(v.values()):
-                                raise InstanceFileError(
-                                    f"{label} has a nonzero entry with repeated index")
-                            continue
-                        w = arr[perm[0]][perm[1]][perm[2]]
-                        expect = {k: sgn * q for k, q in v.items()}
-                        if {k: q for k, q in expect.items() if q} != {k: q for k, q in w.items() if q}:
-                            raise InstanceFileError(f"{label} is not fully antisymmetric")
+        for key in itertools.product(range(n), repeat=3):
+            v = arr[key[0]][key[1]][key[2]]
+            if len(set(key)) < 3:
+                if any(v.values()):
+                    raise InstanceFileError(
+                        f"{label} has a nonzero entry with repeated index")
+                continue
+            for perm in itertools.permutations(range(3)):
+                sgn = koszul_sign(perm, (1, 1, 1))
+                w = arr[key[perm[0]]][key[perm[1]]][key[perm[2]]]
+                expect = {k: sgn * q for k, q in v.items()}
+                if {k: q for k, q in expect.items() if q} != {k: q for k, q in w.items() if q}:
+                    raise InstanceFileError(f"{label} is not fully antisymmetric")
 
     check_skew_ab(bracket, "bracket")
     check_skew_ab(bracket_d, "bracket_dual")
     check_antisym(ups, "upsilon")
     check_antisym(ups_d, "upsilon_dual")
 
-    def sparse2(arr):
+    def sparse(arr, keys):
+        """The nonzero entries of a parsed array at the given index tuples."""
         if arr is None:
             return {}
-        return {(i, a): arr[i][a] for i in range(m) for a in range(n) if arr[i][a]}
+        out = {}
+        for key in keys:
+            v = arr
+            for i in key:
+                v = v[i]
+            if v:
+                out[key] = v
+        return out
 
-    def sparse1(arr):
-        if arr is None:
-            return {}
-        return {a: arr[a] for a in range(n) if arr[a]}
-
-    def sparse_c(arr):
-        if arr is None:
-            return {}
-        return {(cc, a, b): arr[cc][a][b] for cc in range(n)
-                for a, b in itertools.combinations(range(n), 2) if arr[cc][a][b]}
-
-    def sparse_anti(arr):
-        if arr is None:
-            return {}
-        return {(a, b, cc): arr[a][b][cc]
-                for a, b, cc in itertools.combinations(range(n), 3) if arr[a][b][cc]}
-
+    anchors = list(itertools.product(range(m), range(n)))
+    frame = [(a,) for a in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    ctab = [(cc, a, b) for cc in range(n) for a, b in pairs]
+    triples = list(itertools.combinations(range(n), 3))
     inst = SplitCJInstance(
         m, n,
-        rho=sparse2(anchor), c=sparse_c(bracket), lam=sparse1(rep),
-        rho_dual=sparse2(anchor_d), c_dual=sparse_c(bracket_d), lam_dual=sparse1(rep_d),
-        phi=sparse_anti(ups), psi=sparse_anti(ups_d),
+        rho=sparse(anchor, anchors), c=sparse(bracket, ctab), lam=sparse(rep, frame),
+        rho_dual=sparse(anchor_d, anchors), c_dual=sparse(bracket_d, ctab),
+        lam_dual=sparse(rep_d, frame), phi=sparse(ups, triples), psi=sparse(ups_d, triples),
         name=str(data.get("name", "")),
     )
 
-    deformations: Dict[str, DeformationForm] = {}
-    for dname, arr in (data.get("deformations") or {}).items():
-        parsed = _expect_array({"d": arr}, "d", (n, n), m)
-        _check_skew2(parsed, f"deformation {dname!r}", n)
-        deformations[dname] = DeformationForm.from_dict(
-            inst, {(a, b): parsed[a][b] for a, b in itertools.combinations(range(n), 2)
-                   if parsed[a][b]})
+    def two_forms(key: str, label: str) -> Dict[str, Dict[Tuple[int, int], Dict]]:
+        out = {}
+        for name, arr in (data.get(key) or {}).items():
+            parsed = _expect_array({key: arr}, key, (n, n), m)
+            _check_skew(parsed, f"{label} {name!r}", n)
+            out[name] = sparse(parsed, pairs)
+        return out
 
-    epsilons: Dict[str, Dict[Tuple[int, int], Dict]] = {}
-    for ename, arr in (data.get("epsilons") or {}).items():
-        parsed = _expect_array({"e": arr}, "e", (n, n), m)
-        _check_skew2(parsed, f"epsilon {ename!r}", n)
-        epsilons[ename] = {(a, b): parsed[a][b]
-                           for a, b in itertools.combinations(range(n), 2) if parsed[a][b]}
-
-    return InstanceDocument(inst, deformations, epsilons)
+    deformations = {name: DeformationForm.from_dict(inst, entries)
+                    for name, entries in two_forms("deformations", "deformation").items()}
+    return InstanceDocument(inst, deformations, two_forms("epsilons", "epsilon"))
 
 
-def _check_skew2(arr, label: str, n: int) -> None:
+def _check_skew(arr, label: str, n: int) -> None:
     for a in range(n):
         for b in range(n):
             ab = {k: v for k, v in arr[a][b].items() if v}
             ba = {k: -v for k, v in arr[b][a].items() if v}
             if ab != ba:
-                raise InstanceFileError(f"{label} is not skew-symmetric")
-
-
-def _list_perm_sign(base, perm) -> Optional[int]:
-    if len(set(base)) != len(base):
-        return None
-    order = [base.index(p) for p in perm]
-    sgn = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sgn = -sgn
-    return sgn
+                raise InstanceFileError(f"{label} is not skew in ({a},{b})")
 
 
 def save_instance(path: str, doc: InstanceDocument) -> None:
     inst = doc.instance
-    m, n = inst.m, inst.n
 
-    def arr2(rows):
-        return [[_format_poly(rows[i][a], inst) for a in range(n)] for i in range(m)]
-
-    def arr1(row):
-        return [_format_poly(row[a], inst) for a in range(n)]
-
-    def arr3(t):
-        return [[[_format_poly(t[i][j][k], inst) for k in range(n)]
-                 for j in range(n)] for i in range(n)]
+    def fmt(t):
+        return [fmt(x) for x in t] if isinstance(t, list) else _format_poly(t, inst)
 
     data = {
         "schema": SCHEMA_VERSION,
         "name": inst.name,
-        "base_dim": m,
-        "rank": n,
-        "anchor": arr2(inst.rho),
-        "bracket": arr3(inst.c),
-        "rep": arr1(inst.lam),
-        "anchor_dual": arr2(inst.rho_dual),
-        "bracket_dual": arr3(inst.c_dual),
-        "rep_dual": arr1(inst.lam_dual),
-        "upsilon": arr3(inst.phi),
-        "upsilon_dual": arr3(inst.psi),
+        "base_dim": inst.m,
+        "rank": inst.n,
+        "anchor": fmt(inst.rho),
+        "bracket": fmt(inst.c),
+        "rep": fmt(inst.lam),
+        "anchor_dual": fmt(inst.rho_dual),
+        "bracket_dual": fmt(inst.c_dual),
+        "rep_dual": fmt(inst.lam_dual),
+        "upsilon": fmt(inst.phi),
+        "upsilon_dual": fmt(inst.psi),
     }
     if doc.deformations:
-        data["deformations"] = {
-            name: [[_format_poly(form.entries[a][b], inst) for b in range(n)]
-                   for a in range(n)]
-            for name, form in doc.deformations.items()
-        }
+        data["deformations"] = {name: fmt(form.entries)
+                                for name, form in doc.deformations.items()}
     if doc.epsilons:
-        from .cjalg import _as_xpoly
-        eps_out = {}
-        for name, eps in doc.epsilons.items():
-            full = [[inst.context.algebra.zero() for _ in range(n)] for _ in range(n)]
-            for (a, b), v in eps.items():
-                p = _as_xpoly(inst.context, v)
-                full[a][b] = full[a][b] + p
-                full[b][a] = full[b][a] - p
-            eps_out[name] = [[_format_poly(full[a][b], inst) for b in range(n)]
-                             for a in range(n)]
-        data["epsilons"] = eps_out
+        data["epsilons"] = {name: fmt(_skew_matrix(inst.context, inst.n, eps))
+                            for name, eps in doc.epsilons.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -6,43 +6,14 @@ from fractions import Fraction
 import pytest
 
 from cjde.cjalg import SplitCJInstance
-from cjde.contact import ContactContext, Section
+from cjde.contact import ContactContext
 from cjde.gca import Poly
-
-
-def random_poly(ctx, rng, weight=4, terms=4, indices=None, coeff_range=3):
-    """Random polynomial over the given generator indices (default: all)."""
-    pool = list(indices) if indices is not None else list(range(len(ctx.algebra.gens)))
-    out = {}
-    for _ in range(terms):
-        k = rng.randint(0, weight)
-        word = [rng.choice(pool) for _ in range(k)]
-        _, mono = ctx.algebra.normalize_word(word)
-        if mono is None:
-            continue
-        out[mono] = Fraction(rng.randint(-coeff_range, coeff_range))
-    return Poly(ctx.algebra, out)
-
-
-def random_section(ctx, rng, weight=4, terms=4):
-    return Section(ctx, random_poly(ctx, rng, weight, terms))
-
-
-def random_homogeneous_section(ctx, rng, weight=4, terms=5):
-    """Random section concentrated in one total degree (possibly zero)."""
-    by_degree = {}
-    for _ in range(terms):
-        k = rng.randint(0, weight)
-        word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
-        _, mono = ctx.algebra.normalize_word(word)
-        if mono is None:
-            continue
-        by_degree.setdefault(ctx.algebra.monomial_degree(mono), {})[mono] = \
-            Fraction(rng.randint(-2, 2))
-    if not by_degree:
-        return ctx.zero_section()
-    pick = rng.choice(sorted(by_degree))
-    return Section(ctx, Poly(ctx.algebra, by_degree[pick]))
+from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
+    basis_keys,
+    random_homogeneous_section,
+    random_poly,
+    random_section,
+)
 
 
 def random_base_poly(ctx, rng, weight=2, terms=3):
@@ -100,17 +71,6 @@ def random_instance(rng, m, n, name="rand"):
         if rng.random() < 0.7:
             kw["psi"][(a, b, cc)] = random_x_poly(ctx, rng)
     return SplitCJInstance(m, n, context=ctx, name=name, **kw)
-
-
-def basis_keys(inst):
-    """Monomial keys of the u-form basis of the deformation space."""
-    ctx = inst.context
-    keys = []
-    for k in range(0, inst.n + 1):
-        for combo in itertools.combinations(range(inst.n), k):
-            _, mono = ctx.algebra.normalize_word([ctx.ix_u[a] for a in combo])
-            keys.append(mono)
-    return keys
 
 
 @pytest.fixture

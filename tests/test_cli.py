@@ -206,3 +206,15 @@ def test_console_script_entrypoint():
         [sys.executable, "-m", "cjde.cli", "check", fixture("heis2.json")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("sizes", [{"base_dim": 0, "rank": 10 ** 9},
+                                   {"base_dim": 10 ** 9, "rank": 2}])
+def test_oversized_instance_exits_2(sizes, tmp_path, capsys):
+    # rejected on the declared sizes, before any context or tensor is built
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"schema": 1, **sizes}))
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceed the supported sizes" in err

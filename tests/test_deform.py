@@ -257,3 +257,11 @@ def test_search_dgla_reproducible():
     assert not m2_closed(inst, eta.to_section(), eta.to_section()).is_zero()
     curve = extend_mc(inst, eta, 4)
     assert curve.ok
+
+
+def test_search_obstructed_default_tries_cover_slow_seed():
+    # with 400 tries this seed ran out before finding an obstructed instance
+    inst, eta, coords = search_obstructed_instance(seed=12034)
+    assert check_cj_axioms(inst).ok
+    assert any(coords)
+    assert inst.name == "OBST1(seed=12034)"

@@ -1,0 +1,100 @@
+"""CLI reports compared byte for byte with committed golden files.
+
+Every fixture is run through `check`, `cohomology`, `deform --random 0/1`,
+`deform --eta` for each named 2-form and `complement --trunc 3` for each
+named epsilon, in-process through `cli.main`.  Stdout must equal the file
+`tests/golden/<run>.out` and the exit code and stderr must equal the entry
+of `tests/golden/MANIFEST.json`.
+
+Regenerate the files only for a change meant to alter reports:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import importlib
+import io
+import json
+import os
+
+import pytest
+
+from cjde import cli
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+FIXTURES = os.path.join(ROOT, "fixtures")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+MANIFEST = os.path.join(GOLDEN, "MANIFEST.json")
+
+
+def golden_runs():
+    """{run name: argv} for every fixture and command, argv relative to the root."""
+    runs = {}
+    for fname in sorted(os.listdir(FIXTURES)):
+        if not fname.endswith(".json"):
+            continue
+        stem = fname[:-len(".json")]
+        path = f"fixtures/{fname}"
+        with open(os.path.join(FIXTURES, fname), encoding="utf-8") as fh:
+            data = json.load(fh)
+        runs[f"{stem}.check"] = ["check", path]
+        runs[f"{stem}.cohomology"] = ["cohomology", path]
+        for seed in ("0", "1"):
+            runs[f"{stem}.deform-random{seed}"] = ["deform", path, "--random", seed]
+        for eta in sorted(data.get("deformations") or {}):
+            runs[f"{stem}.deform-eta-{eta}"] = ["deform", path, "--eta", eta]
+        for eps in sorted(data.get("epsilons") or {}):
+            runs[f"{stem}.complement-{eps}"] = ["complement", path, "--epsilon", eps,
+                                                "--trunc", "3"]
+    return runs
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of `cli.main`; fixture paths are taken from ROOT."""
+    argv = [os.path.join(ROOT, a) if a.startswith("fixtures/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _manifest():
+    with open(MANIFEST, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_manifest_covers_every_fixture_and_command():
+    manifest = _manifest()
+    assert {name: entry["argv"] for name, entry in manifest.items()} == golden_runs()
+
+
+@pytest.mark.parametrize("name", sorted(golden_runs()))
+def test_report_matches_golden(name):
+    entry = _manifest()[name]
+    code, out, err = run_in_process(entry["argv"])
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert out == expected
+    assert code == entry["exit"]
+    assert err == entry["stderr"]
+
+
+@pytest.mark.parametrize("module", ["gca", "contact", "linfty", "vdata", "cjalg",
+                                    "deform", "instancefile", "samples"])
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"cjde.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+if __name__ == "__main__":
+    manifest = {}
+    for name, argv in golden_runs().items():
+        code, out, err = run_in_process(argv)
+        with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(out)
+        manifest[name] = {"argv": argv, "exit": code, "stderr": err}
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
