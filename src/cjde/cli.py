@@ -124,9 +124,15 @@ def cmd_check(args) -> int:
     samples = [random_section(inst.context, rng, weight=3) for _ in range(12)]
     kernel_samples = [random_kernel_section(inst.context, rng) for _ in range(12)]
     vrep = validate(vd, samples, kernel_samples)
+    # the MC equation is checked exactly; these four only on the samples
+    sampled = {"projection idempotent": len(samples),
+               "projection lands in subalgebra": len(samples),
+               "subalgebra abelian": len(samples),
+               "kernel closed under bracket": len(kernel_samples)}
     for name, ok, witness in vrep.checks:
+        extra = {"samples": sampled[name]} if name in sampled else {}
         report.add(f"v-data: {name}", "pass" if ok else "fail",
-                   None if ok else str(witness))
+                   None if ok else str(witness), **extra)
     report.add("v-data: curvature flag",
                "pass", flag="curved" if vrep.curved else "flat")
     _emit(report, args)

@@ -11,13 +11,19 @@ Conventions:
   * monomials are kept in a fixed canonical generator order, with the
     Koszul sign produced by counting odd-odd inversions,
   * derivatives with respect to odd generators are left derivatives.
+
+`Poly`, `linfty` and `instancefile` share one sparse kernel:
+  * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
+    to a dict the caller owns, in place, dropping keys that cancel;
+  * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises both
+    generator words (monomials) and words of basis keys (`linfty`).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -28,8 +34,9 @@ __all__ = [
     "Algebra",
     "Poly",
     "Derivation",
+    "add_into",
     "koszul_sign",
-    "normalize_word",
+    "koszul_sort",
 ]
 
 
@@ -94,6 +101,57 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
+def koszul_sort(letters: Sequence, is_odd: Callable[[object], bool]
+                ) -> Tuple[int, Optional[List[int]]]:
+    """Stable insertion sort of a word: (sign, perm), or (0, None) for zero.
+
+    ``perm[k] = i`` means slot k of the sorted word holds ``letters[i]``, as
+    in :func:`koszul_sign`; sign is -1 to the number of odd-odd swaps.  Two
+    equal odd letters make the word zero.  `is_odd` is called only on letters
+    swapped or found equal, as a parity may be costly to work out.
+    """
+    perm = list(range(len(letters)))
+    sign = 1
+    for i in range(1, len(perm)):
+        x = letters[i]
+        j = i
+        while j and letters[perm[j - 1]] > x:
+            if is_odd(x) and is_odd(letters[perm[j - 1]]):
+                sign = -sign
+            perm[j] = perm[j - 1]
+            j -= 1
+        perm[j] = i
+        # the sort is stable, so an equal letter ends up just left of x
+        if j and letters[perm[j - 1]] == x and is_odd(x):
+            return 0, None
+    return sign, perm
+
+
+def add_into(acc: Dict, vec: Union[Mapping, Iterable[Tuple[object, Scalar]]],
+             scale: Scalar = 1) -> Dict:
+    """acc += scale * vec in place, dropping keys that cancel; returns acc.
+
+    `vec` is a mapping or an iterable of (key, coefficient) pairs in which a
+    key may repeat; it is only read, so it may be shared or read-only.  A
+    coefficient is multiplied only when the scale is not 1.
+    """
+    if not scale:
+        return acc
+    items = vec.items() if hasattr(vec, "items") else vec
+    if scale != 1:
+        items = ((k, scale * c) for k, c in items)
+    get = acc.get
+    for k, c in items:
+        old = get(k)
+        if old is not None:
+            c = old + c
+        if c:
+            acc[k] = c
+        elif old is not None:
+            del acc[k]
+    return acc
+
+
 class Algebra:
     """A graded-commutative polynomial algebra with a fixed generator order."""
 
@@ -127,16 +185,14 @@ class Algebra:
         return Poly(self, {ONE: Fraction(1)})
 
     def scalar(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
-        return Poly(self, {ONE: c} if c else {})
+        return Poly(self, {ONE: Fraction(c)})
 
     def gen(self, key: Union[str, int]) -> "Poly":
         g = self.generator(key)
         return Poly(self, {((g.index, 1),): Fraction(1)})
 
     def monomial(self, mono: Monomial, coeff: Scalar = 1) -> "Poly":
-        c = Fraction(coeff)
-        return Poly(self, {mono: c} if c else {})
+        return Poly(self, {mono: Fraction(coeff)})
 
     # --- monomial-level helpers --------------------------------------
 
@@ -170,25 +226,12 @@ class Algebra:
         Returns (1, None) when the word contains a repeated odd generator,
         i.e. when it is zero in the algebra.
         """
-        letters = [self.generator(k) for k in word]
-        sign = 1
-        # insertion sort, counting odd-odd transpositions
-        arr = list(letters)
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1].index > arr[j].index:
-                if arr[j - 1].is_odd and arr[j].is_odd:
-                    sign = -sign
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                j -= 1
-        mono: List[Tuple[int, int]] = []
-        for g in arr:
-            if mono and mono[-1][0] == g.index:
-                if g.is_odd:
-                    return 1, None
-                mono[-1] = (g.index, mono[-1][1] + 1)
-            else:
-                mono.append((g.index, 1))
+        indices = [self.generator(k).index for k in word]
+        sign, perm = koszul_sort(indices, lambda i: self.gens[i].is_odd)
+        if not sign:
+            return 1, None
+        mono = [(i, len(list(run)))
+                for i, run in itertools.groupby(indices[p] for p in perm)]
         return sign, tuple(mono)
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> Tuple[int, Union[Monomial, None]]:
@@ -223,11 +266,6 @@ class Algebra:
         return sign, tuple(merged)
 
 
-def normalize_word(algebra: Algebra, word: Sequence[Union[str, int]]):
-    """Module-level alias for :meth:`Algebra.normalize_word`."""
-    return algebra.normalize_word(word)
-
-
 class Poly:
     """A graded-commutative polynomial: finite map monomial -> nonzero rational."""
 
@@ -247,14 +285,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = terms.get(m, Fraction(0)) + c
-            if nc:
-                terms[m] = nc
-            else:
-                terms.pop(m, None)
-        return Poly(self.algebra, terms)
+        return Poly(self.algebra, add_into(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Poly":
         return Poly(self.algebra, {m: -c for m, c in self.terms.items()})
@@ -279,11 +310,10 @@ class Poly:
                 sign, mono = alg.mul_monomials(ma, mb)
                 if mono is None:
                     continue
-                nc = terms.get(mono, Fraction(0)) + sign * ca * cb
-                if nc:
-                    terms[mono] = nc
-                else:
-                    terms.pop(mono, None)
+                c = ca * cb if sign > 0 else -(ca * cb)
+                old = terms.get(mono)
+                # a coefficient that cancels stays until Poly() drops it
+                terms[mono] = c if old is None else old + c
         return Poly(alg, terms)
 
     __rmul__ = __mul__
@@ -347,7 +377,11 @@ class Poly:
     # --- calculus -----------------------------------------------------
 
     def partial(self, key: Union[str, int]) -> "Poly":
-        """Left partial derivative with respect to one generator."""
+        """Left partial derivative with respect to one generator.
+
+        Taking one power of the generator off a monomial is injective, so no
+        two terms land on the same monomial and nothing is accumulated.
+        """
         g = self.algebra.generator(key)
         alg = self.algebra
         terms: Dict[Monomial, Fraction] = {}
@@ -359,16 +393,12 @@ class Poly:
                 prefix_parity = sum(
                     alg.gens[i].parity * e for i, e in mono[:pos]
                 ) % 2
-                sign = -1 if (g.is_odd and prefix_parity) else 1
+                factor = -exp if (g.is_odd and prefix_parity) else exp
                 if exp == 1:
                     new = mono[:pos] + mono[pos + 1:]
                 else:
                     new = mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]
-                nc = terms.get(new, Fraction(0)) + sign * exp * c
-                if nc:
-                    terms[new] = nc
-                else:
-                    terms.pop(new, None)
+                terms[new] = c if factor == 1 else factor * c
                 break
         return Poly(alg, terms)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .cjalg import DeformationForm, SplitCJInstance, _skew_matrix
-from .gca import Poly, koszul_sign
+from .gca import Poly, add_into, koszul_sign
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
@@ -55,7 +55,7 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
         q = _parse_rational(entry)
         return {(0,) * m: q} if q else {}
     if isinstance(entry, dict):
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        terms: List[Tuple[Tuple[int, ...], Fraction]] = []
         for key, val in entry.items():
             if key == "":
                 exps: Tuple[int, ...] = (0,) * m
@@ -66,10 +66,8 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
                     raise InstanceFileError(f"bad exponent vector {key!r}") from None
             if len(exps) != m or any(e < 0 for e in exps):
                 raise InstanceFileError(f"exponent vector {key!r} does not match base dim {m}")
-            q = _parse_rational(val)
-            if q:
-                out[exps] = out.get(exps, Fraction(0)) + q
-        return out
+            terms.append((exps, _parse_rational(val)))
+        return add_into({}, terms)
     raise InstanceFileError(f"bad polynomial entry {entry!r}")
 
 

@@ -15,9 +15,10 @@ callable that keeps one dict of results, keyed by canonical word.  The memo
 belongs to that wrapper, so it is freed with the structure, and an entry
 replaced later (`phi.coefficients[2] = f`) is called as given and never meets
 a result cached for the old entry.  A memoised vector is shared by every
-later call: treat the Vector a coefficient returns as read-only, and copy it
-before changing it (`vec_scale`, `vec_add` and `expand_word_of_vectors`
-already return new dicts).  `LInftyStructure.bracket` is not memoised.
+later call, so the Vector a coefficient returns is read-only.  Every sum
+here accumulates with `gca.add_into` into a dict that the summing function
+created itself, and only reads the coefficients it adds; `svec_scale` and
+`svec_add` return new dicts.  `LInftyStructure.bracket` is not memoised.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .gca import koszul_sign
+from .gca import add_into, koszul_sign, koszul_sort
 
 Vector = Dict[object, Fraction]
 Word = Tuple[object, ...]
@@ -45,43 +46,20 @@ __all__ = [
     "mc_residual",
     "decalage_down",
     "decalage_up",
-    "vec_add",
-    "vec_scale",
     "svec_add",
     "svec_scale",
 ]
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, Fraction(0)) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
+def svec_add(a: Dict, b: Dict) -> Dict:
+    """a + b as a new dict; works for Vectors and SVectors alike."""
+    return add_into(dict(a), b)
 
 
-def vec_scale(a: Vector, c: Union[int, Fraction]) -> Vector:
+def svec_scale(a: Dict, c: Union[int, Fraction]) -> Dict:
+    """c * a as a new dict; works for Vectors and SVectors alike."""
     c = Fraction(c)
     return {k: c * v for k, v in a.items()} if c else {}
-
-
-def svec_add(a: SVector, b: SVector) -> SVector:
-    out = dict(a)
-    for w, c in b.items():
-        nc = out.get(w, Fraction(0)) + c
-        if nc:
-            out[w] = nc
-        else:
-            out.pop(w, None)
-    return out
-
-
-def svec_scale(a: SVector, c: Union[int, Fraction]) -> SVector:
-    c = Fraction(c)
-    return {w: c * v for w, v in a.items()} if c else {}
 
 
 class GradedSpace:
@@ -108,21 +86,15 @@ class GradedSpace:
 
     # --- words ----------------------------------------------------------
 
+    def _is_odd(self, key: object) -> bool:
+        return self.degree(key) % 2 == 1
+
     def normalize_letters(self, letters: Sequence[object]) -> Tuple[int, Optional[Word]]:
         """Canonical word for a sequence of keys: (koszul sign, word) or (1, None)=0."""
-        arr = list(letters)
-        sign = 1
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                if self.degree(arr[j - 1]) % 2 and self.degree(arr[j]) % 2:
-                    sign = -sign
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                j -= 1
-        for a, b in zip(arr, arr[1:]):
-            if a == b and self.degree(a) % 2:
-                return 1, None
-        return sign, tuple(arr)
+        sign, perm = koszul_sort(letters, self._is_odd)
+        if not sign:
+            return 1, None
+        return sign, tuple(letters[i] for i in perm)
 
     def word_degree(self, word: Word) -> int:
         return sum(self.degree(k) for k in word)
@@ -133,42 +105,29 @@ class GradedSpace:
         out: List[Word] = []
         for L in range(min_len, max_len + 1):
             for combo in itertools.combinations_with_replacement(basis, L):
-                if any(a == b and self.degree(a) % 2
-                       for a, b in zip(combo, combo[1:])):
-                    continue
-                out.append(tuple(combo))
+                if koszul_sort(combo, self._is_odd)[0]:
+                    out.append(combo)
         return out
+
+    def _signed_words(self, terms: Iterable[Tuple[Sequence[object], Fraction]]
+                      ) -> Iterable[Tuple[Word, Fraction]]:
+        """(canonical word, signed coefficient) for each (letters, coefficient)."""
+        for letters, c in terms:
+            sign, w = self.normalize_letters(letters)
+            if w is not None:
+                yield w, (c if sign > 0 else -c)
 
     def symmetric_insert(self, vec: Vector, word: Word) -> SVector:
         """Expand v (+) word multilinearly into canonical words."""
-        out: SVector = {}
-        for key, c in vec.items():
-            sign, w = self.normalize_letters((key,) + tuple(word))
-            if w is None:
-                continue
-            nc = out.get(w, Fraction(0)) + sign * c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return out
+        word = tuple(word)
+        return add_into({}, self._signed_words(((key,) + word, c) for key, c in vec.items()))
 
     def expand_word_of_vectors(self, vectors: Sequence[Vector]) -> SVector:
         """Multilinear expansion of v_1 (+) ... (+) v_k into canonical words."""
         out: SVector = {(): Fraction(1)}
         for vec in vectors:
-            nxt: SVector = {}
-            for word, cw in out.items():
-                for key, c in vec.items():
-                    sign, w = self.normalize_letters(tuple(word) + (key,))
-                    if w is None:
-                        continue
-                    nc = nxt.get(w, Fraction(0)) + sign * cw * c
-                    if nc:
-                        nxt[w] = nc
-                    else:
-                        nxt.pop(w, None)
-            out = nxt
+            out = add_into({}, self._signed_words(
+                (word + (key,), cw * c) for word, cw in out.items() for key, c in vec.items()))
         return out
 
 
@@ -213,7 +172,17 @@ def _unshuffles(n: int, i: int) -> Iterable[Tuple[Tuple[int, ...], Tuple[int, ..
         yield sel, rest
 
 
-class TaylorCoderivation:
+class _WordwiseLinear:
+    """`apply`: the linear extension of a map given on words by `apply_word`."""
+
+    def apply(self, sv: SVector) -> SVector:
+        out: SVector = {}
+        for word, c in sv.items():
+            add_into(out, self.apply_word(word), c)
+        return out
+
+
+class TaylorCoderivation(_WordwiseLinear):
     """A coderivation of the symmetric coalgebra, by its Taylor coefficients.
 
     `coefficients[k]` maps a canonical k-word to a Vector; arity 0, when
@@ -242,13 +211,6 @@ class TaylorCoderivation:
             return dict(entry) if not callable(entry) else entry(())
         return entry(word)
 
-    def taylor(self, word: Word) -> Vector:
-        """Evaluate the arity-|word| Taylor coefficient on an arbitrary word."""
-        sign, w = self.space.normalize_letters(word)
-        if w is None:
-            return {}
-        return vec_scale(self.coefficient(len(w), w), sign)
-
     def apply_word(self, word: Word) -> SVector:
         """Full coderivation on one canonical word, via the unshuffle sum."""
         n = len(word)
@@ -258,26 +220,16 @@ class TaylorCoderivation:
             if i > n:
                 continue
             for sel, rest in _unshuffles(n, i):
-                perm = list(sel) + list(rest)
-                sign = koszul_sign(perm, degs)
                 # subwords of a canonical word are canonical
-                sub = tuple(word[p] for p in sel)
-                head = self.coefficient(i, sub)
-                if not head:
-                    continue
-                tail = tuple(word[p] for p in rest)
-                piece = self.space.symmetric_insert(vec_scale(head, sign), tail)
-                out = svec_add(out, piece)
-        return out
-
-    def apply(self, sv: SVector) -> SVector:
-        out: SVector = {}
-        for word, c in sv.items():
-            out = svec_add(out, svec_scale(self.apply_word(word), c))
+                head = self.coefficient(i, tuple(word[p] for p in sel))
+                if head:
+                    tail = tuple(word[p] for p in rest)
+                    add_into(out, self.space.symmetric_insert(head, tail),
+                             koszul_sign(sel + rest, degs))
         return out
 
 
-class TaylorMorphism:
+class TaylorMorphism(_WordwiseLinear):
     """A degree-0 coalgebra morphism, by its Taylor coefficients.
 
     Coefficients are memoised per word and their Vectors are read-only
@@ -306,27 +258,16 @@ class TaylorMorphism:
         for partition in _set_partitions(n):
             blocks = [sorted(b) for b in partition]
             blocks.sort(key=lambda b: b[0])
-            perm = [p for b in blocks for p in b]
-            sign = koszul_sign(perm, degs)
             factors: List[Vector] = []
-            dead = False
             for b in blocks:
-                sub = tuple(word[p] for p in b)
-                val = self.coefficient(len(b), sub)
+                val = self.coefficient(len(b), tuple(word[p] for p in b))
                 if not val:
-                    dead = True
                     break
                 factors.append(val)
-            if dead:
-                continue
-            piece = self.space_dst.expand_word_of_vectors(factors)
-            out = svec_add(out, svec_scale(piece, sign))
-        return out
-
-    def apply(self, sv: SVector) -> SVector:
-        out: SVector = {}
-        for word, c in sv.items():
-            out = svec_add(out, svec_scale(self.apply_word(word), c))
+            else:
+                perm = [p for b in blocks for p in b]
+                add_into(out, self.space_dst.expand_word_of_vectors(factors),
+                         koszul_sign(perm, degs))
         return out
 
 
@@ -390,9 +331,8 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
     """Residuals Q'(phi(w)) - phi(Q(w)) on the given words."""
     report = ResidualReport(label)
     for w in words:
-        lhs = Qp.apply(phi.apply_word(w))
-        rhs = phi.apply(Q.apply_word(w))
-        residual = svec_add(lhs, svec_scale(rhs, -1))
+        residual = Qp.apply(phi.apply_word(w))
+        add_into(residual, phi.apply(Q.apply_word(w)), -1)
         report.add(w, residual)
     return report
 
@@ -422,7 +362,7 @@ def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
             if j >= longest:
                 raise RuntimeError(f"M^{j} is nonzero on words of length <= {longest}: "
                                    "M does not lower word length")
-            total = svec_add(total, svec_scale(term, Fraction(1, math.factorial(j))))
+            add_into(total, term, Fraction(1, math.factorial(j)))
 
     def coeff(word: Word) -> Vector:
         full = apply_series({tuple(word): Fraction(1)})
@@ -475,20 +415,12 @@ def mc_residual(L: LInftyStructure, eta: Vector, max_arity: int = None) -> Vecto
     out: Vector = dict(L.curvature)
     for k in arities:
         power = L.space.expand_word_of_vectors([eta] * k)
-        contrib: Vector = {}
         for word, c in power.items():
-            contrib = vec_add(contrib, vec_scale(L.bracket(k, word), c))
-        out = vec_add(out, vec_scale(contrib, Fraction(1, math.factorial(k))))
+            add_into(out, L.bracket(k, word), c / math.factorial(k))
     return out
 
 
 # --- decalage ------------------------------------------------------------
-
-
-def _decalage_sign(k: int, unshifted_degrees: Sequence[int]) -> int:
-    """(-1)^k (-1)^{sum_i (k-i)|v_i|} with 1-based i."""
-    s = k + sum((k - (i + 1)) * d for i, d in enumerate(unshifted_degrees))
-    return -1 if s % 2 else 1
 
 
 def decalage_down(mk: Callable[[Word], Vector], k: int,
@@ -496,17 +428,14 @@ def decalage_down(mk: Callable[[Word], Vector], k: int,
     """Turn an L-infinity[1] bracket on V[1] into the L-infinity bracket on V.
 
     Keys are shared between V and V[1]; `unshifted_degree` gives degrees in V.
+    The bracket is multiplied by (-1)^k (-1)^{sum_i (k-i)|v_i|} (1-based i).
+    That sign depends only on k and the degrees of the word and squares to 1,
+    so the map is its own inverse: :func:`decalage_up` is this function.
     """
     def mu(word: Word) -> Vector:
-        degs = [unshifted_degree(key) for key in word]
-        return vec_scale(mk(word), _decalage_sign(k, degs))
+        s = k + sum((k - i) * unshifted_degree(key) for i, key in enumerate(word, 1))
+        return svec_scale(mk(word), -1 if s % 2 else 1)
     return mu
 
 
-def decalage_up(mu: Callable[[Word], Vector], k: int,
-                unshifted_degree: Callable[[object], int]) -> Callable[[Word], Vector]:
-    """Inverse of :func:`decalage_down`."""
-    def mk(word: Word) -> Vector:
-        degs = [unshifted_degree(key) for key in word]
-        return vec_scale(mu(word), _decalage_sign(k, degs))
-    return mk
+decalage_up = decalage_down

@@ -51,8 +51,8 @@ from cjde.linfty import (
     check_morphism,
     decalage_down,
     decalage_up,
-    vec_add,
-    vec_scale,
+    svec_add as vec_add,
+    svec_scale as vec_scale,
 )
 
 from conftest import (

@@ -47,7 +47,7 @@ import cjde.cjalg as cjalg_module
 from cjde.contact import Section, jacobi_bracket, project_P
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
-                         vec_add, vec_scale)
+                         svec_add as vec_add, svec_scale as vec_scale)
 
 from conftest import basis_keys, random_form_section, random_instance, random_x_poly
 

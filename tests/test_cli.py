@@ -32,6 +32,17 @@ def test_check_pass(capsys):
     assert not failing
 
 
+def test_check_reports_sample_counts(capsys):
+    code, out, _ = run_cli(["check", fixture("heis2.json")], capsys)
+    assert code == 0
+    lines = {line["check"]: line for line in map(json.loads, out.strip().splitlines())}
+    for name in ("projection idempotent", "projection lands in subalgebra",
+                 "subalgebra abelian", "kernel closed under bracket"):
+        assert lines[f"v-data: {name}"]["samples"] == 12
+    for name in ("MC equation {Phi,Phi}=0", "curvature flag"):
+        assert "samples" not in lines[f"v-data: {name}"]
+
+
 def test_check_fail_carries_witness(capsys):
     code, out, _ = run_cli(["check", fixture("heis2-broken.json")], capsys)
     assert code == 1

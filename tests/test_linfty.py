@@ -1,6 +1,7 @@
 """Coalgebra machinery: coderivations, morphisms, exponentials, decalage."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from cjde.linfty import (
     decalage_up,
     exp_coderivation,
     mc_residual,
-    vec_scale,
+    svec_scale as vec_scale,
 )
 
 F = Fraction
@@ -240,6 +241,36 @@ def test_coefficients_memoised_per_word(V):
     for _ in range(2):
         assert phi.apply_word(("a", "b")) == {("a", "b"): F(1)}
     assert sorted(phi_calls) == [("a",), ("b",)]
+
+
+def test_read_only_coefficients_give_the_same_results(V):
+    """Sums only read the Vectors that coefficients return (module docstring).
+
+    With plain dicts, an in-place sum into a returned Vector would change the
+    table behind it; with read-only views it would raise.
+    """
+    rng = random.Random(5)
+    tables = {k: {w: {key: F(rng.randint(-2, 2)) for key in BASIS if rng.random() < 0.6}
+                  for w in V.words(BASIS, k, k)}
+              for k in (1, 2, 3)}
+    words = V.words(BASIS, 3)
+
+    def results(wrap):
+        views = {k: {w: wrap(vec) for w, vec in t.items()} for k, t in tables.items()}
+        coeff = {k: (lambda t: lambda w: t.get(tuple(w), wrap({})))(views[k])
+                 for k in views}
+        Q = TaylorCoderivation(V, 1, dict(coeff))
+        phi = TaylorMorphism(V, V, {1: lambda w: wrap({w[0]: F(1)}), 2: coeff[2]})
+        eM = exp_coderivation(TaylorCoderivation(V, 0, {2: coeff[2], 3: coeff[3]}))
+        L = LInftyStructure(V, {"b": F(1)}, dict(coeff))
+        return (check_codifferential(Q, words).entries,
+                check_morphism(phi, Q, Q, words).entries,
+                [eM.apply_series({w: F(1)}) for w in words],
+                mc_residual(L, {"a": F(1, 2), "e": F(-1)}))
+
+    plain = results(lambda vec: vec)
+    assert plain == results(types.MappingProxyType)
+    assert all(plain[:2]) and any(plain[2]) and plain[3]
 
 
 def test_exp_requires_lowering(V):

@@ -1,4 +1,4 @@
-"""Property tests: bracket identities and derivation rules on drawn polynomials.
+"""Property tests: the sparse kernel, bracket identities and derivation rules.
 
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and quick; the seeded sweeps in test_gca/test_contact cover
@@ -7,11 +7,11 @@ more inputs.
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cjde.contact import ContactContext, Section, jacobi_bracket
-from cjde.gca import Derivation, Poly
+from cjde.gca import Derivation, Poly, add_into, koszul_sign, koszul_sort
 
 CTX = ContactContext(1, 2)
 ALG = CTX.algebra
@@ -101,3 +101,33 @@ def test_derivation_commutator(deg_and_D, deg_and_E, f):
     C = D.commutator(E)
     assert C.degree == dd + de
     assert C(f) == D(E(f)) - E(D(f)).scale(sign)
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(0, 5), COEFFS),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3))),
+       st.sampled_from([1, -1, 0, 2, Fraction(1, 2)]), st.booleans())
+@example(acc={1: 2, 3: -1}, pairs=[(1, -2), (3, 1)], scale=1, as_mapping=False)
+@example(acc={1: 2, 3: -1}, pairs=[(1, 4), (3, -2)], scale=Fraction(-1, 2), as_mapping=True)
+@example(acc={1: 2}, pairs=[(1, 5), (2, 1)], scale=0, as_mapping=True)
+def test_add_into_matches_dense_sum(acc, pairs, scale, as_mapping):
+    vec = dict(pairs) if as_mapping else pairs
+    dense = [Fraction(0)] * 6
+    for k, c in acc.items():
+        dense[k] += c
+    for k, c in (vec.items() if as_mapping else vec):
+        dense[k] += scale * c
+    out = dict(acc)
+    assert add_into(out, vec, scale) is out
+    assert out == {k: c for k, c in enumerate(dense) if c}
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 6), max_size=7), st.sets(st.integers(0, 6)))
+def test_koszul_sort_sign_is_koszul_sign(letters, odd):
+    sign, perm = koszul_sort(letters, odd.__contains__)
+    if any(letters.count(x) > 1 for x in odd):
+        assert (sign, perm) == (0, None)
+        return
+    assert [letters[i] for i in perm] == sorted(letters)
+    assert sign == koszul_sign(perm, [int(x in odd) for x in letters])
