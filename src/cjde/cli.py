@@ -267,6 +267,10 @@ def _word_witness(inst, rep) -> str:
 def cmd_cohomology(args) -> int:
     doc = load_instance(args.file)
     inst = doc.instance
+    if args.degree is not None and not 0 <= args.degree <= inst.n:
+        sys.stderr.write(f"error: --degree must be between 0 and {inst.n} (the rank), "
+                         f"got {args.degree}\n")
+        return EXIT_INPUT
     report = Report()
     try:
         cm = ComplexMatrices(inst)
@@ -385,7 +389,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("cohomology", help="de Rham cohomology over a point base")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=int, default=None,
+                   help="one form degree, 0..rank (default: every degree)")
     common(p)
     p.set_defaults(fn=cmd_cohomology)
 

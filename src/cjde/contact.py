@@ -9,17 +9,20 @@ Generators of the coordinate algebra, with bidegrees:
     p          (1,1)   the jet momentum
 
 The line bundle is trivialized by a global frame mu, so a section is just a
-polynomial coefficient.  The canonical Jacobi bracket is implemented verbatim
-from its Darboux-coordinate formula with D_i = d/dx^i + pi_i d/dp and
-D_a = d/du^a + pa_a d/dp; everything else (Reeb fields, Hamiltonian lifts,
-the Legendre transform) is checked against it.
+polynomial coefficient.  The canonical Jacobi bracket is its Darboux-coordinate
+formula with D_i = d/dx^i + pi_i d/dp and D_a = d/du^a + pa_a d/dp, evaluated
+in one bilinear pass: every left partial of each argument is taken once, in
+one sweep over its terms (`Poly.partials`), the D's are formed from those
+partials, products whose momentum partial vanishes are skipped and the rest
+are accumulated into one dict.  Everything else (Reeb fields, Hamiltonian
+lifts, the Legendre transform) is checked against the bracket.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .gca import Algebra, ContextMismatch, Derivation, Poly, Scalar
+from .gca import Algebra, ContextMismatch, Derivation, Poly, Scalar, add_into
 
 __all__ = [
     "ContactContext",
@@ -168,41 +171,62 @@ def project_P(s: Section) -> Section:
 # --- the canonical Jacobi bracket -------------------------------------
 
 
-def _D_i(ctx: ContactContext, i: int, f: Poly) -> Poly:
-    return f.partial(ctx.ix_x[i]) + ctx.pi(i) * f.partial(ctx.ix_p)
+def _total_partial(ctx: ContactContext, parts: Dict[int, Poly], coord: int,
+                   momentum: int) -> Poly:
+    """D f = df/d(coord) + momentum * df/dp, formed from the partials of f.
 
-
-def _D_a(ctx: ContactContext, a: int, f: Poly) -> Poly:
-    return f.partial(ctx.ix_u[a]) + ctx.pa(a) * f.partial(ctx.ix_p)
-
-
-def _bracket_homogeneous(ctx: ContactContext, f1: Poly, parity1: int, f2: Poly) -> Poly:
-    dp1 = f1.partial(ctx.ix_p)
-    dp2 = f2.partial(ctx.ix_p)
-    out = f1 * dp2 - dp1 * f2
-    for i in range(ctx.m):
-        out = out + _D_i(ctx, i, f1) * f2.partial(ctx.ix_pi[i])
-        out = out - f1.partial(ctx.ix_pi[i]) * _D_i(ctx, i, f2)
-    sign = -1 if parity1 else 1
-    for a in range(ctx.n):
-        term = _D_a(ctx, a, f1) * f2.partial(ctx.ix_pa[a])
-        term = term + f1.partial(ctx.ix_pa[a]) * _D_a(ctx, a, f2)
-        out = out + term.scale(sign)
-    return out
+    (coord, momentum) is (x^i, pi_i) for D_i or (u^a, pa_a) for D_a.
+    """
+    d_coord = parts.get(coord)
+    d_p = parts.get(ctx.ix_p)
+    if d_p is None:
+        return d_coord if d_coord is not None else ctx.algebra.zero()
+    lifted = ctx.algebra.gen(momentum) * d_p
+    if d_coord is None:
+        return lifted
+    return Poly(ctx.algebra, add_into(dict(d_coord.terms), lifted.terms))
 
 
 def jacobi_bracket(s: Section, t: Section) -> Section:
-    """Canonical degree -2 Jacobi bracket in Darboux coordinates.
+    """Canonical degree -2 Jacobi bracket, in one bilinear pass.
 
-    Bilinear; the sign in the odd-momentum block only depends on the parity
-    of the first argument, so the first body is split by parity.
+    With f = s.body, g = t.body, D_i = d/dx^i + pi_i d/dp and
+    D_a = d/du^a + pa_a d/dp (left partials throughout),
+
+        {f, g} = f dg/dp - df/dp g
+                 + sum_i (D_i f dg/dpi_i - df/dpi_i D_i g)
+                 + (-1)^|f| sum_a (D_a f dg/dpa_a + df/dpa_a D_a g).
+
+    The sign only depends on the parity of f, so f is split by parity.
+    Every partial of each body is taken once (`Poly.partials`); a product
+    whose momentum partial is zero is skipped, and the others are added
+    into one dict.
     """
     s._check(t)
     ctx = s.context
-    out = ctx.algebra.zero()
-    for parity, f1 in s.body.parity_components().items():
-        out = out + _bracket_homogeneous(ctx, f1, parity, t.body)
-    return Section(ctx, out)
+    g = t.body
+    g_parts = g.partials()
+    acc: Dict = {}
+    for parity, f in s.body.parity_components().items():
+        f_parts = f.partials()
+        if ctx.ix_p in g_parts:
+            add_into(acc, (f * g_parts[ctx.ix_p]).terms)
+        if ctx.ix_p in f_parts:
+            add_into(acc, (f_parts[ctx.ix_p] * g).terms, -1)
+        sign = -1 if parity else 1
+        # (coordinate, its momentum, sign of D f dg/dmom, sign of df/dmom D g)
+        blocks = [(x, pi, 1, -1) for x, pi in zip(ctx.ix_x, ctx.ix_pi)]
+        blocks += [(u, pa, sign, sign) for u, pa in zip(ctx.ix_u, ctx.ix_pa)]
+        for coord, mom, left, right in blocks:
+            if mom in g_parts:
+                d_f = _total_partial(ctx, f_parts, coord, mom)
+                if d_f.terms:
+                    add_into(acc, (d_f * g_parts[mom]).terms, left)
+            if mom in f_parts:
+                d_g = _total_partial(ctx, g_parts, coord, mom)
+                if d_g.terms:
+                    add_into(acc, (f_parts[mom] * d_g).terms, right)
+    return Section(ctx, Poly(ctx.algebra, acc))
 
 
 # --- derivations of the line bundle over A[1] --------------------------
@@ -236,13 +260,15 @@ class LineDerivation:
         return cls(context, degree, z, [z] * context.m, [z] * context.n)
 
     def __call__(self, s: Union[Section, Poly]) -> Union[Section, Poly]:
+        ctx = self.context
         body = s.body if isinstance(s, Section) else s
-        out = self.f * body
-        for i in range(self.context.m):
-            out = out + self.f_x[i] * body.partial(self.context.ix_x[i])
-        for a in range(self.context.n):
-            out = out + self.f_u[a] * body.partial(self.context.ix_u[a])
-        return Section(self.context, out) if isinstance(s, Section) else out
+        acc = dict((self.f * body).terms)
+        parts = body.partials()
+        for idx, coeff in zip(ctx.ix_x + ctx.ix_u, self.f_x + self.f_u):
+            if idx in parts:
+                add_into(acc, (coeff * parts[idx]).terms)
+        out = Poly(ctx.algebra, acc)
+        return Section(ctx, out) if isinstance(s, Section) else out
 
     def add(self, other: "LineDerivation") -> "LineDerivation":
         return LineDerivation(
@@ -356,17 +382,19 @@ def reeb_field(lam: Section) -> ContactVectorField:
     if deg is None:
         return ContactVectorField(ctx, -2, {i: ctx.algebra.zero() for i in range(len(ctx.algebra.gens))})
     sign = -1 if deg % 2 else 1
+    zero = ctx.algebra.zero()
+    parts = f.partials()
     values: Dict[int, Poly] = {}
     on_p = f
     for i in range(ctx.m):
-        dpi = f.partial(ctx.ix_pi[i])
+        dpi = parts.get(ctx.ix_pi[i], zero)
         values[ctx.ix_x[i]] = -dpi
-        values[ctx.ix_pi[i]] = _D_i(ctx, i, f)
+        values[ctx.ix_pi[i]] = _total_partial(ctx, parts, ctx.ix_x[i], ctx.ix_pi[i])
         on_p = on_p - dpi * ctx.pi(i)
     for a in range(ctx.n):
-        dpa = f.partial(ctx.ix_pa[a])
+        dpa = parts.get(ctx.ix_pa[a], zero)
         values[ctx.ix_u[a]] = dpa.scale(sign)
-        values[ctx.ix_pa[a]] = _D_a(ctx, a, f).scale(sign)
+        values[ctx.ix_pa[a]] = _total_partial(ctx, parts, ctx.ix_u[a], ctx.ix_pa[a]).scale(sign)
         on_p = on_p + (dpa * ctx.pa(a)).scale(sign)
     values[ctx.ix_p] = on_p
     return ContactVectorField(ctx, deg - 2, values)

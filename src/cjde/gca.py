@@ -266,6 +266,20 @@ class Algebra:
         return sign, tuple(merged)
 
 
+def _left_partial(alg: Algebra, mono: Monomial, pos: int, odd_prefix: int) -> Tuple[int, Monomial]:
+    """Left derivative of a monomial by its letter at `pos`: (factor, rest).
+
+    An odd letter is moved to the front before it is taken off, past the
+    letters before it; `odd_prefix` is their total parity, so the factor is
+    -1 exactly when both are odd.  An even letter of exponent e gives e.
+    """
+    idx, exp = mono[pos]
+    factor = -exp if odd_prefix and alg.gens[idx].is_odd else exp
+    if exp == 1:
+        return factor, mono[:pos] + mono[pos + 1:]
+    return factor, mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]
+
+
 class Poly:
     """A graded-commutative polynomial: finite map monomial -> nonzero rational."""
 
@@ -389,18 +403,30 @@ class Poly:
             for pos, (idx, exp) in enumerate(mono):
                 if idx != g.index:
                     continue
-                # parity of the prefix (letters strictly before this generator)
-                prefix_parity = sum(
-                    alg.gens[i].parity * e for i, e in mono[:pos]
-                ) % 2
-                factor = -exp if (g.is_odd and prefix_parity) else exp
-                if exp == 1:
-                    new = mono[:pos] + mono[pos + 1:]
-                else:
-                    new = mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]
-                terms[new] = c if factor == 1 else factor * c
+                odd_prefix = sum(alg.gens[i].parity * e for i, e in mono[:pos]) % 2
+                factor, rest = _left_partial(alg, mono, pos, odd_prefix)
+                terms[rest] = c if factor == 1 else factor * c
                 break
         return Poly(alg, terms)
+
+    def partials(self) -> Dict[int, "Poly"]:
+        """Left partial derivatives by every generator, in one sweep over the terms.
+
+        Keyed by generator index; exactly the generators that occur in self
+        have an entry, as their partials are nonzero (see `partial`).
+        """
+        alg = self.algebra
+        out: Dict[int, Dict[Monomial, Fraction]] = {}
+        for mono, c in self.terms.items():
+            odd_prefix = 0
+            for pos, (idx, exp) in enumerate(mono):
+                factor, rest = _left_partial(alg, mono, pos, odd_prefix)
+                terms = out.get(idx)
+                if terms is None:
+                    terms = out[idx] = {}
+                terms[rest] = c if factor == 1 else factor * c
+                odd_prefix ^= alg.gens[idx].parity & exp
+        return {idx: Poly(alg, terms) for idx, terms in out.items()}
 
     def substitute(self, target: Algebra, images: Dict[int, "Poly"]) -> "Poly":
         """Algebra morphism: replace each generator by its image in `target`.
@@ -468,14 +494,14 @@ class Derivation:
         """X(f) = sum_g X(g) * d f/d g over the generators g of f (left partials)."""
         if f.algebra is not self.algebra:
             raise ContextMismatch("derivation applied outside its algebra")
-        out = self.algebra.zero()
-        for idx in sorted({idx for mono in f.terms for idx, _ in mono}):
+        terms: Dict[Monomial, Fraction] = {}
+        for idx, part in sorted(f.partials().items()):
             if idx not in self.values:
                 raise UnknownGenerator(self.algebra.gens[idx].name)
             val = self.values[idx]
             if not val.is_zero():
-                out = out + val * f.partial(idx)
-        return out
+                add_into(terms, (val * part).terms)
+        return Poly(self.algebra, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [D, D'] as a derivation (values on generators)."""

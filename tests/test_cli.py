@@ -184,6 +184,21 @@ def test_cohomology_report(capsys):
     assert line["dimension"] == 3
 
 
+@pytest.mark.parametrize("degree", ["-1", "3", "99"])
+def test_cohomology_degree_out_of_range_exits_2(degree, capsys):
+    # heis2 has rank 2: forms of degree outside 0..2 do not exist
+    code, out, err = run_cli(["cohomology", fixture("heis2.json"), "--degree", degree], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--degree" in err and "between 0 and 2" in err
+
+
+def test_cohomology_degree_at_rank_accepted(capsys):
+    code, out, _ = run_cli(["cohomology", fixture("heis2.json"), "--degree", "2"], capsys)
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[0])["check"] == "H^2"
+
+
 def test_cohomology_unsupported_base(capsys):
     code, out, err = run_cli(["cohomology", fixture("omni1.json")], capsys)
     assert code == 2

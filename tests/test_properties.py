@@ -16,6 +16,8 @@ from cjde.gca import Derivation, Poly, add_into, koszul_sign, koszul_sort
 CTX = ContactContext(1, 2)
 ALG = CTX.algebra
 NGENS = len(ALG.gens)
+# a second shape, with two base coordinates and one fiber coordinate
+CTX21 = ContactContext(2, 1)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -24,17 +26,17 @@ COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 
 @st.composite
-def polys(draw, max_letters=3, max_terms=4):
+def polys(draw, max_letters=3, max_terms=4, alg=ALG):
     """A nonzero polynomial from words of at most `max_letters` generator letters."""
     terms = {}
-    words = draw(st.lists(st.lists(st.integers(0, NGENS - 1), min_size=1,
+    words = draw(st.lists(st.lists(st.integers(0, len(alg.gens) - 1), min_size=1,
                                    max_size=max_letters),
                           min_size=1, max_size=max_terms))
     for word in words:
-        _, mono = ALG.normalize_word(word)
+        _, mono = alg.normalize_word(word)
         if mono is not None:
             terms[mono] = Fraction(draw(COEFFS))
-    f = Poly(ALG, terms)
+    f = Poly(alg, terms)
     assume(not f.is_zero())
     return f
 
@@ -131,3 +133,74 @@ def test_koszul_sort_sign_is_koszul_sign(letters, odd):
         return
     assert [letters[i] for i in perm] == sorted(letters)
     assert sign == koszul_sign(perm, [int(x in odd) for x in letters])
+
+
+# --- the bracket against its Darboux formula --------------------------
+
+
+def darboux_bracket(ctx: ContactContext, f1: Poly, f2: Poly) -> Poly:
+    """Reference Jacobi bracket, term by term from the Darboux formula.
+
+    One `Poly.partial` per use, `*` and `+` for everything else; no partial
+    is shared and no product is skipped, so the one-pass kernel in
+    `contact.jacobi_bracket` is checked against a separate route.
+    """
+    def D_i(i, f):
+        return f.partial(ctx.ix_x[i]) + ctx.pi(i) * f.partial(ctx.ix_p)
+
+    def D_a(a, f):
+        return f.partial(ctx.ix_u[a]) + ctx.pa(a) * f.partial(ctx.ix_p)
+
+    out = ctx.algebra.zero()
+    for parity, f in f1.parity_components().items():
+        out = out + f * f2.partial(ctx.ix_p) - f.partial(ctx.ix_p) * f2
+        for i in range(ctx.m):
+            out = out + D_i(i, f) * f2.partial(ctx.ix_pi[i])
+            out = out - f.partial(ctx.ix_pi[i]) * D_i(i, f2)
+        sign = -1 if parity else 1
+        for a in range(ctx.n):
+            term = D_a(a, f) * f2.partial(ctx.ix_pa[a])
+            term = term + f.partial(ctx.ix_pa[a]) * D_a(a, f2)
+            out = out + term.scale(sign)
+    return out
+
+
+@st.composite
+def section_pairs(draw):
+    """(context, f, g) on ContactContext(1, 2) or (2, 1); f may mix parities."""
+    ctx = draw(st.sampled_from([CTX, CTX21]))
+    return ctx, draw(polys(alg=ctx.algebra)), draw(polys(alg=ctx.algebra))
+
+
+def _word(ctx, *names):
+    return ctx.algebra.monomial(ctx.algebra.normalize_word(names)[1])
+
+
+# the odd letters are u and pa: pa2 follows the odd u1 (a left partial by
+# pa2 passes it), u1 + x1*p mixes parities, and pa1 ends a word u1*u2*pa1
+MIXED = _word(CTX, "u1", "pa2") + _word(CTX, "u1") + _word(CTX, "x1", "p").scale(2)
+ODD_AFTER_ODD = _word(CTX, "u1", "u2", "pa1") + _word(CTX, "u2", "pa2", "pi1").scale(-3)
+MIXED21 = _word(CTX21, "u1", "pa1", "pi2") + _word(CTX21, "u1", "x2") + _word(CTX21, "p")
+ODD_AFTER_ODD21 = _word(CTX21, "x1", "u1", "pa1", "p") + _word(CTX21, "pa1", "pi1").scale(-1)
+
+
+@PROPERTY
+@given(section_pairs())
+@example(pair=(CTX, MIXED, ODD_AFTER_ODD))
+@example(pair=(CTX, ODD_AFTER_ODD, MIXED))
+@example(pair=(CTX21, MIXED21, ODD_AFTER_ODD21))
+@example(pair=(CTX21, ODD_AFTER_ODD21, MIXED21))
+def test_jacobi_bracket_matches_darboux_formula(pair):
+    ctx, f, g = pair
+    got = jacobi_bracket(Section(ctx, f), Section(ctx, g)).body
+    assert got.terms == darboux_bracket(ctx, f, g).terms
+
+
+@PROPERTY
+@given(st.sampled_from([CTX, CTX21]).flatmap(
+    lambda ctx: polys(max_letters=4, max_terms=5, alg=ctx.algebra)))
+@example(f=ODD_AFTER_ODD)
+@example(f=ODD_AFTER_ODD21)
+def test_partials_match_partial(f):
+    expected = {g.index: f.partial(g.index) for g in f.algebra.gens}
+    assert f.partials() == {idx: d for idx, d in expected.items() if not d.is_zero()}
