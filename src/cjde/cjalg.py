@@ -42,7 +42,7 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Monomial, Poly, Scalar, koszul_sign
+from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign
 from .linfty import (
     GradedSpace,
     LInftyStructure,
@@ -90,7 +90,6 @@ __all__ = [
     "de_rham_derivation",
     "loday_bracket_formula",
     "upsilon_A_section",
-    "upsilon_dual_section",
     "section_bracket_A",
     "section_to_vector",
     "vector_to_section",
@@ -305,14 +304,16 @@ def _one_form(side: _Side, coeffs: Sequence[Poly]) -> Section:
 
 
 def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
-    """Left contraction of a form on the side by xi_a times the a-th frame element."""
+    """Left contraction of a form on the side by xi_a times the a-th frame element.
+
+    This is the degree -1 derivation u^a -> xi_a, zero on every other generator.
+    """
     ctx = side.context
     if omega.context is not ctx:
         raise ContextMismatch("form from the other side of the split")
-    body = ctx.algebra.zero()
-    for a in range(side.inst.n):
-        body = body + side.carry(xi[a]) * omega.body.partial(ctx.ix_u[a])
-    return Section(ctx, body)
+    values = {idx: ctx.algebra.zero() for idx in range(len(ctx.algebra.gens))}
+    values.update((ctx.ix_u[a], side.carry(xi[a])) for a in range(side.inst.n))
+    return Section(ctx, Derivation(ctx.algebra, -1, values)(omega.body))
 
 
 def _lie_derivative(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
@@ -325,13 +326,15 @@ def _section_bracket(side: _Side, xi: Sequence[Poly], eta: Sequence[Poly]) -> Li
     """[xi, eta]_S for frame-coefficient sections, on the base ring."""
     ctx = side.inst.context
     n = side.inst.n
+    zero = ctx.algebra.zero()
     out = []
     for cc in range(n):
-        acc = ctx.algebra.zero()
+        d_eta, d_xi = eta[cc].partials(), xi[cc].partials()
+        acc = zero
         for a in range(n):
             for i in range(ctx.m):
-                acc = acc + xi[a] * side.rho[i][a] * eta[cc].partial(ctx.ix_x[i])
-                acc = acc - eta[a] * side.rho[i][a] * xi[cc].partial(ctx.ix_x[i])
+                acc = acc + xi[a] * side.rho[i][a] * d_eta.get(ctx.ix_x[i], zero)
+                acc = acc - eta[a] * side.rho[i][a] * d_xi.get(ctx.ix_x[i], zero)
             for b in range(n):
                 acc = acc + xi[a] * eta[b] * side.c[cc][a][b]
         out.append(acc)
@@ -353,12 +356,6 @@ def de_rham_derivation(inst: SplitCJInstance) -> LineDerivation:
 def upsilon_A_section(inst: SplitCJInstance) -> Section:
     """pi^* Upsilon_A as a bidegree-(0,3) section."""
     return _upsilon_form(_side_A(inst))
-
-
-def upsilon_dual_section(inst: SplitCJInstance) -> Section:
-    """F^* pi~^* Upsilon_{A†} as a bidegree-(3,0) section."""
-    side = _side_dual(inst)
-    return side.pullback(_upsilon_form(side))
 
 
 def build_theta(inst: SplitCJInstance) -> Section:
@@ -388,8 +385,9 @@ def embed_anchored(inst: SplitCJInstance, xi: Sequence[PolyLike],
 def split_anchored(inst: SplitCJInstance, s: Section) -> Tuple[List[Poly], List[Poly]]:
     """Inverse of embed_anchored for degree-1 sections."""
     ctx = inst.context
-    xi = [s.body.partial(ctx.ix_pa[a]) for a in range(inst.n)]
-    alpha = [s.body.partial(ctx.ix_u[a]) for a in range(inst.n)]
+    parts, zero = s.body.partials(), ctx.algebra.zero()
+    xi = [parts.get(ctx.ix_pa[a], zero) for a in range(inst.n)]
+    alpha = [parts.get(ctx.ix_u[a], zero) for a in range(inst.n)]
     return xi, alpha
 
 
@@ -529,7 +527,10 @@ class DeformationForm:
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
         ctx = inst.context
-        entries = [[s.body.partial(ctx.ix_u[a]).partial(ctx.ix_u[b])
+        zero = ctx.algebra.zero()
+        parts = s.body.partials()
+        second = [parts.get(ctx.ix_u[a], zero).partials() for a in range(inst.n)]
+        entries = [[second[a].get(ctx.ix_u[b], zero)
                     for b in range(inst.n)] for a in range(inst.n)]
         out = cls(inst, entries)
         if out.to_section() != s:
@@ -721,11 +722,8 @@ def graph_frame(inst: SplitCJInstance, eta: Union[DeformationForm, Section]) -> 
     """
     ctx = inst.context
     sec = eta.to_section() if isinstance(eta, DeformationForm) else eta
-    out = []
-    for a in range(inst.n):
-        body = ctx.pa(a) + sec.body.partial(ctx.ix_u[a])
-        out.append(Section(ctx, body))
-    return out
+    parts, zero = sec.body.partials(), ctx.algebra.zero()
+    return [Section(ctx, ctx.pa(a) + parts.get(ctx.ix_u[a], zero)) for a in range(inst.n)]
 
 
 def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
@@ -764,14 +762,8 @@ def word_to_sections(inst: SplitCJInstance, word: Word) -> List[Section]:
 def contact_vdata(inst: SplitCJInstance) -> VData:
     """The contact V-data: sections oracle, pullback subalgebra, P, Phi = -Theta."""
     ctx = inst.context
-
-    def degree(s: Section) -> int:
-        d = s.body.degree()
-        return (d - 2) if d is not None else 0
-
     oracle = GLAOracle(
         bracket=jacobi_bracket,
-        degree=degree,
         is_zero=lambda s: s.is_zero(),
         add=lambda a, b: a + b,
         scale=lambda a, c: a.scale(c),
@@ -792,18 +784,20 @@ def derived_bracket_sections(inst: SplitCJInstance, args: Sequence[Section]) -> 
 def _m2_closed_pair(inst: SplitCJInstance, A: Poly, r: int, B: Poly) -> Poly:
     """Closed bidifferential formula for m_2 on bodies (A homogeneous, u-deg r)."""
     ctx = inst.context
-    A_u = [A.partial(ctx.ix_u[a]) for a in range(inst.n)]
-    B_u = [B.partial(ctx.ix_u[a]) for a in range(inst.n)]
-    out = ctx.algebra.zero()
+    zero = ctx.algebra.zero()
+    A_d, B_d = A.partials(), B.partials()
+    A_u = [A_d.get(ctx.ix_u[a], zero) for a in range(inst.n)]
+    B_u = [B_d.get(ctx.ix_u[a], zero) for a in range(inst.n)]
+    out = zero
     for a in range(inst.n):
         out = out - inst.lam_dual[a] * A_u[a] * B
         for i in range(ctx.m):
-            out = out - inst.rho_dual[i][a] * A_u[a] * B.partial(ctx.ix_x[i])
+            out = out - inst.rho_dual[i][a] * A_u[a] * B_d.get(ctx.ix_x[i], zero)
     sign = (-1) ** (r % 2)
     for a in range(inst.n):
         inner = -inst.lam_dual[a] * A
         for i in range(ctx.m):
-            inner = inner - inst.rho_dual[i][a] * A.partial(ctx.ix_x[i])
+            inner = inner - inst.rho_dual[i][a] * A_d.get(ctx.ix_x[i], zero)
         for cc in range(inst.n):
             inner = inner - inst.lam_dual[cc] * ctx.u(a) * A_u[cc]
             inner = inner + inst.lam_dual[a] * ctx.u(cc) * A_u[cc]
@@ -839,17 +833,20 @@ def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Secti
     ctx = inst.context
     db = form_degree(inst, beta)
     sign = -((-1) ** (db % 2))
-    out = ctx.algebra.zero()
-    bodies = (alpha.body, beta.body, gamma.body)
+    zero = ctx.algebra.zero()
+    out = zero
+    parts = None  # taken at the first nonzero psi entry; psi is often zero
     for a, b, cc in itertools.combinations(range(inst.n), 3):
         coeff = inst.psi[a][b][cc]
         if coeff.is_zero():
             continue
-        acc = ctx.algebra.zero()
+        if parts is None:
+            parts = [s.body.partials() for s in (alpha, beta, gamma)]
+        acc = zero
         for perm, sgn in _antisymmetric((a, b, cc)):
-            term = bodies[0].partial(ctx.ix_u[perm[0]]) \
-                * bodies[1].partial(ctx.ix_u[perm[1]]) \
-                * bodies[2].partial(ctx.ix_u[perm[2]])
+            term = parts[0].get(ctx.ix_u[perm[0]], zero) \
+                * parts[1].get(ctx.ix_u[perm[1]], zero) \
+                * parts[2].get(ctx.ix_u[perm[2]], zero)
             acc = acc + term.scale(sgn)
         out = out + coeff * acc
     return Section(ctx, out.scale(sign))
@@ -977,8 +974,10 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
     """
     ctx = inst.context
     n = inst.n
-    E = [[eps_sec.body.partial(ctx.ix_pa[b]).partial(ctx.ix_pa[a])
-          for b in range(n)] for a in range(n)]
+    zero = ctx.algebra.zero()
+    parts = eps_sec.body.partials()
+    second = [parts.get(ctx.ix_pa[b], zero).partials() for b in range(n)]
+    E = [[second[b].get(ctx.ix_pa[a], zero) for b in range(n)] for a in range(n)]
     d1, d2 = form_degree(inst, w1), form_degree(inst, w2)
     if d1 == 2 and d2 == 2:
         M1, M2 = (DeformationForm.from_section(inst, w).entries for w in (w1, w2))
@@ -993,11 +992,13 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
         return Section(ctx, body)
     if {d1, d2} == {1, 2}:
         omega, alpha = (w1, w2) if d1 == 2 else (w2, w1)
-        al = [alpha.body.partial(ctx.ix_u[a]) for a in range(n)]
-        body = ctx.algebra.zero()
+        al_d, om_d = alpha.body.partials(), omega.body.partials()
+        al = [al_d.get(ctx.ix_u[a], zero) for a in range(n)]
+        om = [om_d.get(ctx.ix_u[b], zero) for b in range(n)]
+        body = zero
         for a in range(n):
             for b in range(n):
-                body = body + al[a] * E[a][b] * omega.body.partial(ctx.ix_u[b])
+                body = body + al[a] * E[a][b] * om[b]
         return Section(ctx, body)
     raise ValueError("closed form only covers (2,2) and (2,1) arities")
 

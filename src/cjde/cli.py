@@ -43,7 +43,7 @@ from .cjalg import (
 from .contact import ContactContext, jacobi_bracket
 from .deform import ComplexMatrices, NotFlat, UnsupportedBase, cohomology, extend_mc, kuranishi
 from .instancefile import InstanceFileError, load_instance
-from .linfty import check_codifferential, check_morphism
+from .linfty import check_codifferential, check_morphism, exp_coderivation
 from .samples import basis_keys, random_homogeneous_section, random_kernel_section, random_section
 from .vdata import validate
 
@@ -232,7 +232,6 @@ def cmd_complement(args) -> int:
         M = out["M"]
         orig = M.coefficients[2]
         M.coefficients[2] = lambda w: {k: 2 * v for k, v in orig(w).items()}
-        from .linfty import exp_coderivation
         eM = exp_coderivation(M)
     rep = check_morphism(eM, Q0, Q1, words)
     report.add(f"exp(M) intertwines codifferentials through arity {args.trunc}",
@@ -321,22 +320,6 @@ def cmd_selftest(args) -> int:
                "pass" if qrep.ok else "fail",
                None if qrep.ok else _word_witness(heis2, qrep))
 
-    from .linfty import GradedSpace, decalage_down, decalage_up
-    V = GradedSpace({"a": 0, "b": 1, "e": 2})
-    table = {}
-    for k in (1, 2, 3):
-        for w in V.words(["a", "b", "e"], k, k):
-            table[(k, w)] = {key: Fraction(rng.randint(-2, 2)) for key in ("a", "b", "e")}
-    ok = True
-    for k in (1, 2, 3):
-        mk = lambda word, k=k: dict(table.get((k, tuple(word)), {}))
-        mu = decalage_down(mk, k, lambda key: V.degree(key) + 1)
-        back = decalage_up(mu, k, lambda key: V.degree(key) + 1)
-        for w in V.words(["a", "b", "e"], k, k):
-            if mk(w) != back(w):
-                ok = False
-    report.add("decalage round trip", "pass" if ok else "fail",
-               None if ok else "bracket family mismatch")
     _emit(report, args)
     return EXIT_MATH_FAIL if report.failed else EXIT_OK
 

@@ -16,6 +16,13 @@ one sweep over its terms (`Poly.partials`), the D's are formed from those
 partials, products whose momentum partial vanishes are skipped and the rest
 are accumulated into one dict.  Everything else (Reeb fields, Hamiltonian
 lifts, the Legendre transform) is checked against the bracket.
+
+A derivation of the line bundle over A[1] is f + X: multiplication by a
+function f plus a vector field X on the base (x, u) coordinates
+(`LineDerivation`); its Hamiltonian lift is the fiberwise-linear section
+(f p + X^i pi_i + X^a pa_a) mu.  X, and every vector field on the contact
+manifold (`ContactVectorField`, e.g. a Reeb field), is a `gca.Derivation`,
+the one code that applies a derivation.
 """
 
 from __future__ import annotations
@@ -233,9 +240,11 @@ def jacobi_bracket(s: Section, t: Section) -> Section:
 
 
 class LineDerivation:
-    """A derivation of the trivialized line bundle over A[1].
+    """A derivation of the trivialized line bundle over A[1]: f*(-) + X.
 
-    Acts on sections as f*(-) + sum_i f^i d/dx^i + sum_a f^a d/du^a; the
+    f is a function and X = sum_i f^i d/dx^i + sum_a f^a d/du^a a vector
+    field, held as the `gca.Derivation` `vector` (f^i on the x's, f^a on the
+    u's, zero on the momenta), so a section s goes to f*s + X(s).  The
     coefficients must only involve base (x, u) generators.
     """
 
@@ -253,42 +262,29 @@ class LineDerivation:
         self.f = f
         self.f_x = list(f_x)
         self.f_u = list(f_u)
-
-    @classmethod
-    def zero(cls, context: ContactContext, degree: int = 0) -> "LineDerivation":
-        z = context.algebra.zero()
-        return cls(context, degree, z, [z] * context.m, [z] * context.n)
+        zero = context.algebra.zero()
+        values = {idx: zero for idx in range(len(context.algebra.gens))}
+        values.update(zip(context.ix_x + context.ix_u, self.f_x + self.f_u))
+        self.vector = Derivation(context.algebra, degree, values)
 
     def __call__(self, s: Union[Section, Poly]) -> Union[Section, Poly]:
-        ctx = self.context
         body = s.body if isinstance(s, Section) else s
-        acc = dict((self.f * body).terms)
-        parts = body.partials()
-        for idx, coeff in zip(ctx.ix_x + ctx.ix_u, self.f_x + self.f_u):
-            if idx in parts:
-                add_into(acc, (coeff * parts[idx]).terms)
-        out = Poly(ctx.algebra, acc)
-        return Section(ctx, out) if isinstance(s, Section) else out
-
-    def add(self, other: "LineDerivation") -> "LineDerivation":
-        return LineDerivation(
-            self.context, self.degree, self.f + other.f,
-            [a + b for a, b in zip(self.f_x, other.f_x)],
-            [a + b for a, b in zip(self.f_u, other.f_u)],
-        )
+        out = self.f * body + self.vector(body)
+        return Section(self.context, out) if isinstance(s, Section) else out
 
     def commutator(self, other: "LineDerivation") -> "LineDerivation":
-        """[d, d'] = d d' - (-1)^{|d||d'|} d' d, re-extracted from its action."""
+        """[d, d'] = d d' - (-1)^{|d||d'|} d' d for d = f + X, d' = g + Y.
+
+        The products f g cancel, leaving the function X(g) - (-1)^{|d||d'|} Y(f)
+        and the vector field [X, Y].
+        """
         ctx = self.context
         sign = -1 if (self.degree % 2) and (other.degree % 2) else 1
-
-        def act(body: Poly) -> Poly:
-            return self(other(body)) - sign * other(self(body))
-
-        f = act(ctx.algebra.one())
-        f_x = [act(ctx.x(i)) - f * ctx.x(i) for i in range(ctx.m)]
-        f_u = [act(ctx.u(a)) - f * ctx.u(a) for a in range(ctx.n)]
-        return LineDerivation(ctx, self.degree + other.degree, f, f_x, f_u)
+        f = self.vector(other.f) - other.vector(self.f).scale(sign)
+        bracket = self.vector.commutator(other.vector).values
+        return LineDerivation(ctx, self.degree + other.degree, f,
+                              [bracket[idx] for idx in ctx.ix_x],
+                              [bracket[idx] for idx in ctx.ix_u])
 
 
 def hamiltonian_lift(d: LineDerivation) -> Section:
@@ -345,32 +341,31 @@ def legendre_pushforward(X: "ContactVectorField", into: ContactContext) -> "Cont
     values: Dict[int, Poly] = {}
     for idx in range(len(into.algebra.gens)):
         g_img = into.algebra.gen(idx).substitute(src.algebra, pull)
-        values[idx] = X.as_derivation()(g_img).substitute(into.algebra, pull_inv)
+        values[idx] = X(g_img).substitute(into.algebra, pull_inv)
     return ContactVectorField(into, X.degree, values)
 
 
 # --- Reeb vector fields --------------------------------------------------
 
 
-class ContactVectorField:
-    """A graded vector field, stored by its values on coordinate generators."""
+class ContactVectorField(Derivation):
+    """A graded vector field X on the contact manifold, by its values on the coordinates.
+
+    It is a `gca.Derivation` of the coordinate algebra that also carries its
+    context: X(f) applies it, and `commutator` stays a ContactVectorField.
+    The X of a line-bundle derivation f + X (`LineDerivation.vector`) is the
+    same kind of derivation, with zero values on the momenta.
+    """
 
     def __init__(self, context: ContactContext, degree: int, values: Dict[int, Poly]):
+        super().__init__(context.algebra, degree, values)
         self.context = context
-        self.degree = degree
-        self.values = values
-
-    def as_derivation(self) -> Derivation:
-        return Derivation(self.context.algebra, self.degree, self.values)
-
-    def __call__(self, f: Poly) -> Poly:
-        return self.as_derivation()(f)
 
     def value(self, idx: int) -> Poly:
         return self.values.get(idx, self.context.algebra.zero())
 
     def commutator(self, other: "ContactVectorField") -> "ContactVectorField":
-        d = self.as_derivation().commutator(other.as_derivation())
+        d = super().commutator(other)
         return ContactVectorField(self.context, d.degree, d.values)
 
 

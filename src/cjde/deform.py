@@ -171,14 +171,8 @@ class ComplexMatrices:
 
     def _coords(self, s: Section, k: int) -> Vec:
         ctx = self.inst.context
-        out = []
-        for combo in self.basis[k] if k <= self.n else []:
-            body = s.body
-            # leading-position left derivatives, so the sign is always +1
-            for a in combo:
-                body = body.partial(ctx.ix_u[a])
-            out.append(body.coefficient(()))
-        return out
+        return [s.body.coefficient(tuple((ctx.ix_u[a], 1) for a in combo))
+                for combo in (self.basis[k] if k <= self.n else [])]
 
     def form_to_coords(self, s: Section, k: int) -> Vec:
         coords = self._coords(s, k)

@@ -12,6 +12,12 @@ Conventions:
     Koszul sign produced by counting odd-odd inversions,
   * derivatives with respect to odd generators are left derivatives.
 
+`Poly.partials()` is the derivative kernel: it takes every left partial of a
+polynomial in one sweep, and library code takes every derivative through it.
+`Derivation` is the one code that applies a derivation.  `Poly.partial`
+takes one generator at a time; it is the reference that tests and
+independent oracles compare against.
+
 `Poly`, `linfty` and `instancefile` share one sparse kernel:
   * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
     to a dict the caller owns, in place, dropping keys that cancel;
@@ -208,9 +214,6 @@ class Algebra:
         eps, delta = self.monomial_bidegree(mono)
         return eps + delta
 
-    def monomial_weight(self, mono: Monomial) -> int:
-        return sum(exp for _, exp in mono)
-
     def monomial_str(self, mono: Monomial) -> str:
         if not mono:
             return "1"
@@ -375,12 +378,6 @@ class Poly:
             raise ValueError(f"inhomogeneous polynomial: {self}")
         return next(iter(comps))
 
-    def weight(self) -> int:
-        """Largest number of generator letters in any monomial."""
-        if not self.terms:
-            return 0
-        return max(self.algebra.monomial_weight(m) for m in self.terms)
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
@@ -393,8 +390,9 @@ class Poly:
     def partial(self, key: Union[str, int]) -> "Poly":
         """Left partial derivative with respect to one generator.
 
-        Taking one power of the generator off a monomial is injective, so no
-        two terms land on the same monomial and nothing is accumulated.
+        The reference for `partials`, which library code uses.  Taking one
+        power of the generator off a monomial is injective, so no two terms
+        land on the same monomial and nothing is accumulated.
         """
         g = self.algebra.generator(key)
         alg = self.algebra

@@ -5,7 +5,9 @@ Courant-Jacobi algebroid, plus optional named deformations (2-forms on the
 A side) and epsilon tensors (2-forms on the dual side).  Rational numbers
 are "num/den" strings, bit-exact; polynomial entries are either such a
 string (a constant) or a map from comma-separated exponent vectors to
-rationals.  Declared skew-symmetries are validated on load.
+rationals.  A tensor with a symmetry (bracket, upsilon, 2-form) is accepted
+only if it equals the table that its canonical entries spread to by the rules
+of `cjalg`, so each symmetry is written down in one place.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .cjalg import DeformationForm, SplitCJInstance, _skew_matrix
-from .gca import Poly, add_into, koszul_sign
+from .cjalg import DeformationForm, SplitCJInstance, _as_xpoly, _skew_matrix
+from .contact import ContactContext
+from .gca import Poly, add_into
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
@@ -146,33 +149,6 @@ def load_instance(path: str) -> InstanceDocument:
     ups = _expect_array(data, "upsilon", (n, n, n), m)
     ups_d = _expect_array(data, "upsilon_dual", (n, n, n), m)
 
-    def check_skew_ab(arr, label):
-        if arr is not None:
-            for cc in range(n):
-                _check_skew(arr[cc], f"{label}[{cc}]", n)
-
-    def check_antisym(arr, label):
-        if arr is None:
-            return
-        for key in itertools.product(range(n), repeat=3):
-            v = arr[key[0]][key[1]][key[2]]
-            if len(set(key)) < 3:
-                if any(v.values()):
-                    raise InstanceFileError(
-                        f"{label} has a nonzero entry with repeated index")
-                continue
-            for perm in itertools.permutations(range(3)):
-                sgn = koszul_sign(perm, (1, 1, 1))
-                w = arr[key[perm[0]]][key[perm[1]]][key[perm[2]]]
-                expect = {k: sgn * q for k, q in v.items()}
-                if {k: q for k, q in expect.items() if q} != {k: q for k, q in w.items() if q}:
-                    raise InstanceFileError(f"{label} is not fully antisymmetric")
-
-    check_skew_ab(bracket, "bracket")
-    check_skew_ab(bracket_d, "bracket_dual")
-    check_antisym(ups, "upsilon")
-    check_antisym(ups_d, "upsilon_dual")
-
     def sparse(arr, keys):
         """The nonzero entries of a parsed array at the given index tuples."""
         if arr is None:
@@ -198,13 +174,19 @@ def load_instance(path: str) -> InstanceDocument:
         lam_dual=sparse(rep_d, frame), phi=sparse(ups, triples), psi=sparse(ups_d, triples),
         name=str(data.get("name", "")),
     )
+    ctx = inst.context
+    _check_spread(ctx, bracket, inst.c, "bracket is not skew")
+    _check_spread(ctx, bracket_d, inst.c_dual, "bracket_dual is not skew")
+    _check_spread(ctx, ups, inst.phi, "upsilon is not fully antisymmetric")
+    _check_spread(ctx, ups_d, inst.psi, "upsilon_dual is not fully antisymmetric")
 
     def two_forms(key: str, label: str) -> Dict[str, Dict[Tuple[int, int], Dict]]:
         out = {}
         for name, arr in (data.get(key) or {}).items():
             parsed = _expect_array({key: arr}, key, (n, n), m)
-            _check_skew(parsed, f"{label} {name!r}", n)
             out[name] = sparse(parsed, pairs)
+            _check_spread(ctx, parsed, _skew_matrix(ctx, n, out[name]),
+                          f"{label} {name!r} is not skew")
         return out
 
     deformations = {name: DeformationForm.from_dict(inst, entries)
@@ -212,13 +194,18 @@ def load_instance(path: str) -> InstanceDocument:
     return InstanceDocument(inst, deformations, two_forms("epsilons", "epsilon"))
 
 
-def _check_skew(arr, label: str, n: int) -> None:
-    for a in range(n):
-        for b in range(n):
-            ab = {k: v for k, v in arr[a][b].items() if v}
-            ba = {k: -v for k, v in arr[b][a].items() if v}
-            if ab != ba:
-                raise InstanceFileError(f"{label} is not skew in ({a},{b})")
+def _check_spread(ctx: ContactContext, arr, table, message: str,
+                  key: Tuple[int, ...] = ()) -> None:
+    """Reject a parsed tensor unless it equals `table`, the spread of its canonical entries.
+
+    Entries are compared in index order; the first that differs is named
+    after `message`.
+    """
+    if isinstance(table, list):
+        for i, (entry, value) in enumerate(zip(arr or [], table)):
+            _check_spread(ctx, entry, value, message, key + (i,))
+    elif _as_xpoly(ctx, arr) != table:
+        raise InstanceFileError(f"{message} at index {key}")
 
 
 def save_instance(path: str, doc: InstanceDocument) -> None:

@@ -66,23 +66,10 @@ class GradedSpace:
     """Degrees (and hence Koszul parities) for basis keys of a graded space."""
 
     def __init__(self, degree: Union[Callable[[object], int], Dict[object, int]], name: str = ""):
-        if isinstance(degree, dict):
-            self._table = dict(degree)
-            self._fn = None
-        else:
-            self._table = None
-            self._fn = degree
+        """`degree` maps a basis key to its degree: a function, or a dict (copied)."""
+        self.degree: Callable[[object], int] = (
+            dict(degree).__getitem__ if isinstance(degree, dict) else degree)
         self.name = name
-
-    def degree(self, key: object) -> int:
-        if self._table is not None:
-            return self._table[key]
-        return self._fn(key)
-
-    def basis(self) -> List[object]:
-        if self._table is None:
-            raise ValueError("space has no enumerated basis")
-        return sorted(self._table)
 
     # --- words ----------------------------------------------------------
 
@@ -208,7 +195,7 @@ class TaylorCoderivation(_WordwiseLinear):
             return {}
         entry = self.coefficients[k]
         if k == 0:
-            return dict(entry) if not callable(entry) else entry(())
+            return dict(entry)
         return entry(word)
 
     def apply_word(self, word: Word) -> SVector:
@@ -404,16 +391,13 @@ class LInftyStructure:
         return TaylorCoderivation(self.space, 1, coeffs, name=self.name)
 
 
-def mc_residual(L: LInftyStructure, eta: Vector, max_arity: int = None) -> Vector:
+def mc_residual(L: LInftyStructure, eta: Vector) -> Vector:
     """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta."""
     for key in eta:
         if L.space.degree(key) % 2 != 0:
             raise ValueError("MC candidate must have degree 0 in the shifted grading")
-    arities = sorted(L.brackets)
-    if max_arity is not None:
-        arities = [k for k in arities if k <= max_arity]
     out: Vector = dict(L.curvature)
-    for k in arities:
+    for k in sorted(L.brackets):
         power = L.space.expand_word_of_vectors([eta] * k)
         for word, c in power.items():
             add_into(out, L.bracket(k, word), c / math.factorial(k))

@@ -24,7 +24,6 @@ class GLAOracle:
     """Black-box access to a graded Lie algebra."""
 
     bracket: Callable[[object, object], object]
-    degree: Callable[[object], int]
     is_zero: Callable[[object], bool]
     add: Callable[[object, object], object]
     scale: Callable[[object, int], object]

@@ -209,6 +209,19 @@ def test_selftest(capsys):
     assert code == 0
 
 
+def test_selftest_reports_exactly_its_checks(capsys):
+    # each of these can fail; a check that passes by construction is not reported
+    code, out, _ = run_cli(["selftest", "--seed", "0"], capsys)
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [line["check"] for line in lines] == [
+        "jacobi bracket: graded skew and jacobi identity",
+        "built-in fixture axioms",
+        "deformation codifferential squares to zero",
+    ]
+    assert all(line["status"] == "pass" for line in lines)
+
+
 def test_reports_byte_identical(capsys):
     outs = []
     for _ in range(2):

@@ -4,7 +4,8 @@ Every fixture is run through `check`, `cohomology`, `deform --random 0/1`,
 `deform --eta` for each named 2-form and `complement --trunc 3` for each
 named epsilon, in-process through `cli.main`.  Stdout must equal the file
 `tests/golden/<run>.out` and the exit code and stderr must equal the entry
-of `tests/golden/MANIFEST.json`.
+of `tests/golden/MANIFEST.json`.  The stdout of each script in `demos/` must
+equal `tests/golden/demos/<script>.out`.
 
 Regenerate the files only for a change meant to alter reports:
 
@@ -16,6 +17,8 @@ import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 FIXTURES = os.path.join(ROOT, "fixtures")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 MANIFEST = os.path.join(GOLDEN, "MANIFEST.json")
+DEMOS = os.path.join(ROOT, "demos")
 
 
 def golden_runs():
@@ -79,6 +83,26 @@ def test_report_matches_golden(name):
     assert err == entry["stderr"]
 
 
+def demo_scripts():
+    return sorted(f[:-len(".py")] for f in os.listdir(DEMOS) if f.endswith(".py"))
+
+
+def run_demo(stem):
+    """Stdout of one demo script, run as its own process against src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, f"{stem}.py")],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("stem", demo_scripts())
+def test_demo_matches_golden(stem):
+    with open(os.path.join(GOLDEN, "demos", f"{stem}.out"), encoding="utf-8",
+              newline="") as fh:
+        expected = fh.read()
+    assert run_demo(stem) == expected
+
+
 @pytest.mark.parametrize("module", ["gca", "contact", "linfty", "vdata", "cjalg",
                                     "deform", "instancefile", "samples"])
 def test_all_names_exist(module):
@@ -95,6 +119,10 @@ if __name__ == "__main__":
                   newline="") as fh:
             fh.write(out)
         manifest[name] = {"argv": argv, "exit": code, "stderr": err}
+    for stem in demo_scripts():
+        with open(os.path.join(GOLDEN, "demos", f"{stem}.out"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(run_demo(stem))
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

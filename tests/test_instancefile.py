@@ -87,6 +87,42 @@ def test_antisymmetry_enforced(tmp_path):
         load_instance(str(path))
 
 
+def load_json(tmp_path, data):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    return load_instance(str(path))
+
+
+def test_symmetry_errors_name_the_first_bad_index(tmp_path):
+    bracket = [[["0", "1"], ["1", "0"]], [["0", "0"], ["0", "0"]]]
+    with pytest.raises(InstanceFileError, match=r"bracket is not skew at index \(0, 1, 0\)"):
+        load_json(tmp_path, {"schema": 1, "base_dim": 0, "rank": 2, "bracket": bracket})
+    ups = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    ups[0][1][2], ups[1][0][2] = "1", "1"
+    with pytest.raises(InstanceFileError,
+                       match=r"upsilon_dual is not fully antisymmetric at index \(0, 2, 1\)"):
+        load_json(tmp_path, {"schema": 1, "base_dim": 0, "rank": 3, "upsilon_dual": ups})
+
+
+def test_repeated_index_upsilon_entry_rejected(tmp_path):
+    ups = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    ups[0][0][1] = "1"  # a repeated index: zero in any antisymmetric tensor
+    with pytest.raises(InstanceFileError,
+                       match=r"upsilon is not fully antisymmetric at index \(0, 0, 1\)"):
+        load_json(tmp_path, {"schema": 1, "base_dim": 0, "rank": 3, "upsilon": ups})
+
+
+@pytest.mark.parametrize("key,label", [("deformations", "deformation"),
+                                       ("epsilons", "epsilon")])
+def test_two_forms_must_be_skew(tmp_path, key, label):
+    data = {"schema": 1, "base_dim": 1, "rank": 2,
+            key: {"w": [["0", {"1": "1"}], [{"1": "1"}, "0"]]}}
+    with pytest.raises(InstanceFileError, match=rf"{label} 'w' is not skew at index \(1, 0\)"):
+        load_json(tmp_path, data)
+    data[key]["w"] = [["0", {"1": "1"}], [{"1": "-1"}, "0"]]
+    assert load_json(tmp_path, data)
+
+
 def test_bad_rational(tmp_path):
     data = {"schema": 1, "base_dim": 0, "rank": 2, "rep": ["1/0", "0"]}
     path = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cjde.contact import ContactContext, Section, jacobi_bracket
+from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket
 from cjde.gca import Derivation, Poly, add_into, koszul_sign, koszul_sort
 
 CTX = ContactContext(1, 2)
@@ -204,3 +204,56 @@ def test_jacobi_bracket_matches_darboux_formula(pair):
 def test_partials_match_partial(f):
     expected = {g.index: f.partial(g.index) for g in f.algebra.gens}
     assert f.partials() == {idx: d for idx, d in expected.items() if not d.is_zero()}
+
+
+# --- line-bundle derivations f + X -----------------------------------
+
+
+@st.composite
+def base_polys(draw, parity=None, ctx=CTX):
+    """A base (x, u) polynomial, possibly zero; only monomials of `parity` if given."""
+    alg = ctx.algebra
+    terms = {}
+    words = draw(st.lists(st.lists(st.sampled_from(ctx.base_indices()), max_size=3),
+                          max_size=3))
+    for word in words:
+        _, mono = alg.normalize_word(word)
+        if mono is not None and parity in (None, alg.monomial_degree(mono) % 2):
+            terms[mono] = Fraction(draw(COEFFS))
+    return Poly(alg, terms)
+
+
+@st.composite
+def line_derivations(draw, ctx):
+    """f + X of a drawn degree: f and X(x^i) of its parity, X(u^a) of the other."""
+    degree = draw(st.integers(-1, 2))
+    even, odd = degree % 2, (degree + 1) % 2
+    return LineDerivation(ctx, degree, draw(base_polys(even, ctx)),
+                          [draw(base_polys(even, ctx)) for _ in ctx.ix_x],
+                          [draw(base_polys(odd, ctx)) for _ in ctx.ix_u])
+
+
+def reextracted_commutator(d: LineDerivation, e: LineDerivation):
+    """(f, f_x, f_u) of d e - (-1)^{|d||e|} e d, read off its action on 1, x^i, u^a."""
+    ctx = d.context
+    sign = -1 if d.degree % 2 and e.degree % 2 else 1
+
+    def act(body: Poly) -> Poly:
+        return d(e(body)) - e(d(body)).scale(sign)
+
+    f = act(ctx.algebra.one())
+    f_x = [act(ctx.x(i)) - f * ctx.x(i) for i in range(ctx.m)]
+    f_u = [act(ctx.u(a)) - f * ctx.u(a) for a in range(ctx.n)]
+    return f, f_x, f_u
+
+
+@PROPERTY
+@given(st.sampled_from([CTX, CTX21]).flatmap(lambda ctx: st.tuples(
+    line_derivations(ctx), line_derivations(ctx), base_polys(ctx=ctx))))
+def test_line_derivation_commutator(triple):
+    d, e, h = triple
+    sign = -1 if d.degree % 2 and e.degree % 2 else 1
+    c = d.commutator(e)
+    assert c.degree == d.degree + e.degree
+    assert (c.f, c.f_x, c.f_u) == reextracted_commutator(d, e)
+    assert c(h) == d(e(h)) - e(d(h)).scale(sign)
