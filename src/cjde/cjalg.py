@@ -22,6 +22,11 @@ and its inverse).  The de Rham derivation, the cubic Upsilon form, 1-forms
 from coefficients, contraction, Lie derivative, section bracket and the
 reading of structure functions off Theta each take a side; Theta is the sum
 over both sides of the pulled-back h_d - Upsilon.
+
+An L-valued form is a `Section`; `DeformationForm`, the 2-form on A, is one.
+`_form` and its inverse `_form_entries` are the one codec between forms (in
+the u's, or the pa's) and tables of base polynomials; only the independent
+oracle `de_rham_koszul` keeps its own.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ from .linfty import (
     Vector,
     Word,
     exp_coderivation,
+    mc_residual,
 )
-from .vdata import GLAOracle, VData, higher_derived_bracket
+from .vdata import VData, higher_derived_bracket
 
 __all__ = [
     "SplitCJInstance",
@@ -77,6 +83,7 @@ __all__ = [
     "change_complement",
     "extract_instance",
     "fiber_split",
+    "form_basis",
     "epsilon_section",
     "m2_closed",
     "m3_closed",
@@ -118,6 +125,10 @@ def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
             out = out + ctx.algebra.monomial(mono, Fraction(coeff))
         return out
     return ctx.algebra.scalar(value)
+
+
+def _same(f: Poly) -> Poly:
+    return f
 
 
 def _zeros(ctx: ContactContext, *shape: int):
@@ -165,6 +176,70 @@ def _table(ctx: ContactContext, shape: Tuple[int, ...], entries: Optional[Dict],
                 row = row[i]
             row[pos[-1]] = row[pos[-1]] + (p if sign > 0 else -p)
     return out
+
+
+# --- the form codec ------------------------------------------------------------
+
+
+def _form(ctx: ContactContext, gens: Sequence[int], k: int, table,
+          carry: Callable[[PolyLike], Poly]) -> Poly:
+    """sum over a_1<...<a_k of carry(table[a_1]...[a_k]) g_{a_1}...g_{a_k}.
+
+    `gens` are generator indices in canonical order, so each term is written
+    directly as an x-monomial followed by the fiber monomial, with no sign.
+    Only the entries with increasing indices are read.  Raises ValueError on
+    a carried entry that is not a base polynomial.
+    """
+    terms: Dict[Monomial, Scalar] = {}
+    for key in itertools.combinations(range(len(gens)), k):
+        entry = table
+        for a in key:
+            entry = entry[a]
+        coeff = carry(entry)
+        if coeff.algebra is not ctx.algebra or not coeff.uses_only(ctx.ix_x):
+            raise ValueError("form entry is not a base polynomial of the context")
+        fiber = tuple((gens[a], 1) for a in key)
+        for mono, c in coeff.terms.items():
+            terms[mono + fiber] = c
+    return Poly(ctx.algebra, terms)
+
+
+def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> list:
+    """Inverse of `_form`: the antisymmetric table of a k-form in `gens`.
+
+    Raises ValueError unless every fiber monomial of f is a product of k
+    distinct generators from `gens`.
+    """
+    position = {g: a for a, g in enumerate(gens)}
+    entries = {}
+    for fiber, coeff in fiber_split(ctx, f).items():
+        key = tuple(position.get(g) for g, _ in fiber)
+        if len(key) != k or None in key:
+            raise ValueError(f"not a {k}-form in the given generators")
+        entries[key] = coeff
+    return _table(ctx, (len(gens),) * k, entries, _antisymmetric)
+
+
+def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
+    """Group a polynomial by its fiber monomial, mapping to x-coefficients.
+
+    Base coordinates are even and come first in the canonical order, so a
+    monomial factors as (x part)*(fiber part) without a sign.
+    """
+    xset = set(ctx.ix_x)
+    out: Dict[Monomial, Poly] = {}
+    for mono, coeff in f.terms.items():
+        xpart = tuple((i, e) for i, e in mono if i in xset)
+        fpart = tuple((i, e) for i, e in mono if i not in xset)
+        cur = out.get(fpart, ctx.algebra.zero())
+        out[fpart] = cur + ctx.algebra.monomial(xpart, coeff)
+    return out
+
+
+def form_basis(ctx: ContactContext, k: int) -> List[Monomial]:
+    """The canonical u-monomials u^{a_1}...u^{a_k}, a_1 < ... < a_k: over a
+    point base, the basis of the k-forms, in the order `_form` writes them."""
+    return [tuple((g, 1) for g in combo) for combo in itertools.combinations(ctx.ix_u, k)]
 
 
 class SplitCJInstance:
@@ -266,41 +341,23 @@ def _side_dual(inst: SplitCJInstance) -> _Side:
 
 def _de_rham_derivation(side: _Side) -> LineDerivation:
     """d_{S,L} as a degree-1 derivation of the line bundle over S[1]."""
-    ctx, n = side.context, side.inst.n
-    f = ctx.algebra.zero()
-    for a in range(n):
-        f = f + side.carry(side.lam[a]) * ctx.u(a)
-    f_x = []
-    for i in range(ctx.m):
-        coeff = ctx.algebra.zero()
-        for a in range(n):
-            coeff = coeff + side.carry(side.rho[i][a]) * ctx.u(a)
-        f_x.append(coeff)
-    f_u = []
-    for cc in range(n):
-        coeff = ctx.algebra.zero()
-        for a, b in itertools.combinations(range(n), 2):
-            coeff = coeff - side.carry(side.c[cc][a][b]) * ctx.u(a) * ctx.u(b)
-        f_u.append(coeff)
+    ctx = side.context
+    f = _form(ctx, ctx.ix_u, 1, side.lam, side.carry)
+    f_x = [_form(ctx, ctx.ix_u, 1, row, side.carry) for row in side.rho]
+    f_u = [-_form(ctx, ctx.ix_u, 2, table, side.carry) for table in side.c]
     return LineDerivation(ctx, 1, f, f_x, f_u)
 
 
 def _upsilon_form(side: _Side) -> Section:
     """The cubic form Upsilon of the side, over its own context."""
     ctx = side.context
-    body = ctx.algebra.zero()
-    for a, b, cc in itertools.combinations(range(side.inst.n), 3):
-        body = body + side.carry(side.upsilon[a][b][cc]) * ctx.u(a) * ctx.u(b) * ctx.u(cc)
-    return Section(ctx, body)
+    return Section(ctx, _form(ctx, ctx.ix_u, 3, side.upsilon, side.carry))
 
 
 def _one_form(side: _Side, coeffs: Sequence[Poly]) -> Section:
     """The 1-form coeffs_a u^a on the side, from base polynomials."""
     ctx = side.context
-    body = ctx.algebra.zero()
-    for a in range(side.inst.n):
-        body = body + side.carry(coeffs[a]) * ctx.u(a)
-    return Section(ctx, body)
+    return Section(ctx, _form(ctx, ctx.ix_u, 1, coeffs, side.carry))
 
 
 def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
@@ -316,9 +373,9 @@ def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
     return Section(ctx, Derivation(ctx.algebra, -1, values)(omega.body))
 
 
-def _lie_derivative(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
-    """[d, iota_xi] = d iota_xi + iota_xi d on forms of the side."""
-    d = _de_rham_derivation(side)
+def _lie_derivative(side: _Side, d: LineDerivation, xi: Sequence[Poly],
+                    omega: Section) -> Section:
+    """[d, iota_xi] = d iota_xi + iota_xi d on forms of the side; d is its d_{S,L}."""
     return d(_iota(side, xi, omega)) + _iota(side, xi, d(omega))
 
 
@@ -374,21 +431,15 @@ def embed_anchored(inst: SplitCJInstance, xi: Sequence[PolyLike],
                    alpha: Sequence[PolyLike]) -> Section:
     """xi + alpha |-> h_{iota_xi} + pi^*alpha = (xi^a pa_a + alpha_a u^a) mu."""
     ctx = inst.context
-    body = ctx.algebra.zero()
-    for a in range(inst.n):
-        body = body + _as_xpoly(ctx, xi[a]) * ctx.pa(a)
-    for a in range(inst.n):
-        body = body + _as_xpoly(ctx, alpha[a]) * ctx.u(a)
-    return Section(ctx, body)
+    return Section(ctx, _form(ctx, ctx.ix_pa, 1, _xpolys(inst, xi), _same)
+                   + _form(ctx, ctx.ix_u, 1, _xpolys(inst, alpha), _same))
 
 
 def split_anchored(inst: SplitCJInstance, s: Section) -> Tuple[List[Poly], List[Poly]]:
-    """Inverse of embed_anchored for degree-1 sections."""
+    """Inverse of embed_anchored; raises ValueError unless s has degree 1."""
     ctx = inst.context
-    parts, zero = s.body.partials(), ctx.algebra.zero()
-    xi = [parts.get(ctx.ix_pa[a], zero) for a in range(inst.n)]
-    alpha = [parts.get(ctx.ix_u[a], zero) for a in range(inst.n)]
-    return xi, alpha
+    coeffs = _form_entries(ctx, ctx.ix_u + ctx.ix_pa, 1, s.body)
+    return coeffs[inst.n:], coeffs[:inst.n]
 
 
 def pairing(u: Section, v: Section) -> Section:
@@ -512,37 +563,30 @@ def _skew_matrix(ctx: ContactContext, n: int,
     return _table(ctx, (n, n), data, _antisymmetric)
 
 
-@dataclass
-class DeformationForm:
-    """An L-valued 2-form on A: skew matrix of base polynomials."""
+class DeformationForm(Section):
+    """An L-valued 2-form on A: a section whose body is a 2-form in the u's."""
 
-    inst: SplitCJInstance
-    entries: List[List[Poly]]
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, inst: SplitCJInstance,
                   data: Dict[Tuple[int, int], PolyLike]) -> "DeformationForm":
-        return cls(inst, _skew_matrix(inst.context, inst.n, data))
+        ctx = inst.context
+        return cls(ctx, _form(ctx, ctx.ix_u, 2, _skew_matrix(ctx, inst.n, data), _same))
 
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
-        ctx = inst.context
-        zero = ctx.algebra.zero()
-        parts = s.body.partials()
-        second = [parts.get(ctx.ix_u[a], zero).partials() for a in range(inst.n)]
-        entries = [[second[a].get(ctx.ix_u[b], zero)
-                    for b in range(inst.n)] for a in range(inst.n)]
-        out = cls(inst, entries)
-        if out.to_section() != s:
-            raise ValueError("section is not a 2-form")
-        return out
+        """s as a DeformationForm; raises ValueError unless it is a 2-form."""
+        _form_entries(inst.context, inst.context.ix_u, 2, s.body)
+        return cls(inst.context, s.body)
+
+    @property
+    def entries(self) -> List[List[Poly]]:
+        """The skew n x n matrix of base polynomials."""
+        return _form_entries(self.context, self.context.ix_u, 2, self.body)
 
     def to_section(self) -> Section:
-        ctx = self.inst.context
-        body = ctx.algebra.zero()
-        for a, b in itertools.combinations(range(self.inst.n), 2):
-            body = body + self.entries[a][b] * ctx.u(a) * ctx.u(b)
-        return Section(ctx, body)
+        return Section(self.context, self.body)
 
 
 def form_degree(inst: SplitCJInstance, s: Section) -> int:
@@ -615,7 +659,7 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
 
 def lie_derivative(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Section:
     """Lie derivative along xi in Gamma(A): [d, iota_xi] = d iota + iota d."""
-    return _lie_derivative(_side_A(inst), _xpolys(inst, xi), omega)
+    return _lie_derivative(_side_A(inst), de_rham_derivation(inst), _xpolys(inst, xi), omega)
 
 
 def cartan_ops(inst: SplitCJInstance, xi: Sequence[PolyLike],
@@ -632,7 +676,7 @@ def cartan_ops(inst: SplitCJInstance, xi: Sequence[PolyLike],
         and all(p.is_zero() for p in sq.f_u)
     return {
         "iota": iota(inst, xi, omega),
-        "lie": lie_derivative(inst, xi, omega),
+        "lie": _lie_derivative(_side_A(inst), d, _xpolys(inst, xi), omega),
         "flat": flat,
     }
 
@@ -646,7 +690,7 @@ def _loday_component(own: _Side, other: _Side, s1: Sequence[Poly], s2: Sequence[
     """
     d = _de_rham_derivation(own)
     form = _iota(own, s2, _iota(own, s1, _upsilon_form(own)))
-    form = form + _lie_derivative(own, s1, _one_form(own, t2))
+    form = form + _lie_derivative(own, d, s1, _one_form(own, t2))
     form = form - _iota(own, s2, d(_one_form(own, t1)))
     form = form + _one_form(own, _section_bracket(other, t1, t2))
     return own.pullback(form)
@@ -714,15 +758,14 @@ def tensor_witness(t: List[List[List[Section]]]) -> Optional[Tuple[Tuple[int, in
     return None
 
 
-def graph_frame(inst: SplitCJInstance, eta: Union[DeformationForm, Section]) -> List[Section]:
+def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
     """Frame of gr(eta) = { e_a + iota_{e_a} eta }.
 
     This is the sign for which the graph is Dirac-Jacobi exactly when eta
     solves the Maurer-Cartan equation of `deformation_brackets`.
     """
     ctx = inst.context
-    sec = eta.to_section() if isinstance(eta, DeformationForm) else eta
-    parts, zero = sec.body.partials(), ctx.algebra.zero()
+    parts, zero = eta.body.partials(), ctx.algebra.zero()
     return [Section(ctx, ctx.pa(a) + parts.get(ctx.ix_u[a], zero)) for a in range(inst.n)]
 
 
@@ -760,19 +803,13 @@ def word_to_sections(inst: SplitCJInstance, word: Word) -> List[Section]:
 
 
 def contact_vdata(inst: SplitCJInstance) -> VData:
-    """The contact V-data: sections oracle, pullback subalgebra, P, Phi = -Theta."""
+    """The contact V-data: Jacobi bracket, pullback subalgebra, P, Phi = -Theta."""
     ctx = inst.context
-    oracle = GLAOracle(
-        bracket=jacobi_bracket,
-        is_zero=lambda s: s.is_zero(),
-        add=lambda a, b: a + b,
-        scale=lambda a, c: a.scale(c),
-    )
 
     def in_sub(s: Section) -> bool:
         return s.body.uses_only(ctx.base_indices())
 
-    return VData(oracle=oracle, in_subalgebra=in_sub, project=project_P,
+    return VData(bracket=jacobi_bracket, in_subalgebra=in_sub, project=project_P,
                  mc_element=-inst.theta, name=inst.name)
 
 
@@ -869,9 +906,11 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> LInft
             return section_to_vector(inst, derived_bracket_sections(inst, args))
         brackets = {1: derived, 2: derived, 3: derived}
     elif route == "closed":
+        d = de_rham_derivation(inst)
+
         def m1(word: Word) -> Vector:
             [s] = word_to_sections(inst, word)
-            return section_to_vector(inst, de_rham(inst, s))
+            return section_to_vector(inst, d(s))
 
         def m2(word: Word) -> Vector:
             s, t = word_to_sections(inst, word)
@@ -888,13 +927,10 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> LInft
                            name=f"{inst.name or 'instance'}[{route}]")
 
 
-def mc_residual_form(inst: SplitCJInstance, eta: Union[DeformationForm, Section],
-                     structure: Optional[LInftyStructure] = None) -> Section:
+def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
     """m_0 + m_1(eta) + 1/2 m_2(eta,eta) + 1/6 m_3(eta,eta,eta) as a section."""
-    from .linfty import mc_residual as _mc
-    sec = eta.to_section() if isinstance(eta, DeformationForm) else eta
-    L = structure or deformation_brackets(inst)
-    return vector_to_section(inst, _mc(L, section_to_vector(inst, sec)))
+    residual = mc_residual(deformation_brackets(inst), section_to_vector(inst, eta))
+    return vector_to_section(inst, residual)
 
 
 # --- change of complement ----------------------------------------------------
@@ -903,27 +939,7 @@ def mc_residual_form(inst: SplitCJInstance, eta: Union[DeformationForm, Section]
 def epsilon_section(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike]) -> Section:
     """A 2-form on the dual side as a bidegree-(2,0) section."""
     ctx = inst.context
-    entries = _skew_matrix(ctx, inst.n, eps)
-    body = ctx.algebra.zero()
-    for a, b in itertools.combinations(range(inst.n), 2):
-        body = body + entries[a][b] * ctx.pa(a) * ctx.pa(b)
-    return Section(ctx, body)
-
-
-def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
-    """Group a polynomial by its fiber monomial, mapping to x-coefficients.
-
-    Base coordinates are even and come first in the canonical order, so a
-    monomial factors as (x part)*(fiber part) without a sign.
-    """
-    xset = set(ctx.ix_x)
-    out: Dict[Monomial, Poly] = {}
-    for mono, coeff in f.terms.items():
-        xpart = tuple((i, e) for i, e in mono if i in xset)
-        fpart = tuple((i, e) for i, e in mono if i not in xset)
-        cur = out.get(fpart, ctx.algebra.zero())
-        out[fpart] = cur + ctx.algebra.monomial(xpart, coeff)
-    return out
+    return Section(ctx, _form(ctx, ctx.ix_pa, 2, _skew_matrix(ctx, inst.n, eps), _same))
 
 
 def _read_side(side: _Side, theta: Section) -> Tuple[Dict, Dict, Dict, Dict]:
@@ -975,25 +991,21 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
     ctx = inst.context
     n = inst.n
     zero = ctx.algebra.zero()
-    parts = eps_sec.body.partials()
-    second = [parts.get(ctx.ix_pa[b], zero).partials() for b in range(n)]
-    E = [[second[b].get(ctx.ix_pa[a], zero) for b in range(n)] for a in range(n)]
+    # E[a][b] = d/dpa_a d/dpa_b eps is the transpose of eps's entries
+    E = list(zip(*_form_entries(ctx, ctx.ix_pa, 2, eps_sec.body)))
     d1, d2 = form_degree(inst, w1), form_degree(inst, w2)
     if d1 == 2 and d2 == 2:
-        M1, M2 = (DeformationForm.from_section(inst, w).entries for w in (w1, w2))
-        body = ctx.algebra.zero()
+        M1, M2 = (_form_entries(ctx, ctx.ix_u, 2, w.body) for w in (w1, w2))
+        table = [[zero] * n for _ in range(n)]
         for a, d in itertools.combinations(range(n), 2):
-            acc = ctx.algebra.zero()
-            for b in range(n):
-                for cc in range(n):
-                    acc = acc + M1[a][b] * E[b][cc] * M2[cc][d]
-                    acc = acc + M2[a][b] * E[b][cc] * M1[cc][d]
-            body = body + acc * ctx.u(a) * ctx.u(d)
-        return Section(ctx, body)
+            for b, cc in itertools.product(range(n), repeat=2):
+                table[a][d] = table[a][d] + M1[a][b] * E[b][cc] * M2[cc][d]
+                table[a][d] = table[a][d] + M2[a][b] * E[b][cc] * M1[cc][d]
+        return Section(ctx, _form(ctx, ctx.ix_u, 2, table, _same))
     if {d1, d2} == {1, 2}:
         omega, alpha = (w1, w2) if d1 == 2 else (w2, w1)
-        al_d, om_d = alpha.body.partials(), omega.body.partials()
-        al = [al_d.get(ctx.ix_u[a], zero) for a in range(n)]
+        al = _form_entries(ctx, ctx.ix_u, 1, alpha.body)
+        om_d = omega.body.partials()
         om = [om_d.get(ctx.ix_u[b], zero) for b in range(n)]
         body = zero
         for a in range(n):

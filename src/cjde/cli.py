@@ -185,7 +185,7 @@ def cmd_deform(args) -> int:
         cm = ComplexMatrices(inst)
         h3 = cohomology(inst, 3, cm)
         closed = True
-        if not de_rham(inst, eta.to_section()).is_zero():
+        if not de_rham(inst, eta).is_zero():
             closed = False
             report.add("kuranishi class", "unsupported", None,
                        reason="eta is not closed")

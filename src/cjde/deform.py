@@ -7,6 +7,10 @@ elimination over Q (each pivot row is divided by its pivot, in exact
 `Fraction` arithmetic), evaluates the Kuranishi map, and extends infinitesimal
 deformations order by order in a formal parameter, reporting the first
 obstructed order together with its cohomology class.
+
+The coordinates of a k-form are its coefficients on `form_basis`, the
+canonical u-monomials u^{a_1}...u^{a_k} with a_1 < ... < a_k: the same
+monomial keys as the basis of `deformation_space`.
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ from .cjalg import (
     SplitCJInstance,
     check_cj_axioms,
     de_rham,
+    de_rham_derivation,
     derived_bracket_sections,
+    form_basis,
     m2_closed,
     m3_closed,
 )
 from .contact import Section, jacobi_bracket
+from .gca import Poly
 
 __all__ = [
     "rref",
@@ -143,15 +150,14 @@ class ComplexMatrices:
         self.inst = inst
         self.n = inst.n
         ctx = inst.context
-        self.basis: List[List[Tuple[int, ...]]] = [
-            list(itertools.combinations(range(self.n), k)) for k in range(self.n + 1)
-        ]
+        self.basis = [form_basis(ctx, k) for k in range(self.n + 1)]
         self.matrices: List[Matrix] = []
+        d = de_rham_derivation(inst)
         for k in range(self.n + 1):
             rows = len(self.basis[k + 1]) if k + 1 <= self.n else 0
             mat: Matrix = [[Fraction(0)] * len(self.basis[k]) for _ in range(rows)]
-            for j, combo in enumerate(self.basis[k]):
-                image = de_rham(inst, self._monomial_section(combo))
+            for j, mono in enumerate(self.basis[k]):
+                image = d(Section(ctx, ctx.algebra.monomial(mono)))
                 coords = self._coords(image, k + 1)
                 for i, val in enumerate(coords):
                     if val:
@@ -162,17 +168,8 @@ class ComplexMatrices:
             if any(any(x for x in row) for row in comp):
                 raise NotFlat("d^2 != 0: the A side is not flat")
 
-    def _monomial_section(self, combo: Tuple[int, ...]) -> Section:
-        ctx = self.inst.context
-        body = ctx.algebra.one()
-        for a in combo:
-            body = body * ctx.u(a)
-        return Section(ctx, body)
-
     def _coords(self, s: Section, k: int) -> Vec:
-        ctx = self.inst.context
-        return [s.body.coefficient(tuple((ctx.ix_u[a], 1) for a in combo))
-                for combo in (self.basis[k] if k <= self.n else [])]
+        return [s.body.coefficient(mono) for mono in (self.basis[k] if k <= self.n else [])]
 
     def form_to_coords(self, s: Section, k: int) -> Vec:
         coords = self._coords(s, k)
@@ -181,11 +178,8 @@ class ComplexMatrices:
         return coords
 
     def coords_to_form(self, coords: Vec, k: int) -> Section:
-        out = self.inst.context.zero_section()
-        for val, combo in zip(coords, self.basis[k]):
-            if val:
-                out = out + self._monomial_section(combo).scale(val)
-        return out
+        ctx = self.inst.context
+        return Section(ctx, Poly(ctx.algebra, dict(zip(self.basis[k], coords))))
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -287,17 +281,16 @@ def cohomology(inst: SplitCJInstance, k: int,
 # --- Kuranishi map ------------------------------------------------------
 
 
-def kuranishi(inst: SplitCJInstance, eta: DeformationForm | Section,
+def kuranishi(inst: SplitCJInstance, eta: Section,
               h3: Optional[Cohomology] = None) -> Tuple[Vec, Section]:
     """Class of m_2(eta,eta) in H^3; eta must be d-closed.
 
     Returns (coordinates on the H^3 representatives, reduced representative).
     """
-    sec = eta.to_section() if isinstance(eta, DeformationForm) else eta
-    if not de_rham(inst, sec).is_zero():
+    if not de_rham(inst, eta).is_zero():
         raise ValueError("eta is not closed")
     h3 = h3 or cohomology(inst, 3)
-    w = derived_bracket_sections(inst, [sec, sec])
+    w = derived_bracket_sections(inst, [eta, eta])
     coords = h3.class_coordinates(w)
     return coords, h3.representative(coords)
 
@@ -360,19 +353,18 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     return out
 
 
-def extend_mc(inst: SplitCJInstance, eta1: DeformationForm | Section, order: int,
-              h2: Optional[Cohomology] = None, h3: Optional[Cohomology] = None) -> FormalCurve:
+def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
+              h3: Optional[Cohomology] = None) -> FormalCurve:
     """Solve the MC equation order by order starting from a closed 2-form.
 
     At order r the cumulative residual must be exact; its primitive (with the
     deterministic pivot choice) gives -eta_r.  A non-exact residual stops the
     extension and is reported as the obstruction class at that order.
     """
-    sec = eta1.to_section() if isinstance(eta1, DeformationForm) else eta1
-    if not de_rham(inst, sec).is_zero():
+    if not de_rham(inst, eta1).is_zero():
         raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     h3 = h3 or cohomology(inst, 3)
-    coeffs = [sec]
+    coeffs = [eta1]
     for r in range(2, order + 1):
         residual = _mc_nonlinear_coefficient(inst, coeffs, r)
         if residual.is_zero():

@@ -37,14 +37,21 @@ class InstanceFileError(ValueError):
     """Malformed or inconsistent instance file (CLI exit code 2)."""
 
 
+def _is_json_int(v) -> bool:
+    """True for a JSON integer: bool is a subclass of int and does not count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_rational(s) -> Fraction:
     if isinstance(s, str):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFileError(f"bad rational {s!r}: {exc}") from None
-    if isinstance(s, int):
+    if _is_json_int(s):
         return Fraction(s)
+    if isinstance(s, bool):
+        raise InstanceFileError(f"a rational entry may not be a boolean, got {s!r}")
     raise InstanceFileError(f"rational must be a 'num/den' string, got {s!r}")
 
 
@@ -127,13 +134,13 @@ def load_instance(path: str) -> InstanceDocument:
         raise InstanceFileError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceFileError("top level must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise InstanceFileError(f"unsupported schema version {data.get('schema')!r}")
-    try:
-        m = int(data["base_dim"])
-        n = int(data["rank"])
-    except (KeyError, TypeError, ValueError):
-        raise InstanceFileError("base_dim and rank must be integers") from None
+    sizes = [data.get(key) for key in ("schema", "base_dim", "rank")]
+    if not all(map(_is_json_int, sizes)):
+        raise InstanceFileError("schema, base_dim and rank must be JSON integers, got "
+                                f"{sizes[0]!r}, {sizes[1]!r} and {sizes[2]!r}")
+    schema, m, n = sizes
+    if schema != SCHEMA_VERSION:
+        raise InstanceFileError(f"unsupported schema version {schema!r}")
     if m < 0 or n < 1:
         raise InstanceFileError("base_dim must be >= 0 and rank >= 1")
     if m > MAX_BASE_DIM or n > MAX_RANK:

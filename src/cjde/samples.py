@@ -7,11 +7,11 @@ the same functions, so a seed gives the same sample everywhere.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
+from .cjalg import form_basis
 from .contact import ContactContext, Section, project_P
 from .gca import Monomial, Poly
 
@@ -71,10 +71,4 @@ def random_homogeneous_section(ctx: ContactContext, rng: random.Random, weight: 
 
 def basis_keys(inst) -> List[Monomial]:
     """Monomial keys of the u-form basis of the deformation space, by degree."""
-    ctx = inst.context
-    keys = []
-    for k in range(0, inst.n + 1):
-        for combo in itertools.combinations(range(inst.n), k):
-            _, mono = ctx.algebra.normalize_word([ctx.ix_u[a] for a in combo])
-            keys.append(mono)
-    return keys
+    return [mono for k in range(inst.n + 1) for mono in form_basis(inst.context, k)]

@@ -257,3 +257,23 @@ def test_oversized_instance_exits_2(sizes, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "exceed the supported sizes" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"schema": 1, "base_dim": 0.9, "rank": 2}, "JSON integer"),
+    ({"schema": 1, "base_dim": 0, "rank": 2.5}, "JSON integer"),
+    ({"schema": 1, "base_dim": 0, "rank": "2"}, "JSON integer"),
+    ({"schema": True, "base_dim": 0, "rank": 2}, "JSON integer"),
+    ({"schema": 1, "base_dim": 0, "rank": 1, "rep": [True]}, "boolean"),
+    ({"schema": 1, "base_dim": 1, "rank": 1, "rep": [{"1": True}]}, "boolean"),
+], ids=["float-base_dim", "float-rank", "string-rank", "boolean-schema",
+        "boolean-constant", "boolean-coefficient"])
+@pytest.mark.parametrize("command", ["check", "cohomology"])
+def test_non_integer_json_exits_2(doc, message, command, tmp_path, capsys):
+    # no silent coercion: 0.9 is not 0, "2" is not 2 and true is not 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err

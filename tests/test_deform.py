@@ -11,8 +11,10 @@ from cjde.cjalg import (
     SplitCJInstance,
     check_cj_axioms,
     de_rham,
+    graph_frame,
     m2_closed,
 )
+from cjde.contact import Section, jacobi_bracket
 from cjde.deform import (
     ComplexMatrices,
     NotFlat,
@@ -173,6 +175,29 @@ def test_kuranishi_class_independence(obst1):
 
 
 # --- order-by-order extension ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name, entries", [("dgla1", {(0, 2): 1}), ("obst1", {(1, 2): 1})])
+def test_deformation_form_is_a_section(name, entries, request):
+    # a 2-form goes into the bracket and the deformation workflow as it is
+    inst = request.getfixturevalue(name)
+    eta = DeformationForm.from_dict(inst, entries)
+    assert isinstance(eta, Section)
+    sec = Section(inst.context, eta.body)
+    assert jacobi_bracket(eta, inst.theta) == jacobi_bracket(sec, inst.theta)
+    assert graph_frame(inst, eta) == graph_frame(inst, sec)
+    assert kuranishi(inst, eta) == kuranishi(inst, sec)
+    curve, expected = extend_mc(inst, eta, 3), extend_mc(inst, sec, 3)
+    assert (curve.coefficients, curve.obstructed_at, curve.obstruction_class) == \
+        (expected.coefficients, expected.obstructed_at, expected.obstruction_class)
+    assert DeformationForm.from_section(inst, sec) == eta
+
+
+def test_from_section_rejects_a_form_of_another_degree(dgla1):
+    ctx = dgla1.context
+    for body in (ctx.u(0), ctx.u(0) * ctx.u(1) * ctx.u(2), ctx.pa(0) * ctx.pa(1)):
+        with pytest.raises(ValueError):
+            DeformationForm.from_section(dgla1, Section(ctx, body))
 
 
 def test_extension_trivial_when_abelian(heis2):

@@ -1,11 +1,12 @@
 """CLI reports compared byte for byte with committed golden files.
 
 Every fixture is run through `check`, `cohomology`, `deform --random 0/1`,
-`deform --eta` for each named 2-form and `complement --trunc 3` for each
-named epsilon, in-process through `cli.main`.  Stdout must equal the file
-`tests/golden/<run>.out` and the exit code and stderr must equal the entry
-of `tests/golden/MANIFEST.json`.  The stdout of each script in `demos/` must
-equal `tests/golden/demos/<script>.out`.
+`deform --eta` and `deform --eta --order 4` for each named 2-form and
+`complement --trunc 3` for each named epsilon, in-process through
+`cli.main`.  Stdout must equal the file `tests/golden/<run>.out` and the
+exit code and stderr must equal the entry of `tests/golden/MANIFEST.json`.
+The stdout of each script in `demos/` must equal
+`tests/golden/demos/<script>.out`.
 
 Regenerate the files only for a change meant to alter reports:
 
@@ -47,6 +48,8 @@ def golden_runs():
             runs[f"{stem}.deform-random{seed}"] = ["deform", path, "--random", seed]
         for eta in sorted(data.get("deformations") or {}):
             runs[f"{stem}.deform-eta-{eta}"] = ["deform", path, "--eta", eta]
+            runs[f"{stem}.deform-eta-{eta}-order4"] = ["deform", path, "--eta", eta,
+                                                      "--order", "4"]
         for eps in sorted(data.get("epsilons") or {}):
             runs[f"{stem}.complement-{eps}"] = ["complement", path, "--epsilon", eps,
                                                 "--trunc", "3"]

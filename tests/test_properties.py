@@ -1,16 +1,22 @@
-"""Property tests: the sparse kernel, bracket identities and derivation rules.
+"""Property tests: the sparse kernel, bracket identities, derivation rules and
+the form codec.
 
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and quick; the seeded sweeps in test_gca/test_contact cover
 more inputs.
 """
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cjde import cjalg
+from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket
+from cjde.deform import ComplexMatrices
 from cjde.gca import Derivation, Poly, add_into, koszul_sign, koszul_sort
 
 CTX = ContactContext(1, 2)
@@ -257,3 +263,90 @@ def test_line_derivation_commutator(triple):
     assert c.degree == d.degree + e.degree
     assert (c.f, c.f_x, c.f_u) == reextracted_commutator(d, e)
     assert c(h) == d(e(h)) - e(d(h)).scale(sign)
+
+
+# --- the form codec: tables of base polynomials <-> forms --------------------
+
+FORM_CONTEXTS = [ContactContext(1, 3), ContactContext(0, 4)]
+FORM_INSTANCES = {ctx: SplitCJInstance(ctx.m, ctx.n, context=ctx) for ctx in FORM_CONTEXTS}
+
+
+@st.composite
+def x_polys(draw, ctx):
+    """A base polynomial (possibly zero): up to three terms c*x^e, e in 0..2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(ctx.m))
+        terms[exps] = Fraction(draw(COEFFS), draw(st.integers(1, 3)))
+    return cjalg._as_xpoly(ctx, terms)
+
+
+@st.composite
+def form_tables(draw):
+    """(ctx, gens, k, dense table): every entry drawn, including the ones
+    with non-increasing indices, which `_form` must not read."""
+    ctx = draw(st.sampled_from(FORM_CONTEXTS))
+    gens = draw(st.sampled_from([ctx.ix_u, ctx.ix_pa]))
+    k = draw(st.integers(1, min(3, ctx.n)))
+
+    def table(depth):
+        if depth == 0:
+            return draw(x_polys(ctx))
+        return [table(depth - 1) for _ in range(ctx.n)]
+    return ctx, gens, k, table(k)
+
+
+@PROPERTY
+@given(form_tables())
+def test_form_entries_inverts_form(case):
+    ctx, gens, k, table = case
+    canonical = {}
+    for key in itertools.combinations(range(ctx.n), k):
+        entry = table
+        for a in key:
+            entry = entry[a]
+        canonical[key] = entry
+    body = cjalg._form(ctx, gens, k, table, cjalg._same)
+    expected = cjalg._table(ctx, (ctx.n,) * k, canonical, cjalg._antisymmetric)
+    assert cjalg._form_entries(ctx, gens, k, body) == expected
+    # the body is the sum of entry * g_{a_1}...g_{a_k}, written with products
+    product_sum = ctx.algebra.zero()
+    for key, entry in canonical.items():
+        for a in key:
+            entry = entry * ctx.algebra.gen(gens[a])
+        product_sum = product_sum + entry
+    assert body == product_sum
+
+
+@PROPERTY
+@given(st.sampled_from(FORM_CONTEXTS).flatmap(lambda ctx: st.tuples(
+    st.just(ctx), st.dictionaries(st.tuples(st.integers(0, ctx.n - 1),
+                                            st.integers(0, ctx.n - 1)),
+                                  x_polys(ctx), max_size=5))))
+def test_deformation_form_entries_are_the_skew_matrix(case):
+    ctx, data = case
+    inst = FORM_INSTANCES[ctx]
+    eta = DeformationForm.from_dict(inst, data)
+    assert eta.entries == cjalg._skew_matrix(ctx, ctx.n, data)
+    assert DeformationForm.from_section(inst, eta) == eta
+
+
+POINT_COMPLEX = ComplexMatrices(FORM_INSTANCES[FORM_CONTEXTS[1]])
+
+
+@PROPERTY
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.fractions(max_denominator=5, min_value=-3, max_value=3),
+    min_size=len(POINT_COMPLEX.basis[k]), max_size=len(POINT_COMPLEX.basis[k])))))
+def test_form_coordinates_round_trip(case):
+    k, coords = case
+    form = POINT_COMPLEX.coords_to_form(coords, k)
+    assert POINT_COMPLEX.form_to_coords(form, k) == coords
+
+
+def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
+    ctx = FORM_CONTEXTS[0]
+    zero = ctx.algebra.zero()
+    for bad in (ctx.u(0), ctx.x(0) * ctx.pa(1), ContactContext(1, 3).x(0)):
+        with pytest.raises(ValueError):
+            cjalg._form(ctx, ctx.ix_u, 1, [zero, bad, zero], cjalg._same)

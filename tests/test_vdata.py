@@ -55,7 +55,7 @@ def test_validate_negative_mc(heis2):
     # the structure section of the broken fixture is not Maurer-Cartan
     broken = SplitCJInstance(0, 2, lam={0: 1, 1: 1}, c={(1, 0, 1): 1},
                              context=heis2.context)
-    vd_bad = VData(vd.oracle, vd.in_subalgebra, vd.project, broken.theta)
+    vd_bad = VData(vd.bracket, vd.in_subalgebra, vd.project, broken.theta)
     report = validate(vd_bad, samples, kernel)
     assert not report.ok
     assert "MC equation {Phi,Phi}=0" in report.failed()
