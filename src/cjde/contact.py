@@ -191,7 +191,7 @@ def _total_partial(ctx: ContactContext, parts: Dict[int, Poly], coord: int,
     lifted = ctx.algebra.gen(momentum) * d_p
     if d_coord is None:
         return lifted
-    return Poly(ctx.algebra, add_into(dict(d_coord.terms), lifted.terms))
+    return Poly._trusted(ctx.algebra, add_into(dict(d_coord.terms), lifted.terms))
 
 
 def jacobi_bracket(s: Section, t: Section) -> Section:
@@ -233,7 +233,7 @@ def jacobi_bracket(s: Section, t: Section) -> Section:
                 d_g = _total_partial(ctx, g_parts, coord, mom)
                 if d_g.terms:
                     add_into(acc, (f_parts[mom] * d_g).terms, right)
-    return Section(ctx, Poly(ctx.algebra, acc))
+    return Section(ctx, Poly._trusted(ctx.algebra, acc))
 
 
 # --- derivations of the line bundle over A[1] --------------------------

@@ -344,11 +344,12 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     Index r of the returned list is the coefficient of t^r (r >= 1); computed
     symbolically in the formal parameter, exactly.
     """
+    d = de_rham_derivation(inst)
     out = []
     for r in range(1, order + 1):
         acc = _mc_nonlinear_coefficient(inst, coeffs, r)
         if r <= len(coeffs):
-            acc = de_rham(inst, coeffs[r - 1]) + acc
+            acc = d(coeffs[r - 1]) + acc
         out.append(acc)
     return out
 

@@ -23,6 +23,15 @@ independent oracles compare against.
     to a dict the caller owns, in place, dropping keys that cancel;
   * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises both
     generator words (monomials) and words of basis keys (`linfty`).
+
+A `Poly` is immutable: nothing writes to its `terms` after construction.
+`Poly(algebra, terms)` copies the dict it is given and drops zero
+coefficients, so outside callers may pass any dict.  Inside this module and
+`contact`, `Poly._trusted(algebra, terms)` takes ownership of a dict that
+already holds no zero, without the copy; the caller must not touch the dict
+afterwards.  `partials()` is memoised on the `Poly` (sound because the `Poly`
+is immutable), and the dict it returns, like the `terms` of each partial, is
+read-only: the same rule `linfty` has for coefficient Vectors.
 """
 
 from __future__ import annotations
@@ -139,12 +148,15 @@ def add_into(acc: Dict, vec: Union[Mapping, Iterable[Tuple[object, Scalar]]],
 
     `vec` is a mapping or an iterable of (key, coefficient) pairs in which a
     key may repeat; it is only read, so it may be shared or read-only.  A
-    coefficient is multiplied only when the scale is not 1.
+    coefficient is negated when the scale is -1 and multiplied only when the
+    scale is neither 1 nor -1.
     """
     if not scale:
         return acc
     items = vec.items() if hasattr(vec, "items") else vec
-    if scale != 1:
+    if scale == -1:
+        items = ((k, -c) for k, c in items)
+    elif scale != 1:
         items = ((k, scale * c) for k, c in items)
     get = acc.get
     for k, c in items:
@@ -171,6 +183,8 @@ class Algebra:
             if g.name in self._by_name:
                 raise ValueError(f"duplicate generator name {g.name!r}")
             self._by_name[g.name] = g
+        # one parity per generator, read by the kernel in place of g.is_odd
+        self.odd: Tuple[bool, ...] = tuple(g.is_odd for g in self.gens)
 
     def generator(self, key: Union[str, int]) -> Generator:
         if isinstance(key, str):
@@ -185,7 +199,7 @@ class Algebra:
     # --- polynomial constructors -------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._trusted(self, {})
 
     def one(self) -> "Poly":
         return Poly(self, {ONE: Fraction(1)})
@@ -195,7 +209,7 @@ class Algebra:
 
     def gen(self, key: Union[str, int]) -> "Poly":
         g = self.generator(key)
-        return Poly(self, {((g.index, 1),): Fraction(1)})
+        return Poly._trusted(self, {((g.index, 1),): Fraction(1)})
 
     def monomial(self, mono: Monomial, coeff: Scalar = 1) -> "Poly":
         return Poly(self, {mono: Fraction(coeff)})
@@ -230,7 +244,7 @@ class Algebra:
         i.e. when it is zero in the algebra.
         """
         indices = [self.generator(k).index for k in word]
-        sign, perm = koszul_sort(indices, lambda i: self.gens[i].is_odd)
+        sign, perm = koszul_sort(indices, self.odd.__getitem__)
         if not sign:
             return 1, None
         mono = [(i, len(list(run)))
@@ -243,11 +257,12 @@ class Algebra:
             return 1, b
         if not b:
             return 1, a
+        odd = self.odd
         # count odd letters of a to the right of each odd letter of b
-        odd_positions_a = [idx for idx, exp in a if self.gens[idx].is_odd]
+        odd_positions_a = [idx for idx, _ in a if odd[idx]]
         sign = 1
-        for idx, exp in b:
-            if self.gens[idx].is_odd:
+        for idx, _ in b:
+            if odd[idx]:
                 crossings = sum(1 for ja in odd_positions_a if ja > idx)
                 if crossings % 2:
                     sign = -sign
@@ -261,7 +276,7 @@ class Algebra:
                 idx, exp = b[ib]
                 ib += 1
             if merged and merged[-1][0] == idx:
-                if self.gens[idx].is_odd:
+                if odd[idx]:
                     return 1, None
                 merged[-1] = (idx, merged[-1][1] + exp)
             else:
@@ -269,28 +284,24 @@ class Algebra:
         return sign, tuple(merged)
 
 
-def _left_partial(alg: Algebra, mono: Monomial, pos: int, odd_prefix: int) -> Tuple[int, Monomial]:
-    """Left derivative of a monomial by its letter at `pos`: (factor, rest).
-
-    An odd letter is moved to the front before it is taken off, past the
-    letters before it; `odd_prefix` is their total parity, so the factor is
-    -1 exactly when both are odd.  An even letter of exponent e gives e.
-    """
-    idx, exp = mono[pos]
-    factor = -exp if odd_prefix and alg.gens[idx].is_odd else exp
-    if exp == 1:
-        return factor, mono[:pos] + mono[pos + 1:]
-    return factor, mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]
-
-
 class Poly:
     """A graded-commutative polynomial: finite map monomial -> nonzero rational."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "_parts")
 
     def __init__(self, algebra: Algebra, terms: Dict[Monomial, Fraction]):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
+        self._parts: Optional[Dict[int, "Poly"]] = None
+
+    @staticmethod
+    def _trusted(algebra: Algebra, terms: Dict[Monomial, Fraction]) -> "Poly":
+        """A Poly that takes ownership of `terms`, which must hold no zero."""
+        p = object.__new__(Poly)
+        p.algebra = algebra
+        p.terms = terms
+        p._parts = None
+        return p
 
     # --- ring structure ----------------------------------------------
 
@@ -302,10 +313,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.algebra, add_into(dict(self.terms), other.terms))
+        return Poly._trusted(self.algebra, add_into(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.algebra, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -314,7 +325,7 @@ class Poly:
         c = Fraction(c)
         if not c:
             return self.algebra.zero()
-        return Poly(self.algebra, {m: c * v for m, v in self.terms.items()})
+        return Poly._trusted(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -322,16 +333,22 @@ class Poly:
         self._check(other)
         alg = self.algebra
         terms: Dict[Monomial, Fraction] = {}
+        get = terms.get
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 sign, mono = alg.mul_monomials(ma, mb)
                 if mono is None:
                     continue
                 c = ca * cb if sign > 0 else -(ca * cb)
-                old = terms.get(mono)
-                # a coefficient that cancels stays until Poly() drops it
-                terms[mono] = c if old is None else old + c
-        return Poly(alg, terms)
+                # add_into's rule: a key whose coefficient cancels is deleted
+                old = get(mono)
+                if old is not None:
+                    c = old + c
+                    if not c:
+                        del terms[mono]
+                        continue
+                terms[mono] = c
+        return Poly._trusted(alg, terms)
 
     __rmul__ = __mul__
 
@@ -361,10 +378,15 @@ class Poly:
         return {d: Poly(self.algebra, t) for d, t in sorted(out.items())}
 
     def parity_components(self) -> Dict[int, "Poly"]:
+        """{parity: part}; a homogeneous polynomial is its own only part."""
+        odd = self.algebra.odd
         out: Dict[int, Dict[Monomial, Fraction]] = {0: {}, 1: {}}
         for m, c in self.terms.items():
-            out[self.algebra.monomial_degree(m) % 2][m] = c
-        return {p: Poly(self.algebra, t) for p, t in out.items() if t}
+            # odd letters have exponent 1, so the parity is their count mod 2
+            out[sum(odd[idx] for idx, _ in m) & 1][m] = c
+        if not (out[0] and out[1]):
+            return {p: self for p, t in out.items() if t}
+        return {p: Poly._trusted(self.algebra, t) for p, t in out.items()}
 
     def is_homogeneous(self) -> bool:
         return len(self.degree_components()) <= 1
@@ -390,9 +412,13 @@ class Poly:
     def partial(self, key: Union[str, int]) -> "Poly":
         """Left partial derivative with respect to one generator.
 
-        The reference for `partials`, which library code uses.  Taking one
-        power of the generator off a monomial is injective, so no two terms
-        land on the same monomial and nothing is accumulated.
+        The reference for `partials`, which library code uses: it works out
+        each sign afresh from the letters' bidegrees.  An odd letter is moved
+        to the front past the letters before it, so the sign is -1 exactly
+        when it and their total degree are both odd; a letter of exponent e
+        gives the factor e.  Taking one power of the generator off a
+        monomial is injective, so no two terms land on the same monomial and
+        nothing is accumulated.
         """
         g = self.algebra.generator(key)
         alg = self.algebra
@@ -401,9 +427,10 @@ class Poly:
             for pos, (idx, exp) in enumerate(mono):
                 if idx != g.index:
                     continue
-                odd_prefix = sum(alg.gens[i].parity * e for i, e in mono[:pos]) % 2
-                factor, rest = _left_partial(alg, mono, pos, odd_prefix)
-                terms[rest] = c if factor == 1 else factor * c
+                passed = sum(alg.gens[i].degree * e for i, e in mono[:pos])
+                sign = -1 if g.degree % 2 and passed % 2 else 1
+                lowered = ((idx, exp - 1),) if exp > 1 else ()
+                terms[mono[:pos] + lowered + mono[pos + 1:]] = sign * exp * c
                 break
         return Poly(alg, terms)
 
@@ -411,20 +438,29 @@ class Poly:
         """Left partial derivatives by every generator, in one sweep over the terms.
 
         Keyed by generator index; exactly the generators that occur in self
-        have an entry, as their partials are nonzero (see `partial`).
+        have an entry, as their partials are nonzero (see `partial`).  Taken
+        once per Poly and kept: the dict returned is shared and read-only.
         """
-        alg = self.algebra
+        if self._parts is not None:
+            return self._parts
+        odd = self.algebra.odd
         out: Dict[int, Dict[Monomial, Fraction]] = {}
         for mono, c in self.terms.items():
-            odd_prefix = 0
+            odd_prefix = False
             for pos, (idx, exp) in enumerate(mono):
-                factor, rest = _left_partial(alg, mono, pos, odd_prefix)
                 terms = out.get(idx)
                 if terms is None:
                     terms = out[idx] = {}
-                terms[rest] = c if factor == 1 else factor * c
-                odd_prefix ^= alg.gens[idx].parity & exp
-        return {idx: Poly(alg, terms) for idx, terms in out.items()}
+                if exp > 1:
+                    # an even letter: odd letters have exponent 1
+                    terms[mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]] = exp * c
+                elif odd[idx]:
+                    terms[mono[:pos] + mono[pos + 1:]] = -c if odd_prefix else c
+                    odd_prefix = not odd_prefix
+                else:
+                    terms[mono[:pos] + mono[pos + 1:]] = c
+        self._parts = {idx: Poly._trusted(self.algebra, terms) for idx, terms in out.items()}
+        return self._parts
 
     def substitute(self, target: Algebra, images: Dict[int, "Poly"]) -> "Poly":
         """Algebra morphism: replace each generator by its image in `target`.
@@ -499,7 +535,7 @@ class Derivation:
             val = self.values[idx]
             if not val.is_zero():
                 add_into(terms, (val * part).terms)
-        return Poly(self.algebra, terms)
+        return Poly._trusted(self.algebra, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [D, D'] as a derivation (values on generators)."""

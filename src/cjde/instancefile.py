@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -33,6 +34,13 @@ MAX_BASE_DIM = 4
 MAX_RANK = 6
 
 
+# The only number spellings a file may use.  int() and Fraction() alone would
+# also read digit separators, surrounding spaces, non-ASCII digits, decimals
+# and exponents, so "1_0" would load as 10.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXPONENT = re.compile(r"[0-9]+")
+
+
 class InstanceFileError(ValueError):
     """Malformed or inconsistent instance file (CLI exit code 2)."""
 
@@ -44,9 +52,12 @@ def _is_json_int(v) -> bool:
 
 def _parse_rational(s) -> Fraction:
     if isinstance(s, str):
+        if not _RATIONAL.fullmatch(s):
+            raise InstanceFileError(f"bad rational {s!r}: expected 'num' or 'num/den' "
+                                    "in ASCII digits")
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int's digit limit
             raise InstanceFileError(f"bad rational {s!r}: {exc}") from None
     if _is_json_int(s):
         return Fraction(s)
@@ -70,11 +81,15 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
             if key == "":
                 exps: Tuple[int, ...] = (0,) * m
             else:
+                parts = key.split(",")
+                if not all(_EXPONENT.fullmatch(p) for p in parts):
+                    raise InstanceFileError(f"bad exponent vector {key!r}: expected "
+                                            "comma-separated ASCII digits")
                 try:
-                    exps = tuple(int(p) for p in key.split(","))
-                except ValueError:
-                    raise InstanceFileError(f"bad exponent vector {key!r}") from None
-            if len(exps) != m or any(e < 0 for e in exps):
+                    exps = tuple(map(int, parts))
+                except ValueError as exc:  # past int's digit limit
+                    raise InstanceFileError(f"bad exponent vector {key!r}: {exc}") from None
+            if len(exps) != m:
                 raise InstanceFileError(f"exponent vector {key!r} does not match base dim {m}")
             terms.append((exps, _parse_rational(val)))
         return add_into({}, terms)

@@ -266,8 +266,10 @@ def test_oversized_instance_exits_2(sizes, tmp_path, capsys):
     ({"schema": True, "base_dim": 0, "rank": 2}, "JSON integer"),
     ({"schema": 1, "base_dim": 0, "rank": 1, "rep": [True]}, "boolean"),
     ({"schema": 1, "base_dim": 1, "rank": 1, "rep": [{"1": True}]}, "boolean"),
+    ({"schema": 1, "base_dim": 1, "rank": 1, "rep": [{" 2": "1"}]}, "' 2'"),
+    ({"schema": 1, "base_dim": 1, "rank": 1, "rep": [{"2": "1_0"}]}, "'1_0'"),
 ], ids=["float-base_dim", "float-rank", "string-rank", "boolean-schema",
-        "boolean-constant", "boolean-coefficient"])
+        "boolean-constant", "boolean-coefficient", "spaced-exponent", "separated-rational"])
 @pytest.mark.parametrize("command", ["check", "cohomology"])
 def test_non_integer_json_exits_2(doc, message, command, tmp_path, capsys):
     # no silent coercion: 0.9 is not 0, "2" is not 2 and true is not 1

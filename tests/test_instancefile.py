@@ -1,6 +1,7 @@
 """Instance file schema: parsing, validation, round trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,37 @@ def test_bad_exponent_vector(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InstanceFileError):
         load_instance(str(path))
+
+
+# Fraction() and int() also read digit separators, surrounding spaces,
+# non-ASCII digits, decimals and exponents; a file holds none of them
+@pytest.mark.parametrize("text", ["1_0", " 2", "2 ", "1.5", "1e3", "+1", "1/-2",
+                                  "\u0662", "1/\u0663", "", "-"])
+def test_rational_spellings_rejected(tmp_path, text):
+    data = {"schema": 1, "base_dim": 0, "rank": 2, "rep": [text, "0"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFileError, match=f"bad rational {re.escape(repr(text))}"):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "\u0662", "-1", "+1", "1.0"])
+def test_exponent_spellings_rejected(tmp_path, key):
+    data = {"schema": 1, "base_dim": 1, "rank": 2, "rep": [{key: "1"}, "0"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFileError, match=f"bad exponent vector {re.escape(repr(key))}"):
+        load_instance(str(path))
+
+
+def test_plain_numbers_load(tmp_path):
+    data = {"schema": 1, "base_dim": 2, "rank": 2,
+            "rep": [{"2,0": "-3/4", "0,10": "12"}, {"": 5, "0,0": "0/7"}]}
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(data))
+    inst = load_instance(str(path)).instance
+    assert str(inst.lam[0]) == "-3/4*x1^2 + 12*x2^10"
+    assert str(inst.lam[1]) == "5"
 
 
 def test_rationals_bit_exact(tmp_path, heis2):

@@ -212,6 +212,108 @@ def test_partials_match_partial(f):
     assert f.partials() == {idx: d for idx, d in expected.items() if not d.is_zero()}
 
 
+# --- the kernel: no stored zero, the parity table, the partials memo -------
+
+CTX03 = ContactContext(0, 3)
+KERNEL_CONTEXTS = [CTX, CTX03]
+
+
+def letters(mono):
+    """The generator word of a canonical monomial, each letter as often as its exponent."""
+    return [idx for idx, exp in mono for _ in range(exp)]
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(context, f, g) on ContactContext(1, 2) or (0, 3)."""
+    ctx = draw(st.sampled_from(KERNEL_CONTEXTS))
+    return ctx, draw(polys(alg=ctx.algebra)), draw(polys(alg=ctx.algebra))
+
+
+def kernel_results(ctx, f, g):
+    """Every kind of Poly the kernel builds from f and g."""
+    out = [f + g, g + f, f - g, -f, f * g, g * f, f.scale(Fraction(-2, 3)),
+           jacobi_bracket(Section(ctx, f), Section(ctx, g)).body]
+    for h in (f, g, f * g):
+        out += h.partials().values()
+        out += h.parity_components().values()
+    return out
+
+
+# x1*pi1 and pi1*x1 cancel inside one product, and so does all of (u1 + u2)^2
+SUM_SQUARE = (CTX, CTX.x(0) + CTX.pi(0), CTX.x(0) - CTX.pi(0))
+ODD_SQUARE = (CTX03, CTX03.u(0) + CTX03.u(1), CTX03.u(0) + CTX03.u(1))
+
+
+@PROPERTY
+@given(kernel_pairs())
+@example(pair=(CTX, MIXED, -MIXED))
+@example(pair=SUM_SQUARE)
+@example(pair=ODD_SQUARE)
+@example(pair=(CTX, ODD_AFTER_ODD, MIXED))
+def test_kernel_results_store_no_zero(pair):
+    for p in kernel_results(*pair):
+        assert all(isinstance(c, Fraction) and c for c in p.terms.values()), p.terms
+
+
+def test_cancelled_terms_are_dropped():
+    assert (MIXED + (-MIXED)).terms == {}
+    assert (MIXED - MIXED).terms == {}
+    _, a, b = SUM_SQUARE
+    assert (a * b).terms == {ALG.normalize_word(["x1", "x1"])[1]: 1,
+                             ALG.normalize_word(["pi1", "pi1"])[1]: -1}
+    _, u, v = ODD_SQUARE
+    assert (u * v).terms == {}
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(algebra, a, b): two canonical monomials of ContactContext(1, 2) or (0, 3)."""
+    alg = draw(st.sampled_from(KERNEL_CONTEXTS)).algebra
+    word = st.lists(st.integers(0, len(alg.gens) - 1), max_size=4)
+    a, b = alg.normalize_word(draw(word))[1], alg.normalize_word(draw(word))[1]
+    assume(a is not None and b is not None)
+    return alg, a, b
+
+
+@PROPERTY
+@given(monomial_pairs())
+# u1 then pa1 in a, u2 then pa2 in b: u2 passes pa1, pa2 passes nothing odd
+@example(triple=(ALG, ((1, 1), (3, 1)), ((2, 1), (4, 1))))
+@example(triple=(ALG, ((3, 1),), ((1, 1), (5, 2))))
+def test_mul_monomials_matches_normalize_word(triple):
+    alg, a, b = triple
+    word = letters(a) + letters(b)
+    got = alg.mul_monomials(a, b)
+    assert got == alg.normalize_word(word)
+    # and against koszul_sign, with parities read off the bidegrees
+    degrees = [alg.gens[i].degree for i in word]
+    if any(word.count(i) > 1 and alg.gens[i].degree % 2 for i in word):
+        assert got == (1, None)
+    else:
+        perm = sorted(range(len(word)), key=word.__getitem__)
+        mono = tuple((i, word.count(i)) for i in sorted(set(word)))
+        assert got == (koszul_sign(perm, degrees), mono)
+
+
+@PROPERTY
+@given(kernel_pairs())
+@example(pair=(CTX, ODD_AFTER_ODD, MIXED))
+@example(pair=ODD_SQUARE)
+def test_memoised_partials_match_fresh(pair):
+    ctx, f, g = pair
+    alg = ctx.algebra
+    # fill the memos of f and g before anything is built from them
+    first = f.partials()
+    g.partials()
+    assert f.partials() is first
+    for p in [f, g] + kernel_results(ctx, f, g):
+        memo = p.partials()
+        assert memo == Poly(alg, dict(p.terms)).partials()
+        by_generator = {idx: p.partial(idx) for idx in range(len(alg.gens))}
+        assert memo == {idx: d for idx, d in by_generator.items() if not d.is_zero()}
+
+
 # --- line-bundle derivations f + X -----------------------------------
 
 
