@@ -223,17 +223,10 @@ def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> 
 def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
     """Group a polynomial by its fiber monomial, mapping to x-coefficients.
 
-    Base coordinates are even and come first in the canonical order, so a
-    monomial factors as (x part)*(fiber part) without a sign.
+    Base coordinates are even, so a monomial factors as (x part)*(fiber
+    part) without a sign; the split is a mask test on the packed keys.
     """
-    xset = set(ctx.ix_x)
-    out: Dict[Monomial, Poly] = {}
-    for mono, coeff in f.terms.items():
-        xpart = tuple((i, e) for i, e in mono if i in xset)
-        fpart = tuple((i, e) for i, e in mono if i not in xset)
-        cur = out.get(fpart, ctx.algebra.zero())
-        out[fpart] = cur + ctx.algebra.monomial(xpart, coeff)
-    return out
+    return f.split(ctx.ix_x)
 
 
 def form_basis(ctx: ContactContext, k: int) -> List[Monomial]:

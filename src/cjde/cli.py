@@ -30,7 +30,6 @@ from .cjalg import (
     change_complement,
     check_cj_axioms,
     contact_vdata,
-    de_rham,
     deformation_brackets,
     deformation_space,
     graph_frame,
@@ -185,7 +184,7 @@ def cmd_deform(args) -> int:
         cm = ComplexMatrices(inst)
         h3 = cohomology(inst, 3, cm)
         closed = True
-        if not de_rham(inst, eta).is_zero():
+        if not cm.d(eta).is_zero():
             closed = False
             report.add("kuranishi class", "unsupported", None,
                        reason="eta is not closed")

@@ -169,10 +169,13 @@ def bidegree_decompose(s: Section) -> Dict[Tuple[int, int], Section]:
 
 
 def project_P(s: Section) -> Section:
-    """Restriction to the zero section: kills every monomial with eps >= 1."""
+    """Restriction to the zero section: kills every monomial with eps >= 1.
+
+    The generators of eps = 0 are the x's and u's, so P keeps the monomials
+    in those alone, a mask test on the packed keys.
+    """
     ctx = s.context
-    keep = {m: c for m, c in s.body.terms.items() if ctx.algebra.monomial_bidegree(m)[0] == 0}
-    return Section(ctx, Poly(ctx.algebra, keep))
+    return Section(ctx, s.body.restrict(ctx.base_indices()))
 
 
 # --- the canonical Jacobi bracket -------------------------------------
@@ -191,7 +194,7 @@ def _total_partial(ctx: ContactContext, parts: Dict[int, Poly], coord: int,
     lifted = ctx.algebra.gen(momentum) * d_p
     if d_coord is None:
         return lifted
-    return Poly._trusted(ctx.algebra, add_into(dict(d_coord.terms), lifted.terms))
+    return Poly._trusted(ctx.algebra, add_into(dict(d_coord._packed), lifted._packed))
 
 
 def jacobi_bracket(s: Section, t: Section) -> Section:
@@ -217,9 +220,9 @@ def jacobi_bracket(s: Section, t: Section) -> Section:
     for parity, f in s.body.parity_components().items():
         f_parts = f.partials()
         if ctx.ix_p in g_parts:
-            add_into(acc, (f * g_parts[ctx.ix_p]).terms)
+            add_into(acc, (f * g_parts[ctx.ix_p])._packed)
         if ctx.ix_p in f_parts:
-            add_into(acc, (f_parts[ctx.ix_p] * g).terms, -1)
+            add_into(acc, (f_parts[ctx.ix_p] * g)._packed, -1)
         sign = -1 if parity else 1
         # (coordinate, its momentum, sign of D f dg/dmom, sign of df/dmom D g)
         blocks = [(x, pi, 1, -1) for x, pi in zip(ctx.ix_x, ctx.ix_pi)]
@@ -227,12 +230,12 @@ def jacobi_bracket(s: Section, t: Section) -> Section:
         for coord, mom, left, right in blocks:
             if mom in g_parts:
                 d_f = _total_partial(ctx, f_parts, coord, mom)
-                if d_f.terms:
-                    add_into(acc, (d_f * g_parts[mom]).terms, left)
+                if d_f._packed:
+                    add_into(acc, (d_f * g_parts[mom])._packed, left)
             if mom in f_parts:
                 d_g = _total_partial(ctx, g_parts, coord, mom)
-                if d_g.terms:
-                    add_into(acc, (f_parts[mom] * d_g).terms, right)
+                if d_g._packed:
+                    add_into(acc, (f_parts[mom] * d_g)._packed, right)
     return Section(ctx, Poly._trusted(ctx.algebra, acc))
 
 

@@ -25,7 +25,6 @@ from .cjalg import (
     DeformationForm,
     SplitCJInstance,
     check_cj_axioms,
-    de_rham,
     de_rham_derivation,
     derived_bracket_sections,
     form_basis,
@@ -58,7 +57,11 @@ Vec = List[Fraction]
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form over Q; returns (R, pivot column list)."""
+    """Reduced row echelon form over Q; returns (R, pivot column list).
+
+    Exact for any int or Fraction entries: the pivot row is divided by the
+    pivot as a Fraction, so an int matrix never turns into floats.
+    """
     m = [row[:] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -73,7 +76,7 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
+        pv = Fraction(m[r][c])
         m[r] = [x / pv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
@@ -152,7 +155,8 @@ class ComplexMatrices:
         ctx = inst.context
         self.basis = [form_basis(ctx, k) for k in range(self.n + 1)]
         self.matrices: List[Matrix] = []
-        d = de_rham_derivation(inst)
+        # d_{A,L}, kept for the closedness checks of `cjde deform`, kuranishi and extend_mc
+        self.d = d = de_rham_derivation(inst)
         for k in range(self.n + 1):
             rows = len(self.basis[k + 1]) if k + 1 <= self.n else 0
             mat: Matrix = [[Fraction(0)] * len(self.basis[k]) for _ in range(rows)]
@@ -287,9 +291,9 @@ def kuranishi(inst: SplitCJInstance, eta: Section,
 
     Returns (coordinates on the H^3 representatives, reduced representative).
     """
-    if not de_rham(inst, eta).is_zero():
-        raise ValueError("eta is not closed")
     h3 = h3 or cohomology(inst, 3)
+    if not h3.complex.d(eta).is_zero():
+        raise ValueError("eta is not closed")
     w = derived_bracket_sections(inst, [eta, eta])
     coords = h3.class_coordinates(w)
     return coords, h3.representative(coords)
@@ -362,9 +366,9 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     deterministic pivot choice) gives -eta_r.  A non-exact residual stops the
     extension and is reported as the obstruction class at that order.
     """
-    if not de_rham(inst, eta1).is_zero():
-        raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     h3 = h3 or cohomology(inst, 3)
+    if not h3.complex.d(eta1).is_zero():
+        raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     coeffs = [eta1]
     for r in range(2, order + 1):
         residual = _mc_nonlinear_coefficient(inst, coeffs, r)

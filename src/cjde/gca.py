@@ -1,9 +1,9 @@
 """Exact graded-commutative polynomial arithmetic with Koszul signs.
 
 Everything downstream (sections of the contact line bundle, brackets,
-structure tensors) is built on the classes here.  Coefficients are
-arbitrary-precision rationals and all equality checks are exact: the
-identities being verified are algebraic, so there is no tolerance anywhere.
+structure tensors) is built on the classes here.  Coefficients are exact
+integers and rationals and all equality checks are exact: the identities
+being verified are algebraic, so there is no tolerance anywhere.
 
 Conventions:
   * each generator carries a bidegree (eps, delta); its parity is
@@ -12,11 +12,46 @@ Conventions:
     Koszul sign produced by counting odd-odd inversions,
   * derivatives with respect to odd generators are left derivatives.
 
+Packed monomials.  Inside a `Poly` each monomial is one int, its key (after
+Monagan & Pearce, CASC 2007, for the exponents and Dorst, Fontijne & Mann,
+2007, ch. 19, for the odd letters):
+  * the odd generators take the low bits, in generator order, two bits each:
+    a value bit, set when the letter occurs, and a guard bit above it;
+  * then each even generator, in generator order, takes a field of
+    EXP_BITS exponent bits and a guard bit above them.
+In a valid key every guard bit is clear.  A product of monomials adds their
+keys: a repeated odd letter carries into its guard bit, and the product is
+zero; an exponent sum past MAX_FIELD_EXPONENT carries into its field's guard
+bit, and the product raises ExponentOverflow instead of wrapping into the
+next field.  So one `+` and one `&` test with the guard mask settle both.
+The Koszul sign of a product is the parity of its odd-odd crossings, a
+popcount: with S(b) the odd positions above an odd number of b's odd
+letters, it is (-1)^popcount(a & S(b)).  A left partial subtracts the
+generator's unit from the key, and an odd generator's sign is
+(-1)^popcount(key & odd letters before it).  The parity of a monomial is
+popcount(key & odd mask) mod 2, and "uses only these generators" is one mask
+test.
+
+One codec, `Algebra.pack` / `Algebra.unpack`, converts between keys and the
+canonical `Monomial` tuples.  The tuple is the public form: `normalize_word`,
+`mul_monomials`, `Algebra.monomial`, `Poly(algebra, terms)`,
+`Poly.coefficient` and `Poly.terms` speak tuples, and every order that
+reaches output (`sorted_terms`, `str`) is an order of tuples.  Both
+directions are memoised per algebra; a key is a pure function of the
+monomial and the algebra's fixed layout.
+
+Coefficients are stored as `int` while they are integral and as `Fraction`
+otherwise.  Nothing in the kernel divides: a coefficient becomes a Fraction
+only by meeting one, and a product or scaling whose value is integral again
+is stored as an int.  A sum is not re-examined, so an integral sum of
+Fractions stays a Fraction (equal to the int, and as exact, only slower).
+`Poly.terms` decodes, to {Monomial: Fraction}.
+
 `Poly.partials()` is the derivative kernel: it takes every left partial of a
 polynomial in one sweep, and library code takes every derivative through it.
 `Derivation` is the one code that applies a derivation.  `Poly.partial`
-takes one generator at a time; it is the reference that tests and
-independent oracles compare against.
+takes one generator at a time on the decoded tuples; it is the reference
+that tests and independent oracles compare against.
 
 `Poly`, `linfty` and `instancefile` share one sparse kernel:
   * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
@@ -24,14 +59,15 @@ independent oracles compare against.
   * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises both
     generator words (monomials) and words of basis keys (`linfty`).
 
-A `Poly` is immutable: nothing writes to its `terms` after construction.
-`Poly(algebra, terms)` copies the dict it is given and drops zero
-coefficients, so outside callers may pass any dict.  Inside this module and
-`contact`, `Poly._trusted(algebra, terms)` takes ownership of a dict that
-already holds no zero, without the copy; the caller must not touch the dict
-afterwards.  `partials()` is memoised on the `Poly` (sound because the `Poly`
-is immutable), and the dict it returns, like the `terms` of each partial, is
-read-only: the same rule `linfty` has for coefficient Vectors.
+A `Poly` is immutable: nothing writes to its terms after construction.
+`Poly(algebra, terms)` packs the {Monomial: coefficient} dict it is given
+and drops zero coefficients, so outside callers may pass any dict.  Inside
+this module and `contact`, `Poly._trusted(algebra, packed)` takes ownership
+of a packed dict that already holds no zero, without the copy; the caller
+must not touch the dict afterwards, and reads another Poly's packed dict
+(`_packed`) only.  `partials()` is memoised on the `Poly` (sound because the
+`Poly` is immutable), and the dict it returns, like the packed dict of each
+partial, is read-only: the same rule `linfty` has for coefficient Vectors.
 """
 
 from __future__ import annotations
@@ -45,6 +81,8 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "ContextMismatch",
     "UnknownGenerator",
+    "ExponentOverflow",
+    "MAX_FIELD_EXPONENT",
     "Generator",
     "Algebra",
     "Poly",
@@ -54,6 +92,10 @@ __all__ = [
     "koszul_sort",
 ]
 
+# Bits of an even generator's exponent field; a guard bit sits above them.
+EXP_BITS = 15
+MAX_FIELD_EXPONENT = (1 << EXP_BITS) - 1
+
 
 class ContextMismatch(ValueError):
     """Operands live in different algebra contexts."""
@@ -61,6 +103,10 @@ class ContextMismatch(ValueError):
 
 class UnknownGenerator(KeyError):
     """A generator name or index is not part of the algebra."""
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent does not fit its generator's packed field."""
 
 
 class Generator:
@@ -170,6 +216,23 @@ def add_into(acc: Dict, vec: Union[Mapping, Iterable[Tuple[object, Scalar]]],
     return acc
 
 
+def _coefficient(c) -> Scalar:
+    """c as the kernel stores it: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _settle(terms: Dict) -> Dict:
+    """Store each integral Fraction value of `terms` as an int, in place."""
+    for k, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
+
+
 class Algebra:
     """A graded-commutative polynomial algebra with a fixed generator order."""
 
@@ -185,6 +248,28 @@ class Algebra:
             self._by_name[g.name] = g
         # one parity per generator, read by the kernel in place of g.is_odd
         self.odd: Tuple[bool, ...] = tuple(g.is_odd for g in self.gens)
+        # the packed layout (module docstring): odd letters low, then even fields
+        shift = [0] * len(self.gens)
+        width = [1 if odd else MAX_FIELD_EXPONENT for odd in self.odd]
+        pos = 0
+        for parity in (True, False):
+            for g in self.gens:
+                if self.odd[g.index] == parity:
+                    shift[g.index] = pos
+                    pos += 2 if parity else EXP_BITS + 1
+        self._shift: Tuple[int, ...] = tuple(shift)
+        self._width: Tuple[int, ...] = tuple(width)
+        self._unit: Tuple[int, ...] = tuple(1 << s for s in shift)
+        self._odd_units = [u for u, odd in zip(self._unit, self.odd) if odd]
+        self._oddmask = sum(self._odd_units)
+        self._oddguard = self._oddmask << 1
+        self._guard = self._oddguard + sum(
+            u << EXP_BITS for u, odd in zip(self._unit, self.odd) if not odd)
+        # per generator: the odd letters before it, whose count signs its partial
+        self._before: Tuple[int, ...] = tuple(self._oddmask & (u - 1) for u in self._unit)
+        self._keys: Dict[Monomial, int] = {ONE: 0}
+        self._monos: Dict[int, Monomial] = {0: ONE}
+        self._crossings: Dict[int, int] = {}
 
     def generator(self, key: Union[str, int]) -> Generator:
         if isinstance(key, str):
@@ -196,23 +281,80 @@ class Algebra:
             raise UnknownGenerator(key)
         return self.gens[key]
 
+    # --- the codec between Monomial tuples and packed keys ---------------
+
+    def pack(self, mono: Monomial) -> int:
+        """The packed key of a canonical monomial.
+
+        Raises ValueError for a tuple that is not canonical and
+        ExponentOverflow for an exponent past MAX_FIELD_EXPONENT.
+        """
+        key = self._keys.get(mono)
+        if key is not None:
+            return key
+        key, last = 0, -1
+        for idx, exp in mono:
+            if (not isinstance(idx, int) or not last < idx < len(self.gens)
+                    or type(exp) is not int or exp < 1 or (exp > 1 and self.odd[idx])):
+                raise ValueError(f"not a canonical monomial: {mono!r}")
+            if exp > MAX_FIELD_EXPONENT:
+                raise ExponentOverflow(
+                    f"exponent {exp} of {self.gens[idx].name} exceeds {MAX_FIELD_EXPONENT}")
+            key += exp << self._shift[idx]
+            last = idx
+        self._keys[mono] = key
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The canonical monomial of a packed key (inverse of `pack`)."""
+        mono = self._monos.get(key)
+        if mono is None:
+            mono = tuple((idx, e) for idx, e in enumerate(
+                (key >> s) & w for s, w in zip(self._shift, self._width)) if e)
+            self._monos[key] = mono
+        return mono
+
+    def _fields(self, indices: Iterable[int]) -> int:
+        """The mask of the given generators' bits in a packed key."""
+        return sum(self._width[i] << self._shift[i] for i in set(indices))
+
+    def _crossing_mask(self, key: int) -> int:
+        """S(key): the odd positions above an odd number of key's odd letters."""
+        odd = key & self._oddmask
+        mask = self._crossings.get(odd)
+        if mask is None:
+            mask, inside = 0, False
+            for unit in self._odd_units:
+                if inside:
+                    mask |= unit
+                if odd & unit:
+                    inside = not inside
+            self._crossings[odd] = mask
+        return mask
+
+    def _overflow(self, key: int) -> ExponentOverflow:
+        names = [g.name for g, s, odd in zip(self.gens, self._shift, self.odd)
+                 if not odd and key >> (s + EXP_BITS) & 1]
+        return ExponentOverflow(f"exponent of {', '.join(names)} exceeds "
+                                f"{MAX_FIELD_EXPONENT}, the largest a packed field holds")
+
     # --- polynomial constructors -------------------------------------
 
     def zero(self) -> "Poly":
         return Poly._trusted(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {ONE: Fraction(1)})
+        return Poly._trusted(self, {0: 1})
 
     def scalar(self, c: Scalar) -> "Poly":
-        return Poly(self, {ONE: Fraction(c)})
+        return Poly(self, {ONE: c})
 
     def gen(self, key: Union[str, int]) -> "Poly":
         g = self.generator(key)
-        return Poly._trusted(self, {((g.index, 1),): Fraction(1)})
+        return Poly._trusted(self, {self._unit[g.index]: 1})
 
     def monomial(self, mono: Monomial, coeff: Scalar = 1) -> "Poly":
-        return Poly(self, {mono: Fraction(coeff)})
+        return Poly(self, {mono: coeff})
 
     # --- monomial-level helpers --------------------------------------
 
@@ -252,56 +394,46 @@ class Algebra:
         return sign, tuple(mono)
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> Tuple[int, Union[Monomial, None]]:
-        """Product of two canonical monomials: (sign, monomial) or (1, None) if zero."""
-        if not a:
-            return 1, b
-        if not b:
-            return 1, a
-        odd = self.odd
-        # count odd letters of a to the right of each odd letter of b
-        odd_positions_a = [idx for idx, _ in a if odd[idx]]
-        sign = 1
-        for idx, _ in b:
-            if odd[idx]:
-                crossings = sum(1 for ja in odd_positions_a if ja > idx)
-                if crossings % 2:
-                    sign = -sign
-        merged: List[Tuple[int, int]] = []
-        ia = ib = 0
-        while ia < len(a) or ib < len(b):
-            if ib >= len(b) or (ia < len(a) and a[ia][0] <= b[ib][0]):
-                idx, exp = a[ia]
-                ia += 1
-            else:
-                idx, exp = b[ib]
-                ib += 1
-            if merged and merged[-1][0] == idx:
-                if odd[idx]:
-                    return 1, None
-                merged[-1] = (idx, merged[-1][1] + exp)
-            else:
-                merged.append((idx, exp))
-        return sign, tuple(merged)
+        """Product of two canonical monomials: (sign, monomial) or (1, None) if zero.
+
+        The packed product of `Poly.__mul__`, one pair at a time, on tuples.
+        """
+        ka, kb = self.pack(a), self.pack(b)
+        key = ka + kb
+        if key & self._guard:
+            if key & self._oddguard:
+                return 1, None
+            raise self._overflow(key)
+        sign = -1 if (ka & self._crossing_mask(kb)).bit_count() & 1 else 1
+        return sign, self.unpack(key)
 
 
 class Poly:
     """A graded-commutative polynomial: finite map monomial -> nonzero rational."""
 
-    __slots__ = ("algebra", "terms", "_parts")
+    __slots__ = ("algebra", "_packed", "_parts")
 
-    def __init__(self, algebra: Algebra, terms: Dict[Monomial, Fraction]):
+    def __init__(self, algebra: Algebra, terms: Mapping[Monomial, Scalar]):
+        pack = algebra.pack
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+        self._packed = {pack(m): _coefficient(c) for m, c in terms.items() if c}
         self._parts: Optional[Dict[int, "Poly"]] = None
 
     @staticmethod
-    def _trusted(algebra: Algebra, terms: Dict[Monomial, Fraction]) -> "Poly":
-        """A Poly that takes ownership of `terms`, which must hold no zero."""
+    def _trusted(algebra: Algebra, packed: Dict[int, Scalar]) -> "Poly":
+        """A Poly that takes ownership of `packed`, which must hold no zero."""
         p = object.__new__(Poly)
         p.algebra = algebra
-        p.terms = terms
+        p._packed = packed
         p._parts = None
         return p
+
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """{canonical monomial: Fraction}, decoded from the packed terms."""
+        unpack = self.algebra.unpack
+        return {unpack(k): c if type(c) is Fraction else Fraction(c)
+                for k, c in self._packed.items()}
 
     # --- ring structure ----------------------------------------------
 
@@ -313,77 +445,88 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly._trusted(self.algebra, add_into(dict(self.terms), other.terms))
+        return Poly._trusted(self.algebra, add_into(dict(self._packed), other._packed))
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.algebra, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.algebra, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return self.algebra.zero()
-        return Poly._trusted(self.algebra, {m: c * v for m, v in self.terms.items()})
+        return Poly._trusted(self.algebra, _settle({k: c * v for k, v in self._packed.items()}))
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        terms: Dict[Monomial, Fraction] = {}
+        guard, oddguard, crossing = alg._guard, alg._oddguard, alg._crossing_mask
+        fractions = False
+        right = []
+        for kb, cb in other._packed.items():
+            fractions = fractions or type(cb) is not int
+            right.append((kb, cb, crossing(kb)))
+        terms: Dict[int, Scalar] = {}
         get = terms.get
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, mono = alg.mul_monomials(ma, mb)
-                if mono is None:
-                    continue
-                c = ca * cb if sign > 0 else -(ca * cb)
+        for ka, ca in self._packed.items():
+            fractions = fractions or type(ca) is not int
+            for kb, cb, cross in right:
+                key = ka + kb
+                if key & guard:
+                    if key & oddguard:    # a repeated odd letter
+                        continue
+                    raise alg._overflow(key)
+                c = ca * cb
+                if (ka & cross).bit_count() & 1:
+                    c = -c
                 # add_into's rule: a key whose coefficient cancels is deleted
-                old = get(mono)
+                old = get(key)
                 if old is not None:
                     c = old + c
                     if not c:
-                        del terms[mono]
+                        del terms[key]
                         continue
-                terms[mono] = c
-        return Poly._trusted(alg, terms)
+                terms[key] = c
+        return Poly._trusted(alg, _settle(terms) if fractions else terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.algebra is other.algebra and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), frozenset(self.terms.items())))
+        return hash((id(self.algebra), frozenset(self._packed.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     # --- grading ------------------------------------------------------
 
+    def _components(self, grade: Callable[[Monomial], object]) -> Dict[object, "Poly"]:
+        alg = self.algebra
+        out: Dict[object, Dict[int, Scalar]] = {}
+        for k, c in self._packed.items():
+            out.setdefault(grade(alg.unpack(k)), {})[k] = c
+        return {g: Poly._trusted(alg, t) for g, t in sorted(out.items())}
+
     def bidegree_components(self) -> Dict[Tuple[int, int], "Poly"]:
-        out: Dict[Tuple[int, int], Dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.algebra.monomial_bidegree(m), {})[m] = c
-        return {bd: Poly(self.algebra, t) for bd, t in sorted(out.items())}
+        return self._components(self.algebra.monomial_bidegree)
 
     def degree_components(self) -> Dict[int, "Poly"]:
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.algebra.monomial_degree(m), {})[m] = c
-        return {d: Poly(self.algebra, t) for d, t in sorted(out.items())}
+        return self._components(self.algebra.monomial_degree)
 
     def parity_components(self) -> Dict[int, "Poly"]:
         """{parity: part}; a homogeneous polynomial is its own only part."""
-        odd = self.algebra.odd
-        out: Dict[int, Dict[Monomial, Fraction]] = {0: {}, 1: {}}
-        for m, c in self.terms.items():
-            # odd letters have exponent 1, so the parity is their count mod 2
-            out[sum(odd[idx] for idx, _ in m) & 1][m] = c
+        oddmask = self.algebra._oddmask
+        out: Dict[int, Dict[int, Scalar]] = {0: {}, 1: {}}
+        for k, c in self._packed.items():
+            out[(k & oddmask).bit_count() & 1][k] = c
         if not (out[0] and out[1]):
             return {p: self for p, t in out.items() if t}
         return {p: Poly._trusted(self.algebra, t) for p, t in out.items()}
@@ -401,24 +544,47 @@ class Poly:
         return next(iter(comps))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self._packed.get(self.algebra.pack(mono), 0))
 
     def uses_only(self, allowed: Iterable[int]) -> bool:
-        allowed = set(allowed)
-        return all(idx in allowed for m in self.terms for idx, _ in m)
+        outside = ~self.algebra._fields(allowed)
+        return not any(k & outside for k in self._packed)
+
+    def restrict(self, allowed: Iterable[int]) -> "Poly":
+        """The terms whose monomials use only the generators `allowed`."""
+        outside = ~self.algebra._fields(allowed)
+        return Poly._trusted(self.algebra,
+                             {k: c for k, c in self._packed.items() if not k & outside})
+
+    def split(self, inner: Iterable[int]) -> Dict[Monomial, "Poly"]:
+        """Group the terms by their letters outside `inner`: {outer monomial: inner part}.
+
+        The generators `inner` must be even, so each monomial is its inner
+        letters times its outer ones with no sign, and self is the sum of
+        inner part * outer monomial over the groups.  Groups come in the order
+        of their first term.
+        """
+        alg = self.algebra
+        mask = alg._fields(inner)
+        if mask & alg._oddmask:
+            raise ValueError("split only factors out even generators")
+        groups: Dict[int, Dict[int, Scalar]] = {}
+        for k, c in self._packed.items():
+            groups.setdefault(k & ~mask, {})[k & mask] = c
+        return {alg.unpack(k): Poly._trusted(alg, t) for k, t in groups.items()}
 
     # --- calculus -----------------------------------------------------
 
     def partial(self, key: Union[str, int]) -> "Poly":
         """Left partial derivative with respect to one generator.
 
-        The reference for `partials`, which library code uses: it works out
-        each sign afresh from the letters' bidegrees.  An odd letter is moved
-        to the front past the letters before it, so the sign is -1 exactly
-        when it and their total degree are both odd; a letter of exponent e
-        gives the factor e.  Taking one power of the generator off a
-        monomial is injective, so no two terms land on the same monomial and
-        nothing is accumulated.
+        The reference for `partials`, which library code uses: it works on
+        the decoded monomial tuples and works out each sign afresh from the
+        letters' bidegrees.  An odd letter is moved to the front past the
+        letters before it, so the sign is -1 exactly when it and their total
+        degree are both odd; a letter of exponent e gives the factor e.
+        Taking one power of the generator off a monomial is injective, so no
+        two terms land on the same monomial and nothing is accumulated.
         """
         g = self.algebra.generator(key)
         alg = self.algebra
@@ -438,28 +604,27 @@ class Poly:
         """Left partial derivatives by every generator, in one sweep over the terms.
 
         Keyed by generator index; exactly the generators that occur in self
-        have an entry, as their partials are nonzero (see `partial`).  Taken
-        once per Poly and kept: the dict returned is shared and read-only.
+        have an entry, as their partials are nonzero (see `partial`).  A
+        partial subtracts the generator's unit from the key; an odd letter is
+        signed by the odd letters before it, an even one multiplied by its
+        exponent.  Taken once per Poly and kept: the dict returned is shared
+        and read-only.
         """
         if self._parts is not None:
             return self._parts
-        odd = self.algebra.odd
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
-        for mono, c in self.terms.items():
-            odd_prefix = False
-            for pos, (idx, exp) in enumerate(mono):
+        alg = self.algebra
+        unpack, unit, before, odd = alg.unpack, alg._unit, alg._before, alg.odd
+        out: Dict[int, Dict[int, Scalar]] = {}
+        for k, c in self._packed.items():
+            for idx, exp in unpack(k):
                 terms = out.get(idx)
                 if terms is None:
                     terms = out[idx] = {}
-                if exp > 1:
-                    # an even letter: odd letters have exponent 1
-                    terms[mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]] = exp * c
-                elif odd[idx]:
-                    terms[mono[:pos] + mono[pos + 1:]] = -c if odd_prefix else c
-                    odd_prefix = not odd_prefix
+                if odd[idx]:
+                    terms[k - unit[idx]] = -c if (k & before[idx]).bit_count() & 1 else c
                 else:
-                    terms[mono[:pos] + mono[pos + 1:]] = c
-        self._parts = {idx: Poly._trusted(self.algebra, terms) for idx, terms in out.items()}
+                    terms[k - unit[idx]] = exp * c
+        self._parts = {idx: Poly._trusted(alg, terms) for idx, terms in out.items()}
         return self._parts
 
     def substitute(self, target: Algebra, images: Dict[int, "Poly"]) -> "Poly":
@@ -490,7 +655,7 @@ class Poly:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for mono, c in self.sorted_terms():
@@ -528,13 +693,13 @@ class Derivation:
         """X(f) = sum_g X(g) * d f/d g over the generators g of f (left partials)."""
         if f.algebra is not self.algebra:
             raise ContextMismatch("derivation applied outside its algebra")
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[int, Scalar] = {}
         for idx, part in sorted(f.partials().items()):
             if idx not in self.values:
                 raise UnknownGenerator(self.algebra.gens[idx].name)
             val = self.values[idx]
-            if not val.is_zero():
-                add_into(terms, (val * part).terms)
+            if val._packed:
+                add_into(terms, (val * part)._packed)
         return Poly._trusted(self.algebra, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":

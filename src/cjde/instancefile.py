@@ -5,9 +5,10 @@ Courant-Jacobi algebroid, plus optional named deformations (2-forms on the
 A side) and epsilon tensors (2-forms on the dual side).  Rational numbers
 are "num/den" strings, bit-exact; polynomial entries are either such a
 string (a constant) or a map from comma-separated exponent vectors to
-rationals.  A tensor with a symmetry (bracket, upsilon, 2-form) is accepted
-only if it equals the table that its canonical entries spread to by the rules
-of `cjalg`, so each symmetry is written down in one place.
+rationals, each exponent at most MAX_EXPONENT.  A tensor with a symmetry
+(bracket, upsilon, 2-form) is accepted only if it equals the table that its
+canonical entries spread to by the rules of `cjalg`, so each symmetry is
+written down in one place.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ SCHEMA_VERSION = 1
 # is meant to reach; one more is left as margin.
 MAX_BASE_DIM = 4
 MAX_RANK = 6
+# Largest exponent of a base coordinate in a file.  The kernel keeps each
+# exponent in a packed field of at most `gca.MAX_FIELD_EXPONENT` (32767) and a
+# product adds exponents, so this leaves room for products of 128 factors at
+# the cap before the kernel raises `gca.ExponentOverflow`.
+MAX_EXPONENT = 255
 
 
 # The only number spellings a file may use.  int() and Fraction() alone would
@@ -91,6 +97,9 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
                     raise InstanceFileError(f"bad exponent vector {key!r}: {exc}") from None
             if len(exps) != m:
                 raise InstanceFileError(f"exponent vector {key!r} does not match base dim {m}")
+            if any(e > MAX_EXPONENT for e in exps):
+                raise InstanceFileError(f"exponent vector {key!r}: an exponent exceeds "
+                                        f"{MAX_EXPONENT}")
             terms.append((exps, _parse_rational(val)))
         return add_into({}, terms)
     raise InstanceFileError(f"bad polynomial entry {entry!r}")
@@ -170,6 +179,10 @@ def load_instance(path: str) -> InstanceDocument:
     rep_d = _expect_array(data, "rep_dual", (n,), m)
     ups = _expect_array(data, "upsilon", (n, n, n), m)
     ups_d = _expect_array(data, "upsilon_dual", (n, n, n), m)
+    # every entry is parsed, and so checked, before any polynomial is built
+    forms = {key: {name: _expect_array({key: arr}, key, (n, n), m)
+                   for name, arr in (data.get(key) or {}).items()}
+             for key in ("deformations", "epsilons")}
 
     def sparse(arr, keys):
         """The nonzero entries of a parsed array at the given index tuples."""
@@ -204,8 +217,7 @@ def load_instance(path: str) -> InstanceDocument:
 
     def two_forms(key: str, label: str) -> Dict[str, Dict[Tuple[int, int], Dict]]:
         out = {}
-        for name, arr in (data.get(key) or {}).items():
-            parsed = _expect_array({key: arr}, key, (n, n), m)
+        for name, parsed in forms[key].items():
             out[name] = sparse(parsed, pairs)
             _check_spread(ctx, parsed, _skew_matrix(ctx, n, out[name]),
                           f"{label} {name!r} is not skew")

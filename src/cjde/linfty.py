@@ -400,7 +400,7 @@ def mc_residual(L: LInftyStructure, eta: Vector) -> Vector:
     for k in sorted(L.brackets):
         power = L.space.expand_word_of_vectors([eta] * k)
         for word, c in power.items():
-            add_into(out, L.bracket(k, word), c / math.factorial(k))
+            add_into(out, L.bracket(k, word), Fraction(c, math.factorial(k)))
     return out
 
 

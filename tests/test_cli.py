@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from cjde import contact, gca
 from cjde.cli import main
+from cjde.instancefile import MAX_EXPONENT
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -87,6 +89,23 @@ def test_deform_obstruction_reported(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     by_check = {line["check"]: line for line in lines}
     assert by_check["formal extension"]["obstructed_at"] == 2
+
+
+def test_deform_builds_d_three_times(monkeypatch, capsys):
+    # d_{A,L} is built for Theta's A and dual sides and once for the complex;
+    # the closedness checks of cmd_deform, kuranishi and extend_mc reuse it
+    built = []
+    init = contact.LineDerivation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(contact.LineDerivation, "__init__", counting)
+    code, _, _ = run_cli(
+        ["deform", fixture("obst1.json"), "--eta", "eta1", "--order", "4"], capsys)
+    assert code == 0
+    assert len(built) == 3
 
 
 def test_deform_unknown_eta_exits_2(capsys):
@@ -257,6 +276,36 @@ def test_oversized_instance_exits_2(sizes, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "exceed the supported sizes" in err
+
+
+@pytest.mark.parametrize("place", ["rep", "deformations"])
+def test_exponent_above_max_exits_2(place, monkeypatch, tmp_path, capsys):
+    # rejected while the file is parsed, before any polynomial is built
+    big = str(MAX_EXPONENT + 1)
+    doc = {"schema": 1, "base_dim": 1, "rank": 2}
+    if place == "rep":
+        doc["rep"] = ["0", {big: "1"}]
+    else:
+        doc["deformations"] = {"eta": [["0", {big: "1"}], [{big: "-1"}, "0"]]}
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    built = []
+    monkeypatch.setattr(gca.Poly, "_trusted", staticmethod(lambda *args: built.append(args)))
+    monkeypatch.setattr(gca.Poly, "__init__", lambda self, *args: built.append(args))
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"exceeds {MAX_EXPONENT}" in err
+    assert built == []
+
+
+def test_exponent_at_max_loads(tmp_path, capsys):
+    doc = {"schema": 1, "base_dim": 1, "rank": 1, "rep": [{str(MAX_EXPONENT): "1"}]}
+    good = tmp_path / "top.json"
+    good.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["check", str(good)], capsys)
+    assert code in (0, 1)
+    assert out
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -47,6 +47,21 @@ def test_rref_and_nullspace():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def test_rref_exact_on_int_input():
+    # the pivot division used to turn an int matrix into floats
+    def exact(rows):
+        return all(type(x) in (int, F) for row in rows for x in row)
+
+    red, pivots = rref([[2, 1], [1, 1]])
+    assert red == [[1, 0], [0, 1]] and pivots == [0, 1] and exact(red)
+    red, pivots = rref([[3, 1], [6, 2]])
+    assert red == [[1, F(1, 3)], [0, 0]] and pivots == [0] and exact(red)
+    null = nullspace([[3, 1]], 2)
+    assert null == [[F(-1, 3), 1]] and exact(null)
+    x = solve_linear([[3, 0], [0, 7]], [1, 2])
+    assert x == [F(1, 3), F(2, 7)] and exact([x])
+
+
 def test_solve_linear():
     M = [[F(1), F(2)], [F(3), F(4)]]
     x = solve_linear(M, [F(5), F(11)])

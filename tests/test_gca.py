@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from cjde.contact import ContactContext
-from cjde.gca import ContextMismatch, Derivation, UnknownGenerator, koszul_sign
+from cjde.gca import (
+    MAX_FIELD_EXPONENT,
+    ContextMismatch,
+    Derivation,
+    ExponentOverflow,
+    UnknownGenerator,
+    koszul_sign,
+)
 
 from conftest import random_poly
 
@@ -196,3 +203,34 @@ def test_str_deterministic(ctx):
     assert str(f) == "u1*u2 + 1/2*p"
     assert str(ctx.algebra.zero()) == "0"
     assert str(ctx.u(0) - ctx.u(0)) == "0"
+
+
+@pytest.mark.parametrize("name", ["x1", "pi1", "p"])
+def test_exponent_overflow_raises(ctx, name):
+    # x1 has the lowest even field and p the highest: a field at its largest
+    # exponent times one more letter must raise, never wrap into the next
+    alg = ctx.algebra
+    idx = alg.generator(name).index
+    top = ((idx, MAX_FIELD_EXPONENT),)
+    g = alg.gen(name)
+    f = alg.monomial(top) + ctx.u(0)
+    with pytest.raises(ExponentOverflow, match=name):
+        f * g
+    with pytest.raises(ExponentOverflow, match=name):
+        g * f
+    with pytest.raises(ExponentOverflow, match=name):
+        alg.mul_monomials(top, ((idx, 1),))
+    with pytest.raises(ExponentOverflow, match=name):
+        alg.monomial(((idx, MAX_FIELD_EXPONENT + 1),))
+    # one below the top multiplies into the top, exactly
+    below = alg.monomial(((idx, MAX_FIELD_EXPONENT - 1),))
+    assert (below * g).terms == {top: 1}
+    assert alg.monomial(top).partials() == {idx: below.scale(MAX_FIELD_EXPONENT)}
+
+
+def test_non_canonical_monomials_rejected(ctx):
+    alg = ctx.algebra
+    for mono in [((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 2),), ((0, 0),), ((0, True),),
+                 ((99, 1),)]:
+        with pytest.raises(ValueError):
+            alg.monomial(mono)

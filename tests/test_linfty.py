@@ -291,6 +291,15 @@ def test_mc_residual(V):
     assert mc_residual(Lc, {}) == {"b": F(1)}
 
 
+def test_mc_residual_int_coefficients_stay_exact(V):
+    # 1/k! on an int coefficient used to give a float
+    L = LInftyStructure(V, None, {2: lambda w: {"b": 1} if w == ("a", "a") else {},
+                                  3: lambda w: {"c": 1} if w == ("a", "a", "a") else {}})
+    out = mc_residual(L, {"a": 1})
+    assert out == {"b": F(1, 2), "c": F(1, 6)}
+    assert all(type(c) is F for c in out.values())
+
+
 def test_decalage_examples(V):
     unshift = lambda key: V.degree(key) + 1
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
-from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket
+from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
 from cjde.deform import ComplexMatrices
-from cjde.gca import Derivation, Poly, add_into, koszul_sign, koszul_sort
+from cjde.gca import MAX_FIELD_EXPONENT, Derivation, Poly, add_into, koszul_sign, koszul_sort
 
 CTX = ContactContext(1, 2)
 ALG = CTX.algebra
@@ -312,6 +312,107 @@ def test_memoised_partials_match_fresh(pair):
         assert memo == Poly(alg, dict(p.terms)).partials()
         by_generator = {idx: p.partial(idx) for idx in range(len(alg.gens))}
         assert memo == {idx: d for idx, d in by_generator.items() if not d.is_zero()}
+
+
+# --- packed monomials against the tuple references ---------------------
+
+CTX04 = ContactContext(0, 4)
+PACKED_CONTEXTS = [CTX, CTX21, CTX04]
+# every kind of coefficient a caller may pass: ints, integral and proper
+# Fractions, a bool and a float (taken at its exact binary value)
+ANY_COEFFS = st.sampled_from([-3, -1, 1, 2, Fraction(-1, 2), Fraction(4, 2), Fraction(3, 5),
+                              True, 0.5])
+
+
+@st.composite
+def canonical_monomials(draw, alg, max_exp=MAX_FIELD_EXPONENT):
+    """Any set of letters; an even letter's exponent anywhere up to `max_exp`."""
+    mono = []
+    for g in alg.gens:
+        if draw(st.booleans()):
+            exp = 1 if alg.odd[g.index] else draw(
+                st.one_of(st.integers(1, 3), st.integers(1, max_exp)))
+            mono.append((g.index, exp))
+    return tuple(mono)
+
+
+@st.composite
+def packed_cases(draw):
+    """(context, f, g): small exponents, so that the word references stay quick."""
+    ctx = draw(st.sampled_from(PACKED_CONTEXTS))
+    alg = ctx.algebra
+
+    def poly():
+        monos = draw(st.lists(canonical_monomials(alg, 3), max_size=4))
+        return Poly(alg, {m: draw(ANY_COEFFS) for m in monos})
+    return ctx, poly(), poly()
+
+
+def tuple_product(alg, f, g):
+    """f * g from `normalize_word` on every pair of terms, in tuples and Fractions."""
+    out = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            sign, mono = alg.normalize_word(letters(ma) + letters(mb))
+            if mono is not None:
+                out[mono] = out.get(mono, 0) + sign * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@PROPERTY
+@given(st.sampled_from(PACKED_CONTEXTS).flatmap(
+    lambda ctx: st.tuples(st.just(ctx.algebra), canonical_monomials(ctx.algebra))))
+def test_pack_round_trips(case):
+    alg, mono = case
+    key = alg.pack(mono)
+    assert alg.unpack(key) == mono
+    assert alg.pack(alg.unpack(key)) == key
+    assert not key & alg._guard
+
+
+@PROPERTY
+@given(packed_cases())
+@example(case=(CTX, MIXED, ODD_AFTER_ODD))
+@example(case=(CTX21, ODD_AFTER_ODD21, MIXED21))
+@example(case=(CTX04, CTX04.u(3) * CTX04.pa(0) + CTX04.u(1), CTX04.u(2) * CTX04.pa(3)))
+def test_packed_product_matches_normalize_word(case):
+    ctx, f, g = case
+    alg = ctx.algebra
+    assert (f * g).terms == tuple_product(alg, f, g)
+    assert (g * f).terms == tuple_product(alg, g, f)
+
+
+@PROPERTY
+@given(packed_cases())
+@example(case=(CTX, ODD_AFTER_ODD, MIXED))
+@example(case=(CTX21, ODD_AFTER_ODD21, MIXED21))
+def test_packed_partials_and_parity_match_references(case):
+    ctx, f, g = case
+    alg = ctx.algebra
+    for h in (f, g, f * g):
+        expected = {idx: h.partial(idx) for idx in range(len(alg.gens))}
+        assert h.partials() == {idx: d for idx, d in expected.items() if not d.is_zero()}
+        by_parity = {}
+        for mono, c in h.terms.items():
+            by_parity.setdefault(alg.monomial_degree(mono) % 2, {})[mono] = c
+        assert {p: part.terms for p, part in h.parity_components().items()} == by_parity
+
+
+@PROPERTY
+@given(packed_cases())
+def test_coefficients_leaving_the_kernel_are_exact(case):
+    ctx, f, g = case
+    alg = ctx.algebra
+    results = kernel_results(ctx, f, g) + [
+        f.scale(3), f.scale(Fraction(2, 4)), f * 2, project_P(Section(ctx, f)).body,
+        *f.split(ctx.ix_x).values(), *f.bidegree_components().values()]
+    for p in results:
+        # stored: int or Fraction, never a bool or a float
+        assert all(type(c) in (int, Fraction) for c in p._packed.values()), p._packed
+        # decoded: Fraction, as Poly.terms and Poly.coefficient promise
+        assert all(type(c) is Fraction for c in p.terms.values()), p.terms
+        assert all(type(p.coefficient(m)) is Fraction for m in p.terms)
+        assert type(p.coefficient(())) is Fraction
 
 
 # --- line-bundle derivations f + X -----------------------------------
