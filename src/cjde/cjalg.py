@@ -114,16 +114,14 @@ def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
             raise ValueError("structure function must only involve base coordinates")
         return value
     if isinstance(value, dict):
-        out = ctx.algebra.zero()
+        # the canonical monomial directly, zero exponents left out: `pack`
+        # rejects a negative or non-int exponent with ValueError
+        terms = {}
         for exps, coeff in value.items():
             if len(exps) != ctx.m:
                 raise ValueError("exponent vector length does not match base dimension")
-            word: List[int] = []
-            for i, e in enumerate(exps):
-                word.extend([ctx.ix_x[i]] * e)
-            _, mono = ctx.algebra.normalize_word(word)
-            out = out + ctx.algebra.monomial(mono, Fraction(coeff))
-        return out
+            terms[tuple((ctx.ix_x[i], e) for i, e in enumerate(exps) if e)] = Fraction(coeff)
+        return Poly(ctx.algebra, terms)
     return ctx.algebra.scalar(value)
 
 

@@ -183,12 +183,10 @@ def cmd_deform(args) -> int:
     try:
         cm = ComplexMatrices(inst)
         h3 = cohomology(inst, 3, cm)
-        closed = True
         if not cm.d(eta).is_zero():
-            closed = False
             report.add("kuranishi class", "unsupported", None,
                        reason="eta is not closed")
-        if closed:
+        else:
             coords, rep = kuranishi(inst, eta, h3)
             report.add("kuranishi class", "pass", None,
                        coordinates=[str(c) for c in coords], representative=str(rep))

@@ -1,16 +1,18 @@
-"""Deformation workflow over point-base instances.
+"""Deformation workflow over point-base instances, read off the L-infinity algebra.
 
-Over a point base the L-valued form spaces are finite dimensional, so the
-de Rham complex becomes a family of exact rational matrices.  This module
-computes kernels, images and cohomology representatives by Gauss-Jordan
-elimination over Q (each pivot row is divided by its pivot, in exact
-`Fraction` arithmetic), evaluates the Kuranishi map, and extends infinitesimal
-deformations order by order in a formal parameter, reporting the first
-obstructed order together with its cohomology class.
+`ComplexMatrices` owns the closed-route structure of the instance,
+`Q = deformation_brackets(inst, "closed").to_coderivation()`, with m_1 =
+d_{A,L}, m_2 and m_3 memoised per word.  Over a point base the L-valued form
+spaces are finite dimensional, so m_1 becomes exact rational matrices on the
+`form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys of
+`deformation_space`).  Kernels, images and cohomology representatives come
+from Gauss-Jordan elimination over Q, in exact `Fraction` arithmetic.
 
-The coordinates of a k-form are its coefficients on `form_basis`, the
-canonical u-monomials u^{a_1}...u^{a_k} with a_1 < ... < a_k: the same
-monomial keys as the basis of `deformation_space`.
+The t^r coefficient of the MC residual of a formal curve sum_k t^k eta_k is
+`linfty.curve_coefficient` of Q, over every arity Q has.  `extend_mc` solves
+the MC equation order by order with it and reports the first obstructed
+order with its cohomology class.  The Kuranishi map keeps the derived-route
+m_2: its agreement with the order-2 obstruction is a cross-check.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ from .cjalg import (
     DeformationForm,
     SplitCJInstance,
     check_cj_axioms,
-    de_rham_derivation,
+    deformation_brackets,
     derived_bracket_sections,
     form_basis,
     m2_closed,
-    m3_closed,
+    section_to_vector,
+    vector_to_section,
 )
 from .contact import Section, jacobi_bracket
-from .gca import Poly
+from .gca import add_into
+from .linfty import Vector, curve_coefficient
 
 __all__ = [
     "rref",
@@ -145,52 +149,45 @@ class NotFlat(ValueError):
 
 
 class ComplexMatrices:
-    """Matrices of d on L-valued forms over a point base, degree by degree."""
+    """The complex (Omega(A;L), m_1) over a point base, as matrices degree by degree.
+
+    `Q` is the closed-route structure; `matrices[k]` holds its m_1 on the
+    degree-k `form_basis` words, and `d` applies m_1 to a section.
+    """
 
     def __init__(self, inst: SplitCJInstance):
         if inst.m != 0:
             raise UnsupportedBase("cohomology is only computed over a point base")
         self.inst = inst
         self.n = inst.n
-        ctx = inst.context
-        self.basis = [form_basis(ctx, k) for k in range(self.n + 1)]
+        self.basis = [form_basis(inst.context, k) for k in range(self.n + 1)]
+        self.Q = deformation_brackets(inst, "closed").to_coderivation()
         self.matrices: List[Matrix] = []
-        # d_{A,L}, kept for the closedness checks of `cjde deform`, kuranishi and extend_mc
-        self.d = d = de_rham_derivation(inst)
         for k in range(self.n + 1):
-            rows = len(self.basis[k + 1]) if k + 1 <= self.n else 0
-            mat: Matrix = [[Fraction(0)] * len(self.basis[k]) for _ in range(rows)]
-            for j, mono in enumerate(self.basis[k]):
-                image = d(Section(ctx, ctx.algebra.monomial(mono)))
-                coords = self._coords(image, k + 1)
-                for i, val in enumerate(coords):
-                    if val:
-                        mat[i][j] = val
-            self.matrices.append(mat)
+            rows = self.basis[k + 1] if k < self.n else []
+            columns = [self.Q.coefficient(1, (mono,)) for mono in self.basis[k]]
+            self.matrices.append([[col.get(mono, Fraction(0)) for col in columns]
+                                  for mono in rows])
         for k in range(self.n - 1):
-            comp = _mat_mul(self.matrices[k + 1], self.matrices[k])
-            if any(any(x for x in row) for row in comp):
+            if any(any(_apply(self.matrices[k + 1], col))
+                   for col in _transpose(self.matrices[k])):
                 raise NotFlat("d^2 != 0: the A side is not flat")
 
-    def _coords(self, s: Section, k: int) -> Vec:
-        return [s.body.coefficient(mono) for mono in (self.basis[k] if k <= self.n else [])]
+    def d(self, s: Section) -> Section:
+        """m_1(s) from the arity-1 coefficient of `Q` alone: `Q.apply` would add m_0."""
+        out: Vector = {}
+        for mono, c in section_to_vector(self.inst, s).items():
+            add_into(out, self.Q.coefficient(1, (mono,)), c)
+        return vector_to_section(self.inst, out)
 
     def form_to_coords(self, s: Section, k: int) -> Vec:
-        coords = self._coords(s, k)
+        coords = [s.body.coefficient(mono) for mono in self.basis[k]]
         if self.coords_to_form(coords, k) != s:
             raise ValueError("section is not a homogeneous degree-k form")
         return coords
 
     def coords_to_form(self, coords: Vec, k: int) -> Section:
-        ctx = self.inst.context
-        return Section(ctx, Poly(ctx.algebra, dict(zip(self.basis[k], coords))))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
+        return vector_to_section(self.inst, dict(zip(self.basis[k], coords)))
 
 
 # --- cohomology ---------------------------------------------------------
@@ -265,20 +262,13 @@ def cohomology(inst: SplitCJInstance, k: int,
     kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
     image = _transpose(cm.matrices[k - 1]) if k >= 1 else []
 
-    # image columns first, then kernel vectors: new pivots from the kernel
-    # part are the representatives
+    # image columns first, then kernel vectors; pivots are picked greedily from
+    # the left, so those past the image part are the representatives
     combined = image + kernel
-    reps: List[Vec] = []
-    if combined:
-        _, pivots = rref(_transpose(combined))
-        for p in pivots:
-            if p >= len(image):
-                reps.append(kernel[p - len(image)])
+    pivots = rref(_transpose(combined))[1] if combined else []
+    img_red = [image[p] for p in pivots if p < len(image)]
+    reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
     rep_secs = [cm.coords_to_form(v, k) for v in reps]
-    img_red: List[Vec] = []
-    if image:
-        _, pivots = rref(_transpose(image))
-        img_red = [image[p] for p in pivots]
     return Cohomology(cm, k, len(reps), rep_secs, reps, img_red)
 
 
@@ -320,58 +310,37 @@ class FormalCurve:
         return len(self.coefficients)
 
 
-def _mc_nonlinear_coefficient(inst: SplitCJInstance, coeffs: Sequence[Section],
-                              r: int) -> Section:
-    """t^r coefficient of 1/2 m_2(eta,eta) + 1/6 m_3(eta,eta,eta), eta = sum_k t^k eta_k.
-
-    `coeffs` holds eta_1, eta_2, ...; coefficients past its end count as zero.
-    """
-    known = len(coeffs)
-    acc = inst.context.zero_section()
-    for i in range(1, r):
-        j = r - i
-        if i <= known and j <= known:
-            acc = acc + m2_closed(inst, coeffs[i - 1], coeffs[j - 1]).scale(Fraction(1, 2))
-    for i in range(1, r - 1):
-        for j in range(1, r - i):
-            k = r - i - j
-            if max(i, j, k) <= known:
-                acc = acc + m3_closed(inst, coeffs[i - 1], coeffs[j - 1],
-                                      coeffs[k - 1]).scale(Fraction(1, 6))
-    return acc
-
-
 def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
                              order: int) -> List[Section]:
     """t-expansion of the MC residual of sum_k t^k eta_k through t^order.
 
-    Index r of the returned list is the coefficient of t^r (r >= 1); computed
-    symbolically in the formal parameter, exactly.
+    Entry r - 1 of the returned list is the coefficient of t^r (r >= 1):
+    `linfty.curve_coefficient` of the closed-route structure, exact.
+    `coeffs` holds eta_1, eta_2, ...; coefficients past its end count as zero.
     """
-    d = de_rham_derivation(inst)
-    out = []
-    for r in range(1, order + 1):
-        acc = _mc_nonlinear_coefficient(inst, coeffs, r)
-        if r <= len(coeffs):
-            acc = d(coeffs[r - 1]) + acc
-        out.append(acc)
-    return out
+    Q = deformation_brackets(inst, "closed").to_coderivation()
+    curve = [section_to_vector(inst, s) for s in coeffs]
+    return [vector_to_section(inst, curve_coefficient(Q, curve, r))
+            for r in range(1, order + 1)]
 
 
 def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
               h3: Optional[Cohomology] = None) -> FormalCurve:
     """Solve the MC equation order by order starting from a closed 2-form.
 
-    At order r the cumulative residual must be exact; its primitive (with the
-    deterministic pivot choice) gives -eta_r.  A non-exact residual stops the
-    extension and is reported as the obstruction class at that order.
+    At order r the t^r coefficient of the residual of eta_1..eta_{r-1} (the
+    `linfty.curve_coefficient` of `h3.complex.Q`) must be exact; its
+    primitive (with the deterministic pivot choice) gives -eta_r.  A
+    non-exact residual stops the extension and is reported as the
+    obstruction class at that order.
     """
     h3 = h3 or cohomology(inst, 3)
     if not h3.complex.d(eta1).is_zero():
         raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     coeffs = [eta1]
     for r in range(2, order + 1):
-        residual = _mc_nonlinear_coefficient(inst, coeffs, r)
+        curve = [section_to_vector(inst, s) for s in coeffs]
+        residual = vector_to_section(inst, curve_coefficient(h3.complex.Q, curve, r))
         if residual.is_zero():
             coeffs.append(inst.context.zero_section())
             continue

@@ -451,7 +451,8 @@ class Poly:
         return Poly._trusted(self.algebra, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        return Poly._trusted(self.algebra, add_into(dict(self._packed), other._packed, -1))
 
     def scale(self, c: Scalar) -> "Poly":
         c = _coefficient(c)

@@ -19,6 +19,9 @@ later call, so the Vector a coefficient returns is read-only.  Every sum
 here accumulates with `gca.add_into` into a dict that the summing function
 created itself, and only reads the coefficients it adds; `svec_scale` and
 `svec_add` return new dicts.  `LInftyStructure.bracket` is not memoised.
+
+`curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
+x(t): `mc_residual` and the deformation workflow's MC curves both use it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "check_codifferential",
     "check_morphism",
     "exp_coderivation",
+    "curve_coefficient",
     "mc_residual",
     "decalage_down",
     "decalage_up",
@@ -391,16 +395,39 @@ class LInftyStructure:
         return TaylorCoderivation(self.space, 1, coeffs, name=self.name)
 
 
+def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) -> Vector:
+    """The t^r coefficient of sum_k (1/k!) Q_k(x,...,x), x(t) = sum_{i>=1} t^i curve[i-1].
+
+    The entries of `curve` must have even degree, so Q_k is symmetric in them:
+    a multiset {i_1 <= ... <= i_k} of indices with sum r stands for
+    k!/prod(mult!) ordered tuples and is evaluated once, with weight
+    1/prod(mult!).  Only Q's own arities are visited; arity 0, the
+    curvature, is the t^0 coefficient.
+    """
+    space = Q.space
+    if any(space.degree(key) % 2 for vec in curve for key in vec):
+        raise ValueError("a formal curve must have even degree")
+    out: Vector = {}
+    for k in Q.arities():
+        for idx in itertools.combinations_with_replacement(range(1, min(len(curve), r) + 1), k):
+            vectors = [curve[i - 1] for i in idx]
+            if sum(idx) != r or not all(vectors):
+                continue
+            weight = Fraction(1, math.prod(math.factorial(idx.count(i)) for i in set(idx)))
+            for word, c in space.expand_word_of_vectors(vectors).items():
+                add_into(out, Q.coefficient(k, word), weight * c)
+    return out
+
+
 def mc_residual(L: LInftyStructure, eta: Vector) -> Vector:
-    """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta."""
-    for key in eta:
-        if L.space.degree(key) % 2 != 0:
-            raise ValueError("MC candidate must have degree 0 in the shifted grading")
-    out: Vector = dict(L.curvature)
-    for k in sorted(L.brackets):
-        power = L.space.expand_word_of_vectors([eta] * k)
-        for word, c in power.items():
-            add_into(out, L.bracket(k, word), Fraction(c, math.factorial(k)))
+    """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta.
+
+    The sum over the arities k of the t^k coefficients of the curve t*eta.
+    """
+    Q = L.to_coderivation()
+    out: Vector = {}
+    for k in Q.arities():
+        add_into(out, curve_coefficient(Q, [eta], k))
     return out
 
 

@@ -1,13 +1,14 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from cjde.cjalg import SplitCJInstance
 from cjde.contact import ContactContext
-from cjde.gca import Poly
+from cjde.gca import Poly, add_into
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     basis_keys,
     random_homogeneous_section,
@@ -42,6 +43,23 @@ def random_form_section(inst, rng, density=0.45):
                 _, mono = ctx.algebra.normalize_word(word)
                 out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
     return ctx.section(out)
+
+
+def ordered_curve_coefficient(arities, bracket, curve, r):
+    """Oracle for `linfty.curve_coefficient`: the t^r coefficient of
+    sum_k (1/k!) Q_k(x,...,x), x(t) = sum_i t^i curve[i-1], summed over
+    ordered index tuples, so each symmetric term is evaluated up to k! times.
+
+    `bracket(vectors)` is Q_k on the list of k vectors; only the given
+    `arities` are summed.
+    """
+    out = {}
+    for k in arities:
+        for idx in itertools.product(range(1, len(curve) + 1), repeat=k):
+            if sum(idx) == r:
+                add_into(out, bracket([curve[i - 1] for i in idx]),
+                         Fraction(1, math.factorial(k)))
+    return out
 
 
 def random_instance(rng, m, n, name="rand"):

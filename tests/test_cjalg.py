@@ -45,6 +45,7 @@ from cjde.cjalg import (
 )
 import cjde.cjalg as cjalg_module
 from cjde.contact import Section, jacobi_bracket, project_P
+from cjde.gca import Poly
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_add as vec_add, svec_scale as vec_scale)
@@ -99,6 +100,22 @@ def test_dimension_mismatch_rejected():
         SplitCJInstance(1, 2, c={(2, 0, 1): 1})     # frame index out of range
     with pytest.raises(ValueError):
         SplitCJInstance(1, 2, lam={5: 1})
+
+
+def test_exponent_dict_builds_canonical_monomials():
+    inst = SplitCJInstance(2, 1, lam={0: {(2, 0): 3, (0, 1): Fraction(1, 2), (0, 0): -1}})
+    alg = inst.context.algebra
+    assert inst.lam[0].terms == {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1}
+    assert inst.lam[0] == Poly(alg, {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1})
+    # a zero coefficient, even one given as a string, leaves no term
+    assert SplitCJInstance(1, 1, lam={0: {(1,): "0"}}).lam[0].is_zero()
+
+
+@pytest.mark.parametrize("lam", [{(-1,): 1}, {(-1,): 1, (0,): 1}])
+def test_negative_exponent_rejected(lam):
+    # x^-1 must not read as x^0 (lam = 1), nor add to an x^0 term beside it (lam = 2)
+    with pytest.raises(ValueError):
+        SplitCJInstance(1, 1, lam={0: lam})
 
 
 # --- axioms -----------------------------------------------------------------

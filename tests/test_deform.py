@@ -13,6 +13,9 @@ from cjde.cjalg import (
     de_rham,
     graph_frame,
     m2_closed,
+    m3_closed,
+    section_to_vector,
+    vector_to_section,
 )
 from cjde.contact import Section, jacobi_bracket
 from cjde.deform import (
@@ -29,6 +32,8 @@ from cjde.deform import (
     search_unobstructed_dgla,
     solve_linear,
 )
+
+from conftest import ordered_curve_coefficient
 
 F = Fraction
 
@@ -270,6 +275,60 @@ def test_order1_condition_is_closedness(dgla1):
         # order-2 residual is the second-derivative identity term
         assert res[1] == m2_closed(dgla1, eta.to_section(), eta.to_section()) \
             .scale(F(1, 2))
+
+
+def closed_route_bracket(inst):
+    """d, m2_closed and m3_closed on whole sections, read as a bracket on vectors."""
+    ops = {1: lambda s: de_rham(inst, s),
+           2: lambda s, t: m2_closed(inst, s, t),
+           3: lambda s, t, w: m3_closed(inst, s, t, w)}
+
+    def bracket(vectors):
+        sections = [vector_to_section(inst, v) for v in vectors]
+        return section_to_vector(inst, ops[len(sections)](*sections))
+    return bracket
+
+
+@pytest.fixture
+def djmix4():
+    # rank 4, so that the ternary bracket survives on 2-forms: in rank 3 the
+    # arity-3 terms of a 2-form curve cancel (a 3x3 skew matrix has det 0)
+    inst = SplitCJInstance(0, 4, c_dual={(2, 0, 1): 1}, psi={(0, 1, 2): 1, (1, 2, 3): -1},
+                           name="DJMIX4")
+    assert check_cj_axioms(inst).ok
+    return inst
+
+
+@pytest.mark.parametrize("name", ["djmix", "obst1", "djmix4"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_residual_coefficients_match_ordered_expansion(name, seed, request):
+    inst = request.getfixturevalue(name)
+    rng = random.Random(seed)
+    coeffs = [DeformationForm.from_dict(
+        inst, {(a, b): F(rng.randint(-2, 2), rng.randint(1, 2))
+               for a, b in itertools.combinations(range(inst.n), 2)}).to_section()
+        for _ in range(3)]
+    curve = [section_to_vector(inst, s) for s in coeffs]
+    bracket = closed_route_bracket(inst)
+    got = mc_residual_coefficients(inst, coeffs, 6)
+    assert len(got) == 6
+    for r, coefficient in enumerate(got, 1):
+        expected = ordered_curve_coefficient((1, 2, 3), bracket, curve, r)
+        assert coefficient == vector_to_section(inst, expected)
+    arity3 = [ordered_curve_coefficient((3,), bracket, curve, r) for r in range(3, 7)]
+    assert any(arity3) == (inst.n == 4)
+
+
+def test_curved_instance_accepts_a_closed_form(curv1):
+    # closedness reads m_1 alone: the curvature m_0 of CURV1 does not enter
+    ctx = curv1.context
+    eta = Section(ctx, ctx.u(0) * ctx.u(1))
+    cm = ComplexMatrices(curv1)
+    assert cm.d(eta).is_zero() and not cm.Q.coefficient(0, ()) == {}
+    coords, rep = kuranishi(curv1, eta)
+    assert coords == [] and rep.is_zero()
+    curve = extend_mc(curv1, eta, 3)
+    assert curve.ok and curve.order() == 3
 
 
 # --- seeded searches -------------------------------------------------------------

@@ -7,17 +7,22 @@ more inputs.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ordered_curve_coefficient
+
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
 from cjde.deform import ComplexMatrices
-from cjde.gca import MAX_FIELD_EXPONENT, Derivation, Poly, add_into, koszul_sign, koszul_sort
+from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
+from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
+                      koszul_sign, koszul_sort)
 
 CTX = ContactContext(1, 2)
 ALG = CTX.algebra
@@ -128,6 +133,19 @@ def test_add_into_matches_dense_sum(acc, pairs, scale, as_mapping):
     out = dict(acc)
     assert add_into(out, vec, scale) is out
     assert out == {k: c for k, c in enumerate(dense) if c}
+
+
+@PROPERTY
+@given(polys(), polys())
+def test_difference_is_sum_with_negation(f, g):
+    diff = f - g
+    assert diff == f + (-g) and diff.terms == (f + (-g)).terms
+    assert (f - f).is_zero() and not (f - f)._packed
+
+
+def test_difference_rejects_another_algebra():
+    with pytest.raises(ContextMismatch):
+        CTX.u(0) - CTX21.u(0)
 
 
 @PROPERTY
@@ -553,3 +571,72 @@ def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
     for bad in (ctx.u(0), ctx.x(0) * ctx.pa(1), ContactContext(1, 3).x(0)):
         with pytest.raises(ValueError):
             cjalg._form(ctx, ctx.ix_u, 1, [zero, bad, zero], cjalg._same)
+
+
+# --- formal curves: t^r coefficients of sum_k (1/k!) Q_k(x,...,x) -------------
+
+# a, b, e are even (curve entries); c, f are odd and only appear as outputs
+TOY_DEGREES = {"a": 0, "b": 0, "c": 1, "e": 2, "f": 1}
+TOY_SPACE = GradedSpace(TOY_DEGREES)
+TOY_VALUES = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def toy_coefficient(seed, k):
+    """A fixed sparse Vector per canonical word, drawn from a string seed."""
+    def coefficient(word):
+        rng = random.Random(f"{seed}/{k}/{word}")
+        return {key: rng.choice([-2, -1, 1, Fraction(1, 3)])
+                for key in TOY_DEGREES if rng.random() < 0.4}
+    return coefficient
+
+
+@st.composite
+def toy_structures(draw):
+    """A toy coderivation with arities drawn from 0..4; arity 0 makes it curved."""
+    seed = draw(st.integers(0, 10 ** 6))
+    coefficients = {k: toy_coefficient(seed, k) for k in draw(st.sets(st.integers(0, 4), min_size=2))}
+    if 0 in coefficients:
+        coefficients[0] = draw(st.dictionaries(st.sampled_from(list(TOY_DEGREES)), TOY_VALUES,
+                                               min_size=1))
+    return TaylorCoderivation(TOY_SPACE, 1, coefficients)
+
+
+curves = st.lists(st.dictionaries(st.sampled_from("abe"), TOY_VALUES, max_size=3),
+                  min_size=1, max_size=4)
+
+
+def toy_bracket(Q):
+    """Q_k on k vectors, expanded multilinearly into canonical words."""
+    def bracket(vectors):
+        out = {}
+        for word, c in TOY_SPACE.expand_word_of_vectors(vectors).items():
+            add_into(out, Q.coefficient(len(vectors), word), c)
+        return out
+    return bracket
+
+
+@PROPERTY
+@given(toy_structures(), curves, st.integers(0, 6))
+@example(Q=TaylorCoderivation(TOY_SPACE, 1, {0: {"c": 1}, 2: toy_coefficient(0, 2),
+                                             4: toy_coefficient(0, 4)}),
+         curve=[{"a": 1, "b": -2}, {}, {"e": Fraction(1, 2)}], r=4)
+def test_curve_coefficient_matches_ordered_expansion(Q, curve, r):
+    expected = ordered_curve_coefficient(Q.arities(), toy_bracket(Q), curve, r)
+    assert curve_coefficient(Q, curve, r) == expected
+
+
+def test_curve_coefficient_reads_every_arity_and_the_curvature():
+    # x(t) = t a: the t^k coefficient is Q_k(a,...,a)/k!, arity 4 included
+    Q = TaylorCoderivation(TOY_SPACE, 1, {0: {"c": 1},
+                                          4: lambda w: {"f": 1} if w == ("a",) * 4 else {}})
+    assert curve_coefficient(Q, [{"a": 1}], 0) == {"c": 1}
+    assert curve_coefficient(Q, [{"a": 1}], 4) == {"f": Fraction(1, 24)}
+    assert curve_coefficient(Q, [{"a": 1}], 3) == {}
+    # x(t) = t a + t^2 a: t^5 takes {1,1,1,2} with weight 1/3!
+    assert curve_coefficient(Q, [{"a": 1}, {"a": 1}], 5) == {"f": Fraction(1, 6)}
+
+
+def test_curve_coefficient_rejects_an_odd_curve():
+    Q = TaylorCoderivation(TOY_SPACE, 1, {2: toy_coefficient(0, 2)})
+    with pytest.raises(ValueError):
+        curve_coefficient(Q, [{"a": 1}, {"c": 1}], 2)
