@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .contact import (
     ContactContext,
@@ -66,6 +66,7 @@ __all__ = [
     "NotLagrangian",
     "build_theta",
     "check_cj_axioms",
+    "first_nonzero",
     "embed_anchored",
     "split_anchored",
     "pairing",
@@ -475,8 +476,7 @@ class AxiomReport:
 
     @property
     def direct_ok(self) -> bool:
-        return (all(r.is_zero() for _, r in self.jacobi_residuals)
-                and all(r.is_zero() for _, r in self.flatness_residuals))
+        return first_nonzero(self.jacobi_residuals + self.flatness_residuals) is None
 
     @property
     def biconditional(self) -> bool:
@@ -484,18 +484,19 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return self.mc_ok and self.direct_ok
+        return self.witness() is None
 
     def witness(self) -> Optional[Section]:
-        if not self.mc_ok:
-            return self.mc_residual
-        for _, r in self.jacobi_residuals:
-            if not r.is_zero():
-                return r
-        for _, r in self.flatness_residuals:
-            if not r.is_zero():
-                return r
-        return None
+        """The first nonzero residual: {Theta,Theta}, then Jacobi, then flatness."""
+        hit = first_nonzero([((), self.mc_residual)] + self.jacobi_residuals
+                            + self.flatness_residuals)
+        return None if hit is None else hit[1]
+
+
+def first_nonzero(residuals: Iterable[Tuple[Tuple, Section]]
+                  ) -> Optional[Tuple[Tuple, Section]]:
+    """The first (index, residual) pair, in order, whose residual is nonzero."""
+    return next(((idx, r) for idx, r in residuals if not r.is_zero()), None)
 
 
 def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
@@ -736,17 +737,14 @@ def courant_tensor(inst: SplitCJInstance, frame: Sequence[Section]) -> List[List
     return out
 
 
-def tensor_is_zero(t: List[List[List[Section]]]) -> bool:
-    return all(s.is_zero() for pl in t for row in pl for s in row)
-
-
 def tensor_witness(t: List[List[List[Section]]]) -> Optional[Tuple[Tuple[int, int, int], Section]]:
-    for i, pl in enumerate(t):
-        for j, row in enumerate(pl):
-            for l, s in enumerate(row):
-                if not s.is_zero():
-                    return (i, j, l), s
-    return None
+    """The first nonzero entry of the tensor, in index order, with its index."""
+    return first_nonzero(((i, j, l), s) for i, pl in enumerate(t)
+                         for j, row in enumerate(pl) for l, s in enumerate(row))
+
+
+def tensor_is_zero(t: List[List[List[Section]]]) -> bool:
+    return tensor_witness(t) is None
 
 
 def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
@@ -761,9 +759,10 @@ def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
 
 
 def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
-    """True iff the Courant tensor of the Lagrangian frame vanishes."""
-    t = courant_tensor(inst, frame)
-    return tensor_is_zero(t), tensor_witness(t)
+    """(True, None) if the Courant tensor of the Lagrangian frame vanishes, else
+    (False, its first nonzero entry and index from `tensor_witness`)."""
+    witness = tensor_witness(courant_tensor(inst, frame))
+    return witness is None, witness
 
 
 # --- deformation brackets: derived and closed routes -------------------------

@@ -7,10 +7,12 @@ Commands:
     cjde cohomology FILE [--degree K]
     cjde selftest [--seed S]
 
-Reports are line-oriented JSON (one check per line) or plain text; exit code
-0 means every check passed, 1 a mathematical failure, 2 an input error.
-`complement` checks every canonical word up to the truncation.
-Identical inputs and seeds produce byte-identical reports.
+Each command returns a `Report` of line-oriented JSON (one check per line) or
+plain text, in which a check fails exactly when it has a witness.  `main`
+alone writes it and sets the exit code: 0 when every check passed, 1 on a
+mathematical failure, 2 on bad input or an unwritable `--out` (one `error:`
+line on stderr).  `complement` checks every canonical word up to the
+truncation.  Identical inputs and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .cjalg import (
     contact_vdata,
     deformation_brackets,
     deformation_space,
+    first_nonzero,
     graph_frame,
     is_dirac_jacobi,
     m2_sharp_closed,
@@ -56,6 +59,11 @@ class Report:
 
     def __init__(self):
         self.lines: List[Dict[str, object]] = []
+
+    def check(self, check: str, witness: Optional[object] = None, **extra):
+        """A pass/fail line: pass when `witness` is None, else fail showing it."""
+        self.add(check, "pass" if witness is None else "fail",
+                 None if witness is None else str(witness), **extra)
 
     def add(self, check: str, status: str, witness: Optional[str] = None, **extra):
         if status == "fail" and witness is None:
@@ -89,61 +97,55 @@ class Report:
 
 def _emit(report: Report, args) -> None:
     text = report.render(args.format)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InstanceFileError(f"cannot write {args.out}: {exc}") from None
 
 
-def cmd_check(args) -> int:
+def _at(label: str, hit) -> Optional[str]:
+    """An (index, residual) witness as text, e.g. "triple (0, 1, 2): ..."; None stays None."""
+    return None if hit is None else f"{label}{hit[0]}: {hit[1]}"
+
+
+def cmd_check(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
     axioms = check_cj_axioms(inst)
-    report.add("structure-equation {Theta,Theta}=0",
-               "pass" if axioms.mc_ok else "fail",
-               None if axioms.mc_ok else str(axioms.mc_residual))
-    bad_jac = [(idx, r) for idx, r in axioms.jacobi_residuals if not r.is_zero()]
-    report.add("loday-jacobi-identity on frame triples",
-               "pass" if not bad_jac else "fail",
-               None if not bad_jac else f"triple {bad_jac[0][0]}: {bad_jac[0][1]}",
-               triples=len(axioms.jacobi_residuals))
-    bad_flat = [(idx, r) for idx, r in axioms.flatness_residuals if not r.is_zero()]
-    report.add("connection-flatness on frame pairs",
-               "pass" if not bad_flat else "fail",
-               None if not bad_flat else f"pair {bad_flat[0][0]}: {bad_flat[0][1]}",
-               pairs=len(axioms.flatness_residuals))
-    report.add("biconditional structure-equation <-> direct axioms",
-               "pass" if axioms.biconditional else "fail",
-               None if axioms.biconditional else "sides disagree")
+    report.check("structure-equation {Theta,Theta}=0",
+                 None if axioms.mc_ok else axioms.mc_residual)
+    report.check("loday-jacobi-identity on frame triples",
+                 _at("triple ", first_nonzero(axioms.jacobi_residuals)),
+                 triples=len(axioms.jacobi_residuals))
+    report.check("connection-flatness on frame pairs",
+                 _at("pair ", first_nonzero(axioms.flatness_residuals)),
+                 pairs=len(axioms.flatness_residuals))
+    report.check("biconditional structure-equation <-> direct axioms",
+                 None if axioms.biconditional else "sides disagree")
 
     vd = contact_vdata(inst)
     rng = random.Random(0)
     samples = [random_section(inst.context, rng, weight=3) for _ in range(12)]
     kernel_samples = [random_kernel_section(inst.context, rng) for _ in range(12)]
     vrep = validate(vd, samples, kernel_samples)
-    # the MC equation is checked exactly; these four only on the samples
-    sampled = {"projection idempotent": len(samples),
-               "projection lands in subalgebra": len(samples),
-               "subalgebra abelian": len(samples),
-               "kernel closed under bracket": len(kernel_samples)}
-    for name, ok, witness in vrep.checks:
-        extra = {"samples": sampled[name]} if name in sampled else {}
-        report.add(f"v-data: {name}", "pass" if ok else "fail",
-                   None if ok else str(witness), **extra)
-    report.add("v-data: curvature flag",
-               "pass", flag="curved" if vrep.curved else "flat")
-    _emit(report, args)
-    return EXIT_MATH_FAIL if report.failed else EXIT_OK
+    for name, witness in vrep.checks:
+        # the MC equation is checked exactly; the other four on 12 samples each
+        extra = {} if name == "MC equation {Phi,Phi}=0" else {"samples": len(samples)}
+        report.check(f"v-data: {name}", witness, **extra)
+    report.check("v-data: curvature flag", flag="curved" if vrep.curved else "flat")
+    return report
 
 
 def _passes_check(inst: SplitCJInstance, report: Report) -> bool:
     """Report the axiom check as the precondition of a deformation analysis."""
-    axioms = check_cj_axioms(inst)
-    report.add("precondition: instance passes check", "pass" if axioms.ok else "fail",
-               None if axioms.ok else str(axioms.witness()))
-    return axioms.ok
+    witness = check_cj_axioms(inst).witness()
+    report.check("precondition: instance passes check", witness)
+    return witness is None
 
 
 def _get_eta(doc, args, inst) -> DeformationForm:
@@ -158,13 +160,12 @@ def _get_eta(doc, args, inst) -> DeformationForm:
     return DeformationForm.from_dict(inst, data)
 
 
-def cmd_deform(args) -> int:
+def cmd_deform(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
     if not _passes_check(inst, report):
-        _emit(report, args)
-        return EXIT_MATH_FAIL
+        return report
 
     eta = _get_eta(doc, args, inst)
     residual = mc_residual_form(inst, eta)
@@ -173,12 +174,10 @@ def cmd_deform(args) -> int:
     frame = graph_frame(inst, eta)
     involutive, witness = is_dirac_jacobi(inst, frame)
     report.add("graph is dirac-jacobi", "pass" if involutive else "info",
-               None, verdict=str(involutive),
-               upsilon_witness=None if involutive else f"{witness[0]}: {witness[1]}")
-    report.add("mc <-> involutivity agreement",
-               "pass" if residual.is_zero() == involutive else "fail",
-               None if residual.is_zero() == involutive else
-               f"mc={residual} involutive={involutive}")
+               None, verdict=str(involutive), upsilon_witness=_at("", witness))
+    report.check("mc <-> involutivity agreement",
+                 None if residual.is_zero() == involutive else
+                 f"mc={residual} involutive={involutive}")
 
     try:
         cm = ComplexMatrices(inst)
@@ -188,35 +187,33 @@ def cmd_deform(args) -> int:
                        reason="eta is not closed")
         else:
             coords, rep = kuranishi(inst, eta, h3)
-            report.add("kuranishi class", "pass", None,
-                       coordinates=[str(c) for c in coords], representative=str(rep))
+            report.check("kuranishi class", coordinates=[str(c) for c in coords],
+                         representative=str(rep))
             curve = extend_mc(inst, eta, args.order, h3=h3)
             if curve.ok:
-                report.add("formal extension", "pass", None, order=args.order,
-                           coefficients=[str(c) for c in curve.coefficients])
+                report.check("formal extension", order=args.order,
+                             coefficients=[str(c) for c in curve.coefficients])
             else:
                 report.add("formal extension", "info", None,
                            obstructed_at=curve.obstructed_at,
                            obstruction=str(curve.obstruction_representative))
     except (UnsupportedBase, NotFlat) as exc:
         report.add("kuranishi class", "unsupported", None, reason=str(exc))
-    _emit(report, args)
-    return EXIT_MATH_FAIL if report.failed else EXIT_OK
+    return report
 
 
-def cmd_complement(args) -> int:
+def cmd_complement(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
     report = Report()
     if not _passes_check(inst, report):
-        _emit(report, args)
-        return EXIT_MATH_FAIL
+        return report
 
     if args.epsilon not in doc.epsilons:
         raise InstanceFileError(f"unknown epsilon name {args.epsilon!r}")
     eps = doc.epsilons[args.epsilon]
     out = change_complement(inst, eps)
-    report.add("theta transported", "pass", None, theta1=str(out["theta1"]))
+    report.check("theta transported", theta1=str(out["theta1"]))
 
     Q0 = deformation_brackets(inst, "derived").to_coderivation()
     Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
@@ -230,43 +227,39 @@ def cmd_complement(args) -> int:
         orig = M.coefficients[2]
         M.coefficients[2] = lambda w: {k: 2 * v for k, v in orig(w).items()}
         eM = exp_coderivation(M)
-    rep = check_morphism(eM, Q0, Q1, words)
-    report.add(f"exp(M) intertwines codifferentials through arity {args.trunc}",
-               "pass" if rep.ok else "fail",
-               None if rep.ok else _word_witness(inst, rep),
-               words=len(words))
+    report.check(f"exp(M) intertwines codifferentials through arity {args.trunc}",
+                 _word_witness(inst, check_morphism(eM, Q0, Q1, words)), words=len(words))
 
-    ok2 = True
-    witness2 = None
-    for w in space.words(keys, 2, 2):
+    def m2_mismatch(w) -> Optional[str]:
         s1, s2 = word_to_sections(inst, w)
         try:
             closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
         except ValueError:
-            continue
+            return None
         derived = vector_to_section(inst, out["M"].coefficient(2, w))
-        if closed != derived:
-            ok2 = False
-            witness2 = f"word {w}: closed {closed} vs derived {derived}"
-            break
-    report.add("M_2 matches sharp/flat closed form", "pass" if ok2 else "fail", witness2)
-    _emit(report, args)
-    return EXIT_MATH_FAIL if report.failed else EXIT_OK
+        return None if closed == derived else f"word {w}: closed {closed} vs derived {derived}"
+
+    mismatches = (m2_mismatch(w) for w in space.words(keys, 2, 2))
+    report.check("M_2 matches sharp/flat closed form",
+                 next((m for m in mismatches if m is not None), None))
+    return report
 
 
-def _word_witness(inst, rep) -> str:
+def _word_witness(inst, rep) -> Optional[str]:
+    """The first failing word of a residual report, or None when it holds."""
+    if rep.ok:
+        return None
     word, residual = rep.witness()
     pretty = [inst.context.algebra.monomial_str(k) for k in word]
     return f"word ({', '.join(pretty)}): residual {len(residual)} terms"
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
     if args.degree is not None and not 0 <= args.degree <= inst.n:
-        sys.stderr.write(f"error: --degree must be between 0 and {inst.n} (the rank), "
-                         f"got {args.degree}\n")
-        return EXIT_INPUT
+        raise InstanceFileError(f"--degree must be between 0 and {inst.n} (the rank), "
+                                f"got {args.degree}")
     report = Report()
     try:
         cm = ComplexMatrices(inst)
@@ -275,50 +268,40 @@ def cmd_cohomology(args) -> int:
     degrees = [args.degree] if args.degree is not None else list(range(inst.n + 1))
     for k in degrees:
         h = cohomology(inst, k, cm)
-        report.add(f"H^{k}", "pass", None, dimension=h.dimension,
-                   representatives=[str(r) for r in h.representatives])
-    _emit(report, args)
-    return EXIT_OK
+        report.check(f"H^{k}", dimension=h.dimension,
+                     representatives=[str(r) for r in h.representatives])
+    return report
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Report:
     rng = random.Random(args.seed)
     report = Report()
     ctx = ContactContext(1, 2)
 
-    ok = True
-    witness = None
-    for _ in range(40):
+    def bracket_defect():
+        """Graded skew-symmetry, then Jacobi, on one random triple: a nonzero residual."""
         a, b, c = (random_homogeneous_section(ctx, rng) for _ in range(3))
         if a.is_zero() or b.is_zero() or c.is_zero():
-            continue
-        da, db = a.degree() - 2, b.degree() - 2
-        skew = jacobi_bracket(a, b) + jacobi_bracket(b, a).scale((-1) ** (da * db))
+            return None
+        sign = (-1) ** ((a.degree() - 2) * (b.degree() - 2))
+        skew = jacobi_bracket(a, b) + jacobi_bracket(b, a).scale(sign)
         jac = jacobi_bracket(a, jacobi_bracket(b, c)) \
             - jacobi_bracket(jacobi_bracket(a, b), c) \
-            - jacobi_bracket(b, jacobi_bracket(a, c)).scale((-1) ** (da * db))
-        if not skew.is_zero() or not jac.is_zero():
-            ok = False
-            witness = str(skew if not skew.is_zero() else jac)
-            break
-    report.add("jacobi bracket: graded skew and jacobi identity",
-               "pass" if ok else "fail", witness)
+            - jacobi_bracket(b, jacobi_bracket(a, c)).scale(sign)
+        return next((r for r in (skew, jac) if not r.is_zero()), None)
+
+    defects = (bracket_defect() for _ in range(40))
+    report.check("jacobi bracket: graded skew and jacobi identity",
+                 next((d for d in defects if d is not None), None))
 
     heis2 = SplitCJInstance(0, 2, lam={0: 1}, name="HEIS2")
-    axioms = check_cj_axioms(heis2)
-    report.add("built-in fixture axioms", "pass" if axioms.ok else "fail",
-               None if axioms.ok else str(axioms.witness()))
+    report.check("built-in fixture axioms", check_cj_axioms(heis2).witness())
 
     L = deformation_brackets(heis2, "derived")
-    Q = L.to_coderivation()
     words = L.space.words(basis_keys(heis2), 4)
-    qrep = check_codifferential(Q, words)
-    report.add("deformation codifferential squares to zero",
-               "pass" if qrep.ok else "fail",
-               None if qrep.ok else _word_witness(heis2, qrep))
-
-    _emit(report, args)
-    return EXIT_MATH_FAIL if report.failed else EXIT_OK
+    report.check("deformation codifferential squares to zero",
+                 _word_witness(heis2, check_codifferential(L.to_coderivation(), words)))
+    return report
 
 
 def _positive_int(text: str) -> int:
@@ -381,10 +364,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        _emit(report, args)
     except InstanceFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    return EXIT_MATH_FAIL if report.failed else EXIT_OK
 
 
 if __name__ == "__main__":

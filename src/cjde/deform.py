@@ -358,11 +358,10 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
 # --- seeded fixture searches -----------------------------------------------
 
 
-def _random_point_instance(rng: random.Random, n: int, *,
-                           allow_psi: bool, name: str) -> SplitCJInstance:
+def _random_point_instance(rng: random.Random, n: int, name: str) -> SplitCJInstance:
     """A random small-coefficient candidate with flat (phi = 0) A side."""
-    def val(lo=-1, hi=1):
-        return rng.randint(lo, hi)
+    def val():
+        return rng.randint(-1, 1)
 
     kw = dict(c={}, lam={}, c_dual={}, lam_dual={}, psi={})
     for a in range(n):
@@ -376,26 +375,29 @@ def _random_point_instance(rng: random.Random, n: int, *,
                 kw["c"][(cc, a, b)] = val()
             if rng.random() < 0.35:
                 kw["c_dual"][(cc, a, b)] = val()
-    if allow_psi:
-        for a, b, cc in itertools.combinations(range(n), 3):
-            if rng.random() < 0.3:
-                kw["psi"][(a, b, cc)] = val()
+    for a, b, cc in itertools.combinations(range(n), 3):
+        if rng.random() < 0.3:
+            kw["psi"][(a, b, cc)] = val()
     return SplitCJInstance(0, n, name=name, **kw)
 
 
-def search_obstructed_instance(seed: int = 42, tries: int = 2000, n: int = 3
+# Rank of the instances the two fixture searches build; the dgLa search's
+# A-side brackets name e_0, e_1 and e_2.
+SEARCH_RANK = 3
+
+
+def search_obstructed_instance(seed: int = 42, tries: int = 2000
                                ) -> Tuple[SplitCJInstance, DeformationForm, Vec]:
     """Seeded search for a valid instance with an obstructed 2-cocycle.
 
-    Scans small rational instances with flat A side, keeps those satisfying
-    the structure equation exactly, and returns the first one where some
-    cohomology representative (or a small combination) has nonzero Kuranishi
-    class.  Deterministic for a fixed seed.
+    Scans small rational instances of rank SEARCH_RANK with flat A side,
+    keeps those satisfying the structure equation exactly, and returns the
+    first one where some cohomology representative (or a small combination)
+    has nonzero Kuranishi class.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     for attempt in range(tries):
-        inst = _random_point_instance(rng, n, allow_psi=True,
-                                      name=f"search-{seed}-{attempt}")
+        inst = _random_point_instance(rng, SEARCH_RANK, f"search-{seed}-{attempt}")
         theta = inst.theta
         if not jacobi_bracket(theta, theta).is_zero():
             continue
@@ -421,7 +423,7 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000, n: int = 3
     raise RuntimeError(f"no obstructed instance found in {tries} tries (seed {seed})")
 
 
-def search_unobstructed_dgla(n: int = 3) -> Tuple[SplitCJInstance, DeformationForm]:
+def search_unobstructed_dgla() -> Tuple[SplitCJInstance, DeformationForm]:
     """Deterministic search for a dgLa fixture: m_3 = 0, m_2 != 0, H^3 = 0.
 
     Enumerates solvable A-side brackets against single small dual-side slots,
@@ -435,6 +437,7 @@ def search_unobstructed_dgla(n: int = 3) -> Tuple[SplitCJInstance, DeformationFo
         {"c": {(1, 0, 1): 1, (2, 0, 2): 2}, "lam": {}},
         {"c": {(1, 0, 1): 1, (2, 0, 2): 1}, "lam": {0: 1}},
     ]
+    n = SEARCH_RANK
     dual_slots = [("c_dual", (cc, a, b)) for cc in range(n)
                   for a, b in itertools.combinations(range(n), 2)]
     dual_slots += [("lam_dual", (a,)) for a in range(n)]

@@ -40,6 +40,11 @@ MAX_RANK = 6
 MAX_EXPONENT = 255
 
 
+# The only top-level keys a file may carry; any other, such as a misspelled
+# "anchr", is rejected rather than read as a zero tensor.
+KEYS = ("schema", "name", "base_dim", "rank", "anchor", "bracket", "rep", "anchor_dual",
+        "bracket_dual", "rep_dual", "upsilon", "upsilon_dual", "deformations", "epsilons")
+
 # The only number spellings a file may use.  int() and Fraction() alone would
 # also read digit separators, surrounding spaces, non-ASCII digits, decimals
 # and exponents, so "1_0" would load as 10.
@@ -154,10 +159,21 @@ def load_instance(path: str) -> InstanceDocument:
             data = json.load(fh)
     except OSError as exc:
         raise InstanceFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFileError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InstanceFileError(f"{path} nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise InstanceFileError("top level must be a JSON object")
+    unknown = sorted(set(data) - set(KEYS))
+    if unknown:
+        raise InstanceFileError(f"unknown top-level key(s) {', '.join(map(repr, unknown))}; "
+                                f"allowed: {', '.join(KEYS)}")
+    for key in ("deformations", "epsilons"):
+        if not isinstance(data.get(key, {}), dict):
+            raise InstanceFileError(f"{key} must be a JSON object mapping names to 2-forms")
     sizes = [data.get(key) for key in ("schema", "base_dim", "rank")]
     if not all(map(_is_json_int, sizes)):
         raise InstanceFileError("schema, base_dim and rank must be JSON integers, got "
@@ -181,7 +197,7 @@ def load_instance(path: str) -> InstanceDocument:
     ups_d = _expect_array(data, "upsilon_dual", (n, n, n), m)
     # every entry is parsed, and so checked, before any polynomial is built
     forms = {key: {name: _expect_array({key: arr}, key, (n, n), m)
-                   for name, arr in (data.get(key) or {}).items()}
+                   for name, arr in data.get(key, {}).items()}
              for key in ("deformations", "epsilons")}
 
     def sparse(arr, keys):

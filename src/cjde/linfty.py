@@ -291,9 +291,6 @@ class ResidualReport:
     def ok(self) -> bool:
         return not self.entries
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def witness(self) -> Optional[Tuple[Word, SVector]]:
         return self.entries[0] if self.entries else None
 
@@ -302,14 +299,13 @@ class ResidualReport:
         return f"ResidualReport({self.label}: {state})"
 
 
-def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word],
-                         label: str = "Q^2") -> ResidualReport:
+def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> ResidualReport:
     """Residuals pr_1(Q(Q(w))) over the given words; empty iff the relations hold.
 
     Q^2 is again a coderivation, so it vanishes iff its Taylor coefficients
     (the arity-1 projections) vanish on every word.
     """
-    report = ResidualReport(label)
+    report = ResidualReport("Q^2")
     for w in words:
         qq = Q.apply(Q.apply_word(w))
         residual = {wd: c for wd, c in qq.items() if len(wd) == 1}
@@ -318,9 +314,9 @@ def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word],
 
 
 def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderivation,
-                   words: Sequence[Word], label: str = "morphism") -> ResidualReport:
+                   words: Sequence[Word]) -> ResidualReport:
     """Residuals Q'(phi(w)) - phi(Q(w)) on the given words."""
-    report = ResidualReport(label)
+    report = ResidualReport("morphism")
     for w in words:
         residual = Qp.apply(phi.apply_word(w))
         add_into(residual, phi.apply(Q.apply_word(w)), -1)

@@ -40,20 +40,17 @@ class VData:
 
 @dataclass
 class ValidationReport:
-    """Pass/fail per V-data axiom, with a witness element on failure."""
+    """Per V-data axiom its witness: None when it holds, else a failing element."""
 
-    checks: List[Tuple[str, bool, Optional[object]]] = field(default_factory=list)
+    checks: List[Tuple[str, Optional[object]]] = field(default_factory=list)
     curved: bool = False
-
-    def add(self, name: str, ok: bool, witness: object = None) -> None:
-        self.checks.append((name, ok, None if ok else witness))
 
     @property
     def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(witness is None for _, witness in self.checks)
 
     def failed(self) -> List[str]:
-        return [name for name, ok, _ in self.checks if not ok]
+        return [name for name, witness in self.checks if witness is not None]
 
 
 def validate(v: VData, samples: Sequence[object],
@@ -62,52 +59,26 @@ def validate(v: VData, samples: Sequence[object],
 
     `samples` are arbitrary algebra elements used for P idempotency and for
     abelian-ness of the image; `kernel_samples` should lie in ker P and are
-    used for the subalgebra-kernel axiom.
+    used for the subalgebra-kernel axiom.  A failing projection check names
+    the first failing sample, a failing bracket check the first offending
+    bracket, both in sample order.
     """
-    report = ValidationReport()
-
-    ok, wit = True, None
-    for s in samples:
-        ps = v.project(s)
-        if not (v.project(ps) - ps).is_zero():
-            ok, wit = False, s
-            break
-    report.add("projection idempotent", ok, wit)
-
-    ok, wit = True, None
-    for s in samples:
-        if not v.in_subalgebra(v.project(s)):
-            ok, wit = False, s
-            break
-    report.add("projection lands in subalgebra", ok, wit)
-
-    ok, wit = True, None
-    for s in samples:
-        for t in samples:
-            b = v.bracket(v.project(s), v.project(t))
-            if not b.is_zero():
-                ok, wit = False, b
-                break
-        if not ok:
-            break
-    report.add("subalgebra abelian", ok, wit)
-
-    ok, wit = True, None
-    for s in kernel_samples:
-        for t in kernel_samples:
-            b = v.bracket(s, t)
-            if not v.project(b).is_zero():
-                ok, wit = False, b
-                break
-        if not ok:
-            break
-    report.add("kernel closed under bracket", ok, wit)
-
+    images = [v.project(s) for s in samples]
+    image_brackets = (v.bracket(a, b) for a in images for b in images)
+    kernel_brackets = (v.bracket(s, t) for s in kernel_samples for t in kernel_samples)
     mc = v.bracket(v.mc_element, v.mc_element)
-    report.add("MC equation {Phi,Phi}=0", mc.is_zero(), mc)
-
-    report.curved = v.is_curved
-    return report
+    checks = [
+        ("projection idempotent",
+         next((s for s, ps in zip(samples, images) if not (v.project(ps) - ps).is_zero()),
+              None)),
+        ("projection lands in subalgebra",
+         next((s for s, ps in zip(samples, images) if not v.in_subalgebra(ps)), None)),
+        ("subalgebra abelian", next((b for b in image_brackets if not b.is_zero()), None)),
+        ("kernel closed under bracket",
+         next((b for b in kernel_brackets if not v.project(b).is_zero()), None)),
+        ("MC equation {Phi,Phi}=0", None if mc.is_zero() else mc),
+    ]
+    return ValidationReport(checks, v.is_curved)
 
 
 def higher_derived_bracket(v: VData, k: int, args: Sequence[object]) -> object:

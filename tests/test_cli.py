@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from cjde import contact, gca
-from cjde.cli import main
+from cjde.cli import Report, main
 from cjde.instancefile import MAX_EXPONENT
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -328,3 +328,66 @@ def test_non_integer_json_exits_2(doc, message, command, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def _heis2_with(tmp_path, drop=(), **changes):
+    """A copy of heis2.json with the `drop` keys removed and `changes` set."""
+    with open(fixture("heis2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key in drop:
+        del doc[key]
+    doc.update(changes)
+    path = tmp_path / "heis2-edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _assert_one_error_line(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("key, value", [("deformations", [1]), ("epsilons", "x"),
+                                        ("deformations", None)])
+def test_forms_that_are_not_objects_exit_2(key, value, tmp_path, capsys):
+    bad = _heis2_with(tmp_path, **{key: value})
+    _assert_one_error_line(*run_cli(["check", bad], capsys), key)
+
+
+@pytest.mark.parametrize("content, message", [
+    (bytes([0xFF, 0xFE, 0x7B, 0x7D]), "not UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_undecodable_file_exits_2(content, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    _assert_one_error_line(*run_cli(["check", str(bad)], capsys), message)
+
+
+def test_misspelled_key_exits_2(tmp_path, capsys):
+    # an ignored "anchr" would leave the anchor zero and the check a vacuous pass
+    bad = _heis2_with(tmp_path, drop=["anchor"], anchr=[])
+    _assert_one_error_line(*run_cli(["check", bad], capsys), "'anchr'")
+
+
+@pytest.mark.parametrize("command", [["check", fixture("heis2-broken.json")],
+                                     ["selftest"]])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(command + ["--out", str(target)], capsys)
+    _assert_one_error_line(code, out, err, f"cannot write {target}")
+    assert not target.exists()
+
+
+def test_report_check_verdict_is_the_witness():
+    report = Report()
+    report.check("holds", samples=3)
+    assert report.lines == [{"check": "holds", "status": "pass", "witness": None,
+                             "samples": 3}]
+    assert not report.failed
+    report.check("breaks", "word (u1): residual 2 terms")
+    assert report.lines[-1] == {"check": "breaks", "status": "fail",
+                                "witness": "word (u1): residual 2 terms"}
+    assert report.failed

@@ -60,8 +60,7 @@ def test_validate_negative_mc(heis2):
     assert not report.ok
     assert "MC equation {Phi,Phi}=0" in report.failed()
     # the failing check carries a nonzero witness
-    failing = [w for name, ok, w in report.checks if not ok]
-    assert failing and not failing[0].is_zero()
+    assert not dict(report.checks)["MC equation {Phi,Phi}=0"].is_zero()
 
 
 def test_higher_derived_bracket_examples(heis2):
@@ -136,3 +135,35 @@ def test_voronov_assembled_codifferential(heis2, obst1, dgla1):
         Q = TaylorCoderivation(space, 1, {1: make(1), 2: make(2), 3: make(3)})
         words = space.words(basis_keys(inst), 4)
         assert check_codifferential(Q, words).ok
+
+
+def test_validate_names_first_failing_sample_and_bracket(heis2):
+    rng = random.Random(6)
+    samples, kernel = samples_for(heis2, rng)
+    vd = contact_vdata(heis2)
+    # two leading kernel elements project to zero and pass every projection check
+    samples = kernel[:2] + samples
+    assert not vd.project(samples[2]).is_zero()
+
+    doubled = VData(vd.bracket, vd.in_subalgebra, lambda s: vd.project(s).scale(2),
+                    vd.mc_element)
+    witnesses = dict(validate(doubled, samples, kernel).checks)
+    assert witnesses["projection idempotent"] is samples[2]
+    assert witnesses["MC equation {Phi,Phi}=0"] is None
+
+    # the identity "projection" has the whole algebra as its image, which is not abelian
+    whole = VData(vd.bracket, vd.in_subalgebra, lambda s: s, vd.mc_element)
+    report = validate(whole, samples, kernel)
+    witnesses = dict(report.checks)
+    assert witnesses["projection idempotent"] is None
+    outside = [i for i, s in enumerate(samples) if not vd.in_subalgebra(s)]
+    assert outside[0] > 0
+    assert witnesses["projection lands in subalgebra"] is samples[outside[0]]
+    brackets = [vd.bracket(s, t) for s in samples for t in samples]
+    assert brackets[0].is_zero()
+    assert witnesses["subalgebra abelian"] == next(b for b in brackets if not b.is_zero())
+    kernel_brackets = [vd.bracket(s, t) for s in kernel for t in kernel]
+    assert witnesses["kernel closed under bracket"] == \
+        next(b for b in kernel_brackets if not b.is_zero())
+    assert report.failed() == ["projection lands in subalgebra", "subalgebra abelian",
+                               "kernel closed under bracket"]
