@@ -727,9 +727,9 @@ def courant_tensor(inst: SplitCJInstance, frame: Sequence[Section]) -> List[List
         pr = pairing(frame[i], frame[j])
         if not pr.is_zero():
             raise NotLagrangian(f"pairing of frame elements {i},{j} is {pr}")
-    theta = inst.theta
-    table = [jacobi_bracket(jacobi_bracket(e, theta), f)
-             for e in frame for f in frame]
+    # {u_i, Theta} once per element, so its memoised operator serves every u_j
+    theta_br = [jacobi_bracket(e, inst.theta) for e in frame]
+    table = [jacobi_bracket(e_theta, f) for e_theta in theta_br for f in frame]
     k = len(frame)
     out = [[[None] * k for _ in range(k)] for _ in range(k)]
     for i, j, l in itertools.product(range(k), repeat=3):

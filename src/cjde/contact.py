@@ -10,11 +10,16 @@ Generators of the coordinate algebra, with bidegrees:
 
 The line bundle is trivialized by a global frame mu, so a section is just a
 polynomial coefficient.  The canonical Jacobi bracket is its Darboux-coordinate
-formula with D_i = d/dx^i + pi_i d/dp and D_a = d/du^a + pa_a d/dp, evaluated
-in one bilinear pass: every left partial of each argument is taken once, in
-one sweep over its terms (`Poly.partials`), the D's are formed from those
-partials, products whose momentum partial vanishes are skipped and the rest
-are accumulated into one dict.  Everything else (Reeb fields, Hamiltonian
+formula with D_i = d/dx^i + pi_i d/dp and D_a = d/du^a + pa_a d/dp.  For a
+fixed left section f it is a first-order operator in the right one,
+{f, g} = sum_k C_k dg/dk + C_0 g (`HamiltonianOperator`), and that is how it
+runs: the operator is memoised on the left `Section`, each C_k is built the
+first time some right argument has a partial by k, and a bracket takes the
+partials of g (`Poly.partials`, memoised on g), adds every C_k dg/dk into
+one dict with `Poly.mul_into` and subtracts df/dp g.  The derived brackets
+{{e, Theta}, .} apply the same few left operators to many sections, so
+their coefficients are built once.  The C_k are also the values of the Reeb
+field (`reeb_field`), from the same code.  Everything else (Hamiltonian
 lifts, the Legendre transform) is checked against the bracket.
 
 A derivation of the line bundle over A[1] is f + X: multiplication by a
@@ -65,6 +70,12 @@ class ContactContext:
         self.ix_pa = list(range(m + n, m + 2 * n))
         self.ix_pi = list(range(m + 2 * n, 2 * m + 2 * n))
         self.ix_p = 2 * m + 2 * n
+        # each coordinate and each momentum: (coordinate, its momentum, and
+        # whether the bracket signs the pair by the parity of its left argument)
+        self.darboux: Dict[int, Tuple[int, int, bool]] = {}
+        for coord, mom, signed in [(x, pi, False) for x, pi in zip(self.ix_x, self.ix_pi)] \
+                + [(u, pa, True) for u, pa in zip(self.ix_u, self.ix_pa)]:
+            self.darboux[coord] = self.darboux[mom] = (coord, mom, signed)
         self._mirror = _mirror_of
 
     @property
@@ -111,15 +122,28 @@ class ContactContext:
 
 
 class Section:
-    """A section of the contact line bundle: `body` is the coefficient of mu."""
+    """A section of the contact line bundle: `body` is the coefficient of mu.
 
-    __slots__ = ("context", "body")
+    A Section is immutable: nothing assigns `body` after construction.  Its
+    left operator {body, .} (`_hamiltonian`) is memoised on the Section, the
+    way a `Poly` memoises its partials: the memo is owned by the object and
+    goes with it, and there is no module-level table.
+    """
+
+    __slots__ = ("context", "body", "_operator")
 
     def __init__(self, context: ContactContext, body: Poly):
         if body.algebra is not context.algebra:
             raise ContextMismatch("section body from a different context")
         self.context = context
         self.body = body
+        self._operator: Optional[HamiltonianOperator] = None
+
+    def _hamiltonian(self) -> "HamiltonianOperator":
+        """{body, .} as a first-order operator, built on first use and kept."""
+        if self._operator is None:
+            self._operator = HamiltonianOperator(self.context, self.body)
+        return self._operator
 
     def _check(self, other: "Section") -> None:
         if self.context is not other.context:
@@ -181,62 +205,115 @@ def project_P(s: Section) -> Section:
 # --- the canonical Jacobi bracket -------------------------------------
 
 
-def _total_partial(ctx: ContactContext, parts: Dict[int, Poly], coord: int,
-                   momentum: int) -> Poly:
-    """D f = df/d(coord) + momentum * df/dp, formed from the partials of f.
+class HamiltonianOperator:
+    """{f, .} = sum_k C_k d/dk + C_0 for one left body f (left partials throughout).
 
-    (coord, momentum) is (x^i, pi_i) for D_i or (u^a, pa_a) for D_a.
+    The bracket is a first-order operator in its right argument.  With F the
+    partials of f, T those of its parity twist f~ = f_even - f_odd (the
+    sign (-1)^|f| of the u-blocks, taken part by part), and
+    D_i = d/dx^i + pi_i d/dp, D_a = d/du^a + pa_a d/dp:
+
+        C_{x^i} = -F_{pi_i}         C_{pi_i} = D_i f
+        C_{u^a} = T_{pa_a}          C_{pa_a} = D_a f~
+        C_p = f - sum_i F_{pi_i} pi_i + sum_a T_{pa_a} pa_a
+        C_0 = -F_p
+
+    The C_k are the values of f's Reeb field (`reeb_field`).  Each is built
+    the first time a right argument has a partial by k, and kept: most left
+    arguments meet a few right ones, so an eager build would mostly be waste.
+    When f has one parity, T is F times its sign and f~ is never formed.
     """
-    d_coord = parts.get(coord)
-    d_p = parts.get(ctx.ix_p)
-    if d_p is None:
-        return d_coord if d_coord is not None else ctx.algebra.zero()
-    lifted = ctx.algebra.gen(momentum) * d_p
-    if d_coord is None:
-        return lifted
-    return Poly._trusted(ctx.algebra, add_into(dict(d_coord._packed), lifted._packed))
+
+    __slots__ = ("context", "f", "_twist", "_coeffs")
+
+    def __init__(self, context: ContactContext, f: Poly):
+        self.context = context
+        self.f = f
+        self._twist: Optional[Tuple[Dict[int, Poly], int]] = None
+        self._coeffs: Dict[int, Poly] = {}
+
+    def _twisted(self) -> Tuple[Dict[int, Poly], int]:
+        """(parts, sign) with T_k = sign * parts[k]."""
+        if self._twist is None:
+            parts = self.f.parity_components()
+            if len(parts) < 2:
+                self._twist = self.f.partials(), -1 if 1 in parts else 1
+            else:
+                self._twist = (parts[0] - parts[1]).partials(), 1
+        return self._twist
+
+    def coefficient(self, k: int) -> Poly:
+        """C_k, for the generator of index k."""
+        c = self._coeffs.get(k)
+        if c is None:
+            c = self._coeffs[k] = self._build(k)
+        return c
+
+    def _build(self, k: int) -> Poly:
+        ctx = self.context
+        alg = ctx.algebra
+        acc: Dict = {}
+        if k == ctx.ix_p:
+            F = self.f.partials()
+            T, sign = self._twisted()
+            add_into(acc, self.f._packed)
+            for pi in ctx.ix_pi:
+                if pi in F:
+                    F[pi].mul_into(-alg.gen(pi), acc)
+            for pa in ctx.ix_pa:
+                if pa in T:
+                    T[pa].mul_into(alg.gen(pa).scale(sign), acc)
+            return Poly._trusted(alg, acc)
+        coord, mom, signed = ctx.darboux[k]
+        parts, sign = self._twisted() if signed else (self.f.partials(), 1)
+        if k == coord:
+            # T_{pa_a} for u^a, but -F_{pi_i} for x^i
+            if mom in parts:
+                add_into(acc, parts[mom]._packed, sign if signed else -1)
+        else:
+            # D f = df/d(coord) + mom * df/dp, or D f~ = sign * D f for one parity
+            if coord in parts:
+                add_into(acc, parts[coord]._packed, sign)
+            if ctx.ix_p in parts:
+                alg.gen(mom).scale(sign).mul_into(parts[ctx.ix_p], acc)
+        return Poly._trusted(alg, acc)
+
+    def apply(self, g: Poly) -> Poly:
+        """{f, g}: each C_k times dg/dk by `Poly.mul_into`, then C_0 g, in one dict.
+
+        C_0 g multiplies g itself, not a partial, so it is one `*` whose
+        product is subtracted: -df/dp is never stored.
+        """
+        acc: Dict = {}
+        coefficient = self.coefficient
+        for k, d_g in g.partials().items():
+            c = coefficient(k)
+            if c._packed:
+                c.mul_into(d_g, acc)
+        d_p = self.f.partials().get(self.context.ix_p)
+        if d_p is not None:
+            add_into(acc, (d_p * g)._packed, -1)
+        return Poly._trusted(self.context.algebra, acc)
 
 
 def jacobi_bracket(s: Section, t: Section) -> Section:
-    """Canonical degree -2 Jacobi bracket, in one bilinear pass.
+    """Canonical degree -2 Jacobi bracket, as s's Hamiltonian operator applied to t.
 
     With f = s.body, g = t.body, D_i = d/dx^i + pi_i d/dp and
     D_a = d/du^a + pa_a d/dp (left partials throughout),
 
         {f, g} = f dg/dp - df/dp g
                  + sum_i (D_i f dg/dpi_i - df/dpi_i D_i g)
-                 + (-1)^|f| sum_a (D_a f dg/dpa_a + df/dpa_a D_a g).
+                 + (-1)^|f| sum_a (D_a f dg/dpa_a + df/dpa_a D_a g),
 
-    The sign only depends on the parity of f, so f is split by parity.
-    Every partial of each body is taken once (`Poly.partials`); a product
-    whose momentum partial is zero is skipped, and the others are added
-    into one dict.
+    read part by part when f mixes parities.  Gathered by the partials of g,
+    this is sum_k C_k dg/dk + C_0 g (`HamiltonianOperator`).  The operator
+    is memoised on s, so a left argument used again reuses every coefficient
+    it has built; g's partials are memoised on g.  The products C_k dg/dk
+    are added into one dict by `Poly.mul_into`.
     """
     s._check(t)
-    ctx = s.context
-    g = t.body
-    g_parts = g.partials()
-    acc: Dict = {}
-    for parity, f in s.body.parity_components().items():
-        f_parts = f.partials()
-        if ctx.ix_p in g_parts:
-            add_into(acc, (f * g_parts[ctx.ix_p])._packed)
-        if ctx.ix_p in f_parts:
-            add_into(acc, (f_parts[ctx.ix_p] * g)._packed, -1)
-        sign = -1 if parity else 1
-        # (coordinate, its momentum, sign of D f dg/dmom, sign of df/dmom D g)
-        blocks = [(x, pi, 1, -1) for x, pi in zip(ctx.ix_x, ctx.ix_pi)]
-        blocks += [(u, pa, sign, sign) for u, pa in zip(ctx.ix_u, ctx.ix_pa)]
-        for coord, mom, left, right in blocks:
-            if mom in g_parts:
-                d_f = _total_partial(ctx, f_parts, coord, mom)
-                if d_f._packed:
-                    add_into(acc, (d_f * g_parts[mom])._packed, left)
-            if mom in f_parts:
-                d_g = _total_partial(ctx, g_parts, coord, mom)
-                if d_g._packed:
-                    add_into(acc, (f_parts[mom] * d_g)._packed, right)
-    return Section(ctx, Poly._trusted(ctx.algebra, acc))
+    return Section(s.context, s._hamiltonian().apply(t.body))
 
 
 # --- derivations of the line bundle over A[1] --------------------------
@@ -373,29 +450,16 @@ class ContactVectorField(Derivation):
 
 
 def reeb_field(lam: Section) -> ContactVectorField:
-    """Reeb vector field of a homogeneous section, by its coordinate formula."""
+    """Reeb vector field of a homogeneous section: X(k) = C_k of {lam, .}.
+
+    Its values on the coordinates are the first-order coefficients of the
+    bracket's operator (`HamiltonianOperator`), so {lam, g} = X(g) - dlam/dp g.
+    """
     ctx = lam.context
-    f = lam.body
-    deg = f.degree()
-    if deg is None:
-        return ContactVectorField(ctx, -2, {i: ctx.algebra.zero() for i in range(len(ctx.algebra.gens))})
-    sign = -1 if deg % 2 else 1
-    zero = ctx.algebra.zero()
-    parts = f.partials()
-    values: Dict[int, Poly] = {}
-    on_p = f
-    for i in range(ctx.m):
-        dpi = parts.get(ctx.ix_pi[i], zero)
-        values[ctx.ix_x[i]] = -dpi
-        values[ctx.ix_pi[i]] = _total_partial(ctx, parts, ctx.ix_x[i], ctx.ix_pi[i])
-        on_p = on_p - dpi * ctx.pi(i)
-    for a in range(ctx.n):
-        dpa = parts.get(ctx.ix_pa[a], zero)
-        values[ctx.ix_u[a]] = dpa.scale(sign)
-        values[ctx.ix_pa[a]] = _total_partial(ctx, parts, ctx.ix_u[a], ctx.ix_pa[a]).scale(sign)
-        on_p = on_p + (dpa * ctx.pa(a)).scale(sign)
-    values[ctx.ix_p] = on_p
-    return ContactVectorField(ctx, deg - 2, values)
+    deg = lam.body.degree()
+    op = lam._hamiltonian()
+    values = {k: op.coefficient(k) for k in range(len(ctx.algebra.gens))}
+    return ContactVectorField(ctx, -2 if deg is None else deg - 2, values)
 
 
 def contract_theta(X: ContactVectorField) -> Section:

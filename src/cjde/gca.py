@@ -56,6 +56,9 @@ that tests and independent oracles compare against.
 `Poly`, `linfty` and `instancefile` share one sparse kernel:
   * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
     to a dict the caller owns, in place, dropping keys that cancel;
+  * `Poly.mul_into(other, acc)`, the one product loop, adds self * other to
+    such a dict the same way, with no intermediate dict; `*` runs it into a
+    fresh one;
   * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises both
     generator words (monomials) and words of basis keys (`linfty`).
 
@@ -68,6 +71,9 @@ must not touch the dict afterwards, and reads another Poly's packed dict
 (`_packed`) only.  `partials()` is memoised on the `Poly` (sound because the
 `Poly` is immutable), and the dict it returns, like the packed dict of each
 partial, is read-only: the same rule `linfty` has for coefficient Vectors.
+`contact.Section` keeps the same rule for its bracket operator: its body is
+never reassigned, the memo is a slot of the Section and goes with it, and
+no table outside the object holds it.
 """
 
 from __future__ import annotations
@@ -463,18 +469,26 @@ class Poly:
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        return Poly._trusted(self.algebra, self.mul_into(other, {}))
+
+    def mul_into(self, other: "Poly", acc: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """acc += self * other in place, with no intermediate dict; returns acc.
+
+        The one product loop: `__mul__` runs it into a fresh dict.  A pair
+        of keys whose sum sets a guard bit is a repeated odd letter (skipped)
+        or an exponent overflow (raised, leaving acc partly updated); the
+        sign is the popcount of the odd-odd crossings; a key whose sum
+        cancels is deleted, as in `add_into`; and a value written that is an
+        integral Fraction is stored as its int.
+        """
         self._check(other)
+        if not (self._packed and other._packed):
+            return acc
         alg = self.algebra
         guard, oddguard, crossing = alg._guard, alg._oddguard, alg._crossing_mask
-        fractions = False
-        right = []
-        for kb, cb in other._packed.items():
-            fractions = fractions or type(cb) is not int
-            right.append((kb, cb, crossing(kb)))
-        terms: Dict[int, Scalar] = {}
-        get = terms.get
+        right = [(kb, cb, crossing(kb)) for kb, cb in other._packed.items()]
+        get = acc.get
         for ka, ca in self._packed.items():
-            fractions = fractions or type(ca) is not int
             for kb, cb, cross in right:
                 key = ka + kb
                 if key & guard:
@@ -484,15 +498,16 @@ class Poly:
                 c = ca * cb
                 if (ka & cross).bit_count() & 1:
                     c = -c
-                # add_into's rule: a key whose coefficient cancels is deleted
                 old = get(key)
                 if old is not None:
                     c = old + c
                     if not c:
-                        del terms[key]
+                        del acc[key]
                         continue
-                terms[key] = c
-        return Poly._trusted(alg, _settle(terms) if fractions else terms)
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                acc[key] = c
+        return acc
 
     __rmul__ = __mul__
 
@@ -698,9 +713,7 @@ class Derivation:
         for idx, part in sorted(f.partials().items()):
             if idx not in self.values:
                 raise UnknownGenerator(self.algebra.gens[idx].name)
-            val = self.values[idx]
-            if val._packed:
-                add_into(terms, (val * part)._packed)
+            self.values[idx].mul_into(part, terms)
         return Poly._trusted(self.algebra, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":

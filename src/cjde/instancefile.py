@@ -174,6 +174,9 @@ def load_instance(path: str) -> InstanceDocument:
     for key in ("deformations", "epsilons"):
         if not isinstance(data.get(key, {}), dict):
             raise InstanceFileError(f"{key} must be a JSON object mapping names to 2-forms")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise InstanceFileError(f"name must be a JSON string, got {name!r}")
     sizes = [data.get(key) for key in ("schema", "base_dim", "rank")]
     if not all(map(_is_json_int, sizes)):
         raise InstanceFileError("schema, base_dim and rank must be JSON integers, got "
@@ -223,7 +226,7 @@ def load_instance(path: str) -> InstanceDocument:
         rho=sparse(anchor, anchors), c=sparse(bracket, ctab), lam=sparse(rep, frame),
         rho_dual=sparse(anchor_d, anchors), c_dual=sparse(bracket_d, ctab),
         lam_dual=sparse(rep_d, frame), phi=sparse(ups, triples), psi=sparse(ups_d, triples),
-        name=str(data.get("name", "")),
+        name=name,
     )
     ctx = inst.context
     _check_spread(ctx, bracket, inst.c, "bracket is not skew")

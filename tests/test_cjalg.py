@@ -263,6 +263,20 @@ def test_courant_tensor_recovers_psi(djmix):
         assert t[a][b][cc] == Section(ctx, djmix.psi[a][b][cc])
 
 
+def test_courant_tensor_bracket_count(monkeypatch, djmix):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return jacobi_bracket(a, b)
+    frame = [djmix.frame_dual(a) for a in range(djmix.n)]
+    monkeypatch.setattr(cjalg_module, "jacobi_bracket", counted)
+    courant_tensor(djmix, frame)
+    # 3 frame elements: 6 Lagrangian pairings, 3 brackets {u_i, Theta} (one
+    # per element, not per pair), 9 derived brackets and 27 pairings
+    assert len(calls) == 6 + 3 + 9 + 27
+
+
 def test_courant_tensor_product_frame(omni1):
     # the involutive-subbundle frame {Delta} + its annihilator {eps^1}
     frame = [omni1.frame_A(1), omni1.frame_dual(0)]

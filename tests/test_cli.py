@@ -372,6 +372,14 @@ def test_misspelled_key_exits_2(tmp_path, capsys):
     _assert_one_error_line(*run_cli(["check", bad], capsys), "'anchr'")
 
 
+@pytest.mark.parametrize("name", [[1, 2], 7, None, {"a": "b"}, True],
+                         ids=["array", "number", "null", "object", "boolean"])
+def test_non_string_name_exits_2(name, tmp_path, capsys):
+    # a name is a label: str([1, 2]) would label the reports with "[1, 2]"
+    bad = _heis2_with(tmp_path, name=name)
+    _assert_one_error_line(*run_cli(["check", bad], capsys), "name")
+
+
 @pytest.mark.parametrize("command", [["check", fixture("heis2-broken.json")],
                                      ["selftest"]])
 def test_unwritable_out_exits_2(command, tmp_path, capsys):

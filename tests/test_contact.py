@@ -282,3 +282,23 @@ def test_reeb_commutator_consistency(ctx):
         lhs = jacobi_bracket(l1, l2)
         rhs = contract_theta(reeb_field(l1).commutator(reeb_field(l2))).scale(sign)
         assert lhs == rhs
+
+
+def test_bracket_is_reeb_field_plus_zeroth_order_term(ctx):
+    # {lam, g} = X_lam(g) - dlam/dp g: the bracket's first-order coefficients
+    # are the Reeb field's values, kept on lam whichever of the two asks first
+    rng = random.Random(11)
+    count = 0
+    while count < 30:
+        lam = random_homogeneous_section(ctx, rng)
+        g = random_homogeneous_section(ctx, rng).body
+        if lam.is_zero():
+            continue
+        count += 1
+        if count % 2:
+            X = reeb_field(lam)
+            bracket = jacobi_bracket(lam, S(ctx, g)).body
+        else:
+            bracket = jacobi_bracket(lam, S(ctx, g)).body
+            X = reeb_field(lam)
+        assert bracket == X(g) - lam.body.partial(ctx.ix_p) * g

@@ -220,6 +220,32 @@ def test_jacobi_bracket_matches_darboux_formula(pair):
     assert got.terms == darboux_bracket(ctx, f, g).terms
 
 
+@st.composite
+def section_triples(draw):
+    """(context, f, g1, g2) on ContactContext(1, 2) or (2, 1); f may mix parities."""
+    ctx = draw(st.sampled_from([CTX, CTX21]))
+    return (ctx,) + tuple(draw(polys(alg=ctx.algebra)) for _ in range(3))
+
+
+# between them the right arguments take a partial by every generator of CTX
+EVERY_LETTER = _word(CTX, "x1", "pa1", "pi1") + _word(CTX, "u2", "p") + _word(CTX, "pa2")
+
+
+@PROPERTY
+@given(section_triples())
+@example(case=(CTX, MIXED, ODD_AFTER_ODD, EVERY_LETTER))
+@example(case=(CTX, MIXED + ODD_AFTER_ODD, EVERY_LETTER, MIXED))
+@example(case=(CTX21, MIXED21, ODD_AFTER_ODD21, MIXED21 * ODD_AFTER_ODD21))
+def test_left_operator_reused_across_right_arguments(case):
+    # one Section, so one memoised operator {f, .}, applied to g1, g2, g1:
+    # a coefficient built for one right argument serves the later ones
+    ctx, f, g1, g2 = case
+    s = Section(ctx, f)
+    for g in (g1, g2, g1):
+        got = jacobi_bracket(s, Section(ctx, g)).body
+        assert got.terms == darboux_bracket(ctx, f, g).terms
+
+
 @PROPERTY
 @given(st.sampled_from([CTX, CTX21]).flatmap(
     lambda ctx: polys(max_letters=4, max_terms=5, alg=ctx.algebra)))
@@ -431,6 +457,28 @@ def test_coefficients_leaving_the_kernel_are_exact(case):
         assert all(type(c) is Fraction for c in p.terms.values()), p.terms
         assert all(type(p.coefficient(m)) is Fraction for m in p.terms)
         assert type(p.coefficient(())) is Fraction
+
+
+def settled(c) -> bool:
+    """The kernel's storage rule: an int while integral, else a Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@PROPERTY
+@given(packed_cases(), st.sampled_from(["empty", "other", "cancel"]))
+@example(case=(CTX, MIXED.scale(Fraction(1, 2)), ODD_AFTER_ODD.scale(2)), start="other")
+@example(case=SUM_SQUARE, start="cancel")
+def test_mul_into_is_product_then_add_into(case, start):
+    ctx, f, g = case
+    acc = {"empty": {}, "other": dict((g * (f + g))._packed),
+           "cancel": dict((-(f * g))._packed)}[start]
+    expected = add_into(dict(acc), (f * g)._packed)
+    got = f.mul_into(g, acc)
+    assert got is acc
+    assert got == expected
+    if start == "cancel":
+        assert got == {}
+    assert all(settled(c) for c in got.values()), got
 
 
 # --- line-bundle derivations f + X -----------------------------------
