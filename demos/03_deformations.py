@@ -38,7 +38,7 @@ print("== the MC <-> involutivity dictionary ==")
 residual = mc_residual_form(obst, eta)
 involutive, witness = is_dirac_jacobi(obst, graph_frame(obst, eta))
 print("MC residual:", residual)
-print("graph of -eta involutive:", involutive, " witness:", witness[1])
+print("graph of eta involutive:", involutive, " witness:", witness[1])
 
 print()
 print("== an unobstructed problem needs genuine higher corrections ==")

@@ -27,14 +27,20 @@ An L-valued form is a `Section`; `DeformationForm`, the 2-form on A, is one.
 `_form` and its inverse `_form_entries` are the one codec between forms (in
 the u's, or the pa's) and tables of base polynomials; only the independent
 oracle `de_rham_koszul` keeps its own.
+
+One derived-bracket path: the derived m_k and a change of complement's M_2
+are higher derived brackets of the contact V-data, Phi = -Theta (held by the
+instance next to Theta) or Phi = eps.  `_coefficient` is the one adapter
+from an operation on sections to a Taylor coefficient, on both routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .contact import (
@@ -271,7 +277,6 @@ class SplitCJInstance:
         self.lam_dual = _table(ctx, (n,), lam_dual, _plain)
         self.phi = _table(ctx, (n, n, n), phi, _antisymmetric)
         self.psi = _table(ctx, (n, n, n), psi, _antisymmetric)
-        self._theta: Optional[Section] = None
 
     # -- frames ----------------------------------------------------------
 
@@ -287,11 +292,14 @@ class SplitCJInstance:
         return [self.frame_A(a) for a in range(self.n)] + \
                [self.frame_dual(a) for a in range(self.n)]
 
-    @property
+    @cached_property
     def theta(self) -> Section:
-        if self._theta is None:
-            self._theta = build_theta(self)
-        return self._theta
+        return build_theta(self)
+
+    @cached_property
+    def minus_theta(self) -> Section:
+        """-Theta, one Section: every derived bracket reuses its memoised Hamiltonian operator."""
+        return -self.theta
 
 
 # --- one side of the split ---------------------------------------------------
@@ -581,7 +589,7 @@ class DeformationForm(Section):
         return Section(self.context, self.body)
 
 
-def form_degree(inst: SplitCJInstance, s: Section) -> int:
+def form_degree(s: Section) -> int:
     """Form degree of a (0,k)-section; raises on mixed input."""
     comps = bidegree_decompose(s)
     degs = {bd for bd in comps}
@@ -613,7 +621,7 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
     reassembles the resulting (k+1)-form.
     """
     ctx = inst.context
-    k = form_degree(inst, omega)
+    k = form_degree(omega)
 
     def evaluate(form: Section, idx: Tuple[int, ...]) -> Poly:
         body = form.body
@@ -775,7 +783,7 @@ def deformation_space(inst: SplitCJInstance) -> GradedSpace:
     def degree(key: Monomial) -> int:
         return ctx.algebra.monomial_bidegree(key)[1] - 2
 
-    return GradedSpace(degree, name=f"Omega({inst.name or 'A'};L)[2]")
+    return GradedSpace(degree)
 
 
 def section_to_vector(inst: SplitCJInstance, s: Section) -> Vector:
@@ -793,19 +801,26 @@ def word_to_sections(inst: SplitCJInstance, word: Word) -> List[Section]:
 
 
 def contact_vdata(inst: SplitCJInstance) -> VData:
-    """The contact V-data: Jacobi bracket, pullback subalgebra, P, Phi = -Theta."""
+    """The contact V-data: Jacobi bracket, pullback subalgebra, P, Phi = `inst.minus_theta`."""
     ctx = inst.context
 
     def in_sub(s: Section) -> bool:
         return s.body.uses_only(ctx.base_indices())
 
     return VData(bracket=jacobi_bracket, in_subalgebra=in_sub, project=project_P,
-                 mc_element=-inst.theta, name=inst.name)
+                 mc_element=inst.minus_theta)
 
 
 def derived_bracket_sections(inst: SplitCJInstance, args: Sequence[Section]) -> Section:
-    """m_k(a_1..a_k) = -P{...{{Theta,a_1},a_2},...,a_k} on pullback sections."""
-    return higher_derived_bracket(contact_vdata(inst), len(args), args)
+    """m_k(a_1..a_k) = -P{...{{Theta,a_1},a_2},...,a_k} on pullback sections, k = len(args)."""
+    return higher_derived_bracket(contact_vdata(inst), args)
+
+
+def _coefficient(inst: SplitCJInstance, op: Callable[..., Section]) -> Callable[[Word], Vector]:
+    """The Taylor coefficient of an operation on sections: word -> its sections -> op -> vector."""
+    def coefficient(word: Word) -> Vector:
+        return section_to_vector(inst, op(*word_to_sections(inst, word)))
+    return coefficient
 
 
 def _m2_closed_pair(inst: SplitCJInstance, A: Poly, r: int, B: Poly) -> Poly:
@@ -858,7 +873,7 @@ def gj_bracket_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> S
 def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Section) -> Section:
     """m_3 via the sharp-operators contraction of the dual Courant tensor."""
     ctx = inst.context
-    db = form_degree(inst, beta)
+    db = form_degree(beta)
     sign = -((-1) ** (db % 2))
     zero = ctx.algebra.zero()
     out = zero
@@ -891,30 +906,16 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> LInft
     curvature = section_to_vector(inst, upsilon_A_section(inst))
 
     if route == "derived":
-        def derived(word: Word) -> Vector:
-            args = word_to_sections(inst, word)
-            return section_to_vector(inst, derived_bracket_sections(inst, args))
+        derived = _coefficient(inst, lambda *args: derived_bracket_sections(inst, args))
         brackets = {1: derived, 2: derived, 3: derived}
     elif route == "closed":
-        d = de_rham_derivation(inst)
-
-        def m1(word: Word) -> Vector:
-            [s] = word_to_sections(inst, word)
-            return section_to_vector(inst, d(s))
-
-        def m2(word: Word) -> Vector:
-            s, t = word_to_sections(inst, word)
-            return section_to_vector(inst, m2_closed(inst, s, t))
-
-        def m3(word: Word) -> Vector:
-            s, t, w = word_to_sections(inst, word)
-            return section_to_vector(inst, m3_closed(inst, s, t, w))
-        brackets = {1: m1, 2: m2, 3: m3}
+        brackets = {1: _coefficient(inst, de_rham_derivation(inst)),
+                    2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
+                    3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    return LInftyStructure(space, curvature, brackets,
-                           name=f"{inst.name or 'instance'}[{route}]")
+    return LInftyStructure(space, curvature, brackets)
 
 
 def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
@@ -983,7 +984,7 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
     zero = ctx.algebra.zero()
     # E[a][b] = d/dpa_a d/dpa_b eps is the transpose of eps's entries
     E = list(zip(*_form_entries(ctx, ctx.ix_pa, 2, eps_sec.body)))
-    d1, d2 = form_degree(inst, w1), form_degree(inst, w2)
+    d1, d2 = form_degree(w1), form_degree(w2)
     if d1 == 2 and d2 == 2:
         M1, M2 = (_form_entries(ctx, ctx.ix_u, 2, w.body) for w in (w1, w2))
         table = [[zero] * n for _ in range(n)]
@@ -1005,20 +1006,16 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
     raise ValueError("closed form only covers (2,2) and (2,1) arities")
 
 
-def change_complement(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike],
-                      name: str = "") -> Dict[str, object]:
+def change_complement(inst: SplitCJInstance,
+                      eps: Dict[Tuple[int, int], PolyLike]) -> Dict[str, object]:
     """New structure data for the complement gr(eps), with the L-infinity iso.
 
     Returns the transported instance (Theta_1 = e^m Theta_0 read back into
     structure functions), the coderivation M with only M_2 nonzero, and the
-    coalgebra morphism e^M.
+    coalgebra morphism e^M.  M_2(s, t) = P{{eps, s}, t} is the arity-2 higher
+    derived bracket of the contact V-data with eps as its element.
     """
-    ctx = inst.context
     eps_sec = epsilon_section(inst, eps)
-
-    def m_flow(s: Section) -> Section:
-        return jacobi_bracket(eps_sec, s)
-
     # {eps, -} has bidegree (1,-1) and no section has negative second degree,
     # so the flow of Theta vanishes after as many steps as the highest second
     # degree of Theta's components: at most 3, Theta being cubic.
@@ -1027,7 +1024,7 @@ def change_complement(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike
     theta1 = theta0
     term = theta0
     for k in itertools.count(1):
-        term = m_flow(term)
+        term = jacobi_bracket(eps_sec, term)
         if term.is_zero():
             break
         if k > steps:
@@ -1035,16 +1032,11 @@ def change_complement(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike
                                f"bidegree bound of {steps} steps")
         theta1 = theta1 + term.scale(Fraction(1, math.factorial(k)))
 
-    new_inst = extract_instance(inst, theta1, name=name or (inst.name + "+eps"))
+    new_inst = extract_instance(inst, theta1, name=inst.name + "+eps")
 
-    space = deformation_space(inst)
-
-    def M2(word: Word) -> Vector:
-        s, t = word_to_sections(inst, word)
-        res = project_P(jacobi_bracket(m_flow(s), t))
-        return section_to_vector(inst, res)
-
-    M = TaylorCoderivation(space, 0, {2: M2}, name="M")
+    eps_vdata = replace(contact_vdata(inst), mc_element=eps_sec)
+    M = TaylorCoderivation(deformation_space(inst), {2: _coefficient(
+        inst, lambda s, t: higher_derived_bracket(eps_vdata, (s, t)))})
     eM = exp_coderivation(M)
     return {"instance": new_inst, "theta1": theta1, "eps_section": eps_sec,
             "M": M, "exp_M": eM}

@@ -7,6 +7,9 @@ coderivations/morphisms are rebuilt from them by the usual unshuffle and
 partition sums.  Every computation carries an explicit arity truncation since
 the symmetric coalgebra is infinite-dimensional.
 
+The contact model's m_k and M_2 (`cjalg`) are higher derived brackets of one
+V-data (`vdata`), Phi = -Theta or eps, made coefficients by one adapter.
+
 A Taylor coefficient is a pure function of its canonical word, and the sums
 above evaluate the same coefficient on the same word many times.  So
 `TaylorCoderivation` and `TaylorMorphism` memoise every coefficient of arity
@@ -69,11 +72,10 @@ def svec_scale(a: Dict, c: Union[int, Fraction]) -> Dict:
 class GradedSpace:
     """Degrees (and hence Koszul parities) for basis keys of a graded space."""
 
-    def __init__(self, degree: Union[Callable[[object], int], Dict[object, int]], name: str = ""):
+    def __init__(self, degree: Union[Callable[[object], int], Dict[object, int]]):
         """`degree` maps a basis key to its degree: a function, or a dict (copied)."""
         self.degree: Callable[[object], int] = (
             dict(degree).__getitem__ if isinstance(degree, dict) else degree)
-        self.name = name
 
     # --- words ----------------------------------------------------------
 
@@ -182,14 +184,11 @@ class TaylorCoderivation(_WordwiseLinear):
     their Vectors are read-only (module docstring).
     """
 
-    def __init__(self, space: GradedSpace, degree: int,
-                 coefficients: Dict[int, Union[Callable[[Word], Vector], Vector]],
-                 name: str = ""):
+    def __init__(self, space: GradedSpace,
+                 coefficients: Dict[int, Union[Callable[[Word], Vector], Vector]]):
         self.space = space
-        self.degree = degree
         self.coefficients = {k: entry if k == 0 else _memoised(entry)
                              for k, entry in coefficients.items()}
-        self.name = name
 
     def arities(self) -> List[int]:
         return sorted(self.coefficients)
@@ -228,11 +227,10 @@ class TaylorMorphism(_WordwiseLinear):
     """
 
     def __init__(self, space_src: GradedSpace, space_dst: GradedSpace,
-                 coefficients: Dict[int, Callable[[Word], Vector]], name: str = ""):
+                 coefficients: Dict[int, Callable[[Word], Vector]]):
         self.space_src = space_src
         self.space_dst = space_dst
         self.coefficients = {k: _memoised(fn) for k, fn in coefficients.items()}
-        self.name = name
 
     def coefficient(self, k: int, word: Word) -> Vector:
         if k not in self.coefficients:
@@ -355,7 +353,7 @@ def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
         full = apply_series({tuple(word): Fraction(1)})
         return {w[0]: c for w, c in full.items() if len(w) == 1}
 
-    phi = TaylorMorphism(space, space, {}, name=f"exp({M.name})")
+    phi = TaylorMorphism(space, space, {})
     phi.coefficients = _EveryArity(coeff)
     phi.apply_series = apply_series
     return phi
@@ -365,11 +363,10 @@ class LInftyStructure:
     """A curved L-infinity[1] structure: curvature plus multibrackets."""
 
     def __init__(self, space: GradedSpace, curvature: Optional[Vector],
-                 brackets: Dict[int, Callable[[Word], Vector]], name: str = ""):
+                 brackets: Dict[int, Callable[[Word], Vector]]):
         self.space = space
         self.curvature = curvature or {}
         self.brackets = dict(brackets)
-        self.name = name
 
     @property
     def is_curved(self) -> bool:
@@ -388,7 +385,7 @@ class LInftyStructure:
             coeffs[0] = dict(self.curvature)
         for k, fn in self.brackets.items():
             coeffs[k] = fn
-        return TaylorCoderivation(self.space, 1, coeffs, name=self.name)
+        return TaylorCoderivation(self.space, coeffs)
 
 
 def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) -> Vector:

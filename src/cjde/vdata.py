@@ -7,9 +7,11 @@ derived brackets
 
     m_k(a_1, ..., a_k) = P [ ... [Phi, a_1], ..., a_k]
 
-equip the subalgebra with a curved L-infinity[1] structure; `Phi` is stored
-already carrying whatever sign the application needs (for the contact model
-it is minus the structure section), so no per-call sign flags exist.
+equip the subalgebra with a curved L-infinity[1] structure; k = len(args).
+`Phi` is stored already carrying whatever sign the application needs, so no
+per-call sign flags exist.  The contact model has one V-data: with
+Phi = -Theta (held by the instance) it gives the deformation brackets m_k,
+with Phi = eps the M_2 of a change of complement.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class VData:
     in_subalgebra: Callable[[object], bool]
     project: Callable[[object], object]
     mc_element: object
-    name: str = ""
 
     @property
     def is_curved(self) -> bool:
@@ -81,10 +82,8 @@ def validate(v: VData, samples: Sequence[object],
     return ValidationReport(checks, v.is_curved)
 
 
-def higher_derived_bracket(v: VData, k: int, args: Sequence[object]) -> object:
-    """P[[...[Phi, a_1], ...], a_k]; for k = 0 this is the curvature P(Phi)."""
-    if len(args) != k:
-        raise ValueError(f"expected {k} arguments, got {len(args)}")
+def higher_derived_bracket(v: VData, args: Sequence[object]) -> object:
+    """P[[...[Phi, a_1], ...], a_k] with k = len(args); for k = 0, the curvature P(Phi)."""
     for a in args:
         if not v.in_subalgebra(a):
             raise ValueError("argument outside the abelian subalgebra")

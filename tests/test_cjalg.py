@@ -44,6 +44,7 @@ from cjde.cjalg import (
     word_to_sections,
 )
 import cjde.cjalg as cjalg_module
+import cjde.contact as contact_module
 from cjde.contact import Section, jacobi_bracket, project_P
 from cjde.gca import Poly
 from cjde.instancefile import load_instance
@@ -684,6 +685,38 @@ def test_replaced_m2_is_not_served_from_memo(heis2):
     assert not rep.ok
     word, residual = rep.witness()
     assert residual
+
+
+@pytest.mark.parametrize("name", ["heis2", "djmix", "omni1"])
+def test_complement_m2_is_derived_bracket_of_epsilon(name):
+    """M_2(s, t) = P{{eps, s}, t} on every 2-word: the derived bracket of eps."""
+    doc = load_fixture(name)
+    inst = doc.instance
+    out = change_complement(inst, doc.epsilons["eps1"])
+    eps_sec = out["eps_section"]
+    for w in deformation_space(inst).words(basis_keys(inst), 2, 2):
+        s, t = word_to_sections(inst, w)
+        expected = project_P(jacobi_bracket(jacobi_bracket(eps_sec, s), t))
+        assert vector_to_section(inst, out["M"].coefficient(2, w)) == expected
+
+
+def test_minus_theta_operator_built_once_per_instance(monkeypatch):
+    """Every derived bracket of an instance starts from the one -Theta it holds,
+    so the Hamiltonian operator of -Theta is built once per instance."""
+    inst = load_fixture("djmix").instance
+    minus_theta = (-inst.theta).body
+    built = []
+    init = contact_module.HamiltonianOperator.__init__
+
+    def counting(self, context, f):
+        built.append(f == minus_theta)
+        init(self, context, f)
+
+    monkeypatch.setattr(contact_module.HamiltonianOperator, "__init__", counting)
+    Q = deformation_brackets(inst, "derived").to_coderivation()
+    words = deformation_space(inst).words(basis_keys(inst), 3)
+    assert check_codifferential(Q, words).ok
+    assert sum(built) == 1
 
 
 def test_extract_instance_roundtrip(omni1):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cjde import contact, gca
+from cjde import cli, contact, gca
 from cjde.cli import Report, main
 from cjde.instancefile import MAX_EXPONENT
 
@@ -161,7 +161,8 @@ def test_complement_checks_every_word(capsys):
 def test_complement_identity(capsys, tmp_path):
     # eps = 0 is not stored in fixtures; build one on the fly
     import json as js
-    doc = js.load(open(fixture("heis2.json")))
+    with open(fixture("heis2.json")) as fh:
+        doc = js.load(fh)
     doc["epsilons"] = {"zero": [["0", "0"], ["0", "0"]]}
     path = tmp_path / "h.json"
     path.write_text(js.dumps(doc))
@@ -192,6 +193,33 @@ def test_complement_corrupted_m2_fails(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     failing = [line for line in lines if line["status"] == "fail"]
     assert failing and all(line["witness"] for line in failing)
+
+
+def test_complement_closed_m2_error_is_not_a_pass(monkeypatch):
+    # the closed form is asked only on the words it covers, so an error from
+    # it reaches the caller instead of turning the check into a vacuous pass
+    def broken(*args):
+        raise ValueError("closed form unavailable")
+
+    monkeypatch.setattr(cli, "m2_sharp_closed", broken)
+    with pytest.raises(ValueError, match="closed form unavailable"):
+        main(["complement", fixture("heis2.json"), "--epsilon", "eps1", "--trunc", "3"])
+
+
+def test_complement_closed_m2_asked_on_covered_words(monkeypatch, capsys):
+    # rank 2: (u1u2, u1u2) has form degrees {2, 2}; (u1, u1u2), (u2, u1u2) {1, 2}
+    asked = []
+    closed = cli.m2_sharp_closed
+
+    def recording(inst, eps_sec, s1, s2):
+        asked.append(sorted((s1.degree(), s2.degree())))
+        return closed(inst, eps_sec, s1, s2)
+
+    monkeypatch.setattr(cli, "m2_sharp_closed", recording)
+    code, _, _ = run_cli(
+        ["complement", fixture("heis2.json"), "--epsilon", "eps1", "--trunc", "3"], capsys)
+    assert code == 0
+    assert sorted(asked) == [[1, 2], [1, 2], [2, 2]]
 
 
 def test_cohomology_report(capsys):

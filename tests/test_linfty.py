@@ -31,7 +31,7 @@ def V():
 
 
 def differential(V, table):
-    return TaylorCoderivation(V, 1, {1: lambda w: dict(table.get(w[0], {}))})
+    return TaylorCoderivation(V, {1: lambda w: dict(table.get(w[0], {}))})
 
 
 def test_word_normalization(V):
@@ -56,7 +56,7 @@ def test_coderivation_derivation_case(V):
 def test_coderivation_q2_unshuffles(V):
     # Q2-only on a 3-word: three (2,1)-unshuffles
     Q2 = {("b", "c"): {"a": F(1)}}
-    Q = TaylorCoderivation(V, 1, {2: lambda w: dict(Q2.get(tuple(w), {}))})
+    Q = TaylorCoderivation(V, {2: lambda w: dict(Q2.get(tuple(w), {}))})
     out = Q.apply_word(("a", "b", "c"))
     # only the (b,c) pair contributes; moving the pair to the front crosses
     # nothing odd except within (b,c) order kept
@@ -64,7 +64,7 @@ def test_coderivation_q2_unshuffles(V):
 
 
 def test_zero_family(V):
-    Q = TaylorCoderivation(V, 1, {})
+    Q = TaylorCoderivation(V, {})
     assert Q.apply_word(("a", "b")) == {}
 
 
@@ -177,7 +177,7 @@ def test_taylor_roundtrip(V):
         for w in V.words(BASIS, k, k):
             tables[k][w] = {key: F(rng.randint(-2, 2)) for key in BASIS
                             if V.degree(key) == V.word_degree(w) + 1 and rng.random() < 0.6}
-    Q = TaylorCoderivation(V, 1, {
+    Q = TaylorCoderivation(V, {
         k: (lambda tb: lambda w: dict(tb.get(tuple(w), {})))(tables[k])
         for k in (1, 2, 3)})
     for k in (1, 2, 3):
@@ -189,11 +189,11 @@ def test_taylor_roundtrip(V):
 
 def test_exp_coderivation(V):
     M2 = {("b", "c"): {"a": F(3)}}
-    M = TaylorCoderivation(V, 0, {2: lambda w: dict(M2.get(tuple(w), {}))})
+    M = TaylorCoderivation(V, {2: lambda w: dict(M2.get(tuple(w), {}))})
     eM = exp_coderivation(M)
     assert eM.coefficient(1, ("b",)) == {"b": F(1)}
     assert eM.coefficient(2, ("b", "c")) == {"a": F(3)}
-    Mneg = TaylorCoderivation(V, 0, {2: lambda w: vec_scale(M2.get(tuple(w), {}), -1)})
+    Mneg = TaylorCoderivation(V, {2: lambda w: vec_scale(M2.get(tuple(w), {}), -1)})
     eMneg = exp_coderivation(Mneg)
     for w in V.words(BASIS, 4):
         assert eMneg.apply_series(eM.apply_series({w: F(1)})) == {w: F(1)}
@@ -205,7 +205,7 @@ def test_exp_coefficients_at_every_arity():
     # one even key, M_2(a, a) = a: the arity-k coefficient of e^M is what the
     # series gives on the k-word, past any fixed arity cap
     W = GradedSpace({"a": 0})
-    M = TaylorCoderivation(W, 0, {2: lambda w: {"a": F(1)}})
+    M = TaylorCoderivation(W, {2: lambda w: {"a": F(1)}})
     eM = exp_coderivation(M)
     assert eM.coefficient(9, ("a",) * 9) == {"a": F(2835, 2)}
     for k in range(1, 12):
@@ -215,7 +215,7 @@ def test_exp_coefficients_at_every_arity():
 
 
 def test_exp_series_raises_when_words_do_not_shorten(V):
-    M = TaylorCoderivation(V, 0, {2: lambda w: {}})
+    M = TaylorCoderivation(V, {2: lambda w: {}})
     eM = exp_coderivation(M)
     M.coefficients[1] = lambda w: {w[0]: F(1)}  # no longer lowers word length
     with pytest.raises(RuntimeError):
@@ -228,7 +228,7 @@ def test_coefficients_memoised_per_word(V):
     def m2(word):
         calls.append(word)
         return {"a": F(1)} if word == ("b", "c") else {}
-    Q = TaylorCoderivation(V, 1, {2: m2})
+    Q = TaylorCoderivation(V, {2: m2})
     first = [Q.apply_word(w) for w in V.words(BASIS, 3, 3)]
     assert [Q.apply_word(w) for w in V.words(BASIS, 3, 3)] == first
     assert len(calls) == len(set(calls))
@@ -259,9 +259,9 @@ def test_read_only_coefficients_give_the_same_results(V):
         views = {k: {w: wrap(vec) for w, vec in t.items()} for k, t in tables.items()}
         coeff = {k: (lambda t: lambda w: t.get(tuple(w), wrap({})))(views[k])
                  for k in views}
-        Q = TaylorCoderivation(V, 1, dict(coeff))
+        Q = TaylorCoderivation(V, dict(coeff))
         phi = TaylorMorphism(V, V, {1: lambda w: wrap({w[0]: F(1)}), 2: coeff[2]})
-        eM = exp_coderivation(TaylorCoderivation(V, 0, {2: coeff[2], 3: coeff[3]}))
+        eM = exp_coderivation(TaylorCoderivation(V, {2: coeff[2], 3: coeff[3]}))
         L = LInftyStructure(V, {"b": F(1)}, dict(coeff))
         return (check_codifferential(Q, words).entries,
                 check_morphism(phi, Q, Q, words).entries,
@@ -274,7 +274,7 @@ def test_read_only_coefficients_give_the_same_results(V):
 
 
 def test_exp_requires_lowering(V):
-    M = TaylorCoderivation(V, 0, {1: lambda w: {w[0]: F(1)}})
+    M = TaylorCoderivation(V, {1: lambda w: {w[0]: F(1)}})
     with pytest.raises(ValueError):
         exp_coderivation(M)
 

@@ -646,7 +646,7 @@ def toy_structures(draw):
     if 0 in coefficients:
         coefficients[0] = draw(st.dictionaries(st.sampled_from(list(TOY_DEGREES)), TOY_VALUES,
                                                min_size=1))
-    return TaylorCoderivation(TOY_SPACE, 1, coefficients)
+    return TaylorCoderivation(TOY_SPACE, coefficients)
 
 
 curves = st.lists(st.dictionaries(st.sampled_from("abe"), TOY_VALUES, max_size=3),
@@ -665,8 +665,8 @@ def toy_bracket(Q):
 
 @PROPERTY
 @given(toy_structures(), curves, st.integers(0, 6))
-@example(Q=TaylorCoderivation(TOY_SPACE, 1, {0: {"c": 1}, 2: toy_coefficient(0, 2),
-                                             4: toy_coefficient(0, 4)}),
+@example(Q=TaylorCoderivation(TOY_SPACE, {0: {"c": 1}, 2: toy_coefficient(0, 2),
+                                          4: toy_coefficient(0, 4)}),
          curve=[{"a": 1, "b": -2}, {}, {"e": Fraction(1, 2)}], r=4)
 def test_curve_coefficient_matches_ordered_expansion(Q, curve, r):
     expected = ordered_curve_coefficient(Q.arities(), toy_bracket(Q), curve, r)
@@ -675,8 +675,8 @@ def test_curve_coefficient_matches_ordered_expansion(Q, curve, r):
 
 def test_curve_coefficient_reads_every_arity_and_the_curvature():
     # x(t) = t a: the t^k coefficient is Q_k(a,...,a)/k!, arity 4 included
-    Q = TaylorCoderivation(TOY_SPACE, 1, {0: {"c": 1},
-                                          4: lambda w: {"f": 1} if w == ("a",) * 4 else {}})
+    Q = TaylorCoderivation(TOY_SPACE, {0: {"c": 1},
+                                       4: lambda w: {"f": 1} if w == ("a",) * 4 else {}})
     assert curve_coefficient(Q, [{"a": 1}], 0) == {"c": 1}
     assert curve_coefficient(Q, [{"a": 1}], 4) == {"f": Fraction(1, 24)}
     assert curve_coefficient(Q, [{"a": 1}], 3) == {}
@@ -685,6 +685,6 @@ def test_curve_coefficient_reads_every_arity_and_the_curvature():
 
 
 def test_curve_coefficient_rejects_an_odd_curve():
-    Q = TaylorCoderivation(TOY_SPACE, 1, {2: toy_coefficient(0, 2)})
+    Q = TaylorCoderivation(TOY_SPACE, {2: toy_coefficient(0, 2)})
     with pytest.raises(ValueError):
         curve_coefficient(Q, [{"a": 1}, {"c": 1}], 2)

@@ -68,10 +68,10 @@ def test_higher_derived_bracket_examples(heis2):
     ctx = heis2.context
     mu = ctx.section(1)
     # k = 1 on the constant section: m_1(mu) = d mu = u^1 mu
-    out = higher_derived_bracket(vd, 1, [mu])
+    out = higher_derived_bracket(vd, [mu])
     assert out == Section(ctx, ctx.u(0))
     # k = 0 on flat data
-    assert higher_derived_bracket(vd, 0, []).is_zero()
+    assert higher_derived_bracket(vd, []).is_zero()
 
 
 def test_higher_derived_bracket_matches_de_rham(heis2, omni1):
@@ -80,7 +80,7 @@ def test_higher_derived_bracket_matches_de_rham(heis2, omni1):
         vd = contact_vdata(inst)
         for _ in range(10):
             alpha = random_form_section(inst, rng)
-            assert higher_derived_bracket(vd, 1, [alpha]) == de_rham(inst, alpha)
+            assert higher_derived_bracket(vd, [alpha]) == de_rham(inst, alpha)
 
 
 def test_higher_derived_bracket_arity4_vanishes(djmix):
@@ -88,14 +88,14 @@ def test_higher_derived_bracket_arity4_vanishes(djmix):
     vd = contact_vdata(djmix)
     for _ in range(6):
         args = [random_form_section(djmix, rng) for _ in range(4)]
-        assert higher_derived_bracket(vd, 4, args).is_zero()
+        assert higher_derived_bracket(vd, args).is_zero()
 
 
 def test_argument_outside_subalgebra(heis2):
     vd = contact_vdata(heis2)
     ctx = heis2.context
     with pytest.raises(ValueError):
-        higher_derived_bracket(vd, 1, [Section(ctx, ctx.p)])
+        higher_derived_bracket(vd, [Section(ctx, ctx.p)])
 
 
 def test_graded_symmetry(djmix):
@@ -114,8 +114,8 @@ def test_graded_symmetry(djmix):
         da = next(iter(homog_a)) - 2
         db = next(iter(homog_b)) - 2
         sign = (-1) ** ((da * db) % 2)
-        assert higher_derived_bracket(vd, 2, [a, b]) == \
-            higher_derived_bracket(vd, 2, [b, a]).scale(sign)
+        assert higher_derived_bracket(vd, [a, b]) == \
+            higher_derived_bracket(vd, [b, a]).scale(sign)
 
 
 def test_voronov_assembled_codifferential(heis2, obst1, dgla1):
@@ -126,13 +126,10 @@ def test_voronov_assembled_codifferential(heis2, obst1, dgla1):
         space = GradedSpace(
             lambda key, ctx=inst.context: ctx.algebra.monomial_bidegree(key)[1] - 2)
 
-        def make(k):
-            def coeff(word):
-                out = higher_derived_bracket(vd, k, word_to_sections(inst, word))
-                return dict(out.body.terms)
-            return coeff
+        def coeff(word):
+            return dict(higher_derived_bracket(vd, word_to_sections(inst, word)).body.terms)
 
-        Q = TaylorCoderivation(space, 1, {1: make(1), 2: make(2), 3: make(3)})
+        Q = TaylorCoderivation(space, {1: coeff, 2: coeff, 3: coeff})
         words = space.words(basis_keys(inst), 4)
         assert check_codifferential(Q, words).ok
 
