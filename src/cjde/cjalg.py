@@ -95,6 +95,7 @@ __all__ = [
     "m2_closed",
     "m3_closed",
     "m2_sharp_closed",
+    "m2_sharp_closed_covers",
     "gj_bracket_closed",
     "iota",
     "lie_derivative",
@@ -1004,6 +1005,11 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
                 body = body + al[a] * E[a][b] * om[b]
         return Section(ctx, body)
     raise ValueError("closed form only covers (2,2) and (2,1) arities")
+
+
+def m2_sharp_closed_covers(w1: Section, w2: Section) -> bool:
+    """Whether `m2_sharp_closed` covers the pair: form degrees {2, 2} or {1, 2}."""
+    return sorted((form_degree(w1), form_degree(w2))) in ([1, 2], [2, 2])
 
 
 def change_complement(inst: SplitCJInstance,

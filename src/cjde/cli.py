@@ -35,10 +35,10 @@ from .cjalg import (
     deformation_brackets,
     deformation_space,
     first_nonzero,
-    form_degree,
     graph_frame,
     is_dirac_jacobi,
     m2_sharp_closed,
+    m2_sharp_closed_covers,
     mc_residual_form,
     vector_to_section,
     word_to_sections,
@@ -233,11 +233,13 @@ def cmd_complement(args) -> Report:
 
     def m2_mismatch(w) -> Optional[str]:
         s1, s2 = word_to_sections(inst, w)
-        if sorted((form_degree(s1), form_degree(s2))) not in ([1, 2], [2, 2]):
-            return None  # the closed form covers form degrees {2, 2} and {1, 2} only
+        if not m2_sharp_closed_covers(s1, s2):
+            return None
         closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
         derived = vector_to_section(inst, out["M"].coefficient(2, w))
-        return None if closed == derived else f"word {w}: closed {closed} vs derived {derived}"
+        if closed == derived:
+            return None
+        return f"word {_word_str(inst, w)}: closed {closed} vs derived {derived}"
 
     mismatches = (m2_mismatch(w) for w in space.words(keys, 2, 2))
     report.check("M_2 matches sharp/flat closed form",
@@ -245,13 +247,17 @@ def cmd_complement(args) -> Report:
     return report
 
 
+def _word_str(inst, word) -> str:
+    """A word of basis keys as its monomials, e.g. `(1, u1*u2)`."""
+    return f"({', '.join(inst.context.algebra.monomial_str(k) for k in word)})"
+
+
 def _word_witness(inst, rep) -> Optional[str]:
     """The first failing word of a residual report, or None when it holds."""
     if rep.ok:
         return None
     word, residual = rep.witness()
-    pretty = [inst.context.algebra.monomial_str(k) for k in word]
-    return f"word ({', '.join(pretty)}): residual {len(residual)} terms"
+    return f"word {_word_str(inst, word)}: residual {len(residual)} terms"
 
 
 def cmd_cohomology(args) -> Report:

@@ -23,6 +23,16 @@ here accumulates with `gca.add_into` into a dict that the summing function
 created itself, and only reads the coefficients it adds; `svec_scale` and
 `svec_add` return new dicts.  `LInftyStructure.bracket` is not memoised.
 
+`check_codifferential` and `check_morphism` decide Q^2 = 0 and
+Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
+pr_1 of a coderivation or morphism F on a word u is F's Taylor coefficient
+of arity |u| at u, so pr_1 of Q(Q(w)) is read off Q(w) and the coefficients
+of Q, and Q(Q(w)) is never built.  Both residuals are coderivations (along
+phi for the morphism), so a residual that vanishes on every proper sub-word
+of w is primitive on w: it equals its pr_1 part.  The checks therefore take
+words in which each word's one-letter-shorter sub-words come earlier
+(`GradedSpace.words` gives them so) and raise ValueError on any other list.
+
 `curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
 """
@@ -275,7 +285,14 @@ def _set_partitions(n: int) -> Iterable[List[List[int]]]:
 
 
 class ResidualReport:
-    """Outcome of an exactness check: the nonzero residuals, with witnesses."""
+    """Outcome of an exactness check: the nonzero residuals, with witnesses.
+
+    `entries` lists (word, residual) for each checked word whose residual is
+    nonzero, in the order the words were given.  The checks below store the
+    one-letter residual pr_1 of each word.  At the first entry, the witness,
+    that is the whole residual; a later entry's whole residual may also have
+    longer words.
+    """
 
     def __init__(self, label: str):
         self.label = label
@@ -297,27 +314,68 @@ class ResidualReport:
         return f"ResidualReport({self.label}: {state})"
 
 
-def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> ResidualReport:
-    """Residuals pr_1(Q(Q(w))) over the given words; empty iff the relations hold.
+def _corestriction(coefficient: Callable[[int, Word], Vector], sv: SVector) -> SVector:
+    """pr_1 of a map applied to `sv`: sum_u c_u coefficient(|u|, u), on one-letter words.
 
-    Q^2 is again a coderivation, so it vanishes iff its Taylor coefficients
-    (the arity-1 projections) vanish on every word.
+    For a coderivation or a coalgebra morphism the one-letter part of its
+    value on a word u is its Taylor coefficient of arity |u| at u.
     """
+    out: Vector = {}
+    for word, c in sv.items():
+        add_into(out, coefficient(len(word), word), c)
+    return {(key,): c for key, c in out.items()}
+
+
+def _require_subwords_first(words: Sequence[Word]) -> None:
+    """Raise ValueError unless each word's one-letter-shorter sub-words come earlier.
+
+    The empty word is the sub-word of every one-letter word.
+    """
+    seen = set()
+    for w in words:
+        for i in range(len(w)):
+            sub = w[:i] + w[i + 1:]
+            if sub not in seen:
+                raise ValueError(f"sub-word {sub} of word {w} is not checked before it")
+        seen.add(w)
+
+
+def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> ResidualReport:
+    """Residuals pr_1(Q(Q(w))) over the given words; empty iff Q^2 = 0 on them.
+
+    Q^2 is a coderivation, so the reduced coproduct of Q^2(w) involves Q^2
+    only on proper sub-words of w.  Where Q^2 vanishes on those, Q^2(w) is
+    primitive: it equals its one-letter part pr_1(Q(Q(w))) =
+    sum_u c_u Q_{|u|}(u) over the words u of Q(w), read off the Taylor
+    coefficients without building Q(Q(w)).  So on a list in which each word's
+    one-letter-shorter sub-words come earlier (as `GradedSpace.words` gives
+    them), the pr_1 residuals decide the verdict, and at the first failing
+    word the pr_1 residual is the whole residual.  Any other list raises
+    ValueError.
+    """
+    _require_subwords_first(words)
     report = ResidualReport("Q^2")
     for w in words:
-        qq = Q.apply(Q.apply_word(w))
-        residual = {wd: c for wd, c in qq.items() if len(wd) == 1}
-        report.add(w, residual)
+        report.add(w, _corestriction(Q.coefficient, Q.apply_word(w)))
     return report
 
 
 def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderivation,
                    words: Sequence[Word]) -> ResidualReport:
-    """Residuals Q'(phi(w)) - phi(Q(w)) on the given words."""
+    """Residuals pr_1(Q'(phi(w)) - phi(Q(w))) over the given words; empty iff phi intertwines.
+
+    Q' phi - phi Q is a coderivation along phi, so the argument of
+    `check_codifferential` applies: on a list in which each word's
+    one-letter-shorter sub-words come earlier, the pr_1 residuals
+    sum_u c_u Q'_{|u|}(u) over phi(w) minus sum_u c_u phi_{|u|}(u) over Q(w)
+    decide the verdict, and at the first failing word the pr_1 residual is
+    the whole residual.  Any other list raises ValueError.
+    """
+    _require_subwords_first(words)
     report = ResidualReport("morphism")
     for w in words:
-        residual = Qp.apply(phi.apply_word(w))
-        add_into(residual, phi.apply(Q.apply_word(w)), -1)
+        residual = _corestriction(Qp.coefficient, phi.apply_word(w))
+        add_into(residual, _corestriction(phi.coefficient, Q.apply_word(w)), -1)
         report.add(w, residual)
     return report
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cjde.cjalg import SplitCJInstance
+from cjde.cjalg import (SplitCJInstance, deformation_space, m2_sharp_closed_covers,
+                        word_to_sections)
 from cjde.contact import ContactContext
 from cjde.gca import Poly, add_into
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
@@ -59,6 +60,16 @@ def ordered_curve_coefficient(arities, bracket, curve, r):
             if sum(idx) == r:
                 add_into(out, bracket([curve[i - 1] for i in idx]),
                          Fraction(1, math.factorial(k)))
+    return out
+
+
+def closed_m2_words(inst):
+    """(word, s1, s2) for each 2-word that `cjalg.m2_sharp_closed` covers."""
+    out = []
+    for w in deformation_space(inst).words(basis_keys(inst), 2, 2):
+        s1, s2 = word_to_sections(inst, w)
+        if m2_sharp_closed_covers(s1, s2):
+            out.append((w, s1, s2))
     return out
 
 

@@ -25,7 +25,6 @@ from cjde.cjalg import (
     mc_residual_form,
     section_to_vector,
     vector_to_section,
-    word_to_sections,
 )
 from cjde.contact import (
     ContactContext,
@@ -57,6 +56,7 @@ from cjde.linfty import (
 
 from conftest import (
     basis_keys,
+    closed_m2_words,
     random_form_section,
     random_homogeneous_section,
     random_instance,
@@ -278,12 +278,10 @@ def test_criterion_7_gms_suite():
         space = deformation_space(inst)
         words = space.words(basis_keys(inst), 5)
         assert check_morphism(out["exp_M"], Q0, Q1, words).ok
-        for w in space.words(basis_keys(inst), 2, 2):
-            s1, s2 = word_to_sections(inst, w)
-            try:
-                closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
-            except ValueError:
-                continue
+        covered = closed_m2_words(inst)
+        assert covered
+        for w, s1, s2 in covered:
+            closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
             assert closed == vector_to_section(inst, out["M"].coefficient(2, w))
     report(7, "complement change: instance round trip, morphism through "
               "truncation 5, M_2 closed form", t0)

@@ -51,7 +51,8 @@ from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_add as vec_add, svec_scale as vec_scale)
 
-from conftest import basis_keys, random_form_section, random_instance, random_x_poly
+from conftest import (basis_keys, closed_m2_words, random_form_section, random_instance,
+                      random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -616,13 +617,10 @@ def test_change_complement_m2_closed_form(heis2, dgla1):
     for inst, eps in [(heis2, {(0, 1): Fraction(1, 2)}),
                       (dgla1, {(0, 2): 1})]:
         out = change_complement(inst, eps)
-        space = deformation_space(inst)
-        for w in space.words(basis_keys(inst), 2, 2):
-            s1, s2 = word_to_sections(inst, w)
-            try:
-                closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
-            except ValueError:
-                continue
+        covered = closed_m2_words(inst)
+        assert covered
+        for w, s1, s2 in covered:
+            closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
             assert closed == vector_to_section(inst, out["M"].coefficient(2, w))
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from cjde import cli, contact, gca
 from cjde.cli import Report, main
-from cjde.instancefile import MAX_EXPONENT
+from cjde.cjalg import change_complement
+from cjde.instancefile import MAX_EXPONENT, load_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -193,6 +194,36 @@ def test_complement_corrupted_m2_fails(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     failing = [line for line in lines if line["status"] == "fail"]
     assert failing and all(line["witness"] for line in failing)
+
+
+@pytest.mark.parametrize("name", ["heis2", "omni1"])
+def test_complement_corrupted_m2_witnesses_name_monomials(name, capsys):
+    code, out, _ = run_cli(
+        ["complement", fixture(f"{name}.json"), "--epsilon", "eps1",
+         "--trunc", "3", "--corrupt-m2"], capsys)
+    assert code == 1
+    lines = {line["check"]: line for line in map(json.loads, out.strip().splitlines())}
+    morphism = lines["exp(M) intertwines codifferentials through arity 3"]["witness"]
+    assert morphism.startswith("word (1, u1*u2): residual ")
+    closed = lines["M_2 matches sharp/flat closed form"]["witness"]
+    assert closed.startswith("word (u1, u1*u2): closed ")
+
+
+def test_complement_corrupted_m2_djmix_is_an_automorphism(capsys):
+    # eps1 on djmix leaves Theta unchanged, so e^{tM} intertwines Q with
+    # itself for every t: doubling M_2 cannot break the morphism check there,
+    # only the closed-form comparison
+    doc = load_instance(fixture("djmix.json"))
+    assert change_complement(doc.instance, doc.epsilons["eps1"])["theta1"] == doc.instance.theta
+    for trunc in ("2", "3", "4"):
+        code, out, _ = run_cli(
+            ["complement", fixture("djmix.json"), "--epsilon", "eps1",
+             "--trunc", trunc, "--corrupt-m2"], capsys)
+        assert code == 1
+        lines = {line["check"]: line for line in map(json.loads, out.strip().splitlines())}
+        key = f"exp(M) intertwines codifferentials through arity {trunc}"
+        assert lines[key]["status"] == "pass"
+        assert lines["M_2 matches sharp/flat closed form"]["status"] == "fail"
 
 
 def test_complement_closed_m2_error_is_not_a_pass(monkeypatch):

@@ -17,6 +17,7 @@ from cjde.linfty import (
     decalage_up,
     exp_coderivation,
     mc_residual,
+    svec_add,
     svec_scale as vec_scale,
 )
 
@@ -99,6 +100,133 @@ def test_morphism_negative_control(V):
     Q = differential(V, {"a": {"b": F(1)}})
     Qp = differential(V, {"a": {"c": F(1)}})
     assert not check_morphism(ident, Q, Qp, V.words(BASIS, 2)).ok
+
+
+def random_table(V, rng, arity, shift, density=0.5):
+    """Seeded coefficients of one arity, each word sent to degree word_degree + shift."""
+    table = {}
+    for w in V.words(BASIS, arity, arity):
+        vec = {key: F(rng.randint(-2, 2)) for key in BASIS
+               if V.degree(key) == V.word_degree(w) + shift and rng.random() < density}
+        table[w] = {key: c for key, c in vec.items() if c}
+    return table
+
+
+def from_table(table):
+    return lambda w: table.get(tuple(w), {})
+
+
+def conjugate(Q, eM, eMinus, max_len):
+    """e^M Q e^{-M} by its Taylor coefficients: a coderivation, and a codifferential with Q.
+
+    Exact on words of length <= max_len: a curvature lengthens a word by one
+    letter before the next coefficient reads it.
+    """
+    def coefficient(w):
+        full = eM.apply_series(Q.apply(eMinus.apply_series({tuple(w): F(1)})))
+        return {wd[0]: c for wd, c in full.items() if len(wd) == 1}
+    coeffs = {k: coefficient for k in range(1, max_len + 2)}
+    curvature = coefficient(())
+    if curvature:
+        coeffs[0] = curvature
+    return TaylorCoderivation(Q.space, coeffs)
+
+
+def first_residual(residual_of, words):
+    """The first word with a nonzero full residual, and that residual."""
+    for w in words:
+        residual = residual_of(w)
+        if residual:
+            return w, residual
+    return None
+
+
+def reference_codifferential(Q, words):
+    return first_residual(lambda w: Q.apply(Q.apply_word(w)), words)
+
+
+def reference_morphism(phi, Q, Qp, words):
+    return first_residual(lambda w: svec_add(Qp.apply(phi.apply_word(w)),
+                                             vec_scale(phi.apply(Q.apply_word(w)), -1)), words)
+
+
+def seeded_structures(V, seed, max_len):
+    """A codifferential Q, a random M of arities 2 and 3, and Q' = e^M Q e^{-M}.
+
+    Odd seeds give Q a curvature.  Then one arity-2 coefficient of a copy of
+    Q' is perturbed, so the copy is neither a codifferential nor intertwined
+    with Q by e^M.
+    """
+    rng = random.Random(seed)
+    coeffs = {1: lambda w: {"a": {"b": F(1)}, "c": {"e": F(1)}}.get(w[0], {})}
+    if seed % 2:
+        coeffs[0] = {"b": F(rng.choice([-1, 1]))}
+    Q = TaylorCoderivation(V, coeffs)
+    tables = {k: random_table(V, rng, k, 0) for k in (2, 3)}
+    M = TaylorCoderivation(V, {k: from_table(t) for k, t in tables.items()})
+    Mminus = TaylorCoderivation(V, {k: from_table({w: vec_scale(v, -1) for w, v in t.items()})
+                                    for k, t in tables.items()})
+    eM, eMinus = exp_coderivation(M), exp_coderivation(Mminus)
+    Qp = conjugate(Q, eM, eMinus, max_len)
+    bad_word, bad_key = rng.choice([(w, key) for w in V.words(BASIS, 2, 2) for key in BASIS
+                                    if V.degree(key) == V.word_degree(w) + 1])
+    broken = dict(Qp.coefficients)
+    q2 = broken[2]
+    broken[2] = lambda w: svec_add(q2(w), {bad_key: F(1)}) if tuple(w) == bad_word else q2(w)
+    Qbad = TaylorCoderivation(V, broken)
+    return Q, eM, Qp, Qbad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_corestriction_checks_match_full_residuals(V, seed):
+    """pr_1 decides both checks: same verdict, same first word, same first residual."""
+    Q, eM, Qp, Qbad = seeded_structures(V, seed, 4)
+    words = V.words(BASIS, 4)
+    cases = [(check_codifferential(Qq, words), reference_codifferential(Qq, words))
+             for Qq in (Q, Qp, Qbad)]
+    cases += [(check_morphism(eM, Q, Qq, words), reference_morphism(eM, Q, Qq, words))
+              for Qq in (Qp, Qbad)]
+    for report, reference in cases:
+        assert report.witness() == reference
+    assert [report.ok for report, _ in cases] == [True, True, False, True, False]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corestriction_checks_match_on_random_coefficients(V, seed):
+    """Unrelated seeded Q, Q' and phi: the first witness is the full residual's.
+
+    Without arities 0 and 1 the first residual of Q^2 sits on a longer word.
+    """
+    rng = random.Random(100 + seed)
+    Q, Qp = (TaylorCoderivation(V, {k: from_table(random_table(V, rng, k, 1))
+                                    for k in (2, 3)}) for _ in range(2))
+    phi = TaylorMorphism(V, V, {1: lambda w: {w[0]: F(1)},
+                                2: from_table(random_table(V, rng, 2, 0))})
+    words = V.words(BASIS, 4)
+    for report, reference in [(check_codifferential(Q, words), reference_codifferential(Q, words)),
+                              (check_morphism(phi, Q, Qp, words),
+                               reference_morphism(phi, Q, Qp, words))]:
+        assert report.witness() == reference
+
+
+def test_checks_need_sub_words_first(V):
+    Q = differential(V, {"a": {"b": F(1)}})
+    ident = TaylorMorphism(V, V, {1: lambda w: {w[0]: F(1)}})
+    for words in (V.words(BASIS, 3, 3), V.words(BASIS, 2, 1), V.words(BASIS, 2)[::-1]):
+        with pytest.raises(ValueError, match="sub-word"):
+            check_codifferential(Q, words)
+        with pytest.raises(ValueError, match="sub-word"):
+            check_morphism(ident, Q, Q, words)
+
+
+def test_curved_check_needs_the_empty_word(V):
+    # Q_0 = b, Q_1(b) = e: Q^2 = (e) on the empty word, so Q^2(a) = e (.) a is
+    # nonzero with no one-letter part; only the empty word shows the failure
+    Q = TaylorCoderivation(V, {0: {"b": F(1)}, 1: lambda w: {"e": F(1)} if w == ("b",) else {}})
+    assert Q.apply(Q.apply_word(("a",))) == {("a", "e"): F(1)}
+    with pytest.raises(ValueError, match="sub-word"):
+        check_codifferential(Q, V.words(BASIS, 2, 1))
+    assert check_codifferential(Q, V.words(BASIS, 2)).witness() == ((), {("e",): F(1)})
 
 
 def test_morphism_coalgebra_property(V):
