@@ -56,7 +56,6 @@ from .contact import (
 from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign
 from .linfty import (
     GradedSpace,
-    LInftyStructure,
     TaylorCoderivation,
     Vector,
     Word,
@@ -99,7 +98,6 @@ __all__ = [
     "gj_bracket_closed",
     "iota",
     "lie_derivative",
-    "cartan_ops",
     "de_rham",
     "de_rham_koszul",
     "de_rham_derivation",
@@ -586,9 +584,6 @@ class DeformationForm(Section):
         """The skew n x n matrix of base polynomials."""
         return _form_entries(self.context, self.context.ix_u, 2, self.body)
 
-    def to_section(self) -> Section:
-        return Section(self.context, self.body)
-
 
 def form_degree(s: Section) -> int:
     """Form degree of a (0,k)-section; raises on mixed input."""
@@ -661,25 +656,6 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
 def lie_derivative(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Section:
     """Lie derivative along xi in Gamma(A): [d, iota_xi] = d iota + iota d."""
     return _lie_derivative(_side_A(inst), de_rham_derivation(inst), _xpolys(inst, xi), omega)
-
-
-def cartan_ops(inst: SplitCJInstance, xi: Sequence[PolyLike],
-               omega: Section) -> Dict[str, Section]:
-    """Contraction and Lie derivative along a section of A.
-
-    Both are defined for any instance; the Cartan identity suite only holds
-    (and is only asserted by the tests) when the A side is flat, so callers
-    on non-flat instances get the raw values with `flat=False` flagged.
-    """
-    d = de_rham_derivation(inst)
-    sq = d.commutator(d)  # [d, d] = 2 d^2
-    flat = sq.f.is_zero() and all(p.is_zero() for p in sq.f_x) \
-        and all(p.is_zero() for p in sq.f_u)
-    return {
-        "iota": iota(inst, xi, omega),
-        "lie": _lie_derivative(_side_A(inst), d, _xpolys(inst, xi), omega),
-        "flat": flat,
-    }
 
 
 def _loday_component(own: _Side, other: _Side, s1: Sequence[Poly], s2: Sequence[Poly],
@@ -895,28 +871,29 @@ def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Secti
     return Section(ctx, out.scale(sign))
 
 
-def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> LInftyStructure:
-    """The cubic deformation structure on Omega(A;L)[2].
+def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> TaylorCoderivation:
+    """The cubic deformation L-infinity[1] algebra on Omega(A;L)[2], as its codifferential Q.
 
+    `Q.coefficient(k, w)` is m_k(w) for k = 1, 2, 3.  Q has arity 0, the
+    curvature m_0 = Upsilon_A, exactly when Upsilon_A != 0.
     route='derived' goes through the contact V-data higher derived brackets;
     route='closed' uses the de Rham derivation, the Gerstenhaber-Jacobi
     bracket and the sharp-contraction of the dual Courant tensor.  The two
     must agree on every input; the test suite enforces this.
     """
-    space = deformation_space(inst)
-    curvature = section_to_vector(inst, upsilon_A_section(inst))
-
     if route == "derived":
         derived = _coefficient(inst, lambda *args: derived_bracket_sections(inst, args))
-        brackets = {1: derived, 2: derived, 3: derived}
+        coefficients = {1: derived, 2: derived, 3: derived}
     elif route == "closed":
-        brackets = {1: _coefficient(inst, de_rham_derivation(inst)),
-                    2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
-                    3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
+        coefficients = {1: _coefficient(inst, de_rham_derivation(inst)),
+                        2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
+                        3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
     else:
         raise ValueError(f"unknown route {route!r}")
-
-    return LInftyStructure(space, curvature, brackets)
+    curvature = section_to_vector(inst, upsilon_A_section(inst))
+    if curvature:
+        coefficients[0] = curvature
+    return TaylorCoderivation(deformation_space(inst), coefficients)
 
 
 def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:

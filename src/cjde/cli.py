@@ -216,8 +216,8 @@ def cmd_complement(args) -> Report:
     out = change_complement(inst, eps)
     report.check("theta transported", theta1=str(out["theta1"]))
 
-    Q0 = deformation_brackets(inst, "derived").to_coderivation()
-    Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
+    Q0 = deformation_brackets(inst, "derived")
+    Q1 = deformation_brackets(out["instance"], "derived")
     space = deformation_space(inst)
     keys = basis_keys(inst)
     words = space.words(keys, args.trunc)
@@ -303,10 +303,10 @@ def cmd_selftest(args) -> Report:
     heis2 = SplitCJInstance(0, 2, lam={0: 1}, name="HEIS2")
     report.check("built-in fixture axioms", check_cj_axioms(heis2).witness())
 
-    L = deformation_brackets(heis2, "derived")
-    words = L.space.words(basis_keys(heis2), 4)
+    Q = deformation_brackets(heis2, "derived")
+    words = Q.space.words(basis_keys(heis2), 4)
     report.check("deformation codifferential squares to zero",
-                 _word_witness(heis2, check_codifferential(L.to_coderivation(), words)))
+                 _word_witness(heis2, check_codifferential(Q, words)))
     return report
 
 

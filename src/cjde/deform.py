@@ -1,7 +1,7 @@
 """Deformation workflow over point-base instances, read off the L-infinity algebra.
 
 `ComplexMatrices` owns the closed-route structure of the instance,
-`Q = deformation_brackets(inst, "closed").to_coderivation()`, with m_1 =
+`Q = deformation_brackets(inst, "closed")`, the codifferential with m_1 =
 d_{A,L}, m_2 and m_3 memoised per word.  Over a point base the L-valued form
 spaces are finite dimensional, so m_1 becomes exact rational matrices on the
 `form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys of
@@ -161,7 +161,7 @@ class ComplexMatrices:
         self.inst = inst
         self.n = inst.n
         self.basis = [form_basis(inst.context, k) for k in range(self.n + 1)]
-        self.Q = deformation_brackets(inst, "closed").to_coderivation()
+        self.Q = deformation_brackets(inst, "closed")
         self.matrices: List[Matrix] = []
         for k in range(self.n + 1):
             rows = self.basis[k + 1] if k < self.n else []
@@ -240,6 +240,8 @@ class Cohomology:
         if self.k == 0:
             raise ValueError("0-forms have no primitives")
         cm = self.complex
+        if self.k > cm.n:
+            raise ValueError(f"degree {self.k} is above the top degree {cm.n}")
         z = cm.form_to_coords(s, self.k)
         d_prev = cm.matrices[self.k - 1]
         sol = solve_linear(d_prev, z)
@@ -252,11 +254,24 @@ def _apply(mat: Matrix, v: Vec) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in mat]
 
 
+def _require_complex_of(inst: SplitCJInstance, cm: ComplexMatrices) -> None:
+    """Raise ValueError unless `cm` was built for `inst` itself."""
+    if cm.inst is not inst:
+        raise ValueError(f"the complex was built for instance {cm.inst.name!r}, "
+                         f"not for {inst.name!r}")
+
+
 def cohomology(inst: SplitCJInstance, k: int,
                cm: Optional[ComplexMatrices] = None) -> Cohomology:
-    """Exact H^k with representative basis completing the image inside the kernel."""
+    """Exact H^k with representative basis completing the image inside the kernel.
+
+    k must be >= 0; above the rank H^k is the zero space.
+    """
+    if k < 0:
+        raise ValueError(f"cohomology degree must be >= 0, got {k}")
     cm = cm or ComplexMatrices(inst)
-    if not 0 <= k <= cm.n:
+    _require_complex_of(inst, cm)
+    if k > cm.n:
         return Cohomology(cm, k, 0, [], [], [])
     # d on the top degree is the empty matrix, whose kernel is everything
     kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
@@ -280,8 +295,10 @@ def kuranishi(inst: SplitCJInstance, eta: Section,
     """Class of m_2(eta,eta) in H^3; eta must be d-closed.
 
     Returns (coordinates on the H^3 representatives, reduced representative).
+    `h3` must be built for `inst` itself, else ValueError.
     """
     h3 = h3 or cohomology(inst, 3)
+    _require_complex_of(inst, h3.complex)
     if not h3.complex.d(eta).is_zero():
         raise ValueError("eta is not closed")
     w = derived_bracket_sections(inst, [eta, eta])
@@ -318,7 +335,7 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     `linfty.curve_coefficient` of the closed-route structure, exact.
     `coeffs` holds eta_1, eta_2, ...; coefficients past its end count as zero.
     """
-    Q = deformation_brackets(inst, "closed").to_coderivation()
+    Q = deformation_brackets(inst, "closed")
     curve = [section_to_vector(inst, s) for s in coeffs]
     return [vector_to_section(inst, curve_coefficient(Q, curve, r))
             for r in range(1, order + 1)]
@@ -332,9 +349,11 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     `linfty.curve_coefficient` of `h3.complex.Q`) must be exact; its
     primitive (with the deterministic pivot choice) gives -eta_r.  A
     non-exact residual stops the extension and is reported as the
-    obstruction class at that order.
+    obstruction class at that order.  `h3` must be built for `inst` itself,
+    else ValueError.
     """
     h3 = h3 or cohomology(inst, 3)
+    _require_complex_of(inst, h3.complex)
     if not h3.complex.d(eta1).is_zero():
         raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     coeffs = [eta1]

@@ -7,21 +7,28 @@ coderivations/morphisms are rebuilt from them by the usual unshuffle and
 partition sums.  Every computation carries an explicit arity truncation since
 the symmetric coalgebra is infinite-dimensional.
 
-The contact model's m_k and M_2 (`cjalg`) are higher derived brackets of one
-V-data (`vdata`), Phi = -Theta or eps, made coefficients by one adapter.
+An L-infinity[1] algebra is its codifferential Q, a `TaylorCoderivation`:
+`Q.coefficient(k, w)` is the bracket m_k(w), and arity 0, when Q has it, is
+the curvature m_0.  The contact model's m_k and M_2 (`cjalg`) are higher
+derived brackets of one V-data (`vdata`), Phi = -Theta or eps, made
+coefficients by one adapter.  A `TaylorMorphism` maps a space to itself and
+is given by one coefficient function on canonical words of every length >= 1;
+a word's length is its arity.  `exp_coderivation` builds e^M as such a
+morphism in one step: its coefficient on a word is the one-letter part of
+`exp_series`, the series sum_j M^j / j! on that word.
 
 A Taylor coefficient is a pure function of its canonical word, and the sums
 above evaluate the same coefficient on the same word many times.  So
-`TaylorCoderivation` and `TaylorMorphism` memoise every coefficient of arity
->= 1: when the object is built, each entry of `coefficients` is wrapped in a
-callable that keeps one dict of results, keyed by canonical word.  The memo
-belongs to that wrapper, so it is freed with the structure, and an entry
-replaced later (`phi.coefficients[2] = f`) is called as given and never meets
-a result cached for the old entry.  A memoised vector is shared by every
-later call, so the Vector a coefficient returns is read-only.  Every sum
-here accumulates with `gca.add_into` into a dict that the summing function
-created itself, and only reads the coefficients it adds; `svec_scale` and
-`svec_add` return new dicts.  `LInftyStructure.bracket` is not memoised.
+`TaylorCoderivation` memoises every coefficient of arity >= 1 and
+`TaylorMorphism` its one coefficient function: when the object is built,
+each function is wrapped in a callable that keeps one dict of results, keyed
+by canonical word.  The memo belongs to that wrapper, so it is freed with the
+structure, and a coderivation entry replaced later (`Q.coefficients[2] = f`)
+is called as given and never meets a result cached for the old entry.  A
+memoised vector is shared by every later call, so the Vector a coefficient
+returns is read-only.  Every sum here accumulates with `gca.add_into` into a
+dict that the summing function created itself, and only reads the
+coefficients it adds; `svec_scale` and `svec_add` return new dicts.
 
 `check_codifferential` and `check_morphism` decide Q^2 = 0 and
 Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
@@ -54,11 +61,11 @@ __all__ = [
     "GradedSpace",
     "TaylorCoderivation",
     "TaylorMorphism",
-    "LInftyStructure",
     "ResidualReport",
     "check_codifferential",
     "check_morphism",
     "exp_coderivation",
+    "exp_series",
     "curve_coefficient",
     "mc_residual",
     "decalage_down",
@@ -82,10 +89,9 @@ def svec_scale(a: Dict, c: Union[int, Fraction]) -> Dict:
 class GradedSpace:
     """Degrees (and hence Koszul parities) for basis keys of a graded space."""
 
-    def __init__(self, degree: Union[Callable[[object], int], Dict[object, int]]):
-        """`degree` maps a basis key to its degree: a function, or a dict (copied)."""
-        self.degree: Callable[[object], int] = (
-            dict(degree).__getitem__ if isinstance(degree, dict) else degree)
+    def __init__(self, degree: Callable[[object], int]):
+        """`degree` maps a basis key to its degree."""
+        self.degree = degree
 
     # --- words ----------------------------------------------------------
 
@@ -147,27 +153,6 @@ def _memoised(fn: Callable[[Word], Vector]) -> Callable[[Word], Vector]:
     return coefficient
 
 
-class _EveryArity(dict):
-    """Taylor coefficients defined at every arity >= 1 by one function.
-
-    The memoised coefficient of an arity is built the first time that arity
-    is asked for.
-    """
-
-    def __init__(self, fn: Callable[[Word], Vector]):
-        super().__init__()
-        self._fn = fn
-
-    def __contains__(self, k: int) -> bool:
-        return k >= 1
-
-    def __missing__(self, k: int) -> Callable[[Word], Vector]:
-        if k not in self:
-            raise KeyError(k)
-        entry = self[k] = _memoised(self._fn)
-        return entry
-
-
 def _unshuffles(n: int, i: int) -> Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     positions = range(n)
     for sel in itertools.combinations(positions, i):
@@ -211,6 +196,10 @@ class TaylorCoderivation(_WordwiseLinear):
             return dict(entry)
         return entry(word)
 
+    def to_coderivation(self) -> "TaylorCoderivation":
+        """This coderivation: `perfbench/workloads.py` still calls `to_coderivation`."""
+        return self
+
     def apply_word(self, word: Word) -> SVector:
         """Full coderivation on one canonical word, via the unshuffle sum."""
         n = len(word)
@@ -230,29 +219,27 @@ class TaylorCoderivation(_WordwiseLinear):
 
 
 class TaylorMorphism(_WordwiseLinear):
-    """A degree-0 coalgebra morphism, by its Taylor coefficients.
+    """A degree-0 coalgebra morphism of `space` to itself, by its Taylor coefficients.
 
-    Coefficients are memoised per word and their Vectors are read-only
-    (module docstring).
+    `coefficient` maps a canonical word of any length k >= 1 to the arity-k
+    Taylor coefficient at that word.  It is memoised per word and its Vectors
+    are read-only (module docstring).
     """
 
-    def __init__(self, space_src: GradedSpace, space_dst: GradedSpace,
-                 coefficients: Dict[int, Callable[[Word], Vector]]):
-        self.space_src = space_src
-        self.space_dst = space_dst
-        self.coefficients = {k: _memoised(fn) for k, fn in coefficients.items()}
+    def __init__(self, space: GradedSpace, coefficient: Callable[[Word], Vector]):
+        self.space = space
+        self._coefficient = _memoised(coefficient)
 
     def coefficient(self, k: int, word: Word) -> Vector:
-        if k not in self.coefficients:
-            return {}
-        return self.coefficients[k](word)
+        """The arity-k Taylor coefficient at `word`; k is len(word)."""
+        return self._coefficient(word)
 
     def apply_word(self, word: Word) -> SVector:
         """Partition sum over unordered set partitions of the word positions."""
         n = len(word)
         if n == 0:
             return {(): Fraction(1)}
-        degs = [self.space_src.degree(k) for k in word]
+        degs = [self.space.degree(k) for k in word]
         out: SVector = {}
         for partition in _set_partitions(n):
             blocks = [sorted(b) for b in partition]
@@ -265,7 +252,7 @@ class TaylorMorphism(_WordwiseLinear):
                 factors.append(val)
             else:
                 perm = [p for b in blocks for p in b]
-                add_into(out, self.space_dst.expand_word_of_vectors(factors),
+                add_into(out, self.space.expand_word_of_vectors(factors),
                          koszul_sign(perm, degs))
         return out
 
@@ -380,70 +367,41 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
     return report
 
 
+def exp_series(M: TaylorCoderivation, sv: SVector) -> SVector:
+    """e^M(sv) = sum_j M^j(sv) / j! for a coderivation M that lowers word length.
+
+    Each application of M shortens a word by at least one letter, so on
+    words of length <= L the series stops after at most L - 1 nonzero terms;
+    a nonzero M^L raises RuntimeError.
+    """
+    total: SVector = dict(sv)
+    term = dict(sv)
+    longest = max((len(w) for w in sv), default=0)
+    for j in itertools.count(1):
+        term = M.apply(term)
+        if not term:
+            return total
+        if j >= longest:
+            raise RuntimeError(f"M^{j} is nonzero on words of length <= {longest}: "
+                               "M does not lower word length")
+        add_into(total, term, Fraction(1, math.factorial(j)))
+
+
 def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
     """Exponential of a word-length-lowering coderivation, as a Taylor morphism.
 
-    Requires every Taylor coefficient of M to have arity >= 2.  Then each
-    application of M shortens a word by at least one letter, so on a word of
-    length L the series e^M = sum_j M^j / j! stops after at most L - 1
-    nonzero terms.  The returned morphism has a memoised Taylor coefficient
-    at every arity, each built on first use, and also exposes the exact
-    series action as `apply_series`.
+    Requires every Taylor coefficient of M to have arity >= 2.  The arity-k
+    coefficient of e^M at a k-word is the one-letter part of `exp_series`
+    on that word, at every arity.
     """
     if any(k < 2 for k in M.arities()):
         raise ValueError("exponential needs a coderivation that lowers word length (arities >= 2)")
-    space = M.space
 
-    def apply_series(sv: SVector) -> SVector:
-        total: SVector = dict(sv)
-        term = dict(sv)
-        longest = max((len(w) for w in sv), default=0)
-        for j in itertools.count(1):
-            term = M.apply(term)
-            if not term:
-                return total
-            if j >= longest:
-                raise RuntimeError(f"M^{j} is nonzero on words of length <= {longest}: "
-                                   "M does not lower word length")
-            add_into(total, term, Fraction(1, math.factorial(j)))
-
-    def coeff(word: Word) -> Vector:
-        full = apply_series({tuple(word): Fraction(1)})
+    def coefficient(word: Word) -> Vector:
+        full = exp_series(M, {word: Fraction(1)})
         return {w[0]: c for w, c in full.items() if len(w) == 1}
 
-    phi = TaylorMorphism(space, space, {})
-    phi.coefficients = _EveryArity(coeff)
-    phi.apply_series = apply_series
-    return phi
-
-
-class LInftyStructure:
-    """A curved L-infinity[1] structure: curvature plus multibrackets."""
-
-    def __init__(self, space: GradedSpace, curvature: Optional[Vector],
-                 brackets: Dict[int, Callable[[Word], Vector]]):
-        self.space = space
-        self.curvature = curvature or {}
-        self.brackets = dict(brackets)
-
-    @property
-    def is_curved(self) -> bool:
-        return bool(self.curvature)
-
-    def bracket(self, k: int, word: Word) -> Vector:
-        if k == 0:
-            return dict(self.curvature)
-        if k not in self.brackets:
-            return {}
-        return self.brackets[k](word)
-
-    def to_coderivation(self) -> TaylorCoderivation:
-        coeffs: Dict[int, object] = {}
-        if self.curvature:
-            coeffs[0] = dict(self.curvature)
-        for k, fn in self.brackets.items():
-            coeffs[k] = fn
-        return TaylorCoderivation(self.space, coeffs)
+    return TaylorMorphism(M.space, coefficient)
 
 
 def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) -> Vector:
@@ -470,12 +428,11 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     return out
 
 
-def mc_residual(L: LInftyStructure, eta: Vector) -> Vector:
+def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta.
 
-    The sum over the arities k of the t^k coefficients of the curve t*eta.
+    The sum over the arities k of Q of the t^k coefficients of the curve t*eta.
     """
-    Q = L.to_coderivation()
     out: Vector = {}
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))

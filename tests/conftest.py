@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cjde.cjalg import (SplitCJInstance, deformation_space, m2_sharp_closed_covers,
-                        word_to_sections)
+from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space,
+                        m2_sharp_closed_covers, section_to_vector, word_to_sections)
 from cjde.contact import ContactContext
 from cjde.gca import Poly, add_into
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
@@ -44,6 +44,24 @@ def random_form_section(inst, rng, density=0.45):
                 _, mono = ctx.algebra.normalize_word(word)
                 out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
     return ctx.section(out)
+
+
+def assert_routes_agree(inst, rng, tuples):
+    """The derived and closed m_0..m_3 of `inst` agree on `tuples` seeded triples of forms.
+
+    m_0 is compared directly; m_k, k = 1, 2, 3, on the first k forms of each
+    triple of `random_form_section`s, expanded multilinearly into words.
+    """
+    Qd, Qc = deformation_brackets(inst, "derived"), deformation_brackets(inst, "closed")
+    assert Qd.coefficient(0, ()) == Qc.coefficient(0, ())
+    for _ in range(tuples):
+        vs = [section_to_vector(inst, random_form_section(inst, rng)) for _ in range(3)]
+        for k in (1, 2, 3):
+            rd, rc = {}, {}
+            for word, coeff in Qd.space.expand_word_of_vectors(vs[:k]).items():
+                add_into(rd, Qd.coefficient(k, word), coeff)
+                add_into(rc, Qc.coefficient(k, word), coeff)
+            assert rd == rc, (inst.name, k)
 
 
 def ordered_curve_coefficient(arities, bracket, curve, r):

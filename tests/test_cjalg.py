@@ -36,7 +36,6 @@ from cjde.cjalg import (
     mc_residual_form,
     pairing,
     section_bracket_A,
-    section_to_vector,
     split_anchored,
     tensor_is_zero,
     upsilon_A_section,
@@ -49,10 +48,10 @@ from cjde.contact import Section, jacobi_bracket, project_P
 from cjde.gca import Poly
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
-                         svec_add as vec_add, svec_scale as vec_scale)
+                         svec_scale as vec_scale)
 
-from conftest import (basis_keys, closed_m2_words, random_form_section, random_instance,
-                      random_x_poly)
+from conftest import (assert_routes_agree, basis_keys, closed_m2_words, random_form_section,
+                      random_instance, random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -370,9 +369,8 @@ def test_rank_one_instance_degenerate_sizes():
     assert check_cj_axioms(inst).ok
     ctx = inst.context
     assert inst.theta == Section(ctx, ctx.u(0) * ctx.p + ctx.x(0) * ctx.u(0) * ctx.pi(0))
-    L = deformation_brackets(inst, "derived")
-    q = L.to_coderivation()
-    assert check_codifferential(q, q.space.words(basis_keys(inst), 3)).ok
+    Q = deformation_brackets(inst, "derived")
+    assert check_codifferential(Q, Q.space.words(basis_keys(inst), 3)).ok
 
 
 def test_correspondence_on_every_point_fixture():
@@ -402,7 +400,7 @@ def test_correspondence_over_polynomial_base():
                    for a, b in itertools.combinations(range(3), 2)
                    if rng.random() < 0.7})
         mc = mc_residual_form(inst, eta)
-        assert mc == de_rham(inst, eta.to_section())
+        assert mc == de_rham(inst, eta)
         involutive, _ = is_dirac_jacobi(inst, graph_frame(inst, eta))
         assert involutive == mc.is_zero()
         seen[involutive] += 1
@@ -477,31 +475,18 @@ def test_routes_agree_random_instances():
     rng = random.Random(8)
     shapes = [(0, 3), (1, 3), (2, 2), (0, 4), (1, 2)]
     for t, (m, n) in enumerate(shapes):
-        inst = random_instance(rng, m, n, f"RT{t}")
-        Ld = deformation_brackets(inst, "derived")
-        Lc = deformation_brackets(inst, "closed")
-        assert Ld.curvature == Lc.curvature
-        for _ in range(8):
-            forms = [random_form_section(inst, rng) for _ in range(3)]
-            vs = [section_to_vector(inst, s) for s in forms]
-            for k in (1, 2, 3):
-                word_exp = Ld.space.expand_word_of_vectors(vs[:k])
-                rd, rc = {}, {}
-                for word, coeff in word_exp.items():
-                    rd = vec_add(rd, vec_scale(Ld.bracket(k, word), coeff))
-                    rc = vec_add(rc, vec_scale(Lc.bracket(k, word), coeff))
-                assert rd == rc
+        assert_routes_agree(random_instance(rng, m, n, f"RT{t}"), rng, 8)
 
 
 def test_curvature_is_upsilon(curv1):
-    L = deformation_brackets(curv1)
-    assert L.is_curved
-    assert vector_to_section(curv1, L.curvature) == upsilon_A_section(curv1)
+    Q = deformation_brackets(curv1)
+    assert 0 in Q.arities()
+    assert vector_to_section(curv1, Q.coefficient(0, ())) == upsilon_A_section(curv1)
 
 
 def test_codifferential_on_flat_fixtures(heis2, obst1, dgla1, djmix):
     for inst in (heis2, obst1, dgla1, djmix):
-        Q = deformation_brackets(inst, "derived").to_coderivation()
+        Q = deformation_brackets(inst, "derived")
         words = Q.space.words(basis_keys(inst), 4)
         assert check_codifferential(Q, words).ok
 
@@ -509,14 +494,13 @@ def test_codifferential_on_flat_fixtures(heis2, obst1, dgla1, djmix):
 def test_curved_codifferential(curv1, curvmix):
     for inst in (curv1, curvmix):
         assert check_cj_axioms(inst).ok
-        L = deformation_brackets(inst, "derived")
-        assert L.is_curved
-        Q = L.to_coderivation()
+        Q = deformation_brackets(inst, "derived")
+        assert 0 in Q.arities()
         words = Q.space.words(basis_keys(inst), 3)
         assert check_codifferential(Q, words).ok
     # with m1 = 0 the arity-1 curved relation forces m2(m0, v) = 0
     rng = random.Random(15)
-    m0 = vector_to_section(curvmix, deformation_brackets(curvmix).curvature)
+    m0 = vector_to_section(curvmix, deformation_brackets(curvmix).coefficient(0, ()))
     for _ in range(5):
         v = random_form_section(curvmix, rng)
         assert derived_bracket_sections(curvmix, [m0, v]).is_zero()
@@ -606,8 +590,8 @@ def test_change_complement_morphism(heis2, omni1, dgla1):
     for inst, eps in cases:
         out = change_complement(inst, eps)
         assert check_cj_axioms(out["instance"]).ok
-        Q0 = deformation_brackets(inst, "derived").to_coderivation()
-        Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
+        Q0 = deformation_brackets(inst, "derived")
+        Q1 = deformation_brackets(out["instance"], "derived")
         space = deformation_space(inst)
         words = space.words(basis_keys(inst), 3)
         assert check_morphism(out["exp_M"], Q0, Q1, words).ok
@@ -674,8 +658,8 @@ def test_replaced_m2_is_not_served_from_memo(heis2):
     words = space.words(basis_keys(heis2), 3)
     for w in space.words(basis_keys(heis2), 2, 2):
         M.coefficient(2, w)
-    Q0 = deformation_brackets(heis2, "derived").to_coderivation()
-    Q1 = deformation_brackets(out["instance"], "derived").to_coderivation()
+    Q0 = deformation_brackets(heis2, "derived")
+    Q1 = deformation_brackets(out["instance"], "derived")
     assert check_morphism(out["exp_M"], Q0, Q1, words).ok
     m2 = M.coefficients[2]
     M.coefficients[2] = lambda w: vec_scale(m2(w), 2)
@@ -711,7 +695,7 @@ def test_minus_theta_operator_built_once_per_instance(monkeypatch):
         init(self, context, f)
 
     monkeypatch.setattr(contact_module.HamiltonianOperator, "__init__", counting)
-    Q = deformation_brackets(inst, "derived").to_coderivation()
+    Q = deformation_brackets(inst, "derived")
     words = deformation_space(inst).words(basis_keys(inst), 3)
     assert check_codifferential(Q, words).ok
     assert sum(built) == 1
@@ -746,18 +730,6 @@ def test_iota_example(heis2):
     ctx = heis2.context
     w = ctx.section(ctx.u(0) * ctx.u(1))
     assert iota(heis2, [1, 0], w) == ctx.section(ctx.u(1))
-
-
-def test_cartan_ops_wrapper(heis2):
-    from cjde.cjalg import cartan_ops
-    ctx = heis2.context
-    w = ctx.section(ctx.u(0) * ctx.u(1))
-    ops = cartan_ops(heis2, [1, 0], w)
-    assert ops["flat"] is True
-    assert ops["iota"] == iota(heis2, [1, 0], w)
-    assert ops["lie"] == lie_derivative(heis2, [1, 0], w)
-    broken = SplitCJInstance(0, 2, lam={0: 1, 1: 1}, c={(1, 0, 1): 1})
-    assert cartan_ops(broken, [1, 0], broken.context.section(1))["flat"] is False
 
 
 def test_mc_examples(heis2):

@@ -147,6 +147,27 @@ def test_cohomology_representatives_are_cocycles(obst1):
             assert all(c == 0 for j, c in enumerate(coords) if j != i)
 
 
+def test_cohomology_rejects_degrees_outside_the_complex(dgla1):
+    top = dgla1.context.section(dgla1.context.u(0) * dgla1.context.u(1) * dgla1.context.u(2))
+    with pytest.raises(ValueError, match="degree"):
+        cohomology(dgla1, -1)
+    h4 = cohomology(dgla1, 4)
+    assert (h4.dimension, h4.representatives) == (0, [])
+    with pytest.raises(ValueError, match="top degree"):
+        h4.primitive(top)
+
+
+def test_complex_of_another_instance_is_rejected(obst1, djmix):
+    """A complex or H^3 built for djmix must not stand in for obst1's."""
+    eta = DeformationForm.from_dict(obst1, {(1, 2): 1})
+    cm, h3 = ComplexMatrices(djmix), cohomology(djmix, 3)
+    for call in (lambda: cohomology(obst1, 3, cm), lambda: kuranishi(obst1, eta, h3),
+                 lambda: extend_mc(obst1, eta, 3, h3=h3)):
+        with pytest.raises(ValueError, match="'DJMIX'.*'OBST1'"):
+            call()
+    assert extend_mc(obst1, eta, 3, h3=cohomology(obst1, 3)).obstructed_at == 2
+
+
 # --- Kuranishi map ------------------------------------------------------------
 
 
@@ -160,7 +181,7 @@ def test_kuranishi_dual_trivial(heis2):
 def test_kuranishi_requires_closed(dgla1):
     ctx = dgla1.context
     not_closed = DeformationForm.from_dict(dgla1, {(1, 2): 1})
-    if de_rham(dgla1, not_closed.to_section()).is_zero():
+    if de_rham(dgla1, not_closed).is_zero():
         pytest.skip("chosen form unexpectedly closed")
     with pytest.raises(ValueError):
         kuranishi(dgla1, not_closed)
@@ -182,14 +203,13 @@ def test_kuranishi_class_independence(obst1):
         eta = DeformationForm.from_dict(
             obst1, {(a, b): F(rng.randint(-2, 2))
                     for a, b in itertools.combinations(range(3), 2)})
-        sec = eta.to_section()
-        if not de_rham(obst1, sec).is_zero():
+        if not de_rham(obst1, eta).is_zero():
             continue
         xi = obst1.context.section(
             obst1.context.u(0).scale(rng.randint(-2, 2))
             + obst1.context.u(2).scale(rng.randint(-2, 2)))
-        shifted = sec + de_rham(obst1, xi)
-        c1, _ = kuranishi(obst1, sec, h3)
+        shifted = eta + de_rham(obst1, xi)
+        c1, _ = kuranishi(obst1, eta, h3)
         c2, _ = kuranishi(obst1, shifted, h3)
         assert c1 == c2
 
@@ -225,7 +245,7 @@ def test_extension_trivial_when_abelian(heis2):
     eta = DeformationForm.from_dict(heis2, {(0, 1): F(5, 3)})
     curve = extend_mc(heis2, eta, 4)
     assert curve.ok
-    assert curve.coefficients[0] == eta.to_section()
+    assert curve.coefficients[0] == eta
     assert all(c.is_zero() for c in curve.coefficients[1:])
 
 
@@ -244,7 +264,7 @@ def test_extension_dgla_to_order_four(dgla1):
     h3 = cohomology(dgla1, 3, cm)
     assert h3.dimension == 0
     eta = DeformationForm.from_dict(dgla1, {(0, 2): 1})
-    assert de_rham(dgla1, eta.to_section()).is_zero()
+    assert de_rham(dgla1, eta).is_zero()
     coords, _ = kuranishi(dgla1, eta, h3)
     assert not any(coords)
     curve = extend_mc(dgla1, eta, 4, h3=h3)
@@ -257,7 +277,7 @@ def test_extension_dgla_to_order_four(dgla1):
 
 def test_extension_requires_closed(dgla1):
     eta = DeformationForm.from_dict(dgla1, {(1, 2): 1})
-    if de_rham(dgla1, eta.to_section()).is_zero():
+    if de_rham(dgla1, eta).is_zero():
         pytest.skip("chosen form unexpectedly closed")
     with pytest.raises(ValueError):
         extend_mc(dgla1, eta, 3)
@@ -270,11 +290,10 @@ def test_order1_condition_is_closedness(dgla1):
         eta = DeformationForm.from_dict(
             dgla1, {(a, b): F(rng.randint(-2, 2))
                     for a, b in itertools.combinations(range(3), 2)})
-        res = mc_residual_coefficients(dgla1, [eta.to_section()], 2)
-        assert res[0] == de_rham(dgla1, eta.to_section())
+        res = mc_residual_coefficients(dgla1, [eta], 2)
+        assert res[0] == de_rham(dgla1, eta)
         # order-2 residual is the second-derivative identity term
-        assert res[1] == m2_closed(dgla1, eta.to_section(), eta.to_section()) \
-            .scale(F(1, 2))
+        assert res[1] == m2_closed(dgla1, eta, eta).scale(F(1, 2))
 
 
 def closed_route_bracket(inst):
@@ -306,7 +325,7 @@ def test_mc_residual_coefficients_match_ordered_expansion(name, seed, request):
     rng = random.Random(seed)
     coeffs = [DeformationForm.from_dict(
         inst, {(a, b): F(rng.randint(-2, 2), rng.randint(1, 2))
-               for a, b in itertools.combinations(range(inst.n), 2)}).to_section()
+               for a, b in itertools.combinations(range(inst.n), 2)})
         for _ in range(3)]
     curve = [section_to_vector(inst, s) for s in coeffs]
     bracket = closed_route_bracket(inst)
@@ -346,14 +365,14 @@ def test_search_obstructed_reproducible():
     assert inst.c_dual[0][1][2] == -ctx.algebra.one()
     again, eta2, coords2 = search_obstructed_instance(seed=42)
     assert coords2 == coords
-    assert eta2.to_section().body.terms == eta.to_section().body.terms
+    assert eta2.body.terms == eta.body.terms
 
 
 def test_search_dgla_reproducible():
     inst, eta = search_unobstructed_dgla()
     assert check_cj_axioms(inst).ok
     assert cohomology(inst, 3).dimension == 0
-    assert not m2_closed(inst, eta.to_section(), eta.to_section()).is_zero()
+    assert not m2_closed(inst, eta, eta).is_zero()
     curve = extend_mc(inst, eta, 4)
     assert curve.ok
 

@@ -6,7 +6,8 @@ Every fixture is run through `check`, `cohomology`, `deform --random 0/1`,
 `cli.main`.  Stdout must equal the file `tests/golden/<run>.out` and the
 exit code and stderr must equal the entry of `tests/golden/MANIFEST.json`.
 The stdout of each script in `demos/` must equal
-`tests/golden/demos/<script>.out`.
+`tests/golden/demos/<script>.out`.  README's library quick start is run the
+same way, and its last line must print what its `# -> ` comment says.
 
 Regenerate the files only for a change meant to alter reports:
 
@@ -104,6 +105,24 @@ def test_demo_matches_golden(stem):
               newline="") as fh:
         expected = fh.read()
     assert run_demo(stem) == expected
+
+
+def readme_quick_start():
+    """The python block of README's "Quick start (library)" section."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Quick start (library)", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    code = readme_quick_start()
+    expected = [line.split("# -> ", 1)[1].strip() for line in code.splitlines()
+                if "# -> " in line]
+    assert expected == ["2"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == expected[0]
 
 
 @pytest.mark.parametrize("module", ["gca", "contact", "linfty", "vdata", "cjalg",

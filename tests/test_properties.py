@@ -625,7 +625,7 @@ def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
 
 # a, b, e are even (curve entries); c, f are odd and only appear as outputs
 TOY_DEGREES = {"a": 0, "b": 0, "c": 1, "e": 2, "f": 1}
-TOY_SPACE = GradedSpace(TOY_DEGREES)
+TOY_SPACE = GradedSpace(TOY_DEGREES.__getitem__)
 TOY_VALUES = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
 
 
