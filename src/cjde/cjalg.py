@@ -30,8 +30,14 @@ oracle `de_rham_koszul` keeps its own.
 
 One derived-bracket path: the derived m_k and a change of complement's M_2
 are higher derived brackets of the contact V-data, Phi = -Theta (held by the
-instance next to Theta) or Phi = eps.  `_coefficient` is the one adapter
-from an operation on sections to a Taylor coefficient, on both routes.
+instance next to Theta) or Phi = eps.  `_derived_coefficients` gives all of
+a structure's derived Taylor coefficients from one `vdata.derived_bracket_fold`
+over the letters of each word, basis monomials read as sections.  The fold
+keeps the unprojected bracket of each word prefix shorter than the top
+arity, so a word costs one bracket past its prefix.  The kept brackets are
+freed with the coefficient function, and so with Q or M; nothing is cached
+on the instance.  `_coefficient` adapts an operation on sections to a Taylor
+coefficient on the closed route.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .linfty import (
     exp_coderivation,
     mc_residual,
 )
-from .vdata import VData, higher_derived_bracket
+from .vdata import VData, derived_bracket_fold, higher_derived_bracket
 
 __all__ = [
     "SplitCJInstance",
@@ -800,6 +806,23 @@ def _coefficient(inst: SplitCJInstance, op: Callable[..., Section]) -> Callable[
     return coefficient
 
 
+def _derived_coefficients(inst: SplitCJInstance, vdata: VData,
+                          arities: Sequence[int]) -> Dict[int, Callable[[Word], Vector]]:
+    """The higher derived brackets of `vdata` as Taylor coefficients of the given arities.
+
+    One coefficient function serves every arity: a word w is
+    P[...[Phi, w_1], ..., w_k] from one `derived_bracket_fold`, which keeps
+    the prefixes shorter than the top arity (module docstring).
+    """
+    ctx = inst.context
+    fold = derived_bracket_fold(vdata, lambda key: Section(ctx, ctx.algebra.monomial(key)),
+                                max(arities) - 1)
+
+    def coefficient(word: Word) -> Vector:
+        return section_to_vector(inst, fold(word))
+    return dict.fromkeys(arities, coefficient)
+
+
 def _m2_closed_pair(inst: SplitCJInstance, A: Poly, r: int, B: Poly) -> Poly:
     """Closed bidifferential formula for m_2 on bodies (A homogeneous, u-deg r)."""
     ctx = inst.context
@@ -876,14 +899,14 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
 
     `Q.coefficient(k, w)` is m_k(w) for k = 1, 2, 3.  Q has arity 0, the
     curvature m_0 = Upsilon_A, exactly when Upsilon_A != 0.
-    route='derived' goes through the contact V-data higher derived brackets;
+    route='derived' goes through the contact V-data higher derived brackets,
+    one prefix fold for all three arities;
     route='closed' uses the de Rham derivation, the Gerstenhaber-Jacobi
     bracket and the sharp-contraction of the dual Courant tensor.  The two
     must agree on every input; the test suite enforces this.
     """
     if route == "derived":
-        derived = _coefficient(inst, lambda *args: derived_bracket_sections(inst, args))
-        coefficients = {1: derived, 2: derived, 3: derived}
+        coefficients = _derived_coefficients(inst, contact_vdata(inst), (1, 2, 3))
     elif route == "closed":
         coefficients = {1: _coefficient(inst, de_rham_derivation(inst)),
                         2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
@@ -1018,8 +1041,7 @@ def change_complement(inst: SplitCJInstance,
     new_inst = extract_instance(inst, theta1, name=inst.name + "+eps")
 
     eps_vdata = replace(contact_vdata(inst), mc_element=eps_sec)
-    M = TaylorCoderivation(deformation_space(inst), {2: _coefficient(
-        inst, lambda s, t: higher_derived_bracket(eps_vdata, (s, t)))})
+    M = TaylorCoderivation(deformation_space(inst), _derived_coefficients(inst, eps_vdata, (2,)))
     eM = exp_coderivation(M)
     return {"instance": new_inst, "theta1": theta1, "eps_section": eps_sec,
             "M": M, "exp_M": eM}

@@ -261,6 +261,13 @@ def _require_complex_of(inst: SplitCJInstance, cm: ComplexMatrices) -> None:
                          f"not for {inst.name!r}")
 
 
+def _require_h3_of(inst: SplitCJInstance, h3: Cohomology) -> None:
+    """Raise ValueError unless `h3` is H^3 of a complex built for `inst` itself."""
+    _require_complex_of(inst, h3.complex)
+    if h3.k != 3:
+        raise ValueError(f"h3 must be the cohomology of degree 3, not of degree {h3.k}")
+
+
 def cohomology(inst: SplitCJInstance, k: int,
                cm: Optional[ComplexMatrices] = None) -> Cohomology:
     """Exact H^k with representative basis completing the image inside the kernel.
@@ -295,10 +302,10 @@ def kuranishi(inst: SplitCJInstance, eta: Section,
     """Class of m_2(eta,eta) in H^3; eta must be d-closed.
 
     Returns (coordinates on the H^3 representatives, reduced representative).
-    `h3` must be built for `inst` itself, else ValueError.
+    `h3` must be H^3 of a complex built for `inst` itself, else ValueError.
     """
     h3 = h3 or cohomology(inst, 3)
-    _require_complex_of(inst, h3.complex)
+    _require_h3_of(inst, h3)
     if not h3.complex.d(eta).is_zero():
         raise ValueError("eta is not closed")
     w = derived_bracket_sections(inst, [eta, eta])
@@ -349,11 +356,11 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     `linfty.curve_coefficient` of `h3.complex.Q`) must be exact; its
     primitive (with the deterministic pivot choice) gives -eta_r.  A
     non-exact residual stops the extension and is reported as the
-    obstruction class at that order.  `h3` must be built for `inst` itself,
-    else ValueError.
+    obstruction class at that order.  `h3` must be H^3 of a complex built
+    for `inst` itself, else ValueError.
     """
     h3 = h3 or cohomology(inst, 3)
-    _require_complex_of(inst, h3.complex)
+    _require_h3_of(inst, h3)
     if not h3.complex.d(eta1).is_zero():
         raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
     coeffs = [eta1]

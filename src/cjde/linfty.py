@@ -11,9 +11,9 @@ An L-infinity[1] algebra is its codifferential Q, a `TaylorCoderivation`:
 `Q.coefficient(k, w)` is the bracket m_k(w), and arity 0, when Q has it, is
 the curvature m_0.  The contact model's m_k and M_2 (`cjalg`) are higher
 derived brackets of one V-data (`vdata`), Phi = -Theta or eps, made
-coefficients by one adapter.  A `TaylorMorphism` maps a space to itself and
-is given by one coefficient function on canonical words of every length >= 1;
-a word's length is its arity.  `exp_coderivation` builds e^M as such a
+coefficients by one prefix fold.  A `TaylorMorphism` maps a space to itself
+and is given by one coefficient function on canonical words of every length
+>= 1; a word's length is its arity.  `exp_coderivation` builds e^M as such a
 morphism in one step: its coefficient on a word is the one-letter part of
 `exp_series`, the series sum_j M^j / j! on that word.
 
@@ -25,6 +25,11 @@ each function is wrapped in a callable that keeps one dict of results, keyed
 by canonical word.  The memo belongs to that wrapper, so it is freed with the
 structure, and a coderivation entry replaced later (`Q.coefficients[2] = f`)
 is called as given and never meets a result cached for the old entry.  A
+coefficient function may keep a memo of its own, under the same rule: the
+derived route's keeps the unprojected bracket of each word prefix
+(`vdata.derived_bracket_fold`), and that memo belongs to the coefficient
+function, so it is freed with the function and so with its Q or M.  No
+structure or memo is cached on an instance or in a module-level table.  A
 memoised vector is shared by every later call, so the Vector a coefficient
 returns is read-only.  Every sum here accumulates with `gca.add_into` into a
 dict that the summing function created itself, and only reads the

@@ -12,14 +12,22 @@ equip the subalgebra with a curved L-infinity[1] structure; k = len(args).
 per-call sign flags exist.  The contact model has one V-data: with
 Phi = -Theta (held by the instance) it gives the deformation brackets m_k,
 with Phi = eps the M_2 of a change of complement.
+
+The bracket of a word is one bracket past the bracket of its prefix.
+`derived_bracket_fold` evaluates many words with one fold, left to right in
+the letters' order: it keeps the unprojected bracket [...[Phi, a_1], ...,
+a_j] of every prefix of length j <= `keep` in a dict owned by the function
+it returns, so each word costs one bracket past its longest kept prefix.
+The dict is freed with that function.  `higher_derived_bracket` is the same
+fold on one argument list, with nothing kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["VData", "ValidationReport", "higher_derived_bracket"]
+__all__ = ["VData", "ValidationReport", "derived_bracket_fold", "higher_derived_bracket"]
 
 
 @dataclass
@@ -82,12 +90,33 @@ def validate(v: VData, samples: Sequence[object],
     return ValidationReport(checks, v.is_curved)
 
 
+def derived_bracket_fold(v: VData, letter: Callable[[object], object],
+                         keep: int) -> Callable[[Tuple], object]:
+    """word -> P[[...[Phi, letter(w_1)], ...], letter(w_k)], one bracket per new prefix.
+
+    Words are hashable tuples of letters.  The unprojected bracket of each
+    prefix of length <= `keep` is kept by the returned function, so a word
+    costs one bracket per letter past its longest kept prefix (module
+    docstring).  A letter outside the abelian subalgebra raises ValueError.
+    """
+    prefixes: Dict[Tuple, object] = {(): v.mc_element}
+
+    def fold(word: Tuple) -> object:
+        j = min(len(word), keep)
+        while word[:j] not in prefixes:
+            j -= 1
+        current = prefixes[word[:j]]
+        for i in range(j, len(word)):
+            a = letter(word[i])
+            if not v.in_subalgebra(a):
+                raise ValueError("argument outside the abelian subalgebra")
+            current = v.bracket(current, a)
+            if i < keep:
+                prefixes[word[:i + 1]] = current
+        return v.project(current)
+    return fold
+
+
 def higher_derived_bracket(v: VData, args: Sequence[object]) -> object:
     """P[[...[Phi, a_1], ...], a_k] with k = len(args); for k = 0, the curvature P(Phi)."""
-    for a in args:
-        if not v.in_subalgebra(a):
-            raise ValueError("argument outside the abelian subalgebra")
-    current = v.mc_element
-    for a in args:
-        current = v.bracket(current, a)
-    return v.project(current)
+    return derived_bracket_fold(v, lambda a: a, 0)(tuple(args))

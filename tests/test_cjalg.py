@@ -4,6 +4,7 @@ deformation brackets, graphs, complement change, Cartan calculus."""
 import itertools
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cjde.cjalg import (
     build_theta,
     change_complement,
     check_cj_axioms,
+    contact_vdata,
     courant_tensor,
     de_rham,
     de_rham_koszul,
@@ -36,6 +38,7 @@ from cjde.cjalg import (
     mc_residual_form,
     pairing,
     section_bracket_A,
+    section_to_vector,
     split_anchored,
     tensor_is_zero,
     upsilon_A_section,
@@ -49,6 +52,7 @@ from cjde.gca import Poly
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_scale as vec_scale)
+from cjde.vdata import higher_derived_bracket
 
 from conftest import (assert_routes_agree, basis_keys, closed_m2_words, random_form_section,
                       random_instance, random_x_poly)
@@ -491,6 +495,39 @@ def test_codifferential_on_flat_fixtures(heis2, obst1, dgla1, djmix):
         assert check_codifferential(Q, words).ok
 
 
+@pytest.mark.parametrize("name, brackets", [("heis2", 24), ("djmix", 128)])
+def test_codifferential_bracket_count(monkeypatch, request, name, brackets):
+    """The derived Q makes one bracket per nonempty canonical word, each one
+    past its kept prefix: 4 + 8 + 12 words on heis2, not sum |w| = 56."""
+    inst = request.getfixturevalue(name)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return jacobi_bracket(a, b)
+    monkeypatch.setattr(cjalg_module, "jacobi_bracket", counted)
+    Q = deformation_brackets(inst, "derived")
+    words = Q.space.words(basis_keys(inst), 3)
+    assert check_codifferential(Q, words).ok
+    assert len(words) - 1 == brackets
+    assert len(calls) == brackets
+
+
+@pytest.mark.parametrize("name", sorted(os.path.splitext(f)[0] for f in os.listdir(FIXTURES)
+                                         if f.endswith(".json")))
+def test_derived_coefficients_are_exact_folds(name):
+    """Each derived coefficient equals its word's own derived bracket, whether
+    the words come shortest first (every prefix kept before it is needed) or
+    longest first (every prefix built on demand)."""
+    inst = load_fixture(name).instance
+    words = deformation_space(inst).words(basis_keys(inst), 3, 1)
+    expected = {w: section_to_vector(
+        inst, derived_bracket_sections(inst, word_to_sections(inst, w))) for w in words}
+    for order in (words, words[::-1]):
+        Q = deformation_brackets(inst, "derived")
+        assert {w: Q.coefficient(len(w), w) for w in order} == expected
+
+
 def test_curved_codifferential(curv1, curvmix):
     for inst in (curv1, curvmix):
         assert check_cj_axioms(inst).ok
@@ -671,15 +708,19 @@ def test_replaced_m2_is_not_served_from_memo(heis2):
 
 @pytest.mark.parametrize("name", ["heis2", "djmix", "omni1"])
 def test_complement_m2_is_derived_bracket_of_epsilon(name):
-    """M_2(s, t) = P{{eps, s}, t} on every 2-word: the derived bracket of eps."""
+    """M_2(s, t) = P{{eps, s}, t} on every 2-word: the derived bracket of eps,
+    with the words asked in either order of M's prefix fold."""
     doc = load_fixture(name)
     inst = doc.instance
-    out = change_complement(inst, doc.epsilons["eps1"])
-    eps_sec = out["eps_section"]
-    for w in deformation_space(inst).words(basis_keys(inst), 2, 2):
-        s, t = word_to_sections(inst, w)
-        expected = project_P(jacobi_bracket(jacobi_bracket(eps_sec, s), t))
-        assert vector_to_section(inst, out["M"].coefficient(2, w)) == expected
+    words = deformation_space(inst).words(basis_keys(inst), 2, 2)
+    for order in (words, words[::-1]):
+        out = change_complement(inst, doc.epsilons["eps1"])
+        eps_vdata = replace(contact_vdata(inst), mc_element=out["eps_section"])
+        for w in order:
+            s, t = word_to_sections(inst, w)
+            expected = project_P(jacobi_bracket(jacobi_bracket(out["eps_section"], s), t))
+            assert higher_derived_bracket(eps_vdata, (s, t)) == expected
+            assert vector_to_section(inst, out["M"].coefficient(2, w)) == expected
 
 
 def test_minus_theta_operator_built_once_per_instance(monkeypatch):

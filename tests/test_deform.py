@@ -168,6 +168,16 @@ def test_complex_of_another_instance_is_rejected(obst1, djmix):
     assert extend_mc(obst1, eta, 3, h3=cohomology(obst1, 3)).obstructed_at == 2
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_cohomology_of_another_degree_is_rejected(obst1, k):
+    """The Kuranishi map and the extension read classes in H^3 and no other H^k."""
+    eta = DeformationForm.from_dict(obst1, {(1, 2): 1})
+    hk = cohomology(obst1, k)
+    for call in (lambda: kuranishi(obst1, eta, hk), lambda: extend_mc(obst1, eta, 3, h3=hk)):
+        with pytest.raises(ValueError, match=f"degree 3.*degree {k}"):
+            call()
+
+
 # --- Kuranishi map ------------------------------------------------------------
 
 
