@@ -581,8 +581,13 @@ class DeformationForm(Section):
 
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
-        """s as a DeformationForm; raises ValueError unless it is a 2-form."""
-        _form_entries(inst.context, inst.context.ix_u, 2, s.body)
+        """s as a DeformationForm; raises ValueError unless it is a 2-form.
+
+        A 2-form is a section of bidegree (0, 2): the u's are the only
+        generators of bidegree (0, 1), and the x's have (0, 0).
+        """
+        if not s.is_zero() and form_degree(s) != 2:
+            raise ValueError("not a 2-form in the fiber coordinates")
         return cls(inst.context, s.body)
 
     @property
@@ -742,8 +747,10 @@ def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
     """Frame of gr(eta) = { e_a + iota_{e_a} eta }.
 
     This is the sign for which the graph is Dirac-Jacobi exactly when eta
-    solves the Maurer-Cartan equation of `deformation_brackets`.
+    solves the Maurer-Cartan equation of `deformation_brackets`.  Raises
+    ValueError unless eta is a 2-form.
     """
+    DeformationForm.from_section(inst, eta)
     ctx = inst.context
     parts, zero = eta.body.partials(), ctx.algebra.zero()
     return [Section(ctx, ctx.pa(a) + parts.get(ctx.ix_u[a], zero)) for a in range(inst.n)]

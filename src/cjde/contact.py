@@ -9,25 +9,21 @@ Generators of the coordinate algebra, with bidegrees:
     p          (1,1)   the jet momentum
 
 The line bundle is trivialized by a global frame mu, so a section is just a
-polynomial coefficient.  The canonical Jacobi bracket is its Darboux-coordinate
-formula with D_i = d/dx^i + pi_i d/dp and D_a = d/du^a + pa_a d/dp.  For a
-fixed left section f it is a first-order operator in the right one,
-{f, g} = sum_k C_k dg/dk + C_0 g (`HamiltonianOperator`), and that is how it
-runs: the operator is memoised on the left `Section`, each C_k is built the
-first time some right argument has a partial by k, and a bracket takes the
-partials of g (`Poly.partials`, memoised on g), adds every C_k dg/dk into
-one dict with `Poly.mul_into` and subtracts df/dp g.  The derived brackets
-{{e, Theta}, .} apply the same few left operators to many sections, so
-their coefficients are built once.  The C_k are also the values of the Reeb
-field (`reeb_field`), from the same code.  Everything else (Hamiltonian
-lifts, the Legendre transform) is checked against the bracket.
+polynomial coefficient.  Three kinds of first-order operator act on it, and
+each is a `gca.Derivation`, applied by its one `__call__`:
 
-A derivation of the line bundle over A[1] is f + X: multiplication by a
-function f plus a vector field X on the base (x, u) coordinates
-(`LineDerivation`); its Hamiltonian lift is the fiberwise-linear section
-(f p + X^i pi_i + X^a pa_a) mu.  X, and every vector field on the contact
-manifold (`ContactVectorField`, e.g. a Reeb field), is a `gca.Derivation`,
-the one code that applies a derivation.
+  * the bracket {f, .} with a fixed left section f (`HamiltonianOperator`,
+    whose docstring gives its coefficients), memoised on the left `Section`
+    so that the derived brackets {{e, Theta}, .}, which apply the same few
+    left operators to many sections, build its coefficients once;
+  * a derivation f + X of the line bundle over A[1], such as d_{A,L}
+    (`LineDerivation`), whose Hamiltonian lift is the fiberwise-linear
+    section (f p + X^i pi_i + X^a pa_a) mu;
+  * a vector field on the contact manifold (`ContactVectorField`), such as
+    the Reeb field of a section, whose values are the bracket operator's.
+
+Everything else (Hamiltonian lifts, the Legendre transform) is checked
+against the bracket.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ __all__ = [
 class ContactContext:
     """Coordinate algebra of J^1[2] of the trivialized line bundle over A[1]."""
 
-    def __init__(self, m: int, n: int, label: str = "", _mirror_of: "ContactContext" = None):
+    def __init__(self, m: int, n: int, _mirror_of: "ContactContext" = None):
         self.m = m
         self.n = n
         gens: List[Tuple[str, Tuple[int, int]]] = []
@@ -64,7 +60,8 @@ class ContactContext:
         gens += [(f"pa{a+1}", (1, 0)) for a in range(n)]
         gens += [(f"pi{i+1}", (1, 1)) for i in range(m)]
         gens += [("p", (1, 1))]
-        self.algebra = Algebra(gens, label=label or f"contact(m={m},n={n})")
+        mirror = "" if _mirror_of is None else "|mirror"
+        self.algebra = Algebra(gens, label=f"contact(m={m},n={n}){mirror}")
         self.ix_x = list(range(0, m))
         self.ix_u = list(range(m, m + n))
         self.ix_pa = list(range(m + n, m + 2 * n))
@@ -82,9 +79,7 @@ class ContactContext:
     def mirror(self) -> "ContactContext":
         """The context built from the twisted dual bundle (same m and n)."""
         if self._mirror is None:
-            self._mirror = ContactContext(
-                self.m, self.n, label=self.algebra.label + "|mirror", _mirror_of=self
-            )
+            self._mirror = ContactContext(self.m, self.n, _mirror_of=self)
         return self._mirror
 
     # convenience constructors ------------------------------------------
@@ -205,13 +200,14 @@ def project_P(s: Section) -> Section:
 # --- the canonical Jacobi bracket -------------------------------------
 
 
-class HamiltonianOperator:
-    """{f, .} = sum_k C_k d/dk + C_0 for one left body f (left partials throughout).
+class HamiltonianOperator(Derivation):
+    """{f, .} for one left body f: a `gca.Derivation` (left partials throughout).
 
-    The bracket is a first-order operator in its right argument.  With F the
-    partials of f, T those of its parity twist f~ = f_even - f_odd (the
-    sign (-1)^|f| of the u-blocks, taken part by part), and
-    D_i = d/dx^i + pi_i d/dp, D_a = d/du^a + pa_a d/dp:
+    The bracket is first order in its right argument,
+    {f, g} = C_0 g + sum_k C_k dg/dk: the C_k are the values and C_0 the
+    scalar.  With F the partials of f, T those of its parity twist
+    f~ = f_even - f_odd (the sign (-1)^|f| of the u-blocks, taken part by
+    part), and D_i = d/dx^i + pi_i d/dp, D_a = d/du^a + pa_a d/dp:
 
         C_{x^i} = -F_{pi_i}         C_{pi_i} = D_i f
         C_{u^a} = T_{pa_a}          C_{pa_a} = D_a f~
@@ -222,15 +218,19 @@ class HamiltonianOperator:
     the first time a right argument has a partial by k, and kept: most left
     arguments meet a few right ones, so an eager build would mostly be waste.
     When f has one parity, T is F times its sign and f~ is never formed.
+    f may be inhomogeneous, so the operator has no degree and takes no
+    commutator; the Reeb field of a homogeneous section is the vector field
+    to take commutators of.
     """
 
-    __slots__ = ("context", "f", "_twist", "_coeffs")
+    __slots__ = ("context", "f", "_twist")
 
     def __init__(self, context: ContactContext, f: Poly):
+        d_p = f.partials().get(context.ix_p)
+        super().__init__(context.algebra, None, {}, None if d_p is None else -d_p)
         self.context = context
         self.f = f
         self._twist: Optional[Tuple[Dict[int, Poly], int]] = None
-        self._coeffs: Dict[int, Poly] = {}
 
     def _twisted(self) -> Tuple[Dict[int, Poly], int]:
         """(parts, sign) with T_k = sign * parts[k]."""
@@ -242,14 +242,8 @@ class HamiltonianOperator:
                 self._twist = (parts[0] - parts[1]).partials(), 1
         return self._twist
 
-    def coefficient(self, k: int) -> Poly:
-        """C_k, for the generator of index k."""
-        c = self._coeffs.get(k)
-        if c is None:
-            c = self._coeffs[k] = self._build(k)
-        return c
-
-    def _build(self, k: int) -> Poly:
+    def _missing_value(self, k: int) -> Poly:
+        """C_k, for the generator of index k, built and kept in `values`."""
         ctx = self.context
         alg = ctx.algebra
         acc: Dict = {}
@@ -263,41 +257,25 @@ class HamiltonianOperator:
             for pa in ctx.ix_pa:
                 if pa in T:
                     T[pa].mul_into(alg.gen(pa).scale(sign), acc)
-            return Poly._trusted(alg, acc)
-        coord, mom, signed = ctx.darboux[k]
-        parts, sign = self._twisted() if signed else (self.f.partials(), 1)
-        if k == coord:
-            # T_{pa_a} for u^a, but -F_{pi_i} for x^i
-            if mom in parts:
-                add_into(acc, parts[mom]._packed, sign if signed else -1)
         else:
-            # D f = df/d(coord) + mom * df/dp, or D f~ = sign * D f for one parity
-            if coord in parts:
-                add_into(acc, parts[coord]._packed, sign)
-            if ctx.ix_p in parts:
-                alg.gen(mom).scale(sign).mul_into(parts[ctx.ix_p], acc)
-        return Poly._trusted(alg, acc)
-
-    def apply(self, g: Poly) -> Poly:
-        """{f, g}: each C_k times dg/dk by `Poly.mul_into`, then C_0 g, in one dict.
-
-        C_0 g multiplies g itself, not a partial, so it is one `*` whose
-        product is subtracted: -df/dp is never stored.
-        """
-        acc: Dict = {}
-        coefficient = self.coefficient
-        for k, d_g in g.partials().items():
-            c = coefficient(k)
-            if c._packed:
-                c.mul_into(d_g, acc)
-        d_p = self.f.partials().get(self.context.ix_p)
-        if d_p is not None:
-            add_into(acc, (d_p * g)._packed, -1)
-        return Poly._trusted(self.context.algebra, acc)
+            coord, mom, signed = ctx.darboux[k]
+            parts, sign = self._twisted() if signed else (self.f.partials(), 1)
+            if k == coord:
+                # T_{pa_a} for u^a, but -F_{pi_i} for x^i
+                if mom in parts:
+                    add_into(acc, parts[mom]._packed, sign if signed else -1)
+            else:
+                # D f = df/d(coord) + mom * df/dp, or D f~ = sign * D f for one parity
+                if coord in parts:
+                    add_into(acc, parts[coord]._packed, sign)
+                if ctx.ix_p in parts:
+                    alg.gen(mom).scale(sign).mul_into(parts[ctx.ix_p], acc)
+        c = self.values[k] = Poly._trusted(alg, acc)
+        return c
 
 
 def jacobi_bracket(s: Section, t: Section) -> Section:
-    """Canonical degree -2 Jacobi bracket, as s's Hamiltonian operator applied to t.
+    """Canonical degree -2 Jacobi bracket: s's Hamiltonian operator applied to t.
 
     With f = s.body, g = t.body, D_i = d/dx^i + pi_i d/dp and
     D_a = d/du^a + pa_a d/dp (left partials throughout),
@@ -306,27 +284,28 @@ def jacobi_bracket(s: Section, t: Section) -> Section:
                  + sum_i (D_i f dg/dpi_i - df/dpi_i D_i g)
                  + (-1)^|f| sum_a (D_a f dg/dpa_a + df/dpa_a D_a g),
 
-    read part by part when f mixes parities.  Gathered by the partials of g,
-    this is sum_k C_k dg/dk + C_0 g (`HamiltonianOperator`).  The operator
-    is memoised on s, so a left argument used again reuses every coefficient
-    it has built; g's partials are memoised on g.  The products C_k dg/dk
-    are added into one dict by `Poly.mul_into`.
+    read part by part when f mixes parities.  It runs as the first-order
+    operator `HamiltonianOperator` of f, memoised on s, so a left argument
+    used again reuses every coefficient it has built.
     """
     s._check(t)
-    return Section(s.context, s._hamiltonian().apply(t.body))
+    return Section(s.context, s._hamiltonian()(t.body))
 
 
 # --- derivations of the line bundle over A[1] --------------------------
 
 
-class LineDerivation:
-    """A derivation of the trivialized line bundle over A[1]: f*(-) + X.
+class LineDerivation(Derivation):
+    """A derivation f + X of the trivialized line bundle over A[1].
 
-    f is a function and X = sum_i f^i d/dx^i + sum_a f^a d/du^a a vector
-    field, held as the `gca.Derivation` `vector` (f^i on the x's, f^a on the
-    u's, zero on the momenta), so a section s goes to f*s + X(s).  The
-    coefficients must only involve base (x, u) generators.
+    It is the `gca.Derivation` whose scalar is f and whose values are those
+    of the vector field X = sum_i f^i d/dx^i + sum_a f^a d/du^a: f^i on the
+    x's, f^a on the u's, zero on the momenta.  So a section s goes to
+    f*s + X(s), and a body to a body.  The coefficients must only involve
+    base (x, u) generators.
     """
+
+    __slots__ = ("context",)
 
     def __init__(self, context: ContactContext, degree: int, f: Poly,
                  f_x: Sequence[Poly], f_u: Sequence[Poly]):
@@ -337,44 +316,30 @@ class LineDerivation:
                 raise ValueError("line derivation coefficients mention fiber momenta")
         if len(f_x) != context.m or len(f_u) != context.n:
             raise ValueError("coefficient arrays do not match the context dimensions")
+        values = dict.fromkeys(range(len(context.algebra.gens)), context.algebra.zero())
+        values.update(zip(context.ix_x + context.ix_u, [*f_x, *f_u]))
+        super().__init__(context.algebra, degree, values, f)
         self.context = context
-        self.degree = degree
-        self.f = f
-        self.f_x = list(f_x)
-        self.f_u = list(f_u)
-        zero = context.algebra.zero()
-        values = {idx: zero for idx in range(len(context.algebra.gens))}
-        values.update(zip(context.ix_x + context.ix_u, self.f_x + self.f_u))
-        self.vector = Derivation(context.algebra, degree, values)
 
     def __call__(self, s: Union[Section, Poly]) -> Union[Section, Poly]:
-        body = s.body if isinstance(s, Section) else s
-        out = self.f * body + self.vector(body)
-        return Section(self.context, out) if isinstance(s, Section) else out
+        if isinstance(s, Section):
+            return Section(self.context, super().__call__(s.body))
+        return super().__call__(s)
 
     def commutator(self, other: "LineDerivation") -> "LineDerivation":
-        """[d, d'] = d d' - (-1)^{|d||d'|} d' d for d = f + X, d' = g + Y.
-
-        The products f g cancel, leaving the function X(g) - (-1)^{|d||d'|} Y(f)
-        and the vector field [X, Y].
-        """
+        """[d, d'] by `Derivation.commutator`, read back as f, f^i and f^a."""
         ctx = self.context
-        sign = -1 if (self.degree % 2) and (other.degree % 2) else 1
-        f = self.vector(other.f) - other.vector(self.f).scale(sign)
-        bracket = self.vector.commutator(other.vector).values
-        return LineDerivation(ctx, self.degree + other.degree, f,
-                              [bracket[idx] for idx in ctx.ix_x],
-                              [bracket[idx] for idx in ctx.ix_u])
+        d = super().commutator(other)
+        return LineDerivation(ctx, d.degree, d.scalar, [d.values[idx] for idx in ctx.ix_x],
+                              [d.values[idx] for idx in ctx.ix_u])
 
 
 def hamiltonian_lift(d: LineDerivation) -> Section:
-    """Fiberwise-linear section (f p + f^i pi_i + f^a pa_a) mu encoding d."""
+    """Fiberwise-linear section (f p + f^i pi_i + f^a pa_a) mu encoding d = f + X."""
     ctx = d.context
-    body = d.f * ctx.p
-    for i in range(ctx.m):
-        body = body + d.f_x[i] * ctx.pi(i)
-    for a in range(ctx.n):
-        body = body + d.f_u[a] * ctx.pa(a)
+    body = d.scalar * ctx.p
+    for coord, mom in zip(ctx.ix_x + ctx.ix_u, ctx.ix_pi + ctx.ix_pa):
+        body = body + d.values[coord] * ctx.algebra.gen(mom)
     return Section(ctx, body)
 
 
@@ -431,11 +396,13 @@ def legendre_pushforward(X: "ContactVectorField", into: ContactContext) -> "Cont
 class ContactVectorField(Derivation):
     """A graded vector field X on the contact manifold, by its values on the coordinates.
 
-    It is a `gca.Derivation` of the coordinate algebra that also carries its
-    context: X(f) applies it, and `commutator` stays a ContactVectorField.
-    The X of a line-bundle derivation f + X (`LineDerivation.vector`) is the
-    same kind of derivation, with zero values on the momenta.
+    It is a `gca.Derivation` of the coordinate algebra with no scalar that
+    also carries its context: X(f) applies it, and `commutator` stays a
+    ContactVectorField.  `value` reads a coordinate's value, zero when none
+    is given.
     """
+
+    __slots__ = ("context",)
 
     def __init__(self, context: ContactContext, degree: int, values: Dict[int, Poly]):
         super().__init__(context.algebra, degree, values)
@@ -452,13 +419,14 @@ class ContactVectorField(Derivation):
 def reeb_field(lam: Section) -> ContactVectorField:
     """Reeb vector field of a homogeneous section: X(k) = C_k of {lam, .}.
 
-    Its values on the coordinates are the first-order coefficients of the
-    bracket's operator (`HamiltonianOperator`), so {lam, g} = X(g) - dlam/dp g.
+    Its values on the coordinates are the values of the bracket's operator
+    (`HamiltonianOperator`), so {lam, g} = X(g) - dlam/dp g.
     """
     ctx = lam.context
     deg = lam.body.degree()
     op = lam._hamiltonian()
-    values = {k: op.coefficient(k) for k in range(len(ctx.algebra.gens))}
+    values = {k: op.values[k] if k in op.values else op._missing_value(k)
+              for k in range(len(ctx.algebra.gens))}
     return ContactVectorField(ctx, -2 if deg is None else deg - 2, values)
 
 

@@ -299,11 +299,12 @@ def cohomology(inst: SplitCJInstance, k: int,
 
 def kuranishi(inst: SplitCJInstance, eta: Section,
               h3: Optional[Cohomology] = None) -> Tuple[Vec, Section]:
-    """Class of m_2(eta,eta) in H^3; eta must be d-closed.
+    """Class of m_2(eta,eta) in H^3; eta must be a d-closed 2-form.
 
     Returns (coordinates on the H^3 representatives, reduced representative).
     `h3` must be H^3 of a complex built for `inst` itself, else ValueError.
     """
+    DeformationForm.from_section(inst, eta)
     h3 = h3 or cohomology(inst, 3)
     _require_h3_of(inst, h3)
     if not h3.complex.d(eta).is_zero():
@@ -340,8 +341,11 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
 
     Entry r - 1 of the returned list is the coefficient of t^r (r >= 1):
     `linfty.curve_coefficient` of the closed-route structure, exact.
-    `coeffs` holds eta_1, eta_2, ...; coefficients past its end count as zero.
+    `coeffs` holds eta_1, eta_2, ..., each a 2-form; coefficients past its
+    end count as zero.
     """
+    for s in coeffs:
+        DeformationForm.from_section(inst, s)
     Q = deformation_brackets(inst, "closed")
     curve = [section_to_vector(inst, s) for s in coeffs]
     return [vector_to_section(inst, curve_coefficient(Q, curve, r))
@@ -357,8 +361,11 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     primitive (with the deterministic pivot choice) gives -eta_r.  A
     non-exact residual stops the extension and is reported as the
     obstruction class at that order.  `h3` must be H^3 of a complex built
-    for `inst` itself, else ValueError.
+    for `inst` itself, eta_1 a 2-form and `order` at least 1, else ValueError.
     """
+    DeformationForm.from_section(inst, eta1)
+    if order < 1:
+        raise ValueError(f"the extension order must be at least 1, got {order}")
     h3 = h3 or cohomology(inst, 3)
     _require_h3_of(inst, h3)
     if not h3.complex.d(eta1).is_zero():

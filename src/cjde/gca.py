@@ -49,9 +49,14 @@ Fractions stays a Fraction (equal to the int, and as exact, only slower).
 
 `Poly.partials()` is the derivative kernel: it takes every left partial of a
 polynomial in one sweep, and library code takes every derivative through it.
-`Derivation` is the one code that applies a derivation.  `Poly.partial`
-takes one generator at a time on the decoded tuples; it is the reference
-that tests and independent oracles compare against.
+`Poly.partial` takes one generator at a time on the decoded tuples; it is
+the reference that tests and independent oracles compare against.
+
+`Derivation` is the one first-order operator, f -> c f + sum_g D(g) df/dg:
+its values on the generators and its zeroth-order coefficient c are data,
+and its `__call__` is the one code that applies a derivation.  `contact`'s
+bracket operator {f, .}, its line-bundle derivations f + X (such as
+d_{A,L}) and its vector fields are Derivations.
 
 `Poly`, `linfty` and `instancefile` share one sparse kernel:
   * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
@@ -691,42 +696,73 @@ class Poly:
 
 
 class Derivation:
-    """A graded derivation of an Algebra, given by its values on generators.
+    """The one first-order operator: D(f) = c f + sum_g D(g) * df/dg (left partials).
 
-    `degree` is the total degree shift: the value on g must have degree
-    `degree + |g|` for the graded Leibniz rule to hold, and `commutator`
-    uses its parity.  Generators without an assigned value are treated as
-    errors when hit, matching the requirement that D be defined on every
-    generator in use.
+    It is given by its values on generators (`values`) and its zeroth-order
+    coefficient c (`scalar`, None for a plain vector field).  `degree` is
+    the total degree shift: the value on g must have degree `degree + |g|`,
+    and c degree `degree`, for the graded Leibniz rule to hold, and
+    `commutator` uses its parity; an operator of no single degree has None
+    and takes no commutator.  A generator without a value raises
+    UnknownGenerator when hit, as D must be defined on every generator in
+    use; a subclass may instead build the value there (`_missing_value`).
     """
 
-    def __init__(self, algebra: Algebra, degree: int, values: Dict[int, Poly]):
+    __slots__ = ("algebra", "degree", "values", "scalar")
+
+    def __init__(self, algebra: Algebra, degree: Optional[int], values: Dict[int, Poly],
+                 scalar: Optional[Poly] = None):
         self.algebra = algebra
         self.degree = degree
         self.values = values
+        self.scalar = scalar
+
+    def _missing_value(self, idx: int) -> Poly:
+        """The value on a generator that `values` lacks: there is none."""
+        raise UnknownGenerator(self.algebra.gens[idx].name)
 
     def __call__(self, f: Poly) -> Poly:
-        """X(f) = sum_g X(g) * d f/d g over the generators g of f (left partials)."""
+        """c f + sum_g D(g) * df/dg, added into one dict.
+
+        The partials of f (`Poly.partials`, memoised on f) are taken in their
+        own order; each nonzero value times its partial goes in by
+        `Poly.mul_into`, and c f is one product added last.
+        """
         if f.algebra is not self.algebra:
             raise ContextMismatch("derivation applied outside its algebra")
         terms: Dict[int, Scalar] = {}
-        for idx, part in sorted(f.partials().items()):
-            if idx not in self.values:
-                raise UnknownGenerator(self.algebra.gens[idx].name)
-            self.values[idx].mul_into(part, terms)
+        for idx, part in f.partials().items():
+            value = self.values.get(idx)
+            if value is None:
+                value = self._missing_value(idx)
+            if value._packed:
+                value.mul_into(part, terms)
+        if self.scalar is not None:
+            add_into(terms, (self.scalar * f)._packed)
         return Poly._trusted(self.algebra, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        """Graded commutator [D, D'] as a derivation (values on generators)."""
+        """[D, D'] = D D' - (-1)^{|D||D'|} D' D, again a first-order operator.
+
+        With D = c + X and D' = c' + Y the products c c' cancel: the values
+        are [X, Y] on the generators and the scalar is
+        X(c') - (-1)^{|D||D'|} Y(c), None when neither has a scalar.
+        """
         if self.algebra is not other.algebra:
             raise ContextMismatch("derivations on different algebras")
         alg = self.algebra
+        # an operator of no single degree (None) raises TypeError here, before any work
+        degree = self.degree + other.degree
         sign = -1 if (self.degree % 2) and (other.degree % 2) else 1
+        X, Y = (Derivation(alg, d.degree, d.values) for d in (self, other))
         values: Dict[int, Poly] = {}
         for idx in set(self.values) | set(other.values):
             dg = other.values.get(idx)
             gd = self.values.get(idx)
             if dg is None or gd is None:
                 raise UnknownGenerator(alg.gens[idx].name)
-            values[idx] = self(dg) - other(gd).scale(sign)
-        return Derivation(alg, self.degree + other.degree, values)
+            values[idx] = X(dg) - Y(gd).scale(sign)
+        if self.scalar is None and other.scalar is None:
+            return Derivation(alg, degree, values)
+        c, c2 = (alg.zero() if d.scalar is None else d.scalar for d in (self, other))
+        return Derivation(alg, degree, values, X(c2) - Y(c).scale(sign))

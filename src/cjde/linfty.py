@@ -437,7 +437,12 @@ def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta.
 
     The sum over the arities k of Q of the t^k coefficients of the curve t*eta.
+    A key of eta of nonzero degree raises ValueError.
     """
+    for key in eta:
+        if Q.space.degree(key):
+            raise ValueError(f"a Maurer-Cartan element has degree 0, but {key!r} "
+                             f"has degree {Q.space.degree(key)}")
     out: Vector = {}
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))

@@ -19,7 +19,7 @@ from cjde.contact import (
     project_P,
     reeb_field,
 )
-from cjde.gca import ContextMismatch, Poly
+from cjde.gca import ContextMismatch, Derivation, Poly
 
 from conftest import random_base_poly, random_homogeneous_section, random_poly
 
@@ -302,3 +302,8 @@ def test_bracket_is_reeb_field_plus_zeroth_order_term(ctx):
             bracket = jacobi_bracket(lam, S(ctx, g)).body
             X = reeb_field(lam)
         assert bracket == X(g) - lam.body.partial(ctx.ix_p) * g
+    # the bracket operator is a Derivation of no degree, memoised without a __dict__
+    op = lam._hamiltonian()
+    assert isinstance(op, Derivation) and op.degree is None and not hasattr(op, "__dict__")
+    with pytest.raises(TypeError):
+        op.commutator(X)

@@ -14,6 +14,7 @@ from cjde.cjalg import (
     graph_frame,
     m2_closed,
     m3_closed,
+    mc_residual_form,
     section_to_vector,
     vector_to_section,
 )
@@ -358,6 +359,39 @@ def test_curved_instance_accepts_a_closed_form(curv1):
     assert coords == [] and rep.is_zero()
     curve = extend_mc(curv1, eta, 3)
     assert curve.ok and curve.order() == 3
+
+
+NOT_2_FORM_CALLS = {
+    "graph_frame": (lambda inst, eta: graph_frame(inst, eta), "2-form"),
+    "kuranishi": (lambda inst, eta: kuranishi(inst, eta), "2-form"),
+    "extend_mc": (lambda inst, eta: extend_mc(inst, eta, 3), "2-form"),
+    "mc_residual_coefficients": (lambda inst, eta: mc_residual_coefficients(inst, [eta], 2),
+                                 "2-form"),
+    "mc_residual_form": (lambda inst, eta: mc_residual_form(inst, eta), "degree 0"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NOT_2_FORM_CALLS))
+@pytest.mark.parametrize("name, form", [("djmix4", "top"), ("djmix4", "one"), ("heis2", "one")])
+def test_eta_must_be_a_2_form(name, form, call, request):
+    """A closed 4-form or 0-form has no Maurer-Cartan residual, graph or class:
+    each of these used to return an answer for it."""
+    inst = request.getfixturevalue(name)
+    ctx = inst.context
+    body = ctx.algebra.one()
+    if form == "top":
+        for a in range(inst.n):
+            body = body * ctx.u(a)
+    function, message = NOT_2_FORM_CALLS[call]
+    with pytest.raises(ValueError, match=message):
+        function(inst, Section(ctx, body))
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_extend_mc_rejects_order_below_one(obst1, order):
+    eta = DeformationForm.from_dict(obst1, {(1, 2): 1})
+    with pytest.raises(ValueError, match="order"):
+        extend_mc(obst1, eta, order)
 
 
 # --- seeded searches -------------------------------------------------------------

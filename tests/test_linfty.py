@@ -402,7 +402,7 @@ def test_read_only_coefficients_give_the_same_results(V):
         return (check_codifferential(Q, words).entries,
                 check_morphism(phi, Q, Q, words).entries,
                 [exp_series(M, {w: F(1)}) for w in words],
-                mc_residual(Qc, {"a": F(1, 2), "e": F(-1)}))
+                mc_residual(Qc, {"a": F(1, 2)}))
 
     plain = results(lambda vec: vec)
     assert plain == results(types.MappingProxyType)
@@ -422,6 +422,8 @@ def test_mc_residual(V):
     assert mc_residual(Q, {"a": F(2)}) == {"b": F(2)}
     with pytest.raises(ValueError):
         mc_residual(Q, {"b": F(1)})  # degree 1, not 0
+    with pytest.raises(ValueError, match="degree 0"):
+        mc_residual(Q, {"e": F(1)})  # degree 2: even, but not 0
     # curved: m0 alone survives at eta = 0
     Qc = TaylorCoderivation(V, {0: {"b": F(1)}})
     assert mc_residual(Qc, {}) == {"b": F(1)}

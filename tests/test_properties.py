@@ -63,13 +63,28 @@ def homogeneous_polys(draw, parity=None, max_letters=3, max_terms=4):
 
 
 @st.composite
-def derivations(draw, degree):
-    """A derivation whose value on each generator g has the parity of degree + |g|."""
+def derivations(draw, degree, scalar=False):
+    """A derivation whose value on each generator g has the parity of degree + |g|.
+
+    With `scalar`, a zeroth-order coefficient of the parity of degree, or
+    None, is drawn too: the operator is then c + X.
+    """
     values = {}
     for g in ALG.gens:
         values[g.index] = draw(homogeneous_polys(parity=(degree + g.parity) % 2,
                                                  max_letters=2, max_terms=2))
-    return Derivation(ALG, degree, values)
+    c = None
+    if scalar:
+        c = draw(st.none() | homogeneous_polys(parity=degree % 2, max_letters=2, max_terms=2))
+    return Derivation(ALG, degree, values, c)
+
+
+def by_reference_partials(D: Derivation, h: Poly) -> Poly:
+    """c h + sum_g D(g) * dh/dg, each partial by the reference `Poly.partial`."""
+    out = ALG.zero() if D.scalar is None else D.scalar * h
+    for g in ALG.gens:
+        out = out + D.values[g.index] * h.partial(g.index)
+    return out
 
 
 def shifted_degree(s: Section) -> int:
@@ -105,14 +120,16 @@ def test_derivation_leibniz(deg_and_D, f, g):
 
 
 @PROPERTY
-@given(st.integers(0, 1).flatmap(lambda d: st.tuples(st.just(d), derivations(d))),
-       st.integers(0, 1).flatmap(lambda d: st.tuples(st.just(d), derivations(d))),
+@given(st.integers(0, 1).flatmap(lambda d: st.tuples(st.just(d), derivations(d, True))),
+       st.integers(0, 1).flatmap(lambda d: st.tuples(st.just(d), derivations(d, True))),
        polys())
 def test_derivation_commutator(deg_and_D, deg_and_E, f):
     (dd, D), (de, E) = deg_and_D, deg_and_E
     sign = -1 if dd % 2 and de % 2 else 1
+    assert D(f) == by_reference_partials(D, f) and E(f) == by_reference_partials(E, f)
     C = D.commutator(E)
     assert C.degree == dd + de
+    assert (C.scalar is None) == (D.scalar is None and E.scalar is None)
     assert C(f) == D(E(f)) - E(D(f)).scale(sign)
 
 
@@ -530,7 +547,9 @@ def test_line_derivation_commutator(triple):
     sign = -1 if d.degree % 2 and e.degree % 2 else 1
     c = d.commutator(e)
     assert c.degree == d.degree + e.degree
-    assert (c.f, c.f_x, c.f_u) == reextracted_commutator(d, e)
+    ctx = d.context
+    assert (c.scalar, [c.values[idx] for idx in ctx.ix_x],
+            [c.values[idx] for idx in ctx.ix_u]) == reextracted_commutator(d, e)
     assert c(h) == d(e(h)) - e(d(h)).scale(sign)
 
 
