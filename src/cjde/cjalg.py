@@ -38,10 +38,21 @@ arity, so a word costs one bracket past its prefix.  The kept brackets are
 freed with the coefficient function, and so with Q or M; nothing is cached
 on the instance.  `_coefficient` adapts an operation on sections to a Taylor
 coefficient on the closed route.
+
+The closed route rests on one contraction: `_contract` gives, for a fully
+antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
+d_{u^{a_1}} f_1 ... d_{u^{a_k}} f_k, reading each nonzero entry once with
+its signed permutations.  One form-degree rule, `_form_parts`, splits the
+argument that carries a sign (-1)^{|w|} into its even and odd parts.  Then
+m_3 = -(-1)^{|beta|} <psi; alpha, beta, gamma>, M_2 = (-1)^{|w_1|} <eps;
+w_1, w_2> on every pair of forms, and m_2 is first order in each slot plus
+the contraction of the 2-tensor K built from the nonzero lam~ and c~
+(`m2_closed`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -100,7 +111,6 @@ __all__ = [
     "m2_closed",
     "m3_closed",
     "m2_sharp_closed",
-    "m2_sharp_closed_covers",
     "gj_bracket_closed",
     "iota",
     "lie_derivative",
@@ -160,11 +170,14 @@ def _skew_last_two(key: Tuple[int, ...]) -> Spread:
     return [((cc, a, b), 1), ((cc, b, a), -1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
+
+
 def _antisymmetric(key: Tuple[int, ...]) -> Spread:
     """Every permutation of the key with its sign; a repeated index cancels."""
-    odd = (1,) * len(key)
-    return [(tuple(key[i] for i in perm), koszul_sign(perm, odd))
-            for perm in itertools.permutations(range(len(key)))]
+    return [(tuple(key[i] for i in perm), sign) for perm, sign in _signed_permutations(len(key))]
 
 
 def _table(ctx: ContactContext, shape: Tuple[int, ...], entries: Optional[Dict],
@@ -197,14 +210,11 @@ def _form(ctx: ContactContext, gens: Sequence[int], k: int, table,
 
     `gens` are generator indices in canonical order, so each term is written
     directly as an x-monomial followed by the fiber monomial, with no sign.
-    Only the entries with increasing indices are read.  Raises ValueError on
-    a carried entry that is not a base polynomial.
+    Only the nonzero entries with increasing indices are read.  Raises
+    ValueError on a carried entry that is not a base polynomial.
     """
     terms: Dict[Monomial, Scalar] = {}
-    for key in itertools.combinations(range(len(gens)), k):
-        entry = table
-        for a in key:
-            entry = entry[a]
+    for key, entry in _entries(table, len(gens), k).items():
         coeff = carry(entry)
         if coeff.algebra is not ctx.algebra or not coeff.uses_only(ctx.ix_x):
             raise ValueError("form entry is not a base polynomial of the context")
@@ -214,8 +224,21 @@ def _form(ctx: ContactContext, gens: Sequence[int], k: int, table,
     return Poly(ctx.algebra, terms)
 
 
-def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> list:
-    """Inverse of `_form`: the antisymmetric table of a k-form in `gens`.
+def _entries(table, n: int, k: int) -> Dict[Tuple[int, ...], Poly]:
+    """The nonzero entries a_1 < ... < a_k of a k-index table over range(n)."""
+    out = {}
+    for key in itertools.combinations(range(n), k):
+        entry = table
+        for a in key:
+            entry = entry[a]
+        if not entry.is_zero():
+            out[key] = entry
+    return out
+
+
+def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int,
+               f: Poly) -> Dict[Tuple[int, ...], Poly]:
+    """The nonzero entries a_1 < ... < a_k of a k-form in `gens`, by position.
 
     Raises ValueError unless every fiber monomial of f is a product of k
     distinct generators from `gens`.
@@ -227,7 +250,12 @@ def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> 
         if len(key) != k or None in key:
             raise ValueError(f"not a {k}-form in the given generators")
         entries[key] = coeff
-    return _table(ctx, (len(gens),) * k, entries, _antisymmetric)
+    return entries
+
+
+def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> list:
+    """Inverse of `_form`: the antisymmetric table of a k-form in `gens` (see `_form_keys`)."""
+    return _table(ctx, (len(gens),) * k, _form_keys(ctx, gens, k, f), _antisymmetric)
 
 
 def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
@@ -830,75 +858,113 @@ def _derived_coefficients(inst: SplitCJInstance, vdata: VData,
     return dict.fromkeys(arities, coefficient)
 
 
-def _m2_closed_pair(inst: SplitCJInstance, A: Poly, r: int, B: Poly) -> Poly:
-    """Closed bidifferential formula for m_2 on bodies (A homogeneous, u-deg r)."""
-    ctx = inst.context
-    zero = ctx.algebra.zero()
-    A_d, B_d = A.partials(), B.partials()
-    A_u = [A_d.get(ctx.ix_u[a], zero) for a in range(inst.n)]
-    B_u = [B_d.get(ctx.ix_u[a], zero) for a in range(inst.n)]
-    out = zero
-    for a in range(inst.n):
-        out = out - inst.lam_dual[a] * A_u[a] * B
-        for i in range(ctx.m):
-            out = out - inst.rho_dual[i][a] * A_u[a] * B_d.get(ctx.ix_x[i], zero)
-    sign = (-1) ** (r % 2)
-    for a in range(inst.n):
-        inner = -inst.lam_dual[a] * A
-        for i in range(ctx.m):
-            inner = inner - inst.rho_dual[i][a] * A_d.get(ctx.ix_x[i], zero)
-        for cc in range(inst.n):
-            inner = inner - inst.lam_dual[cc] * ctx.u(a) * A_u[cc]
-            inner = inner + inst.lam_dual[a] * ctx.u(cc) * A_u[cc]
-            for e in range(inst.n):
-                coeff = inst.c_dual[e][a][cc]
-                if not coeff.is_zero():
-                    inner = inner - coeff * ctx.u(e) * A_u[cc]
-        out = out + (inner * B_u[a]).scale(sign)
+def _contract(ctx: ContactContext, tensor: Dict[Tuple[int, ...], Poly],
+              forms: Sequence[Poly]) -> Poly:
+    """sum over a_1..a_k of T[a_1..a_k] d_{u^{a_1}} f_1 ... d_{u^{a_k}} f_k.
+
+    T is fully antisymmetric, given by its nonzero entries a_1 < ... < a_k;
+    each is read once with its signed permutations.  An entry stands left of
+    the partials, so it may be odd.  A product with a zero partial is skipped.
+    """
+    out = ctx.algebra.zero()
+    if not tensor:
+        return out
+    parts = [f.partials() for f in forms]
+    for key, coeff in tensor.items():
+        acc = ctx.algebra.zero()
+        for perm, sign in _signed_permutations(len(key)):
+            factors = [p.get(ctx.ix_u[key[i]]) for p, i in zip(parts, perm)]
+            if None not in factors:
+                acc = acc + functools.reduce(Poly.__mul__, factors).scale(sign)
+        if not acc.is_zero():
+            out = out + coeff * acc
     return out
 
 
+def _form_parts(s: Section) -> List[Tuple[int, Poly]]:
+    """The form-degree rule: a pullback form as (sign, part) with sign = (-1)^{|part|}.
+
+    A closed formula's sign (-1)^{|w|} on one argument depends only on the
+    parity of w's form degree, which is the parity of its monomials (the x's
+    are even), so w splits into at most two parts.  Raises ValueError unless
+    s is a pullback form.
+    """
+    if not s.body.uses_only(s.context.base_indices()):
+        raise ValueError("not a pullback form")
+    return [(1 - 2 * parity, part) for parity, part in s.body.parity_components().items()]
+
+
+def _dual_bracket_tensor(inst: SplitCJInstance) -> Dict[Tuple[int, int], Poly]:
+    """K_ba = lam~_a u^b - lam~_b u^a - c~^e_ab u^e, b < a, from the nonzero lam~ and c~."""
+    ctx, n = inst.context, inst.n
+    K: Dict[Tuple[int, int], Poly] = {}
+
+    def add(key: Tuple[int, int], coeff: Poly, e: int) -> None:
+        term = coeff * ctx.u(e)
+        K[key] = K[key] + term if key in K else term
+
+    for (a,), lam_a in _entries(inst.lam_dual, n, 1).items():
+        for b in range(n):
+            if b != a:
+                add((min(a, b), max(a, b)), lam_a if b < a else -lam_a, b)
+    for e in range(n):
+        for key, c in _entries(inst.c_dual[e], n, 2).items():
+            add(key, c, e)
+    return K
+
+
 def m2_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
-    """m_2(alpha,beta) by the closed formula (no contact variables involved)."""
-    ctx = inst.context
-    out = ctx.algebra.zero()
-    for (eps, r), comp in alpha.body.bidegree_components().items():
-        if eps != 0:
-            raise ValueError("not a pullback form")
-        out = out + _m2_closed_pair(inst, comp, r, beta.body)
+    """m_2(alpha, beta) by the closed formula (no contact variables involved):
+
+        m_2(A, B) = -sum_a d_a A . nabla_a B
+                    - (-1)^{|A|} (sum_a nabla_a A . d_a B - <K; A, B>)
+
+    with d_a = d/du^a, nabla_a = lam~_a + rho~^i_a d/dx^i, <T; f_1..f_k>
+    the contraction `_contract` and K the 2-tensor `_dual_bracket_tensor`.
+    The nabla sums are contractions of the 1-tensors lam~ and rho~^i; A runs
+    over the parts of alpha by the form-degree rule `_form_parts`.
+    """
+    ctx, n = inst.context, inst.n
+    zero = ctx.algebra.zero()
+    # nabla_a = sum over (T, x) of T_a D_x, D_None the identity and D_x = d/dx
+    nabla = [(_entries(inst.lam_dual, n, 1), None)]
+    nabla += [(_entries(row, n, 1), x) for row, x in zip(inst.rho_dual, ctx.ix_x)]
+    K = _dual_bracket_tensor(inst)
+
+    def along(f: Poly, x: Optional[int]) -> Poly:
+        return f if x is None else f.partials().get(x, zero)
+
+    B = beta.body
+    out = zero
+    for sign, A in _form_parts(alpha):
+        out = out + _contract(ctx, K, [A, B]).scale(sign)
+        for T, x in nabla:
+            if T:
+                out = out - _contract(ctx, T, [A]) * along(B, x) \
+                    - (along(A, x) * _contract(ctx, T, [B])).scale(sign)
     return Section(ctx, out)
 
 
 def gj_bracket_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
     """Gerstenhaber-Jacobi bracket of the dual side: [a,b] = (-1)^|a| m_2(a,b)."""
     twisted = inst.context.algebra.zero()
-    for (_, r), comp in alpha.body.bidegree_components().items():
-        twisted = twisted + comp.scale((-1) ** (r % 2))
+    for sign, part in _form_parts(alpha):
+        twisted = twisted + part.scale(sign)
     return m2_closed(inst, Section(inst.context, twisted), beta)
 
 
 def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Section) -> Section:
-    """m_3 via the sharp-operators contraction of the dual Courant tensor."""
+    """m_3(alpha, beta, gamma) = -(-1)^{|beta|} <psi; alpha, beta, gamma>.
+
+    The contraction `_contract` of the dual Courant tensor psi, beta split
+    by the form-degree rule `_form_parts`.
+    """
     ctx = inst.context
-    db = form_degree(beta)
-    sign = -((-1) ** (db % 2))
-    zero = ctx.algebra.zero()
-    out = zero
-    parts = None  # taken at the first nonzero psi entry; psi is often zero
-    for a, b, cc in itertools.combinations(range(inst.n), 3):
-        coeff = inst.psi[a][b][cc]
-        if coeff.is_zero():
-            continue
-        if parts is None:
-            parts = [s.body.partials() for s in (alpha, beta, gamma)]
-        acc = zero
-        for perm, sgn in _antisymmetric((a, b, cc)):
-            term = parts[0].get(ctx.ix_u[perm[0]], zero) \
-                * parts[1].get(ctx.ix_u[perm[1]], zero) \
-                * parts[2].get(ctx.ix_u[perm[2]], zero)
-            acc = acc + term.scale(sgn)
-        out = out + coeff * acc
-    return Section(ctx, out.scale(sign))
+    psi = _entries(inst.psi, inst.n, 3)
+    out = ctx.algebra.zero()
+    for sign, part in _form_parts(beta):
+        out = out - _contract(ctx, psi, [alpha.body, part, gamma.body]).scale(sign)
+    return Section(ctx, out)
 
 
 def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> TaylorCoderivation:
@@ -908,9 +974,9 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
     curvature m_0 = Upsilon_A, exactly when Upsilon_A != 0.
     route='derived' goes through the contact V-data higher derived brackets,
     one prefix fold for all three arities;
-    route='closed' uses the de Rham derivation, the Gerstenhaber-Jacobi
-    bracket and the sharp-contraction of the dual Courant tensor.  The two
-    must agree on every input; the test suite enforces this.
+    route='closed' uses the de Rham derivation and the closed formulas
+    `m2_closed` and `m3_closed` (module docstring).  The two must agree on
+    every input; the test suite enforces this.
     """
     if route == "derived":
         coefficients = _derived_coefficients(inst, contact_vdata(inst), (1, 2, 3))
@@ -972,51 +1038,27 @@ def extract_instance(inst: SplitCJInstance, theta: Section, name: str = "") -> S
     out = SplitCJInstance(inst.m, inst.n, rho=rho, c=c, lam=lam, rho_dual=rho_d,
                           c_dual=c_d, lam_dual=lam_d, phi=phi, psi=psi,
                           context=inst.context, name=name)
-    if build_theta(out) != theta:
+    if out.theta != theta:
         raise ValueError("theta does not come from split structure functions")
     return out
 
 
 def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
                     w1: Section, w2: Section) -> Section:
-    """Closed form of the complement-change arity-2 coefficient.
+    """Closed form of the complement-change arity-2 coefficient, on any two forms:
 
-    For two 2-forms the matrix form is W1 E W2 + W2 E W1; for a 2-form and a
-    1-form it is the contraction w1#(eps_flat(alpha)).  Only these arities
-    are covered; the general route is the derived formula.  eps_flat is the
-    contraction in the second slot of eps, which is what matches the general
-    route exactly.
+        M_2(w1, w2) = (-1)^{|w1|} <eps; w1, w2>
+
+    with eps_ab the entries of eps_sec = sum_{a<b} eps_ab pa_a pa_b and
+    <eps; -, -> the contraction `_contract`; w1 is split by the form-degree
+    rule `_form_parts`.  It equals the derived P{{eps, w1}, w2} on every pair.
     """
     ctx = inst.context
-    n = inst.n
-    zero = ctx.algebra.zero()
-    # E[a][b] = d/dpa_a d/dpa_b eps is the transpose of eps's entries
-    E = list(zip(*_form_entries(ctx, ctx.ix_pa, 2, eps_sec.body)))
-    d1, d2 = form_degree(w1), form_degree(w2)
-    if d1 == 2 and d2 == 2:
-        M1, M2 = (_form_entries(ctx, ctx.ix_u, 2, w.body) for w in (w1, w2))
-        table = [[zero] * n for _ in range(n)]
-        for a, d in itertools.combinations(range(n), 2):
-            for b, cc in itertools.product(range(n), repeat=2):
-                table[a][d] = table[a][d] + M1[a][b] * E[b][cc] * M2[cc][d]
-                table[a][d] = table[a][d] + M2[a][b] * E[b][cc] * M1[cc][d]
-        return Section(ctx, _form(ctx, ctx.ix_u, 2, table, _same))
-    if {d1, d2} == {1, 2}:
-        omega, alpha = (w1, w2) if d1 == 2 else (w2, w1)
-        al = _form_entries(ctx, ctx.ix_u, 1, alpha.body)
-        om_d = omega.body.partials()
-        om = [om_d.get(ctx.ix_u[b], zero) for b in range(n)]
-        body = zero
-        for a in range(n):
-            for b in range(n):
-                body = body + al[a] * E[a][b] * om[b]
-        return Section(ctx, body)
-    raise ValueError("closed form only covers (2,2) and (2,1) arities")
-
-
-def m2_sharp_closed_covers(w1: Section, w2: Section) -> bool:
-    """Whether `m2_sharp_closed` covers the pair: form degrees {2, 2} or {1, 2}."""
-    return sorted((form_degree(w1), form_degree(w2))) in ([1, 2], [2, 2])
+    eps = _form_keys(ctx, ctx.ix_pa, 2, eps_sec.body)
+    out = ctx.algebra.zero()
+    for sign, part in _form_parts(w1):
+        out = out + _contract(ctx, eps, [part, w2.body]).scale(sign)
+    return Section(ctx, out)
 
 
 def change_complement(inst: SplitCJInstance,

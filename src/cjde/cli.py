@@ -38,7 +38,6 @@ from .cjalg import (
     graph_frame,
     is_dirac_jacobi,
     m2_sharp_closed,
-    m2_sharp_closed_covers,
     mc_residual_form,
     vector_to_section,
     word_to_sections,
@@ -232,10 +231,7 @@ def cmd_complement(args) -> Report:
                  _word_witness(inst, check_morphism(eM, Q0, Q1, words)), words=len(words))
 
     def m2_mismatch(w) -> Optional[str]:
-        s1, s2 = word_to_sections(inst, w)
-        if not m2_sharp_closed_covers(s1, s2):
-            return None
-        closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
+        closed = m2_sharp_closed(inst, out["eps_section"], *word_to_sections(inst, w))
         derived = vector_to_section(inst, out["M"].coefficient(2, w))
         if closed == derived:
             return None

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space,
-                        m2_sharp_closed_covers, section_to_vector, word_to_sections)
+                        m2_sharp_closed, section_to_vector, vector_to_section,
+                        word_to_sections)
 from cjde.contact import ContactContext
 from cjde.gca import Poly, add_into
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
@@ -64,6 +65,17 @@ def assert_routes_agree(inst, rng, tuples):
             assert rd == rc, (inst.name, k)
 
 
+def assert_m2_closed_on_two_words(inst, out):
+    """`m2_sharp_closed` equals the derived M_2 of `change_complement`'s `out` on
+    every canonical 2-word, and some compared word has a nonzero M_2."""
+    nonzero = 0
+    for w in deformation_space(inst).words(basis_keys(inst), 2, 2):
+        derived = vector_to_section(inst, out["M"].coefficient(2, w))
+        assert m2_sharp_closed(inst, out["eps_section"], *word_to_sections(inst, w)) == derived, w
+        nonzero += not derived.is_zero()
+    assert nonzero, inst.name
+
+
 def ordered_curve_coefficient(arities, bracket, curve, r):
     """Oracle for `linfty.curve_coefficient`: the t^r coefficient of
     sum_k (1/k!) Q_k(x,...,x), x(t) = sum_i t^i curve[i-1], summed over
@@ -78,16 +90,6 @@ def ordered_curve_coefficient(arities, bracket, curve, r):
             if sum(idx) == r:
                 add_into(out, bracket([curve[i - 1] for i in idx]),
                          Fraction(1, math.factorial(k)))
-    return out
-
-
-def closed_m2_words(inst):
-    """(word, s1, s2) for each 2-word that `cjalg.m2_sharp_closed` covers."""
-    out = []
-    for w in deformation_space(inst).words(basis_keys(inst), 2, 2):
-        s1, s2 = word_to_sections(inst, w)
-        if m2_sharp_closed_covers(s1, s2):
-            out.append((w, s1, s2))
     return out
 
 

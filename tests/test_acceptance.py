@@ -21,9 +21,7 @@ from cjde.cjalg import (
     derived_bracket_sections,
     graph_frame,
     is_dirac_jacobi,
-    m2_sharp_closed,
     mc_residual_form,
-    vector_to_section,
 )
 from cjde.contact import (
     ContactContext,
@@ -52,9 +50,9 @@ from cjde.linfty import (
 )
 
 from conftest import (
+    assert_m2_closed_on_two_words,
     assert_routes_agree,
     basis_keys,
-    closed_m2_words,
     random_form_section,
     random_homogeneous_section,
     random_instance,
@@ -262,11 +260,7 @@ def test_criterion_7_gms_suite():
         space = deformation_space(inst)
         words = space.words(basis_keys(inst), 5)
         assert check_morphism(out["exp_M"], Q0, Q1, words).ok
-        covered = closed_m2_words(inst)
-        assert covered
-        for w, s1, s2 in covered:
-            closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
-            assert closed == vector_to_section(inst, out["M"].coefficient(2, w))
+        assert_m2_closed_on_two_words(inst, out)
     report(7, "complement change: instance round trip, morphism through "
               "truncation 5, M_2 closed form", t0)
 

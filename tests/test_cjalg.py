@@ -35,6 +35,7 @@ from cjde.cjalg import (
     loday_bracket_formula,
     m2_closed,
     m2_sharp_closed,
+    m3_closed,
     mc_residual_form,
     pairing,
     section_bracket_A,
@@ -48,14 +49,14 @@ from cjde.cjalg import (
 import cjde.cjalg as cjalg_module
 import cjde.contact as contact_module
 from cjde.contact import Section, jacobi_bracket, project_P
-from cjde.gca import Poly
+from cjde.gca import Poly, add_into
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_scale as vec_scale)
 from cjde.vdata import higher_derived_bracket
 
-from conftest import (assert_routes_agree, basis_keys, closed_m2_words, random_form_section,
-                      random_instance, random_x_poly)
+from conftest import (assert_m2_closed_on_two_words, assert_routes_agree, basis_keys,
+                      random_form_section, random_instance, random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -634,15 +635,87 @@ def test_change_complement_morphism(heis2, omni1, dgla1):
         assert check_morphism(out["exp_M"], Q0, Q1, words).ok
 
 
-def test_change_complement_m2_closed_form(heis2, dgla1):
-    for inst, eps in [(heis2, {(0, 1): Fraction(1, 2)}),
-                      (dgla1, {(0, 2): 1})]:
-        out = change_complement(inst, eps)
-        covered = closed_m2_words(inst)
-        assert covered
-        for w, s1, s2 in covered:
-            closed = m2_sharp_closed(inst, out["eps_section"], s1, s2)
-            assert closed == vector_to_section(inst, out["M"].coefficient(2, w))
+def test_change_complement_m2_closed_form():
+    for name in ("heis2", "omni1", "djmix", "dgla1"):
+        doc = load_fixture(name)
+        eps = doc.epsilons["eps1"] if doc.epsilons else {(0, 2): 1}
+        assert_m2_closed_on_two_words(doc.instance, change_complement(doc.instance, eps))
+
+
+def test_m2_sharp_closed_is_bilinear():
+    """On mixed-degree pairs the closed M_2 is the multilinear expansion of the derived one."""
+    rng = random.Random(19)
+    for name in ("heis2", "omni1", "djmix"):
+        doc = load_fixture(name)
+        inst = doc.instance
+        out = change_complement(inst, doc.epsilons["eps1"])
+        space = deformation_space(inst)
+        for _ in range(6):
+            s, t = random_form_section(inst, rng), random_form_section(inst, rng)
+            vs = [section_to_vector(inst, v) for v in (s, t)]
+            derived = {}
+            for word, coeff in space.expand_word_of_vectors(vs).items():
+                add_into(derived, out["M"].coefficient(2, word), coeff)
+            closed = m2_sharp_closed(inst, out["eps_section"], s, t)
+            assert closed == vector_to_section(inst, derived), name
+
+
+def test_m2_sharp_closed_sign(heis2):
+    """M_2(u1, u1 u2) = (-1)^1 eps_12 d_1 u1 d_2 (u1 u2) = eps_12 u1, in either order
+    (d_2 is a left derivative, so d_2 (u1 u2) = -u1)."""
+    ctx = heis2.context
+    eps_sec = epsilon_section(heis2, {(0, 1): Fraction(1, 2)})
+    alpha, omega = ctx.section(ctx.u(0)), ctx.section(ctx.u(0) * ctx.u(1))
+    expect = ctx.section(ctx.u(0).scale(Fraction(1, 2)))
+    assert m2_sharp_closed(heis2, eps_sec, alpha, omega) == expect
+    assert m2_sharp_closed(heis2, eps_sec, omega, alpha) == expect
+
+
+def test_contract_reads_each_entry_with_its_signed_permutations():
+    ctx = SplitCJInstance(0, 3).context
+    u = [ctx.u(a) for a in range(3)]
+    one = ctx.algebra.one()
+    contract = cjalg_module._contract
+    assert contract(ctx, {(0, 1): one}, [u[0], u[1]]) == one
+    assert contract(ctx, {(0, 1): one}, [u[1], u[0]]) == -one
+    assert contract(ctx, {(0, 2): one}, [u[0] * u[1], u[2]]) == u[1]
+    # an odd entry stands left of the partials
+    assert contract(ctx, {(0, 1): u[2]}, [u[0] * u[1], u[1]]) == u[2] * u[1]
+    assert contract(ctx, {(0, 1, 2): one}, [u[2], u[0], u[1]]) == one
+    assert contract(ctx, {}, [u[0], u[1]]).is_zero()
+
+
+def test_m3_closed_is_linear_in_its_sign_argument(djmix):
+    """m_3 with an inhomogeneous beta is the sum over beta's form-degree components."""
+    rng = random.Random(20)
+    hits = 0
+    for _ in range(10):
+        alpha, beta, gamma = (random_form_section(djmix, rng) for _ in range(3))
+        whole = m3_closed(djmix, alpha, beta, gamma)
+        parts = djmix.context.zero_section()
+        for comp in beta.body.bidegree_components().values():
+            parts = parts + m3_closed(djmix, alpha, djmix.context.section(comp), gamma)
+        assert whole == parts
+        hits += len(beta.body.bidegree_components()) > 1 and not whole.is_zero()
+    assert hits
+
+
+def test_extract_instance_builds_theta_once(monkeypatch, heis2):
+    """The round-trip check builds the new Theta that the new instance then keeps."""
+    heis2.theta  # the old instance's Theta is built before the count starts
+    calls = []
+    build = cjalg_module.build_theta
+
+    def counting(inst):
+        calls.append(inst)
+        return build(inst)
+
+    monkeypatch.setattr(cjalg_module, "build_theta", counting)
+    out = change_complement(heis2, {(0, 1): 1})
+    # the derived m_1 of the new instance is the first use of its Theta
+    deformation_brackets(out["instance"]).coefficient(1, ((),))
+    assert out["instance"].theta == out["theta1"]
+    assert len(calls) == 1
 
 
 def test_change_complement_transports_vdata_brackets(heis2):

@@ -227,8 +227,8 @@ def test_complement_corrupted_m2_djmix_is_an_automorphism(capsys):
 
 
 def test_complement_closed_m2_error_is_not_a_pass(monkeypatch):
-    # the closed form is asked only on the words it covers, so an error from
-    # it reaches the caller instead of turning the check into a vacuous pass
+    # an error from the closed form reaches the caller instead of turning the
+    # check into a vacuous pass
     def broken(*args):
         raise ValueError("closed form unavailable")
 
@@ -238,7 +238,8 @@ def test_complement_closed_m2_error_is_not_a_pass(monkeypatch):
 
 
 def test_complement_closed_m2_asked_on_covered_words(monkeypatch, capsys):
-    # rank 2: (u1u2, u1u2) has form degrees {2, 2}; (u1, u1u2), (u2, u1u2) {1, 2}
+    # rank 2: the closed form covers every pair of form degrees, so it is asked
+    # on all 8 canonical 2-words of the basis 1, u1, u2, u1u2
     asked = []
     closed = cli.m2_sharp_closed
 
@@ -250,7 +251,7 @@ def test_complement_closed_m2_asked_on_covered_words(monkeypatch, capsys):
     code, _, _ = run_cli(
         ["complement", fixture("heis2.json"), "--epsilon", "eps1", "--trunc", "3"], capsys)
     assert code == 0
-    assert sorted(asked) == [[1, 2], [1, 2], [2, 2]]
+    assert sorted(asked) == [[0, 0], [0, 1], [0, 1], [0, 2], [1, 1], [1, 2], [1, 2], [2, 2]]
 
 
 def test_cohomology_report(capsys):
