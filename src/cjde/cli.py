@@ -18,6 +18,7 @@ truncation.  Identical inputs and seeds produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -313,7 +314,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cjde",
         description="exact checks for split Courant-Jacobi algebroids and "
@@ -363,8 +366,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         report = args.fn(args)
         _emit(report, args)

@@ -34,7 +34,7 @@ from .cjalg import (
     section_to_vector,
     vector_to_section,
 )
-from .contact import Section, jacobi_bracket
+from .contact import ContactContext, Section, jacobi_bracket
 from .gca import add_into
 from .linfty import Vector, curve_coefficient
 
@@ -342,8 +342,10 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     Entry r - 1 of the returned list is the coefficient of t^r (r >= 1):
     `linfty.curve_coefficient` of the closed-route structure, exact.
     `coeffs` holds eta_1, eta_2, ..., each a 2-form; coefficients past its
-    end count as zero.
+    end count as zero.  An order below 0 raises ValueError.
     """
+    if order < 0:
+        raise ValueError(f"the expansion order must be at least 0, got {order}")
     for s in coeffs:
         DeformationForm.from_section(inst, s)
     Q = deformation_brackets(inst, "closed")
@@ -391,8 +393,10 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
 # --- seeded fixture searches -----------------------------------------------
 
 
-def _random_point_instance(rng: random.Random, n: int, name: str) -> SplitCJInstance:
-    """A random small-coefficient candidate with flat (phi = 0) A side."""
+def _random_point_instance(rng: random.Random, context: ContactContext,
+                           name: str) -> SplitCJInstance:
+    """A random small-coefficient candidate with flat (phi = 0) A side, built in `context`."""
+    n = context.n
     def val():
         return rng.randint(-1, 1)
 
@@ -411,7 +415,7 @@ def _random_point_instance(rng: random.Random, n: int, name: str) -> SplitCJInst
     for a, b, cc in itertools.combinations(range(n), 3):
         if rng.random() < 0.3:
             kw["psi"][(a, b, cc)] = val()
-    return SplitCJInstance(0, n, name=name, **kw)
+    return SplitCJInstance(0, n, name=name, context=context, **kw)
 
 
 # Rank of the instances the two fixture searches build; the dgLa search's
@@ -426,11 +430,18 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000
     Scans small rational instances of rank SEARCH_RANK with flat A side,
     keeps those satisfying the structure equation exactly, and returns the
     first one where some cohomology representative (or a small combination)
-    has nonzero Kuranishi class.  Deterministic for a fixed seed.
+    has nonzero Kuranishi class.  Deterministic for a fixed seed.  Every
+    candidate of one search is built in one shared `ContactContext`, so the
+    rejected ones do not each pay for a fresh algebra, mirror and memos; the
+    context changes no value, and each seed finds the same instance as with
+    a context per candidate.  `tries` below 1 raises ValueError.
     """
+    if tries < 1:
+        raise ValueError(f"the search needs at least 1 try, got {tries}")
     rng = random.Random(seed)
+    context = ContactContext(0, SEARCH_RANK)
     for attempt in range(tries):
-        inst = _random_point_instance(rng, SEARCH_RANK, f"search-{seed}-{attempt}")
+        inst = _random_point_instance(rng, context, f"search-{seed}-{attempt}")
         theta = inst.theta
         if not jacobi_bracket(theta, theta).is_zero():
             continue

@@ -47,14 +47,18 @@ words in which each word's one-letter-shorter sub-words come earlier
 
 `curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
+Its t^r coefficient visits only the multisets i_1 <= ... <= i_k of indices
+of nonzero curve entries with sum r, so its cost is per contributing
+multiset; it never scans the k-tuples of indices up to r.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gca import add_into, koszul_sign, koszul_sort
 
@@ -409,25 +413,57 @@ def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
     return TaylorMorphism(M.space, coefficient)
 
 
+def _index_multisets(indices: Sequence[int], k: int, r: int,
+                     start: int = 0) -> Iterator[Tuple[int, ...]]:
+    """The multisets i_1 <= ... <= i_k of entries of `indices[start:]` with sum r.
+
+    `indices` must be increasing and positive.  The multisets come in
+    lexicographic order, the order in which
+    `itertools.combinations_with_replacement(indices, k)` lists them; a
+    prefix is dropped as soon as no tail can complete it to sum r, so the
+    work is proportional to the multisets yielded.
+    """
+    if k == 0:
+        if r == 0:
+            yield ()
+        return
+    if k == 1:
+        pos = bisect.bisect_left(indices, r, start)
+        if pos < len(indices) and indices[pos] == r:
+            yield (r,)
+        return
+    for j in range(start, len(indices)):
+        i = indices[j]
+        if i * k > r:
+            return
+        if i + (k - 1) * indices[-1] >= r:
+            for tail in _index_multisets(indices, k - 1, r - i, j):
+                yield (i,) + tail
+
+
 def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) -> Vector:
     """The t^r coefficient of sum_k (1/k!) Q_k(x,...,x), x(t) = sum_{i>=1} t^i curve[i-1].
 
     The entries of `curve` must have even degree, so Q_k is symmetric in them:
     a multiset {i_1 <= ... <= i_k} of indices with sum r stands for
     k!/prod(mult!) ordered tuples and is evaluated once, with weight
-    1/prod(mult!).  Only Q's own arities are visited; arity 0, the
-    curvature, is the t^0 coefficient.
+    1/prod(mult!).  Only the multisets of indices of nonzero entries with sum
+    r are visited, in lexicographic order (`_index_multisets`), so the cost is
+    per contributing multiset, not per k-tuple of indices up to r.  Only Q's
+    own arities are visited; arity 0, the curvature, is the t^0 coefficient.
+    r must be a non-negative int, else ValueError.
     """
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"the order of a curve coefficient must be a non-negative int, got {r!r}")
     space = Q.space
     if any(space.degree(key) % 2 for vec in curve for key in vec):
         raise ValueError("a formal curve must have even degree")
+    indices = [i for i, vec in enumerate(curve, 1) if vec]
     out: Vector = {}
     for k in Q.arities():
-        for idx in itertools.combinations_with_replacement(range(1, min(len(curve), r) + 1), k):
-            vectors = [curve[i - 1] for i in idx]
-            if sum(idx) != r or not all(vectors):
-                continue
+        for idx in _index_multisets(indices, k, r):
             weight = Fraction(1, math.prod(math.factorial(idx.count(i)) for i in set(idx)))
+            vectors = [curve[i - 1] for i in idx]
             for word, c in space.expand_word_of_vectors(vectors).items():
                 add_into(out, Q.coefficient(k, word), weight * c)
     return out

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -459,3 +460,26 @@ def test_report_check_verdict_is_the_witness():
     assert report.lines[-1] == {"check": "breaks", "status": "fail",
                                 "witness": "word (u1): residual 2 terms"}
     assert report.failed
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # counts every ArgumentParser built, the subcommand parsers included
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        counts = []
+        for _ in range(2):
+            code, _, _ = run_cli(["check", fixture("heis2.json")], capsys)
+            assert code == 0
+            counts.append(len(built))
+        assert built.count("cjde") == 1
+        assert counts[0] == counts[1] > 1
+    finally:
+        cli._parser.cache_clear()

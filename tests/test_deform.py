@@ -394,6 +394,14 @@ def test_extend_mc_rejects_order_below_one(obst1, order):
         extend_mc(obst1, eta, order)
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+def test_mc_residual_coefficients_rejects_order_below_zero(obst1, order):
+    eta = DeformationForm.from_dict(obst1, {(1, 2): 1})
+    with pytest.raises(ValueError, match="order"):
+        mc_residual_coefficients(obst1, [eta], order)
+    assert mc_residual_coefficients(obst1, [eta], 0) == []
+
+
 # --- seeded searches -------------------------------------------------------------
 
 
@@ -427,3 +435,56 @@ def test_search_obstructed_default_tries_cover_slow_seed():
     assert check_cj_axioms(inst).ok
     assert any(coords)
     assert inst.name == "OBST1(seed=12034)"
+
+
+@pytest.mark.parametrize("tries", [0, -3])
+def test_search_obstructed_rejects_tries_below_one(tries):
+    with pytest.raises(ValueError, match="at least 1 try"):
+        search_obstructed_instance(seed=42, tries=tries)
+
+
+# What each seed found when every candidate was built in a context of its own:
+# the nonzero structure entries (c and c_dual keyed (cc, a, b) with a < b, psi
+# with a < b < c), eta by monomial and the Kuranishi coordinates.  The
+# benchmark's deform workload searches seeds 1000 + i and 7000 + i.
+SEARCH_PINS = {
+    1000: ({("c", 1, 0, 2): 1, ("c_dual", 0, 1, 2): -1, ("c_dual", 2, 1, 2): -1},
+           {"u2*u3": 1}, [-2]),
+    1001: ({("c_dual", 2, 1, 2): -1}, {"u1*u2": 1, "u2*u3": 1}, [-2]),
+    1002: ({("c_dual", 0, 0, 1): 1, ("lam_dual", 1): 1}, {"u1*u2": 1, "u2*u3": 1}, [2]),
+    1003: ({("c_dual", 0, 0, 1): 1, ("c_dual", 2, 1, 2): 1}, {"u1*u2": 1, "u2*u3": 1}, [4]),
+    1004: ({("c", 1, 0, 1): 1, ("lam", 0): 1, ("c_dual", 2, 1, 2): -1, ("lam_dual", 2): -1,
+            ("psi", 0, 1, 2): -1}, {"u1*u2": 1, "u2*u3": 1}, [-2]),
+    1005: ({("c_dual", 0, 0, 2): -1, ("c_dual", 0, 1, 2): -1}, {"u2*u3": 1}, [-2]),
+    7000: ({("c_dual", 1, 0, 1): -1, ("c_dual", 1, 0, 2): 1, ("c_dual", 2, 0, 1): 1,
+            ("lam_dual", 0): 1}, {"u1*u2": 1}, [2]),
+    7001: ({("c_dual", 2, 0, 2): -1, ("lam_dual", 1): 1}, {"u1*u2": 1, "u1*u3": 1}, [-2]),
+}
+
+
+def nonzero_structure_entries(inst):
+    """The nonzero constant entries of a point-base instance, one per independent key."""
+    out = {}
+    for name, k in (("lam", 1), ("lam_dual", 1), ("c", 3), ("c_dual", 3), ("phi", 3), ("psi", 3)):
+        for idx in itertools.product(range(inst.n), repeat=k):
+            if (name in ("c", "c_dual") and idx[1] >= idx[2]) or \
+                    (name in ("phi", "psi") and not idx[0] < idx[1] < idx[2]):
+                continue
+            entry = getattr(inst, name)
+            for i in idx:
+                entry = entry[i]
+            if not entry.is_zero():
+                assert set(entry.terms) == {()}
+                out[(name,) + idx] = entry.terms[()]
+    return out
+
+
+@pytest.mark.parametrize("seed", sorted(SEARCH_PINS))
+def test_search_obstructed_finds_the_pinned_instance(seed):
+    entries, eta_terms, coords = SEARCH_PINS[seed]
+    inst, eta, found = search_obstructed_instance(seed=seed)
+    assert inst.name == f"OBST1(seed={seed})"
+    assert nonzero_structure_entries(inst) == entries
+    alg = inst.context.algebra
+    assert {alg.monomial_str(mono): c for mono, c in eta.body.terms.items()} == eta_terms
+    assert found == coords

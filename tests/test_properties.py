@@ -20,7 +20,7 @@ from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
 from cjde.deform import ComplexMatrices
-from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
+from cjde.linfty import GradedSpace, TaylorCoderivation, _index_multisets, curve_coefficient
 from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
                       koszul_sign, koszul_sort)
 
@@ -658,10 +658,11 @@ def toy_coefficient(seed, k):
 
 
 @st.composite
-def toy_structures(draw):
-    """A toy coderivation with arities drawn from 0..4; arity 0 makes it curved."""
+def toy_structures(draw, max_arity=4, min_arities=2):
+    """A toy coderivation with arities drawn from 0..max_arity; arity 0 makes it curved."""
     seed = draw(st.integers(0, 10 ** 6))
-    coefficients = {k: toy_coefficient(seed, k) for k in draw(st.sets(st.integers(0, 4), min_size=2))}
+    arities = draw(st.sets(st.integers(0, max_arity), min_size=min_arities))
+    coefficients = {k: toy_coefficient(seed, k) for k in arities}
     if 0 in coefficients:
         coefficients[0] = draw(st.dictionaries(st.sampled_from(list(TOY_DEGREES)), TOY_VALUES,
                                                min_size=1))
@@ -690,6 +691,47 @@ def toy_bracket(Q):
 def test_curve_coefficient_matches_ordered_expansion(Q, curve, r):
     expected = ordered_curve_coefficient(Q.arities(), toy_bracket(Q), curve, r)
     assert curve_coefficient(Q, curve, r) == expected
+
+
+# long curves with empty entries mixed in, at orders past the curve's length
+long_curves = st.lists(st.one_of(st.just({}),
+                                 st.dictionaries(st.sampled_from("abe"), TOY_VALUES,
+                                                 min_size=1, max_size=2)),
+                       min_size=1, max_size=10)
+
+
+@PROPERTY
+@given(toy_structures(max_arity=3, min_arities=1), long_curves, st.integers(0, 14))
+@example(Q=TaylorCoderivation(TOY_SPACE, {1: toy_coefficient(1, 1), 2: toy_coefficient(1, 2),
+                                          3: toy_coefficient(1, 3)}),
+         curve=[{"a": 1}, {}, {"b": -1}, {}, {}, {"e": 2}, {"a": 2}, {}, {}, {"b": 1}], r=14)
+def test_curve_coefficient_matches_ordered_expansion_on_long_curves(Q, curve, r):
+    expected = ordered_curve_coefficient(Q.arities(), toy_bracket(Q), curve, r)
+    assert curve_coefficient(Q, curve, r) == expected
+
+
+def brute_force_multisets(indices, k, r):
+    return [idx for idx in itertools.combinations_with_replacement(indices, k) if sum(idx) == r]
+
+
+def test_index_multisets_match_brute_force():
+    # every subset of 1..6 as the nonzero indices, and a few longer ones; each
+    # multiset with sum r, in lexicographic order
+    index_lists = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(64)]
+    index_lists += [list(range(1, 13)), [2, 5, 11], [12], [1, 12]]
+    for indices in index_lists:
+        for k in range(5):
+            for r in range(13):
+                assert list(_index_multisets(indices, k, r)) == \
+                    brute_force_multisets(indices, k, r), (indices, k, r)
+
+
+@pytest.mark.parametrize("r", [2.5, True, -1])
+def test_curve_coefficient_rejects_an_order_that_is_not_a_count(r):
+    Q = TaylorCoderivation(TOY_SPACE, {0: {"c": 1}, 1: toy_coefficient(0, 1),
+                                       2: toy_coefficient(0, 2)})
+    with pytest.raises(ValueError, match="non-negative int"):
+        curve_coefficient(Q, [{"a": 1}, {"b": 1}, {"a": 2}], r)
 
 
 def test_curve_coefficient_reads_every_arity_and_the_curvature():
