@@ -51,5 +51,5 @@ print("== every cubic section of the right bidegrees is a split structure ==")
 ctx = omni.context
 weird = ctx.section(ctx.pa(0) * ctx.p + ctx.u(0) * ctx.u(1) * ctx.pa(1))
 inst2 = extract_instance(omni, weird, name="extracted")
-print("extracted dual weight lam~^1 =", inst2.lam_dual[0])
-print("extracted bracket c^2_{12}  =", inst2.c[1][0][1])
+print("extracted dual weight lam~^1 =", inst2.lam_dual[(0,)])
+print("extracted bracket c^2_{12}  =", inst2.c[1][(0, 1)])

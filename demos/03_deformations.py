@@ -56,7 +56,9 @@ out = change_complement(heis, {(0, 1): Fraction(1, 2)})
 print("Theta_0 =", heis.theta)
 print("Theta_1 =", out["theta1"])
 inst1 = out["instance"]
-print("transported dual weights lam~ =", [str(p) for p in inst1.lam_dual])
+zero = inst1.context.algebra.zero()
+print("transported dual weights lam~ =",
+      [str(inst1.lam_dual.get((a,), zero)) for a in range(inst1.n)])
 Q0 = deformation_brackets(heis)
 Q1 = deformation_brackets(inst1)
 print("old structure curved:", 0 in Q0.arities(), " new structure curved:", 0 in Q1.arities())

@@ -23,10 +23,16 @@ from coefficients, contraction, Lie derivative, section bracket and the
 reading of structure functions off Theta each take a side; Theta is the sum
 over both sides of the pulled-back h_d - Upsilon.
 
-An L-valued form is a `Section`; `DeformationForm`, the 2-form on A, is one.
-`_form` and its inverse `_form_entries` are the one codec between forms (in
-the u's, or the pa's) and tables of base polynomials; only the independent
-oracle `de_rham_koszul` keeps its own.
+A structure tensor is stored in one format: its nonzero canonical entries,
+a dict from increasing index tuples to base polynomials in sorted key order
+(a tensor with a free first index, rho or c, is a list of them over that
+index).  `_canonical` is the one canonicaliser: it sorts each constructor
+key with the sign of the sort, cancels a repeated index, sums entries on one
+key and drops zeros.  An L-valued form is a `Section`; `DeformationForm`,
+the 2-form on A, is one.  `_form` and its inverse `_form_keys` are the one
+codec between forms (in the u's, or the pa's) and stored tensors; only the
+independent oracle `de_rham_koszul` reads the tensors its own way.  Dense
+tables exist only in the file codec, `instancefile`.
 
 One derived-bracket path: the derived m_k and a change of complement's M_2
 are higher derived brackets of the contact V-data, Phi = -Theta (held by the
@@ -151,70 +157,93 @@ def _same(f: Poly) -> Poly:
     return f
 
 
-def _zeros(ctx: ContactContext, *shape: int):
-    if len(shape) == 1:
-        return [ctx.algebra.zero() for _ in range(shape[0])]
-    return [_zeros(ctx, *shape[1:]) for _ in range(shape[0])]
+# --- the stored tensor format --------------------------------------------------
+
+# A structure tensor: its nonzero canonical entries, in sorted key order.
+_Tensor = Dict[Tuple[int, ...], Poly]
 
 
-# Spread rules: the signed index tuples that one sparse entry fills.
-Spread = List[Tuple[Tuple[int, ...], int]]
+def _is_int(i) -> bool:
+    """True for an int; a bool is a subclass of int and does not count."""
+    return isinstance(i, int) and not isinstance(i, bool)
 
 
-def _plain(key: Tuple[int, ...]) -> Spread:
-    return [(key, 1)]
+def _canonical_key(key, shape: Tuple[int, ...], k: int
+                   ) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """(canonical key, sign) of an index of a tensor antisymmetric in its last k indices.
 
-
-def _skew_last_two(key: Tuple[int, ...]) -> Spread:
-    cc, a, b = key
-    return [((cc, a, b), 1), ((cc, b, a), -1)]
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
-    return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
-
-
-def _antisymmetric(key: Tuple[int, ...]) -> Spread:
-    """Every permutation of the key with its sign; a repeated index cancels."""
-    return [(tuple(key[i] for i in perm), sign) for perm, sign in _signed_permutations(len(key))]
-
-
-def _table(ctx: ContactContext, shape: Tuple[int, ...], entries: Optional[Dict],
-           spread: Callable[[Tuple[int, ...]], Spread]) -> list:
-    """Dense nested table of base polynomials from sparse entries.
-
-    A key is an index tuple (a bare int for one index); `spread` maps it to
-    the signed positions it fills.  Keys outside the shape raise ValueError.
+    A key is an index tuple (a bare int for one index).  Its last k indices
+    are sorted, and the sign of that sort is returned with it; None when
+    two of them repeat, the entry cancelling.  Raises ValueError unless the
+    key holds len(shape) ints, not bools, within the shape.
     """
-    out = _zeros(ctx, *shape)
-    for key, v in (entries or {}).items():
-        idx = key if isinstance(key, tuple) else (key,)
-        if len(idx) != len(shape) or not all(0 <= i < b for i, b in zip(idx, shape)):
-            raise ValueError(f"index {idx} out of range for shape {shape}")
-        p = _as_xpoly(ctx, v)
-        for pos, sign in spread(idx):
-            row = out
-            for i in pos[:-1]:
-                row = row[i]
-            row[pos[-1]] = row[pos[-1]] + (p if sign > 0 else -p)
-    return out
+    idx = key if isinstance(key, tuple) else (key,)
+    if len(idx) != len(shape) or not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, shape)):
+        raise ValueError(f"index {idx} is not {len(shape)} ints in range for shape {shape}")
+    head, tail = idx[:len(idx) - k], idx[len(idx) - k:]
+    if len(set(tail)) < k:
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(tail, 2))
+    return head + tuple(sorted(tail)), (-1) ** inversions
+
+
+def _canonical(ctx: ContactContext, entries: Optional[Dict], shape: Tuple[int, ...],
+               k: int) -> _Tensor:
+    """The stored format of a tensor antisymmetric in its last k indices.
+
+    Each key of `entries` becomes its canonical key (`_canonical_key`) with
+    the sign applied to its value; entries on one key are summed and zeros
+    dropped.  Every value is validated, also one whose repeated index
+    cancels it.
+    """
+    out: _Tensor = {}
+    for key, value in (entries or {}).items():
+        hit = _canonical_key(key, shape, k)
+        p = _as_xpoly(ctx, value)
+        if hit is not None:
+            canon, sign = hit
+            p = p if sign > 0 else -p
+            out[canon] = out[canon] + p if canon in out else p
+    return {key: out[key] for key in sorted(out) if not out[key].is_zero()}
+
+
+def _rows(tensor: _Tensor, count: int) -> List[_Tensor]:
+    """A tensor split by its first index: `count` tensors in the remaining indices."""
+    rows: List[_Tensor] = [{} for _ in range(count)]
+    for key, value in tensor.items():
+        rows[key[0]][key[1:]] = value
+    return rows
+
+
+def _shapes(m: int, n: int) -> Dict[str, Tuple[Tuple[int, ...], int]]:
+    """Each structure tensor's index shape and its number of trailing antisymmetric indices.
+
+    A tensor with a free first index (rho, c and their duals) is stored as
+    a list over that index.
+    """
+    anchor, bracket, rep, upsilon = ((m, n), 1), ((n, n, n), 2), ((n,), 1), ((n, n, n), 3)
+    return {"rho": anchor, "c": bracket, "lam": rep, "rho_dual": anchor, "c_dual": bracket,
+            "lam_dual": rep, "phi": upsilon, "psi": upsilon}
+
+
+def _one_tensor(coeffs: Sequence[Poly]) -> _Tensor:
+    """The 1-tensor of a coefficient list (zeros kept: `_form` writes no term for them)."""
+    return {(a,): p for a, p in enumerate(coeffs)}
 
 
 # --- the form codec ------------------------------------------------------------
 
 
-def _form(ctx: ContactContext, gens: Sequence[int], k: int, table,
+def _form(ctx: ContactContext, gens: Sequence[int], tensor: _Tensor,
           carry: Callable[[PolyLike], Poly]) -> Poly:
-    """sum over a_1<...<a_k of carry(table[a_1]...[a_k]) g_{a_1}...g_{a_k}.
+    """sum over the entries a_1<...<a_k of carry(tensor[a]) g_{a_1}...g_{a_k}.
 
     `gens` are generator indices in canonical order, so each term is written
     directly as an x-monomial followed by the fiber monomial, with no sign.
-    Only the nonzero entries with increasing indices are read.  Raises
-    ValueError on a carried entry that is not a base polynomial.
+    Raises ValueError on a carried entry that is not a base polynomial.
     """
     terms: Dict[Monomial, Scalar] = {}
-    for key, entry in _entries(table, len(gens), k).items():
+    for key, entry in tensor.items():
         coeff = carry(entry)
         if coeff.algebra is not ctx.algebra or not coeff.uses_only(ctx.ix_x):
             raise ValueError("form entry is not a base polynomial of the context")
@@ -224,21 +253,8 @@ def _form(ctx: ContactContext, gens: Sequence[int], k: int, table,
     return Poly(ctx.algebra, terms)
 
 
-def _entries(table, n: int, k: int) -> Dict[Tuple[int, ...], Poly]:
-    """The nonzero entries a_1 < ... < a_k of a k-index table over range(n)."""
-    out = {}
-    for key in itertools.combinations(range(n), k):
-        entry = table
-        for a in key:
-            entry = entry[a]
-        if not entry.is_zero():
-            out[key] = entry
-    return out
-
-
-def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int,
-               f: Poly) -> Dict[Tuple[int, ...], Poly]:
-    """The nonzero entries a_1 < ... < a_k of a k-form in `gens`, by position.
+def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> _Tensor:
+    """Inverse of `_form`: the stored k-tensor of a k-form in `gens`, by position.
 
     Raises ValueError unless every fiber monomial of f is a product of k
     distinct generators from `gens`.
@@ -250,12 +266,7 @@ def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int,
         if len(key) != k or None in key:
             raise ValueError(f"not a {k}-form in the given generators")
         entries[key] = coeff
-    return entries
-
-
-def _form_entries(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> list:
-    """Inverse of `_form`: the antisymmetric table of a k-form in `gens` (see `_form_keys`)."""
-    return _table(ctx, (len(gens),) * k, _form_keys(ctx, gens, k, f), _antisymmetric)
+    return dict(sorted(entries.items()))
 
 
 def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
@@ -274,7 +285,15 @@ def form_basis(ctx: ContactContext, k: int) -> List[Monomial]:
 
 
 class SplitCJInstance:
-    """Structure functions of a split Courant-Jacobi algebroid over Q[x]."""
+    """Structure functions of a split Courant-Jacobi algebroid over Q[x].
+
+    Every structure tensor is stored as its nonzero canonical entries: a
+    dict from increasing index tuples to base polynomials, in sorted key
+    order.  `lam`, `lam_dual`, `phi` and `psi` are such dicts (keys (a,)
+    and (a, b, c)); `rho`/`rho_dual` is a list over i of 1-tensors
+    (`rho[i][(a,)]`) and `c`/`c_dual` a list over cc of 2-tensors
+    (`c[cc][(a, b)]`, a < b).
+    """
 
     def __init__(self, m: int, n: int, *,
                  rho: Optional[Dict[Tuple[int, int], PolyLike]] = None,
@@ -287,12 +306,15 @@ class SplitCJInstance:
                  psi: Optional[Dict[Tuple[int, int, int], PolyLike]] = None,
                  context: Optional[ContactContext] = None,
                  name: str = ""):
-        """Sparse constructor: keys use 0-based indices, skew parts are filled in.
+        """Sparse constructor: keys use 0-based int indices, skew parts are implied.
 
         `rho[(i,a)]` is the coefficient of d/dx^i for frame element a,
-        `c[(cc,a,b)]` (a<b) the e_cc-coefficient of [e_a,e_b], `lam[a]` the
+        `c[(cc,a,b)]` the e_cc-coefficient of [e_a,e_b], `lam[a]` the
         representation weight; `*_dual` mirrors these on the twisted dual;
-        `phi[(a,b,c)]` / `psi[(a,b,c)]` (a<b<c) the antisymmetric tensors.
+        `phi[(a,b,c)]` / `psi[(a,b,c)]` the antisymmetric tensors.  A key in
+        any order is sorted with the sign of the sort; a repeated
+        antisymmetric index cancels, entries on one key are summed, and an
+        index that is not an int in range raises ValueError.
         """
         self.m = m
         self.n = n
@@ -302,14 +324,21 @@ class SplitCJInstance:
         if ctx.m != m or ctx.n != n:
             raise ValueError("context dimensions do not match the instance")
 
-        self.rho = _table(ctx, (m, n), rho, _plain)
-        self.c = _table(ctx, (n, n, n), c, _skew_last_two)
-        self.lam = _table(ctx, (n,), lam, _plain)
-        self.rho_dual = _table(ctx, (m, n), rho_dual, _plain)
-        self.c_dual = _table(ctx, (n, n, n), c_dual, _skew_last_two)
-        self.lam_dual = _table(ctx, (n,), lam_dual, _plain)
-        self.phi = _table(ctx, (n, n, n), phi, _antisymmetric)
-        self.psi = _table(ctx, (n, n, n), psi, _antisymmetric)
+        shapes = _shapes(m, n)
+
+        def stored(name: str, entries: Optional[Dict]):
+            shape, k = shapes[name]
+            tensor = _canonical(ctx, entries, shape, k)
+            return _rows(tensor, shape[0]) if len(shape) > k else tensor
+
+        self.rho = stored("rho", rho)
+        self.c = stored("c", c)
+        self.lam = stored("lam", lam)
+        self.rho_dual = stored("rho_dual", rho_dual)
+        self.c_dual = stored("c_dual", c_dual)
+        self.lam_dual = stored("lam_dual", lam_dual)
+        self.phi = stored("phi", phi)
+        self.psi = stored("psi", psi)
 
     # -- frames ----------------------------------------------------------
 
@@ -351,10 +380,10 @@ class _Side:
 
     inst: SplitCJInstance
     context: ContactContext
-    rho: List[List[Poly]]
-    c: List[List[List[Poly]]]
-    lam: List[Poly]
-    upsilon: List[List[List[Poly]]]
+    rho: List[_Tensor]
+    c: List[_Tensor]
+    lam: _Tensor
+    upsilon: _Tensor
     carry: Callable[[Poly], Poly]
     pullback: Callable[[Section], Section]
     push: Callable[[Section], Section]
@@ -375,22 +404,22 @@ def _side_dual(inst: SplitCJInstance) -> _Side:
 def _de_rham_derivation(side: _Side) -> LineDerivation:
     """d_{S,L} as a degree-1 derivation of the line bundle over S[1]."""
     ctx = side.context
-    f = _form(ctx, ctx.ix_u, 1, side.lam, side.carry)
-    f_x = [_form(ctx, ctx.ix_u, 1, row, side.carry) for row in side.rho]
-    f_u = [-_form(ctx, ctx.ix_u, 2, table, side.carry) for table in side.c]
+    f = _form(ctx, ctx.ix_u, side.lam, side.carry)
+    f_x = [_form(ctx, ctx.ix_u, row, side.carry) for row in side.rho]
+    f_u = [-_form(ctx, ctx.ix_u, tensor, side.carry) for tensor in side.c]
     return LineDerivation(ctx, 1, f, f_x, f_u)
 
 
 def _upsilon_form(side: _Side) -> Section:
     """The cubic form Upsilon of the side, over its own context."""
     ctx = side.context
-    return Section(ctx, _form(ctx, ctx.ix_u, 3, side.upsilon, side.carry))
+    return Section(ctx, _form(ctx, ctx.ix_u, side.upsilon, side.carry))
 
 
 def _one_form(side: _Side, coeffs: Sequence[Poly]) -> Section:
     """The 1-form coeffs_a u^a on the side, from base polynomials."""
     ctx = side.context
-    return Section(ctx, _form(ctx, ctx.ix_u, 1, coeffs, side.carry))
+    return Section(ctx, _form(ctx, ctx.ix_u, _one_tensor(coeffs), side.carry))
 
 
 def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
@@ -421,12 +450,11 @@ def _section_bracket(side: _Side, xi: Sequence[Poly], eta: Sequence[Poly]) -> Li
     for cc in range(n):
         d_eta, d_xi = eta[cc].partials(), xi[cc].partials()
         acc = zero
-        for a in range(n):
-            for i in range(ctx.m):
-                acc = acc + xi[a] * side.rho[i][a] * d_eta.get(ctx.ix_x[i], zero)
-                acc = acc - eta[a] * side.rho[i][a] * d_xi.get(ctx.ix_x[i], zero)
-            for b in range(n):
-                acc = acc + xi[a] * eta[b] * side.c[cc][a][b]
+        for row, x in zip(side.rho, ctx.ix_x):
+            for (a,), r in row.items():
+                acc = acc + xi[a] * r * d_eta.get(x, zero) - eta[a] * r * d_xi.get(x, zero)
+        for (a, b), c in side.c[cc].items():
+            acc = acc + (xi[a] * eta[b] - xi[b] * eta[a]) * c
         out.append(acc)
     return out
 
@@ -464,15 +492,16 @@ def embed_anchored(inst: SplitCJInstance, xi: Sequence[PolyLike],
                    alpha: Sequence[PolyLike]) -> Section:
     """xi + alpha |-> h_{iota_xi} + pi^*alpha = (xi^a pa_a + alpha_a u^a) mu."""
     ctx = inst.context
-    return Section(ctx, _form(ctx, ctx.ix_pa, 1, _xpolys(inst, xi), _same)
-                   + _form(ctx, ctx.ix_u, 1, _xpolys(inst, alpha), _same))
+    return Section(ctx, _form(ctx, ctx.ix_pa, _one_tensor(_xpolys(inst, xi)), _same)
+                   + _form(ctx, ctx.ix_u, _one_tensor(_xpolys(inst, alpha)), _same))
 
 
 def split_anchored(inst: SplitCJInstance, s: Section) -> Tuple[List[Poly], List[Poly]]:
     """Inverse of embed_anchored; raises ValueError unless s has degree 1."""
-    ctx = inst.context
-    coeffs = _form_entries(ctx, ctx.ix_u + ctx.ix_pa, 1, s.body)
-    return coeffs[inst.n:], coeffs[:inst.n]
+    ctx, n = inst.context, inst.n
+    entries = _form_keys(ctx, ctx.ix_u + ctx.ix_pa, 1, s.body)
+    coeffs = [entries.get((a,), ctx.algebra.zero()) for a in range(2 * n)]
+    return coeffs[n:], coeffs[:n]
 
 
 def pairing(u: Section, v: Section) -> Section:
@@ -590,12 +619,6 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
 # --- forms -------------------------------------------------------------------
 
 
-def _skew_matrix(ctx: ContactContext, n: int,
-                 data: Dict[Tuple[int, int], PolyLike]) -> List[List[Poly]]:
-    """Skew n x n matrix of base polynomials from its entries (a, b)."""
-    return _table(ctx, (n, n), data, _antisymmetric)
-
-
 class DeformationForm(Section):
     """An L-valued 2-form on A: a section whose body is a 2-form in the u's."""
 
@@ -605,7 +628,7 @@ class DeformationForm(Section):
     def from_dict(cls, inst: SplitCJInstance,
                   data: Dict[Tuple[int, int], PolyLike]) -> "DeformationForm":
         ctx = inst.context
-        return cls(ctx, _form(ctx, ctx.ix_u, 2, _skew_matrix(ctx, inst.n, data), _same))
+        return cls(ctx, _form(ctx, ctx.ix_u, _canonical(ctx, data, (inst.n,) * 2, 2), _same))
 
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
@@ -619,9 +642,9 @@ class DeformationForm(Section):
         return cls(inst.context, s.body)
 
     @property
-    def entries(self) -> List[List[Poly]]:
-        """The skew n x n matrix of base polynomials."""
-        return _form_entries(self.context, self.context.ix_u, 2, self.body)
+    def entries(self) -> _Tensor:
+        """The stored 2-tensor: the nonzero entries (a, b), a < b, in sorted order."""
+        return _form_keys(self.context, self.context.ix_u, 2, self.body)
 
 
 def form_degree(s: Section) -> int:
@@ -664,10 +687,12 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
             body = body.partial(ctx.ix_u[a])
         return body
 
+    zero = ctx.algebra.zero()
+
     def nabla_a(a: int, g: Poly) -> Poly:
-        out = inst.lam[a] * g
+        out = inst.lam.get((a,), zero) * g
         for i in range(ctx.m):
-            out = out + inst.rho[i][a] * g.partial(ctx.ix_x[i])
+            out = out + inst.rho[i].get((a,), zero) * g.partial(ctx.ix_x[i])
         return out
 
     out = ctx.algebra.zero()
@@ -680,8 +705,8 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
         for p1, p2 in itertools.combinations(range(k + 1), 2):
             rest = tuple(t for q, t in enumerate(tup) if q not in (p1, p2))
             for cc in range(inst.n):
-                coeff = inst.c[cc][tup[p1]][tup[p2]]
-                if coeff.is_zero():
+                coeff = inst.c[cc].get((tup[p1], tup[p2]))
+                if coeff is None:
                     continue
                 term = coeff * evaluate(omega, (cc,) + rest)
                 val = val + term.scale((-1) ** (p1 + p2 + 1))
@@ -858,7 +883,12 @@ def _derived_coefficients(inst: SplitCJInstance, vdata: VData,
     return dict.fromkeys(arities, coefficient)
 
 
-def _contract(ctx: ContactContext, tensor: Dict[Tuple[int, ...], Poly],
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
+
+
+def _contract(ctx: ContactContext, tensor: _Tensor,
               forms: Sequence[Poly]) -> Poly:
     """sum over a_1..a_k of T[a_1..a_k] d_{u^{a_1}} f_1 ... d_{u^{a_k}} f_k.
 
@@ -894,21 +924,21 @@ def _form_parts(s: Section) -> List[Tuple[int, Poly]]:
     return [(1 - 2 * parity, part) for parity, part in s.body.parity_components().items()]
 
 
-def _dual_bracket_tensor(inst: SplitCJInstance) -> Dict[Tuple[int, int], Poly]:
+def _dual_bracket_tensor(inst: SplitCJInstance) -> _Tensor:
     """K_ba = lam~_a u^b - lam~_b u^a - c~^e_ab u^e, b < a, from the nonzero lam~ and c~."""
     ctx, n = inst.context, inst.n
-    K: Dict[Tuple[int, int], Poly] = {}
+    K: _Tensor = {}
 
     def add(key: Tuple[int, int], coeff: Poly, e: int) -> None:
         term = coeff * ctx.u(e)
         K[key] = K[key] + term if key in K else term
 
-    for (a,), lam_a in _entries(inst.lam_dual, n, 1).items():
+    for (a,), lam_a in inst.lam_dual.items():
         for b in range(n):
             if b != a:
                 add((min(a, b), max(a, b)), lam_a if b < a else -lam_a, b)
-    for e in range(n):
-        for key, c in _entries(inst.c_dual[e], n, 2).items():
+    for e, tensor in enumerate(inst.c_dual):
+        for key, c in tensor.items():
             add(key, c, e)
     return K
 
@@ -924,11 +954,10 @@ def m2_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
     The nabla sums are contractions of the 1-tensors lam~ and rho~^i; A runs
     over the parts of alpha by the form-degree rule `_form_parts`.
     """
-    ctx, n = inst.context, inst.n
+    ctx = inst.context
     zero = ctx.algebra.zero()
     # nabla_a = sum over (T, x) of T_a D_x, D_None the identity and D_x = d/dx
-    nabla = [(_entries(inst.lam_dual, n, 1), None)]
-    nabla += [(_entries(row, n, 1), x) for row, x in zip(inst.rho_dual, ctx.ix_x)]
+    nabla = [(inst.lam_dual, None)] + list(zip(inst.rho_dual, ctx.ix_x))
     K = _dual_bracket_tensor(inst)
 
     def along(f: Poly, x: Optional[int]) -> Poly:
@@ -960,10 +989,9 @@ def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Secti
     by the form-degree rule `_form_parts`.
     """
     ctx = inst.context
-    psi = _entries(inst.psi, inst.n, 3)
     out = ctx.algebra.zero()
     for sign, part in _form_parts(beta):
-        out = out - _contract(ctx, psi, [alpha.body, part, gamma.body]).scale(sign)
+        out = out - _contract(ctx, inst.psi, [alpha.body, part, gamma.body]).scale(sign)
     return Section(ctx, out)
 
 
@@ -1004,7 +1032,7 @@ def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
 def epsilon_section(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike]) -> Section:
     """A 2-form on the dual side as a bidegree-(2,0) section."""
     ctx = inst.context
-    return Section(ctx, _form(ctx, ctx.ix_pa, 2, _skew_matrix(ctx, inst.n, eps), _same))
+    return Section(ctx, _form(ctx, ctx.ix_pa, _canonical(ctx, eps, (inst.n,) * 2, 2), _same))
 
 
 def _read_side(side: _Side, theta: Section) -> Tuple[Dict, Dict, Dict, Dict]:

@@ -5,10 +5,16 @@ Courant-Jacobi algebroid, plus optional named deformations (2-forms on the
 A side) and epsilon tensors (2-forms on the dual side).  Rational numbers
 are "num/den" strings, bit-exact; polynomial entries are either such a
 string (a constant) or a map from comma-separated exponent vectors to
-rationals, each exponent at most MAX_EXPONENT.  A tensor with a symmetry
-(bracket, upsilon, 2-form) is accepted only if it equals the table that its
-canonical entries spread to by the rules of `cjalg`, so each symmetry is
-written down in one place.
+rationals, each exponent at most MAX_EXPONENT.
+
+The file writes each tensor as a dense nested array; this module is the
+only place where dense tables exist.  An instance stores its tensors as
+their nonzero canonical entries (see `cjalg`), and `_spread` lays such
+entries out on every index tuple with the sign of `cjalg._canonical_key`,
+so each symmetry rule is written once.  Loading reads the canonical index
+tuples of each array, and a tensor with a symmetry (bracket, upsilon,
+2-form) is accepted only if the array equals the spread of its canonical
+entries; saving writes the spread.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .cjalg import DeformationForm, SplitCJInstance, _as_xpoly, _skew_matrix
+from .cjalg import (DeformationForm, SplitCJInstance, _as_xpoly, _canonical, _canonical_key,
+                    _is_int, _shapes)
 from .contact import ContactContext
 from .gca import Poly, add_into
 
@@ -27,10 +34,10 @@ __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_insta
 
 SCHEMA_VERSION = 1
 
-# Largest accepted sizes.  A context has 2m+2n+1 generators and an instance
-# n^3 polynomials per tensor, all allocated before any check runs, so a file
-# is rejected on its declared sizes alone.  Rank 5 is the largest the engine
-# is meant to reach; one more is left as margin.
+# Largest accepted sizes.  A context has 2m+2n+1 generators and a file's
+# parsed arrays n^3 polynomial entries per tensor, all parsed before any check
+# runs, so a file is rejected on its declared sizes alone.  Rank 5 is the
+# largest the engine is meant to reach; one more is left as margin.
 MAX_BASE_DIM = 4
 MAX_RANK = 6
 # Largest exponent of a base coordinate in a file.  The kernel keeps each
@@ -45,6 +52,13 @@ MAX_EXPONENT = 255
 KEYS = ("schema", "name", "base_dim", "rank", "anchor", "bracket", "rep", "anchor_dual",
         "bracket_dual", "rep_dual", "upsilon", "upsilon_dual", "deformations", "epsilons")
 
+# Each structure tensor's file key and `SplitCJInstance` attribute.
+_TENSORS = (("anchor", "rho"), ("bracket", "c"), ("rep", "lam"), ("anchor_dual", "rho_dual"),
+            ("bracket_dual", "c_dual"), ("rep_dual", "lam_dual"), ("upsilon", "phi"),
+            ("upsilon_dual", "psi"))
+# The symmetry a load error names, by the number of antisymmetric indices.
+_SYMMETRY = {2: "skew", 3: "fully antisymmetric"}
+
 # The only number spellings a file may use.  int() and Fraction() alone would
 # also read digit separators, surrounding spaces, non-ASCII digits, decimals
 # and exponents, so "1_0" would load as 10.
@@ -56,11 +70,6 @@ class InstanceFileError(ValueError):
     """Malformed or inconsistent instance file (CLI exit code 2)."""
 
 
-def _is_json_int(v) -> bool:
-    """True for a JSON integer: bool is a subclass of int and does not count."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _parse_rational(s) -> Fraction:
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
@@ -70,7 +79,7 @@ def _parse_rational(s) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int's digit limit
             raise InstanceFileError(f"bad rational {s!r}: {exc}") from None
-    if _is_json_int(s):
+    if _is_int(s):
         return Fraction(s)
     if isinstance(s, bool):
         raise InstanceFileError(f"a rational entry may not be a boolean, got {s!r}")
@@ -178,7 +187,7 @@ def load_instance(path: str) -> InstanceDocument:
     if not isinstance(name, str):
         raise InstanceFileError(f"name must be a JSON string, got {name!r}")
     sizes = [data.get(key) for key in ("schema", "base_dim", "rank")]
-    if not all(map(_is_json_int, sizes)):
+    if not all(map(_is_int, sizes)):
         raise InstanceFileError("schema, base_dim and rank must be JSON integers, got "
                                 f"{sizes[0]!r}, {sizes[1]!r} and {sizes[2]!r}")
     schema, m, n = sizes
@@ -190,61 +199,75 @@ def load_instance(path: str) -> InstanceDocument:
         raise InstanceFileError(f"base_dim {m} and rank {n} exceed the supported "
                                 f"sizes (base_dim <= {MAX_BASE_DIM}, rank <= {MAX_RANK})")
 
-    anchor = _expect_array(data, "anchor", (m, n), m)
-    bracket = _expect_array(data, "bracket", (n, n, n), m)
-    rep = _expect_array(data, "rep", (n,), m)
-    anchor_d = _expect_array(data, "anchor_dual", (m, n), m)
-    bracket_d = _expect_array(data, "bracket_dual", (n, n, n), m)
-    rep_d = _expect_array(data, "rep_dual", (n,), m)
-    ups = _expect_array(data, "upsilon", (n, n, n), m)
-    ups_d = _expect_array(data, "upsilon_dual", (n, n, n), m)
+    shapes = _shapes(m, n)
+    arrays = {key: _expect_array(data, key, shapes[attr][0], m) for key, attr in _TENSORS}
     # every entry is parsed, and so checked, before any polynomial is built
     forms = {key: {name: _expect_array({key: arr}, key, (n, n), m)
                    for name, arr in data.get(key, {}).items()}
              for key in ("deformations", "epsilons")}
 
-    def sparse(arr, keys):
-        """The nonzero entries of a parsed array at the given index tuples."""
-        if arr is None:
-            return {}
-        out = {}
-        for key in keys:
-            v = arr
-            for i in key:
-                v = v[i]
-            if v:
-                out[key] = v
-        return out
-
-    anchors = list(itertools.product(range(m), range(n)))
-    frame = [(a,) for a in range(n)]
-    pairs = list(itertools.combinations(range(n), 2))
-    ctab = [(cc, a, b) for cc in range(n) for a, b in pairs]
-    triples = list(itertools.combinations(range(n), 3))
-    inst = SplitCJInstance(
-        m, n,
-        rho=sparse(anchor, anchors), c=sparse(bracket, ctab), lam=sparse(rep, frame),
-        rho_dual=sparse(anchor_d, anchors), c_dual=sparse(bracket_d, ctab),
-        lam_dual=sparse(rep_d, frame), phi=sparse(ups, triples), psi=sparse(ups_d, triples),
-        name=name,
-    )
+    inst = SplitCJInstance(m, n, name=name, **{
+        attr: _canonical_entries(arrays[key], *shapes[attr]) for key, attr in _TENSORS})
     ctx = inst.context
-    _check_spread(ctx, bracket, inst.c, "bracket is not skew")
-    _check_spread(ctx, bracket_d, inst.c_dual, "bracket_dual is not skew")
-    _check_spread(ctx, ups, inst.phi, "upsilon is not fully antisymmetric")
-    _check_spread(ctx, ups_d, inst.psi, "upsilon_dual is not fully antisymmetric")
+    for key, attr in _TENSORS:
+        shape, k = shapes[attr]
+        if k > 1:
+            _check_spread(ctx, arrays[key], _spread(ctx, getattr(inst, attr), shape, k),
+                          f"{key} is not {_SYMMETRY[k]}")
 
     def two_forms(key: str, label: str) -> Dict[str, Dict[Tuple[int, int], Dict]]:
         out = {}
         for name, parsed in forms[key].items():
-            out[name] = sparse(parsed, pairs)
-            _check_spread(ctx, parsed, _skew_matrix(ctx, n, out[name]),
-                          f"{label} {name!r} is not skew")
+            out[name] = _canonical_entries(parsed, (n, n), 2)
+            _check_spread(ctx, parsed, _spread(ctx, _canonical(ctx, out[name], (n, n), 2),
+                                               (n, n), 2),
+                          f"{label} {name!r} is not {_SYMMETRY[2]}")
         return out
 
     deformations = {name: DeformationForm.from_dict(inst, entries)
                     for name, entries in two_forms("deformations", "deformation").items()}
     return InstanceDocument(inst, deformations, two_forms("epsilons", "epsilon"))
+
+
+def _canonical_entries(arr, shape: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], Dict]:
+    """The nonzero entries of a parsed array at its canonical index tuples.
+
+    An index tuple is canonical when `cjalg._canonical_key` keeps it as it
+    is, with sign +1; an absent array has none.
+    """
+    if arr is None:
+        return {}
+    out = {}
+    for idx in itertools.product(*map(range, shape)):
+        v = arr
+        for i in idx:
+            v = v[i]
+        if v and _canonical_key(idx, shape, k) == (idx, 1):
+            out[idx] = v
+    return out
+
+
+def _spread(ctx: ContactContext, tensor, shape: Tuple[int, ...], k: int) -> list:
+    """The dense nested list of a stored tensor over `shape`.
+
+    Each index tuple holds the entry of its canonical key with the sign of
+    `cjalg._canonical_key`, and zero when an antisymmetric index repeats.
+    A tensor stored as a list over its first index is spread row by row.
+    """
+    if len(shape) > k:
+        return [_spread(ctx, row, shape[1:], k) for row in tensor]
+    zero = ctx.algebra.zero()
+
+    def nest(idx: Tuple[int, ...]):
+        if len(idx) < len(shape):
+            return [nest(idx + (i,)) for i in range(shape[len(idx)])]
+        hit = _canonical_key(idx, shape, k)
+        if hit is None:
+            return zero
+        value = tensor.get(hit[0], zero)
+        return value if hit[1] > 0 else -value
+
+    return nest(())
 
 
 def _check_spread(ctx: ContactContext, arr, table, message: str,
@@ -263,29 +286,19 @@ def _check_spread(ctx: ContactContext, arr, table, message: str,
 
 def save_instance(path: str, doc: InstanceDocument) -> None:
     inst = doc.instance
+    ctx, shapes, pair = inst.context, _shapes(inst.m, inst.n), (inst.n, inst.n)
 
     def fmt(t):
         return [fmt(x) for x in t] if isinstance(t, list) else _format_poly(t, inst)
 
-    data = {
-        "schema": SCHEMA_VERSION,
-        "name": inst.name,
-        "base_dim": inst.m,
-        "rank": inst.n,
-        "anchor": fmt(inst.rho),
-        "bracket": fmt(inst.c),
-        "rep": fmt(inst.lam),
-        "anchor_dual": fmt(inst.rho_dual),
-        "bracket_dual": fmt(inst.c_dual),
-        "rep_dual": fmt(inst.lam_dual),
-        "upsilon": fmt(inst.phi),
-        "upsilon_dual": fmt(inst.psi),
-    }
+    data = {"schema": SCHEMA_VERSION, "name": inst.name, "base_dim": inst.m, "rank": inst.n}
+    for key, attr in _TENSORS:
+        data[key] = fmt(_spread(ctx, getattr(inst, attr), *shapes[attr]))
     if doc.deformations:
-        data["deformations"] = {name: fmt(form.entries)
+        data["deformations"] = {name: fmt(_spread(ctx, form.entries, pair, 2))
                                 for name, form in doc.deformations.items()}
     if doc.epsilons:
-        data["epsilons"] = {name: fmt(_skew_matrix(inst.context, inst.n, eps))
+        data["epsilons"] = {name: fmt(_spread(ctx, _canonical(ctx, eps, pair, 2), pair, 2))
                             for name, eps in doc.epsilons.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -10,7 +10,7 @@ from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space
                         m2_sharp_closed, section_to_vector, vector_to_section,
                         word_to_sections)
 from cjde.contact import ContactContext
-from cjde.gca import Poly, add_into
+from cjde.gca import Poly, add_into, koszul_sign
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     basis_keys,
     random_homogeneous_section,
@@ -93,10 +93,28 @@ def ordered_curve_coefficient(arities, bracket, curve, r):
     return out
 
 
+def antisymmetric_entry(tensor, idx, ctx):
+    """A stored antisymmetric tensor's value at any index tuple: the entry of the
+    sorted tuple times the sign of the sort, and zero on a repeated index."""
+    zero = ctx.algebra.zero()
+    if len(set(idx)) < len(idx):
+        return zero
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    value = tensor.get(tuple(sorted(idx)), zero)
+    return value if koszul_sign(order, (1,) * len(idx)) > 0 else -value
+
+
 def random_instance(rng, m, n, name="rand"):
     """Fully random structure functions (no integrability expected)."""
-    kw = dict(rho={}, c={}, lam={}, rho_dual={}, c_dual={}, lam_dual={}, phi={}, psi={})
     ctx = ContactContext(m, n)
+    return SplitCJInstance(m, n, context=ctx, name=name, **random_structure(rng, ctx))
+
+
+def random_structure(rng, ctx):
+    """Random constructor entries at canonical keys: c and c_dual keyed (cc, a, b)
+    with a < b, phi and psi with a < b < c."""
+    m, n = ctx.m, ctx.n
+    kw = dict(rho={}, c={}, lam={}, rho_dual={}, c_dual={}, lam_dual={}, phi={}, psi={})
     for i in range(m):
         for a in range(n):
             if rng.random() < 0.7:
@@ -119,7 +137,7 @@ def random_instance(rng, m, n, name="rand"):
             kw["phi"][(a, b, cc)] = random_x_poly(ctx, rng)
         if rng.random() < 0.7:
             kw["psi"][(a, b, cc)] = random_x_poly(ctx, rng)
-    return SplitCJInstance(m, n, context=ctx, name=name, **kw)
+    return kw
 
 
 @pytest.fixture

@@ -48,15 +48,16 @@ from cjde.cjalg import (
 )
 import cjde.cjalg as cjalg_module
 import cjde.contact as contact_module
-from cjde.contact import Section, jacobi_bracket, project_P
+from cjde.contact import ContactContext, Section, jacobi_bracket, project_P
 from cjde.gca import Poly, add_into
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_scale as vec_scale)
 from cjde.vdata import higher_derived_bracket
 
-from conftest import (assert_m2_closed_on_two_words, assert_routes_agree, basis_keys,
-                      random_form_section, random_instance, random_x_poly)
+from conftest import (antisymmetric_entry, assert_m2_closed_on_two_words,
+                      assert_routes_agree, basis_keys, random_form_section, random_instance,
+                      random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -94,9 +95,15 @@ def test_theta_bidegrees():
 
 def test_non_skew_utensor_rejected():
     # the sparse constructor antisymmetrizes; a repeated index must vanish
-    inst = SplitCJInstance(0, 3, phi={(0, 1, 2): 1})
-    assert inst.phi[0][1][2] == inst.context.algebra.one()
-    assert inst.phi[1][0][2] == -inst.context.algebra.one()
+    ctx = ContactContext(0, 3)
+    one = ctx.algebra.one()
+    for phi, stored in (({(0, 1, 2): 1}, {(0, 1, 2): one}), ({(1, 0, 2): 1}, {(0, 1, 2): -one}),
+                        ({(0, 1, 0): 1}, {}), ({(0, 1, 2): 1, (1, 2, 0): 2}, {(0, 1, 2): 3 * one}),
+                        ({(0, 1, 2): 1, (2, 1, 0): 1}, {})):
+        assert SplitCJInstance(0, 3, phi=phi, context=ctx).phi == stored
+    # a cancelled entry's value is still validated: a point base has no x
+    with pytest.raises(ValueError, match="exponent vector"):
+        SplitCJInstance(0, 3, phi={(0, 1, 0): {(1,): 1}})
 
 
 def test_dimension_mismatch_rejected():
@@ -108,13 +115,31 @@ def test_dimension_mismatch_rejected():
         SplitCJInstance(1, 2, lam={5: 1})
 
 
+@pytest.mark.parametrize("kw", [{"lam": {True: 1}}, {"lam": {1.0: 1}}, {"lam": {"a": 1}},
+                                {"lam": {(False,): 1}}, {"c": {(0, 1.0, 0): 1}},
+                                {"phi": {(0, 1, True): 1}}, {"rho": {(0, 1.0): 1}}])
+def test_non_int_index_rejected(kw):
+    # a bool is not an index (True would set lam_1), nor is 1.0 or "a"
+    with pytest.raises(ValueError, match="ints in range"):
+        SplitCJInstance(1, 2, **kw)
+
+
+@pytest.mark.parametrize("key", [(0, 1.0), (True, 0), (0, "b"), 1])
+def test_non_int_two_form_index_rejected(key):
+    inst = SplitCJInstance(0, 2)
+    with pytest.raises(ValueError, match="ints in range"):
+        DeformationForm.from_dict(inst, {key: 1})
+    with pytest.raises(ValueError, match="ints in range"):
+        epsilon_section(inst, {key: 1})
+
+
 def test_exponent_dict_builds_canonical_monomials():
     inst = SplitCJInstance(2, 1, lam={0: {(2, 0): 3, (0, 1): Fraction(1, 2), (0, 0): -1}})
     alg = inst.context.algebra
-    assert inst.lam[0].terms == {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1}
-    assert inst.lam[0] == Poly(alg, {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1})
-    # a zero coefficient, even one given as a string, leaves no term
-    assert SplitCJInstance(1, 1, lam={0: {(1,): "0"}}).lam[0].is_zero()
+    assert inst.lam[(0,)].terms == {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1}
+    assert inst.lam[(0,)] == Poly(alg, {((0, 2),): 3, ((1, 1),): Fraction(1, 2), (): -1})
+    # a zero coefficient, even one given as a string, leaves no term (and no entry)
+    assert SplitCJInstance(1, 1, lam={0: {(1,): "0"}}).lam == {}
 
 
 @pytest.mark.parametrize("lam", [{(-1,): 1}, {(-1,): 1, (0,): 1}])
@@ -266,7 +291,7 @@ def test_courant_tensor_recovers_psi(djmix):
     t = courant_tensor(djmix, frame)
     ctx = djmix.context
     for a, b, cc in itertools.permutations(range(3), 3):
-        assert t[a][b][cc] == Section(ctx, djmix.psi[a][b][cc])
+        assert t[a][b][cc] == Section(ctx, antisymmetric_entry(djmix.psi, (a, b, cc), ctx))
 
 
 def test_courant_tensor_bracket_count(monkeypatch, djmix):
@@ -452,7 +477,7 @@ def test_m2_on_one_forms_is_dual_connection(djmix, obst1):
         for a in range(inst.n):
             alpha = inst.frame_dual(a)
             got = derived_bracket_sections(inst, [alpha, lam])
-            assert got == Section(ctx, -inst.lam_dual[a])
+            assert got == Section(ctx, -antisymmetric_entry(inst.lam_dual, (a,), ctx))
 
 
 def test_m2_on_pairs_of_one_forms_is_dual_bracket(djmix, obst1):
@@ -464,7 +489,7 @@ def test_m2_on_pairs_of_one_forms_is_dual_bracket(djmix, obst1):
                     inst, [inst.frame_dual(a), inst.frame_dual(b)])
                 expect = ctx.algebra.zero()
                 for cc in range(inst.n):
-                    expect = expect - inst.c_dual[cc][a][b] * ctx.u(cc)
+                    expect = expect - antisymmetric_entry(inst.c_dual[cc], (a, b), ctx) * ctx.u(cc)
                 assert got == Section(ctx, expect)
 
 
@@ -473,7 +498,7 @@ def test_m3_on_one_forms_contracts_psi(djmix):
     for a, b, cc in itertools.permutations(range(3), 3):
         got = derived_bracket_sections(
             djmix, [djmix.frame_dual(a), djmix.frame_dual(b), djmix.frame_dual(cc)])
-        assert got == Section(ctx, djmix.psi[a][b][cc])
+        assert got == Section(ctx, antisymmetric_entry(djmix.psi, (a, b, cc), ctx))
 
 
 def test_routes_agree_random_instances():

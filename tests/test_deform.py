@@ -413,8 +413,8 @@ def test_search_obstructed_reproducible():
     assert curve.obstructed_at == 2
     # frozen fixture contents (what fixtures/obst1.json records)
     ctx = inst.context
-    assert inst.c_dual[0][0][2] == -ctx.algebra.one()
-    assert inst.c_dual[0][1][2] == -ctx.algebra.one()
+    assert inst.c_dual[0][(0, 2)] == -ctx.algebra.one()
+    assert inst.c_dual[0][(1, 2)] == -ctx.algebra.one()
     again, eta2, coords2 = search_obstructed_instance(seed=42)
     assert coords2 == coords
     assert eta2.body.terms == eta.body.terms
@@ -465,17 +465,15 @@ SEARCH_PINS = {
 def nonzero_structure_entries(inst):
     """The nonzero constant entries of a point-base instance, one per independent key."""
     out = {}
-    for name, k in (("lam", 1), ("lam_dual", 1), ("c", 3), ("c_dual", 3), ("phi", 3), ("psi", 3)):
-        for idx in itertools.product(range(inst.n), repeat=k):
-            if (name in ("c", "c_dual") and idx[1] >= idx[2]) or \
-                    (name in ("phi", "psi") and not idx[0] < idx[1] < idx[2]):
-                continue
-            entry = getattr(inst, name)
-            for i in idx:
-                entry = entry[i]
-            if not entry.is_zero():
+    for name in ("lam", "lam_dual", "c", "c_dual", "phi", "psi"):
+        stored = getattr(inst, name)
+        # c and c_dual are lists over cc of 2-tensors, the others one tensor
+        rows = [((cc,), t) for cc, t in enumerate(stored)] if isinstance(stored, list) \
+            else [((), stored)]
+        for head, tensor in rows:
+            for key, entry in tensor.items():
                 assert set(entry.terms) == {()}
-                out[(name,) + idx] = entry.terms[()]
+                out[(name,) + head + key] = entry.terms[()]
     return out
 
 

@@ -1,12 +1,18 @@
 """Instance file schema: parsing, validation, round trips."""
 
 import json
+import os
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from cjde.cjalg import DeformationForm, build_theta
+from conftest import random_structure, random_x_poly
+
+from cjde.cjalg import DeformationForm, SplitCJInstance, build_theta
+from cjde.contact import ContactContext
+from cjde.gca import koszul_sign
 from cjde.instancefile import (
     InstanceDocument,
     InstanceFileError,
@@ -35,6 +41,68 @@ def test_roundtrip_structural_equality(tmp_path, omni1):
     assert set(again.deformations) == {"e12"}
     assert str(again.deformations["e12"]) == str(doc.deformations["e12"])
     assert set(again.epsilons) == {"eps1"}
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(FIXTURES)
+                                        if f.endswith(".json")))
+def test_save_writes_each_fixture_byte_for_byte(tmp_path, name):
+    # the dense layout, deformations and epsilons included, is the file's own
+    path = os.path.join(FIXTURES, f"{name}.json")
+    out = tmp_path / "again.json"
+    save_instance(str(out), load_instance(path))
+    with open(path, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def shuffled_keys(rng, entries, k):
+    """The entries at keys whose last k indices are permuted at random, values
+    signed by the permutation, in a shuffled insertion order."""
+    out = []
+    for key, value in entries.items():
+        key = key if isinstance(key, tuple) else (key,)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        head, tail = key[:len(key) - k], key[len(key) - k:]
+        sign = koszul_sign(perm, (1,) * k)
+        out.append((head + tuple(tail[i] for i in perm),
+                    value if sign > 0 else {e: -c for e, c in value.items()}))
+    rng.shuffle(out)
+    return dict(out)
+
+
+def printed(stored):
+    """A stored tensor (or list of them) as (key, printed entry) lists, in stored
+    order: instances in two contexts compare by what they print."""
+    rows = stored if isinstance(stored, list) else [stored]
+    return [[(key, str(v)) for key, v in t.items()] for t in rows]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_roundtrip_over_a_base(tmp_path, seed):
+    rng = random.Random(seed)
+    ctx = ContactContext(1 + seed % 2, 3)
+    kw = random_structure(rng, ctx)
+    antisymmetric = {"rho": 1, "c": 2, "lam": 1, "rho_dual": 1, "c_dual": 2, "lam_dual": 1,
+                     "phi": 3, "psi": 3}
+    shuffled = {name: shuffled_keys(rng, kw[name], k) for name, k in antisymmetric.items()}
+    inst = SplitCJInstance(ctx.m, ctx.n, context=ctx, name=f"seed{seed}", **shuffled)
+    assert inst.theta == SplitCJInstance(ctx.m, ctx.n, context=ctx, **kw).theta
+    pairs = {(b, a): random_x_poly(ctx, rng) for a, b in [(0, 1), (0, 2), (1, 2)]}
+    doc = InstanceDocument(inst, {"eta": DeformationForm.from_dict(inst, pairs)},
+                           {"eps": dict(pairs)})
+    again = roundtrip(tmp_path, doc)
+    for name in antisymmetric:
+        assert printed(getattr(again.instance, name)) == printed(getattr(inst, name))
+    assert printed(again.deformations["eta"].entries) == printed(doc.deformations["eta"].entries)
+    assert DeformationForm.from_dict(again.instance, again.epsilons["eps"]).entries == \
+        DeformationForm.from_dict(again.instance, pairs).entries
+    # a second save writes the same bytes
+    first = (tmp_path / "inst.json").read_bytes()
+    roundtrip(tmp_path, again)
+    assert (tmp_path / "inst.json").read_bytes() == first
 
 
 def test_save_is_deterministic(tmp_path, heis2):
@@ -166,8 +234,8 @@ def test_plain_numbers_load(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(data))
     inst = load_instance(str(path)).instance
-    assert str(inst.lam[0]) == "-3/4*x1^2 + 12*x2^10"
-    assert str(inst.lam[1]) == "5"
+    assert str(inst.lam[(0,)]) == "-3/4*x1^2 + 12*x2^10"
+    assert str(inst.lam[(1,)]) == "5"
 
 
 def test_rationals_bit_exact(tmp_path, heis2):
@@ -175,7 +243,7 @@ def test_rationals_bit_exact(tmp_path, heis2):
     doc = InstanceDocument(
         heis2, {"e": DeformationForm.from_dict(heis2, {(0, 1): big})}, {})
     again = roundtrip(tmp_path, doc)
-    entry = again.deformations["e"].entries[0][1]
+    entry = again.deformations["e"].entries[(0, 1)]
     assert entry.coefficient(()) == big
 
 

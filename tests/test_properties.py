@@ -570,36 +570,30 @@ def x_polys(draw, ctx):
 
 
 @st.composite
-def form_tables(draw):
-    """(ctx, gens, k, dense table): every entry drawn, including the ones
-    with non-increasing indices, which `_form` must not read."""
+def form_tensors(draw):
+    """(ctx, gens, k, stored k-tensor): the nonzero drawn entries at increasing keys."""
     ctx = draw(st.sampled_from(FORM_CONTEXTS))
     gens = draw(st.sampled_from([ctx.ix_u, ctx.ix_pa]))
     k = draw(st.integers(1, min(3, ctx.n)))
-
-    def table(depth):
-        if depth == 0:
-            return draw(x_polys(ctx))
-        return [table(depth - 1) for _ in range(ctx.n)]
-    return ctx, gens, k, table(k)
+    tensor = {}
+    for key in itertools.combinations(range(ctx.n), k):
+        entry = draw(x_polys(ctx))
+        if not entry.is_zero():
+            tensor[key] = entry
+    return ctx, gens, k, tensor
 
 
 @PROPERTY
-@given(form_tables())
+@given(form_tensors())
 def test_form_entries_inverts_form(case):
-    ctx, gens, k, table = case
-    canonical = {}
-    for key in itertools.combinations(range(ctx.n), k):
-        entry = table
-        for a in key:
-            entry = entry[a]
-        canonical[key] = entry
-    body = cjalg._form(ctx, gens, k, table, cjalg._same)
-    expected = cjalg._table(ctx, (ctx.n,) * k, canonical, cjalg._antisymmetric)
-    assert cjalg._form_entries(ctx, gens, k, body) == expected
+    ctx, gens, k, tensor = case
+    body = cjalg._form(ctx, gens, tensor, cjalg._same)
+    inverse = cjalg._form_keys(ctx, gens, k, body)
+    assert inverse == tensor
+    assert list(inverse) == sorted(inverse)
     # the body is the sum of entry * g_{a_1}...g_{a_k}, written with products
     product_sum = ctx.algebra.zero()
-    for key, entry in canonical.items():
+    for key, entry in tensor.items():
         for a in key:
             entry = entry * ctx.algebra.gen(gens[a])
         product_sum = product_sum + entry
@@ -615,8 +609,54 @@ def test_deformation_form_entries_are_the_skew_matrix(case):
     ctx, data = case
     inst = FORM_INSTANCES[ctx]
     eta = DeformationForm.from_dict(inst, data)
-    assert eta.entries == cjalg._skew_matrix(ctx, ctx.n, data)
+    assert eta.entries == cjalg._canonical(ctx, data, (ctx.n, ctx.n), 2)
     assert DeformationForm.from_section(inst, eta) == eta
+
+
+# Each constructor tensor: its first index range ("m", "n" or none) and its
+# number of trailing antisymmetric indices.
+STRUCTURE_LAYOUT = [("rho", "m", 1), ("c", "n", 2), ("lam", None, 1), ("rho_dual", "m", 1),
+                    ("c_dual", "n", 2), ("lam_dual", None, 1), ("phi", None, 3),
+                    ("psi", None, 3)]
+
+
+@st.composite
+def permuted_structures(draw):
+    """(ctx, canonical entries, the same entries under signed permutations of their
+    antisymmetric indices, plus entries on keys with a repeated index)."""
+    ctx = draw(st.sampled_from(FORM_CONTEXTS))
+    canonical, permuted = {}, {}
+    for name, lead, k in STRUCTURE_LAYOUT:
+        heads = [()] if lead is None else [(i,) for i in range(getattr(ctx, lead))]
+        keys = [h + t for h in heads for t in itertools.combinations(range(ctx.n), k)]
+        canonical[name], permuted[name] = {}, {}
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)) if keys else []:
+            value = draw(x_polys(ctx))
+            head, tail = key[:-k], key[-k:]
+            perm = draw(st.permutations(range(k)))
+            canonical[name][key] = value
+            permuted[name][head + tuple(tail[i] for i in perm)] = \
+                value if koszul_sign(perm, (1,) * k) > 0 else -value
+        for _ in range(draw(st.integers(0, 2)) if k > 1 else 0):
+            tail = draw(st.lists(st.integers(0, ctx.n - 1), min_size=k, max_size=k))
+            tail[-1] = tail[0]
+            key = draw(st.sampled_from(heads)) + tuple(draw(st.permutations(tail)))
+            permuted[name][key] = draw(x_polys(ctx))
+    return ctx, canonical, permuted
+
+
+@PROPERTY
+@given(permuted_structures())
+def test_signed_permutations_give_the_same_structure(case):
+    ctx, canonical, permuted = case
+    want = SplitCJInstance(ctx.m, ctx.n, context=ctx, **canonical)
+    got = SplitCJInstance(ctx.m, ctx.n, context=ctx, **permuted)
+    for name, lead, _ in STRUCTURE_LAYOUT:
+        assert getattr(got, name) == getattr(want, name)
+        for tensor in getattr(got, name) if lead else [getattr(got, name)]:
+            assert list(tensor) == sorted(tensor)
+            assert all(not v.is_zero() for v in tensor.values())
+    assert got.theta == want.theta
 
 
 POINT_COMPLEX = ComplexMatrices(FORM_INSTANCES[FORM_CONTEXTS[1]])
@@ -637,7 +677,7 @@ def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
     zero = ctx.algebra.zero()
     for bad in (ctx.u(0), ctx.x(0) * ctx.pa(1), ContactContext(1, 3).x(0)):
         with pytest.raises(ValueError):
-            cjalg._form(ctx, ctx.ix_u, 1, [zero, bad, zero], cjalg._same)
+            cjalg._form(ctx, ctx.ix_u, {(0,): zero, (1,): bad, (2,): zero}, cjalg._same)
 
 
 # --- formal curves: t^r coefficients of sum_k (1/k!) Q_k(x,...,x) -------------
