@@ -31,8 +31,10 @@ key with the sign of the sort, cancels a repeated index, sums entries on one
 key and drops zeros.  An L-valued form is a `Section`; `DeformationForm`,
 the 2-form on A, is one.  `_form` and its inverse `_form_keys` are the one
 codec between forms (in the u's, or the pa's) and stored tensors; only the
-independent oracle `de_rham_koszul` reads the tensors its own way.  Dense
-tables exist only in the file codec, `instancefile`.
+independent oracle `de_rham_koszul` reads the tensors its own way.  A
+computed tensor takes the same format: `courant_tensor` returns a frame's
+nonzero entries at increasing triples.  Dense tables exist only in the file
+codec, `instancefile`.
 
 One derived-bracket path: the derived m_k and a change of complement's M_2
 are higher derived brackets of the contact V-data, Phi = -Theta (held by the
@@ -100,7 +102,6 @@ __all__ = [
     "pairing",
     "derived_operations",
     "courant_tensor",
-    "tensor_is_zero",
     "tensor_witness",
     "graph_frame",
     "is_dirac_jacobi",
@@ -770,30 +771,51 @@ class NotLagrangian(ValueError):
     """The provided frame has a nonvanishing pairing."""
 
 
-def courant_tensor(inst: SplitCJInstance, frame: Sequence[Section]) -> List[List[List[Section]]]:
-    """Y(u_i,u_j,u_k) = <<[[u_i,u_j]], u_k>> on a Lagrangian frame."""
-    for i, j in itertools.combinations_with_replacement(range(len(frame)), 2):
+def courant_tensor(inst: SplitCJInstance,
+                   frame: Sequence[Section]) -> Dict[Tuple[int, int, int], Section]:
+    """Y(u_i,u_j,u_l) = <<[[u_i,u_j]], u_l>> on a Lagrangian frame, as its
+    nonzero entries at increasing triples i < j < l, in increasing key order.
+
+    Raises ValueError naming the first frame element that is not of pure
+    degree 1, and NotLagrangian if any of the k(k+1)/2 pairings is nonzero.
+    On such a frame Y is totally antisymmetric, so these entries determine
+    it: by the graded Jacobi identity of the contact bracket alone (no
+    {Theta,Theta} = 0 is needed), [[a,b]] + [[b,a]] = +-{Theta,{a,b}} and
+    <<[[a,b]],c>> + <<b,[[a,c]]>> = {{a,Theta},{b,c}}, and on degree-1
+    elements with vanishing pairings both right-hand sides vanish.  So only
+    {u_i,Theta} for i <= k-3, [[u_i,u_j]] for i < j <= k-2 and one pairing
+    per increasing triple are evaluated, and a frame of rank k <= 2 has the
+    empty (zero) tensor.
+    """
+    for i, u in enumerate(frame):
+        if set(u.body.degree_components()) - {1}:
+            raise ValueError(f"frame element {i} is not of pure degree 1")
+    k = len(frame)
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
         pr = pairing(frame[i], frame[j])
         if not pr.is_zero():
             raise NotLagrangian(f"pairing of frame elements {i},{j} is {pr}")
-    # {u_i, Theta} once per element, so its memoised operator serves every u_j
-    theta_br = [jacobi_bracket(e, inst.theta) for e in frame]
-    table = [jacobi_bracket(e_theta, f) for e_theta in theta_br for f in frame]
-    k = len(frame)
-    out = [[[None] * k for _ in range(k)] for _ in range(k)]
-    for i, j, l in itertools.product(range(k), repeat=3):
-        out[i][j][l] = pairing(table[i * k + j], frame[l])
+    out = {}
+    for i in range(k - 2):
+        # {u_i, Theta} once, so its memoised operator serves every u_j
+        u_theta = jacobi_bracket(frame[i], inst.theta)
+        for j in range(i + 1, k - 1):
+            bracket = jacobi_bracket(u_theta, frame[j])
+            for l in range(j + 1, k):
+                entry = pairing(bracket, frame[l])
+                if not entry.is_zero():
+                    out[(i, j, l)] = entry
     return out
 
 
-def tensor_witness(t: List[List[List[Section]]]) -> Optional[Tuple[Tuple[int, int, int], Section]]:
-    """The first nonzero entry of the tensor, in index order, with its index."""
-    return first_nonzero(((i, j, l), s) for i, pl in enumerate(t)
-                         for j, row in enumerate(pl) for l, s in enumerate(row))
+def tensor_witness(t: Dict[Tuple[int, int, int], Section]
+                   ) -> Optional[Tuple[Tuple[int, int, int], Section]]:
+    """The first item of a `courant_tensor`, None for the zero tensor.
 
-
-def tensor_is_zero(t: List[List[List[Section]]]) -> bool:
-    return tensor_witness(t) is None
+    Y is totally antisymmetric, so this is also its first nonzero entry over
+    all index triples in lexicographic order, with the same value.
+    """
+    return next(iter(t.items()), None)
 
 
 def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
@@ -811,7 +833,9 @@ def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
 
 def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
     """(True, None) if the Courant tensor of the Lagrangian frame vanishes, else
-    (False, its first nonzero entry and index from `tensor_witness`)."""
+    (False, its first nonzero increasing triple and entry from `tensor_witness`),
+    which is its first nonzero entry in index order; a frame of rank <= 2 is
+    always involutive."""
     witness = tensor_witness(courant_tensor(inst, frame))
     return witness is None, witness
 

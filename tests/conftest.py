@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space,
-                        m2_sharp_closed, section_to_vector, vector_to_section,
+                        m2_sharp_closed, pairing, section_to_vector, vector_to_section,
                         word_to_sections)
-from cjde.contact import ContactContext
+from cjde.contact import ContactContext, jacobi_bracket
 from cjde.gca import Poly, add_into, koszul_sign
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     basis_keys,
@@ -102,6 +102,16 @@ def antisymmetric_entry(tensor, idx, ctx):
     order = sorted(range(len(idx)), key=idx.__getitem__)
     value = tensor.get(tuple(sorted(idx)), zero)
     return value if koszul_sign(order, (1,) * len(idx)) > 0 else -value
+
+
+def dense_courant_tensor(inst, frame):
+    """Oracle for `cjalg.courant_tensor`: every one of the k^3 entries
+    <<[[u_i,u_j]],u_l>> = -{{{u_i,Theta},u_j},u_l}, keyed by (i, j, l) in
+    index order, zeros included; no antisymmetry is assumed."""
+    k = len(frame)
+    return {(i, j, l): pairing(jacobi_bracket(jacobi_bracket(frame[i], inst.theta), frame[j]),
+                               frame[l])
+            for i, j, l in itertools.product(range(k), repeat=3)}
 
 
 def random_instance(rng, m, n, name="rand"):

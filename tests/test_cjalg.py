@@ -27,6 +27,7 @@ from cjde.cjalg import (
     embed_anchored,
     epsilon_section,
     extract_instance,
+    first_nonzero,
     gj_bracket_closed,
     graph_frame,
     iota,
@@ -41,7 +42,6 @@ from cjde.cjalg import (
     section_bracket_A,
     section_to_vector,
     split_anchored,
-    tensor_is_zero,
     upsilon_A_section,
     vector_to_section,
     word_to_sections,
@@ -49,18 +49,19 @@ from cjde.cjalg import (
 import cjde.cjalg as cjalg_module
 import cjde.contact as contact_module
 from cjde.contact import ContactContext, Section, jacobi_bracket, project_P
-from cjde.gca import Poly, add_into
+from cjde.gca import Poly, add_into, koszul_sign
 from cjde.instancefile import load_instance
 from cjde.linfty import (check_codifferential, check_morphism, exp_coderivation,
                          svec_scale as vec_scale)
 from cjde.vdata import higher_derived_bracket
 
 from conftest import (antisymmetric_entry, assert_m2_closed_on_two_words,
-                      assert_routes_agree, basis_keys, random_form_section, random_instance,
-                      random_x_poly)
+                      assert_routes_agree, basis_keys, dense_courant_tensor,
+                      random_form_section, random_instance, random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURE_NAMES = sorted(f[:-len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
 
 
 def load_fixture(name):
@@ -280,38 +281,75 @@ def test_loday_component_formula_random():
 # --- Courant tensor -----------------------------------------------------------
 
 
+def courant_entry(t, idx, ctx):
+    """The Courant tensor `t` at any index triple, read off its increasing entries."""
+    return Section(ctx, antisymmetric_entry({key: s.body for key, s in t.items()}, idx, ctx))
+
+
+def assert_courant_sign_rule(inst, frame):
+    """`courant_tensor` against the dense oracle, and its result.
+
+    The keys are increasing triples with nonzero entries, in increasing
+    order.  The oracle is sign(sigma) t[key] on every permutation sigma of a
+    stored key, and zero on a repeated index and on an increasing triple
+    absent from t.
+    """
+    t = courant_tensor(inst, frame)
+    dense = dense_courant_tensor(inst, frame)
+    assert list(t) == sorted(t)
+    for key, value in t.items():
+        assert key[0] < key[1] < key[2] and not value.is_zero(), key
+        for perm in itertools.permutations(range(3)):
+            assert dense[tuple(key[p] for p in perm)] == value.scale(koszul_sign(perm, (1, 1, 1)))
+    for idx, value in dense.items():
+        if len(set(idx)) < 3 or tuple(sorted(idx)) not in t:
+            assert value.is_zero(), idx
+    return t
+
+
 def test_courant_tensor_frame_A_zero(heis2, omni1, djmix):
     for inst in (heis2, omni1, djmix):
         frame = [inst.frame_A(a) for a in range(inst.n)]
-        assert tensor_is_zero(courant_tensor(inst, frame))
+        assert not courant_tensor(inst, frame)
 
 
 def test_courant_tensor_recovers_psi(djmix):
     frame = [djmix.frame_dual(a) for a in range(djmix.n)]
-    t = courant_tensor(djmix, frame)
     ctx = djmix.context
-    for a, b, cc in itertools.permutations(range(3), 3):
-        assert t[a][b][cc] == Section(ctx, antisymmetric_entry(djmix.psi, (a, b, cc), ctx))
+    t = assert_courant_sign_rule(djmix, frame)
+    assert t == {key: Section(ctx, value) for key, value in djmix.psi.items()}
+    dense = dense_courant_tensor(djmix, frame)
+    for idx in itertools.permutations(range(3), 3):
+        assert dense[idx] == Section(ctx, antisymmetric_entry(djmix.psi, idx, ctx))
 
 
-def test_courant_tensor_bracket_count(monkeypatch, djmix):
+def test_courant_tensor_bracket_count(monkeypatch, heis2, djmix):
     calls = []
 
     def counted(a, b):
         calls.append(1)
         return jacobi_bracket(a, b)
-    frame = [djmix.frame_dual(a) for a in range(djmix.n)]
+    djmix4 = load_fixture("djmix4").instance
+    eta4 = DeformationForm.from_dict(djmix4, {(0, 1): -1, (0, 2): -1, (1, 2): -1, (1, 3): -1})
+    # rank k: k(k+1)/2 Lagrangian pairings, k - 2 brackets {u_i, Theta} (one
+    # per element that opens an increasing triple, not per pair), C(k-1, 2)
+    # derived brackets [[u_i, u_j]] and C(k, 3) pairings
+    cases = (
+        (djmix, [djmix.frame_dual(a) for a in range(3)], 6 + 1 + 1 + 1),
+        (heis2, [heis2.frame_A(a) for a in range(2)], 3),
+        (djmix4, graph_frame(djmix4, eta4), 10 + 2 + 3 + 4),
+    )
     monkeypatch.setattr(cjalg_module, "jacobi_bracket", counted)
-    courant_tensor(djmix, frame)
-    # 3 frame elements: 6 Lagrangian pairings, 3 brackets {u_i, Theta} (one
-    # per element, not per pair), 9 derived brackets and 27 pairings
-    assert len(calls) == 6 + 3 + 9 + 27
+    for inst, frame, expected in cases:
+        calls.clear()
+        courant_tensor(inst, frame)
+        assert len(calls) == expected, inst.name
 
 
 def test_courant_tensor_product_frame(omni1):
     # the involutive-subbundle frame {Delta} + its annihilator {eps^1}
     frame = [omni1.frame_A(1), omni1.frame_dual(0)]
-    assert tensor_is_zero(courant_tensor(omni1, frame))
+    assert not courant_tensor(omni1, frame)
 
 
 def test_courant_tensor_rejects_non_lagrangian(heis2):
@@ -319,22 +357,43 @@ def test_courant_tensor_rejects_non_lagrangian(heis2):
         courant_tensor(heis2, [heis2.frame_A(0), heis2.frame_dual(0)])
 
 
+def test_courant_tensor_rejects_elements_not_of_degree_one(djmix):
+    """The antisymmetry the tensor rests on needs degree 1: mu (degree 0),
+    pa_1 pa_2 (degree 2) and mu + pa_1 (inhomogeneous) are rejected by index,
+    although each of these frames is isotropic."""
+    ctx = djmix.context
+    e = [djmix.frame_A(a) for a in range(3)]
+    mu = ctx.section(1)
+    frames = (
+        ([mu, e[0], e[1]], 0),
+        ([Section(ctx, ctx.pa(0) * ctx.pa(1))] + e, 0),
+        ([mu + e[0], e[1], e[2]], 0),
+        ([e[0], e[1], mu], 2),
+    )
+    for frame, bad in frames:
+        with pytest.raises(ValueError, match=rf"frame element {bad}\b") as info:
+            courant_tensor(djmix, frame)
+        assert not isinstance(info.value, NotLagrangian)
+
+
 def test_courant_tensor_antisymmetry_and_linearity(djmix):
     rng = random.Random(4)
+    ctx = djmix.context
     eta = DeformationForm.from_dict(
         djmix, {(a, b): Fraction(rng.randint(-2, 2))
                 for a, b in itertools.combinations(range(3), 2)})
     frame = graph_frame(djmix, eta)
-    t = courant_tensor(djmix, frame)
-    for i, j, k in itertools.product(range(3), repeat=3):
-        assert t[i][j][k] == -t[j][i][k]
-        assert t[i][j][k] == -t[i][k][j]
+    t = assert_courant_sign_rule(djmix, frame)
+    assert t
     # C-infinity linearity spot check by rescaling one frame element
     # (over a point base this is plain rational linearity)
     scaled = list(frame)
     scaled[0] = frame[0].scale(Fraction(3, 2))
-    t2 = courant_tensor(djmix, scaled)
-    assert t2[0][1][2] == t[0][1][2].scale(Fraction(3, 2))
+    t2 = assert_courant_sign_rule(djmix, scaled)
+    for key in itertools.combinations(range(3), 3):
+        for idx in itertools.permutations(key):
+            factor = Fraction(3, 2) if 0 in idx else 1
+            assert courant_entry(t2, idx, ctx) == courant_entry(t, idx, ctx).scale(factor)
 
 
 def test_courant_tensor_function_linearity(omni1):
@@ -344,7 +403,7 @@ def test_courant_tensor_function_linearity(omni1):
     f = ctx.x(0) * ctx.x(0) + ctx.algebra.scalar(2)
     scaled = [frame[0].mul_function(f), frame[1]]
     t = courant_tensor(omni1, scaled)
-    assert tensor_is_zero(t)  # still zero; linearity preserved Lagrangian-ness
+    assert not t  # still zero; linearity preserved Lagrangian-ness
 
 
 def test_courant_tensor_function_linearity_nonzero():
@@ -354,15 +413,62 @@ def test_courant_tensor_function_linearity_nonzero():
     # graph of a non-closed 2-form: a genuinely non-involutive Lagrangian
     eta = DeformationForm.from_dict(inst, {(0, 1): {(1,): 1}})
     frame = graph_frame(inst, eta)
-    t = courant_tensor(inst, frame)
-    assert not tensor_is_zero(t)
+    t = assert_courant_sign_rule(inst, frame)
+    assert t
     f = ctx.x(0) + ctx.algebra.scalar(3)
     scaled = [frame[0].mul_function(f)] + frame[1:]
-    t2 = courant_tensor(inst, scaled)
-    for j, k in itertools.product(range(3), repeat=2):
-        assert t2[0][j][k] == t[0][j][k].mul_function(f)
-        if j != 0 and k != 0:
-            assert t2[j][k][0] == t[j][k][0].mul_function(f)
+    t2 = assert_courant_sign_rule(inst, scaled)
+    for key in itertools.combinations(range(3), 3):
+        for idx in itertools.permutations(key):
+            entry = courant_entry(t, idx, ctx)
+            assert courant_entry(t2, idx, ctx) == (entry.mul_function(f) if 0 in idx else entry)
+
+
+def random_two_form(inst, rng):
+    """A seeded 2-form on A: rationals over a point base, x-polynomials otherwise."""
+    def coefficient():
+        return random_x_poly(inst.context, rng) if inst.m else Fraction(rng.randint(-2, 2))
+    return DeformationForm.from_dict(
+        inst, {key: coefficient() for key in itertools.combinations(range(inst.n), 2)})
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_courant_tensor_sign_rule_on_graph_frames(name):
+    """The stored increasing triples determine the dense tensor on seeded
+    graph frames of every fixture, heis2-broken (Theta not MC) included."""
+    inst = load_fixture(name).instance
+    rng = random.Random(f"courant {name}")
+    for _ in range(6):
+        assert_courant_sign_rule(inst, graph_frame(inst, random_two_form(inst, rng)))
+
+
+def test_courant_tensor_sign_rule_over_a_polynomial_base():
+    """The same on a random m = 1 instance, its graph frames rescaled
+    element-wise by functions of x, so every entry depends on x."""
+    rng = random.Random(22)
+    seen_nonzero = 0
+    for t in range(3):
+        inst = random_instance(rng, 1, 3, f"C{t}")
+        ctx = inst.context
+        for _ in range(3):
+            frame = [u.mul_function(ctx.x(0).scale(rng.randint(1, 2))
+                                    + ctx.algebra.scalar(rng.randint(1, 3)))
+                     for u in graph_frame(inst, random_two_form(inst, rng))]
+            seen_nonzero += bool(assert_courant_sign_rule(inst, frame))
+    assert seen_nonzero
+
+
+def test_witness_is_the_first_nonzero_entry_in_index_order():
+    """On this djmix4 graph the first nonzero entry is (0, 1, 3), not the
+    (0, 1, 2) every golden report shows, and the witness is the dense
+    oracle's first nonzero entry, index and value."""
+    inst = load_fixture("djmix4").instance
+    eta = DeformationForm.from_dict(inst, {(0, 1): -1, (0, 2): -1, (1, 2): -1, (1, 3): -1})
+    frame = graph_frame(inst, eta)
+    involutive, witness = is_dirac_jacobi(inst, frame)
+    assert (involutive, witness) == (False, ((0, 1, 3), inst.context.section(-2)))
+    assert str(witness[1]) == "(-2)*mu"
+    assert witness == first_nonzero(dense_courant_tensor(inst, frame).items())
 
 
 # --- graphs and the correspondence --------------------------------------------
