@@ -514,12 +514,15 @@ def derived_operations(inst: SplitCJInstance, u: Section, v: Section,
                        lam: Optional[Section] = None) -> Dict[str, Section]:
     """Bracket, connection and pairing recovered from Theta.
 
-    [[u,v]] = {{u,Theta},v} and nabla_u lam = {{u,Theta},lam}; inputs must be
-    pure degree-1 sections (lam a pullback section).
+    [[u,v]] = {{u,Theta},v} and nabla_u lam = {{u,Theta},lam}; u and v must be
+    pure degree-1 sections and lam a pullback section, a polynomial in the x's
+    alone (ValueError otherwise).
     """
     for s in (u, v):
         if not s.is_zero() and s.degree() != 1:
             raise ValueError("anchored sections must have pure degree 1")
+    if lam is not None and not lam.body.uses_only(inst.context.ix_x):
+        raise ValueError("lam must be a pullback section, a polynomial in the x's alone")
     u_theta = jacobi_bracket(u, inst.theta)
     out = {
         "bracket": jacobi_bracket(u_theta, v),
@@ -576,6 +579,16 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     Every bracket that several residuals share is computed once: {[[e_i, e_j]],
     Theta} per pair, ad_i [[e_j, e_l]] per triple (the Jacobi residuals of
     (i, j, l) and (j, i, l) both use it) and ad_i ad_j lam per pair and lam.
+
+    A bracket runs as the memoised operator of its left argument, so a bracket
+    whose one side is used once runs through the other, reused side, by the
+    graded skew symmetry {a,b} = -(-1)^{|a||b|} {b,a} of the contact bracket
+    (|s| = deg s - 2: e_i, [[e_i,e_j]] and Theta odd, T_ij = {[[e_i,e_j]],Theta}
+    and lam even).  So {e_i,Theta} = {Theta,e_i} and {[[e_i,e_j]],Theta} =
+    {Theta,[[e_i,e_j]]} run through Theta's operator, {T_ij,e_l} = -{e_l,T_ij}
+    through e_l's and {T_ij,lam} = -{lam,T_ij} through lam's; ad_i runs through
+    the operator of {Theta,e_i}.  That is 2k + m + 2 operators for a frame of
+    k = 2n elements, not one per [[e_i,e_j]] and per T_ij.
     """
     ctx = inst.context
     theta = inst.theta
@@ -583,19 +596,19 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     k = len(frame)
     pairs = list(itertools.product(range(k), repeat=2))
 
-    theta_br = [jacobi_bracket(e, theta) for e in frame]
+    theta_br = [jacobi_bracket(theta, e) for e in frame]
 
     def ad(i: int, s: Section) -> Section:
         return jacobi_bracket(theta_br[i], s)
 
     table = [[ad(i, frame[j]) for j in range(k)] for i in range(k)]
-    table_theta = {(i, j): jacobi_bracket(table[i][j], theta) for i, j in pairs}
+    table_theta = {(i, j): jacobi_bracket(theta, table[i][j]) for i, j in pairs}
     ad_table = {(i, j, l): ad(i, table[j][l])
                 for i, j, l in itertools.product(range(k), repeat=3)}
 
     jacobi_residuals = []
     for i, j, l in itertools.product(range(k), repeat=3):
-        r = ad_table[i, j, l] - jacobi_bracket(table_theta[i, j], frame[l]) \
+        r = ad_table[i, j, l] + jacobi_bracket(frame[l], table_theta[i, j]) \
             - ad_table[j, i, l]
         jacobi_residuals.append(((i, j, l), r))
 
@@ -610,7 +623,7 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     flatness_residuals = []
     for i, j in pairs:
         for t, (lam, lname) in enumerate(zip(lams, lam_names)):
-            lhs = jacobi_bracket(table_theta[i, j], lam)
+            lhs = -jacobi_bracket(lam, table_theta[i, j])
             rhs = ad_ad_lam[i, j][t] - ad_ad_lam[j, i][t]
             flatness_residuals.append(((i, j, lname), lhs - rhs))
 
@@ -786,6 +799,15 @@ def courant_tensor(inst: SplitCJInstance,
     {u_i,Theta} for i <= k-3, [[u_i,u_j]] for i < j <= k-2 and one pairing
     per increasing triple are evaluated, and a frame of rank k <= 2 has the
     empty (zero) tensor.
+
+    Each bracket runs through the memoised operator of its reused argument,
+    by the graded skew symmetry {a,b} = -(-1)^{|a||b|} {b,a} with |s| = deg s
+    - 2 (u_i and Theta odd): {u_i,Theta} = {Theta,u_i} through Theta's
+    operator, [[u_i,u_j]] through the operator of {Theta,u_i}, and the
+    pairing <<[[u_i,u_j]],u_l>> = <<u_l,[[u_i,u_j]]>> through u_l's, which
+    the isotropy check has built.  On a fresh instance a frame of rank k >= 3
+    costs 2k - 1 operators: one per element, one per {Theta,u_i} and Theta's,
+    which later calls reuse.
     """
     for i, u in enumerate(frame):
         if set(u.body.degree_components()) - {1}:
@@ -797,12 +819,12 @@ def courant_tensor(inst: SplitCJInstance,
             raise NotLagrangian(f"pairing of frame elements {i},{j} is {pr}")
     out = {}
     for i in range(k - 2):
-        # {u_i, Theta} once, so its memoised operator serves every u_j
-        u_theta = jacobi_bracket(frame[i], inst.theta)
+        # {Theta, u_i} once, so its memoised operator serves every u_j
+        u_theta = jacobi_bracket(inst.theta, frame[i])
         for j in range(i + 1, k - 1):
             bracket = jacobi_bracket(u_theta, frame[j])
             for l in range(j + 1, k):
-                entry = pairing(bracket, frame[l])
+                entry = pairing(frame[l], bracket)
                 if not entry.is_zero():
                     out[(i, j, l)] = entry
     return out
@@ -835,7 +857,15 @@ def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
     """(True, None) if the Courant tensor of the Lagrangian frame vanishes, else
     (False, its first nonzero increasing triple and entry from `tensor_witness`),
     which is its first nonzero entry in index order; a frame of rank <= 2 is
-    always involutive."""
+    always involutive.
+
+    Raises NotLagrangian unless the frame has n elements and is isotropic.
+    That its elements are linearly independent is the caller's obligation,
+    which every `graph_frame` meets.
+    """
+    if len(frame) != inst.n:
+        raise NotLagrangian(f"a Lagrangian frame has n = {inst.n} elements, "
+                            f"not {len(frame)} elements")
     witness = tensor_witness(courant_tensor(inst, frame))
     return witness is None, witness
 

@@ -199,14 +199,46 @@ def _axiom_residuals_one_by_one(inst):
     return jac, flat
 
 
+def random_aside_instance(rng, n, name):
+    """Point-base A-side data alone: a seeded bracket c and weights lam, most
+    often not a Lie algebroid, so the residuals are nonzero."""
+    c = {(cc, a, b): Fraction(rng.randint(-2, 2))
+         for cc in range(n) for a, b in itertools.combinations(range(n), 2)}
+    lam = {a: Fraction(rng.randint(-1, 1)) for a in range(n)}
+    return SplitCJInstance(0, n, c=c, lam=lam, name=name)
+
+
+def oracle_instances():
+    """Seeded random instances at ranks 2 and 3 over a point and a line,
+    seeded A-side instances, and every fixture, heis2-broken included."""
+    for m, n in ((1, 2), (0, 2), (1, 3), (0, 3)):
+        yield random_instance(random.Random(77 + 10 * m + n), m, n, f"random m={m} n={n}")
+    for n in (2, 3):
+        yield random_aside_instance(random.Random(f"aside {n}"), n, f"A-side n={n}")
+    for name in FIXTURE_NAMES:
+        yield load_fixture(name).instance
+
+
 def test_axiom_residuals_match_one_by_one_brackets():
-    rng = random.Random(77)
-    for m, n in ((1, 2), (0, 2)):
-        inst = random_instance(rng, m, n, "R")
+    """check_cj_axioms runs {e_i,Theta}, {[[e_i,e_j]],Theta}, {T_ij,e_l} and
+    {T_ij,lam} through the other side's operator with a skew sign; the oracle
+    takes each bracket as its definition writes it.  Both kinds of residual
+    are nonzero on seven of these instances, so a wrong sign in any of the
+    four shows in the residual lists; the witness and {Theta,Theta} match
+    too."""
+    nonzero_jacobi = nonzero_flatness = 0
+    for inst in oracle_instances():
         rep = check_cj_axioms(inst)
         jac, flat = _axiom_residuals_one_by_one(inst)
-        assert rep.jacobi_residuals == jac
-        assert rep.flatness_residuals == flat
+        assert rep.jacobi_residuals == jac, inst.name
+        assert rep.flatness_residuals == flat, inst.name
+        mc = jacobi_bracket(inst.theta, inst.theta)
+        assert rep.mc_residual == mc, inst.name
+        witness = first_nonzero([((), mc)] + jac + flat)
+        assert str(rep.witness()) == str(None if witness is None else witness[1]), inst.name
+        nonzero_jacobi += first_nonzero(jac) is not None
+        nonzero_flatness += first_nonzero(flat) is not None
+    assert nonzero_jacobi >= 7 and nonzero_flatness >= 7
 
 
 def test_axiom_check_bracket_count(monkeypatch):
@@ -219,6 +251,31 @@ def test_axiom_check_bracket_count(monkeypatch):
     check_cj_axioms(random_instance(random.Random(3), 1, 3, "R"))
     # 6 frame elements, 2 test sections lam: 6 + 2*36 + 2*216 + 6*2 + 2*36*2 + 1
     assert len(calls) == 667
+
+
+def record_operators(monkeypatch):
+    """The list to which each `HamiltonianOperator` built from now on adds its body."""
+    built = []
+    init = contact_module.HamiltonianOperator.__init__
+
+    def recording(self, context, f):
+        built.append(f)
+        init(self, context, f)
+
+    monkeypatch.setattr(contact_module.HamiltonianOperator, "__init__", recording)
+    return built
+
+
+@pytest.mark.parametrize("name, expected", [("heis2", 10), ("omni1", 11), ("djmix4", 18)])
+def test_axiom_check_operator_count(monkeypatch, name, expected):
+    """A fresh instance with a frame of k = 2n elements builds 2k + m + 2
+    operators: Theta's, one per e_i, one per {Theta,e_i} and one per lam;
+    none for a one-use [[e_i,e_j]] or T_ij."""
+    inst = load_fixture(name).instance
+    assert expected == 4 * inst.n + inst.m + 2
+    built = record_operators(monkeypatch)
+    check_cj_axioms(inst)
+    assert len(built) == expected
 
 
 # --- derived operations -------------------------------------------------------
@@ -249,6 +306,25 @@ def test_derived_rejects_higher_degree(heis2):
     bad = Section(heis2.context, heis2.context.u(0) * heis2.context.u(1))
     with pytest.raises(ValueError):
         derived_operations(heis2, bad, heis2.frame_A(0))
+
+
+def test_derived_rejects_lam_outside_the_base():
+    """nabla_u lam is defined on pullback sections, polynomials in the x's:
+    pa_3, u^1 and mu + pa_3 are rejected, not read as nabla = 0."""
+    inst = load_fixture("djmix4").instance
+    ctx = inst.context
+    e = [inst.frame_A(a) for a in range(3)]
+    for lam in (e[2], Section(ctx, ctx.u(0)), ctx.section(1) + e[2]):
+        with pytest.raises(ValueError, match="lam"):
+            derived_operations(inst, e[0], e[1], lam=lam)
+
+
+def test_derived_nabla_of_a_base_function(omni1):
+    """A lam that depends on x is a pullback section and is accepted."""
+    ctx = omni1.context
+    lam = Section(ctx, ctx.x(0) * ctx.x(0))
+    ops = derived_operations(omni1, omni1.frame_A(1), omni1.frame_A(0), lam=lam)
+    assert ops["nabla"] == Section(ctx, ctx.x(0).scale(2))
 
 
 def test_embed_split_roundtrip(heis2):
@@ -344,6 +420,26 @@ def test_courant_tensor_bracket_count(monkeypatch, heis2, djmix):
         calls.clear()
         courant_tensor(inst, frame)
         assert len(calls) == expected, inst.name
+
+
+@pytest.mark.parametrize("name, expected", [("djmix", (5, 1)), ("djmix4", (7, 2))])
+def test_courant_tensor_operator_count(monkeypatch, name, expected):
+    """A fresh graph frame of rank k >= 3 on a fresh instance builds 2k - 1
+    operators: Theta's, one per u_l (the isotropy check builds them, the
+    pairings reuse them) and one per {Theta,u_i}, i <= k-3.  A repeat call
+    builds only the k - 2 operators of {Theta,u_i} again."""
+    inst = load_fixture(name).instance
+    eta = DeformationForm.from_dict(
+        inst, {key: 1 for key in itertools.combinations(range(inst.n), 2)})
+    frame = graph_frame(inst, eta)
+    k = len(frame)
+    assert expected == (2 * k - 1, k - 2)
+    built = record_operators(monkeypatch)
+    courant_tensor(inst, frame)
+    assert len(built) == expected[0]
+    built.clear()
+    courant_tensor(inst, frame)
+    assert len(built) == expected[1]
 
 
 def test_courant_tensor_product_frame(omni1):
@@ -469,6 +565,18 @@ def test_witness_is_the_first_nonzero_entry_in_index_order():
     assert (involutive, witness) == (False, ((0, 1, 3), inst.context.section(-2)))
     assert str(witness[1]) == "(-2)*mu"
     assert witness == first_nonzero(dense_courant_tensor(inst, frame).items())
+
+
+def test_is_dirac_jacobi_rejects_frames_not_of_rank_n():
+    """Two, three or five elements of djmix4's A-frame are isotropic and
+    their tensor vanishes, but they are no Lagrangian frame of rank 4."""
+    inst = load_fixture("djmix4").instance
+    e = [inst.frame_A(a) for a in range(4)]
+    for frame in (e[:2], e[:3], e + [e[0]]):
+        assert not courant_tensor(inst, frame)
+        with pytest.raises(NotLagrangian, match=f"{len(frame)} elements"):
+            is_dirac_jacobi(inst, frame)
+    assert is_dirac_jacobi(inst, e) == (True, None)
 
 
 # --- graphs and the correspondence --------------------------------------------
@@ -932,18 +1040,11 @@ def test_minus_theta_operator_built_once_per_instance(monkeypatch):
     so the Hamiltonian operator of -Theta is built once per instance."""
     inst = load_fixture("djmix").instance
     minus_theta = (-inst.theta).body
-    built = []
-    init = contact_module.HamiltonianOperator.__init__
-
-    def counting(self, context, f):
-        built.append(f == minus_theta)
-        init(self, context, f)
-
-    monkeypatch.setattr(contact_module.HamiltonianOperator, "__init__", counting)
+    built = record_operators(monkeypatch)
     Q = deformation_brackets(inst, "derived")
     words = deformation_space(inst).words(basis_keys(inst), 3)
     assert check_codifferential(Q, words).ok
-    assert sum(built) == 1
+    assert built.count(minus_theta) == 1
 
 
 def test_extract_instance_roundtrip(omni1):
