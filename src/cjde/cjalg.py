@@ -30,7 +30,8 @@ index).  `_canonical` is the one canonicaliser: it sorts each constructor
 key with the sign of the sort, cancels a repeated index, sums entries on one
 key and drops zeros.  An L-valued form is a `Section`; `DeformationForm`,
 the 2-form on A, is one.  `_form` and its inverse `_form_keys` are the one
-codec between forms (in the u's, or the pa's) and stored tensors; only the
+codec between forms (in the u's, or the pa's) and stored tensors; Theta is
+read back through `_form_keys` too (`extract_instance`), and only the
 independent oracle `de_rham_koszul` reads the tensors its own way.  A
 computed tensor takes the same format: `courant_tensor` returns a frame's
 nonzero entries at increasing triples.  Dense tables exist only in the file
@@ -859,14 +860,19 @@ def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
     which is its first nonzero entry in index order; a frame of rank <= 2 is
     always involutive.
 
-    Raises NotLagrangian unless the frame has n elements and is isotropic.
-    That its elements are linearly independent is the caller's obligation,
-    which every `graph_frame` meets.
+    Raises NotLagrangian unless the frame has n elements, is isotropic and
+    is linearly independent over the base's function field, as every
+    `graph_frame` is.  Degree-1 sections are odd, so the product of the
+    bodies is their exterior product, whose coefficients are the n x n
+    minors: it is zero exactly when the frame is dependent.
     """
     if len(frame) != inst.n:
         raise NotLagrangian(f"a Lagrangian frame has n = {inst.n} elements, "
                             f"not {len(frame)} elements")
-    witness = tensor_witness(courant_tensor(inst, frame))
+    tensor = courant_tensor(inst, frame)
+    if functools.reduce(Poly.__mul__, (u.body for u in frame)).is_zero():
+        raise NotLagrangian("the frame is linearly dependent: the product of its elements is 0")
+    witness = tensor_witness(tensor)
     return witness is None, witness
 
 
@@ -1093,24 +1099,26 @@ def _read_side(side: _Side, theta: Section) -> Tuple[Dict, Dict, Dict, Dict]:
     """rho, c, lam and Upsilon of one side, as constructor dicts on the base ring.
 
     Pushed to the side's own context, Theta is that side's h_d - Upsilon
-    plus the other side's part, which shares no monomial with it.
+    plus the other side's part, every term of which carries one of this
+    side's momenta.  So the base parts of the partials of Theta by pi_i,
+    pa_cc and p are the forms of rho^i, -c^cc and lam, and the base part of
+    Theta is -Upsilon; `_form_keys` reads each.
     """
-    ctx, n = side.context, side.inst.n
-    coeffs = fiber_split(ctx, side.push(theta).body)
+    ctx = side.context
+    body = side.push(theta).body
+    parts, base, zero = body.partials(), ctx.base_indices(), ctx.algebra.zero()
 
-    def pick(*letters: int) -> Poly:
-        _, mono = ctx.algebra.normalize_word(letters)
-        if mono not in coeffs:
-            return side.inst.context.algebra.zero()
-        return side.pullback(Section(ctx, coeffs[mono])).body
+    def read(f: Poly, k: int, sign: int = 1, head: Tuple[int, ...] = ()) -> Dict:
+        tensor = _form_keys(ctx, ctx.ix_u, k, f.restrict(base))
+        return {head + key: side.pullback(Section(ctx, v)).body.scale(sign)
+                for key, v in tensor.items()}
 
-    rho = {(i, a): pick(ctx.ix_u[a], ctx.ix_pi[i]) for i in range(ctx.m) for a in range(n)}
-    c = {(cc, a, b): -pick(ctx.ix_u[a], ctx.ix_u[b], ctx.ix_pa[cc])
-         for cc in range(n) for a, b in itertools.combinations(range(n), 2)}
-    lam = {a: pick(ctx.ix_u[a], ctx.ix_p) for a in range(n)}
-    upsilon = {key: -pick(*(ctx.ix_u[a] for a in key))
-               for key in itertools.combinations(range(n), 3)}
-    return rho, c, lam, upsilon
+    rho, c = {}, {}
+    for i, g in enumerate(ctx.ix_pi):
+        rho.update(read(parts.get(g, zero), 1, head=(i,)))
+    for cc, g in enumerate(ctx.ix_pa):
+        c.update(read(parts.get(g, zero), 2, -1, (cc,)))
+    return rho, c, read(parts.get(ctx.ix_p, zero), 1), read(body, 3, -1)
 
 
 def extract_instance(inst: SplitCJInstance, theta: Section, name: str = "") -> SplitCJInstance:

@@ -319,7 +319,12 @@ def kuranishi(inst: SplitCJInstance, eta: Section,
 
 @dataclass
 class FormalCurve:
-    """Coefficients eta_1..eta_N of a formal MC curve, or the obstruction."""
+    """Coefficients eta_1..eta_N of a formal MC curve, or the obstruction.
+
+    An obstruction at order 2 is a property of eta_1.  One at order r >= 3
+    holds only for the chosen eta_2..eta_{r-1}, each minus the deterministic
+    primitive of its residual (see `extend_mc`); another choice may remove it.
+    """
 
     inst: SplitCJInstance
     coefficients: List[Section]
@@ -362,8 +367,12 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     `linfty.curve_coefficient` of `h3.complex.Q`) must be exact; its
     primitive (with the deterministic pivot choice) gives -eta_r.  A
     non-exact residual stops the extension and is reported as the
-    obstruction class at that order.  `h3` must be H^3 of a complex built
-    for `inst` itself, eta_1 a 2-form and `order` at least 1, else ValueError.
+    obstruction class at that order.  At order 2 that class depends on
+    eta_1 alone.  At order r >= 3 it holds only for the chosen
+    eta_2..eta_{r-1}: the order-r residual is affine in eta_{r-1}, and
+    adding a closed 2-form to it can make the residual exact.  `h3` must be
+    H^3 of a complex built for `inst` itself, eta_1 a 2-form and `order` at
+    least 1, else ValueError.
     """
     DeformationForm.from_section(inst, eta1)
     if order < 1:

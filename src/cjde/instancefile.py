@@ -9,12 +9,13 @@ rationals, each exponent at most MAX_EXPONENT.
 
 The file writes each tensor as a dense nested array; this module is the
 only place where dense tables exist.  An instance stores its tensors as
-their nonzero canonical entries (see `cjalg`), and `_spread` lays such
-entries out on every index tuple with the sign of `cjalg._canonical_key`,
-so each symmetry rule is written once.  Loading reads the canonical index
-tuples of each array, and a tensor with a symmetry (bracket, upsilon,
-2-form) is accepted only if the array equals the spread of its canonical
-entries; saving writes the spread.
+their nonzero canonical entries (see `cjalg`), and `cjalg._canonical_key`
+is the one symmetry rule both ways.  Loading reads each array in one pass
+(`_read_tensor`): it keeps the nonzero entries at canonical index tuples,
+and accepts a tensor with a symmetry (bracket, upsilon, 2-form) only if
+every other entry is the signed canonical entry, or zero at a repeated
+index.  Saving writes `_spread`, which lays stored entries out on every
+index tuple with the sign of `cjalg._canonical_key`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .cjalg import (DeformationForm, SplitCJInstance, _as_xpoly, _canonical, _canonical_key,
-                    _is_int, _shapes)
+from .cjalg import (DeformationForm, PolyLike, SplitCJInstance, _as_xpoly, _canonical,
+                    _canonical_key, _is_int, _shapes)
 from .contact import ContactContext
 from .gca import Poly, add_into
 
@@ -135,11 +136,8 @@ def _format_poly(p: Poly, inst: SplitCJInstance):
             for exps, c in sorted(coeffs.items())}
 
 
-def _expect_array(data, key: str, shape: Tuple[int, ...], m: int):
-    """Parse a nested array of polynomials with the given shape (or all-zero)."""
-    if key not in data:
-        return None
-    arr = data[key]
+def _expect_array(arr, key: str, shape: Tuple[int, ...], m: int):
+    """Parse a nested array of polynomials with the given shape; `key` names it in errors."""
 
     def recurse(a, sh):
         if not sh:
@@ -152,11 +150,15 @@ def _expect_array(data, key: str, shape: Tuple[int, ...], m: int):
 
 
 class InstanceDocument:
-    """A parsed instance file: the instance plus named deformations/epsilons."""
+    """A parsed instance file: the instance plus named deformations/epsilons.
+
+    A loaded epsilon is a stored 2-tensor, as `DeformationForm.entries` is;
+    saving takes any dict `cjalg.epsilon_section` does.
+    """
 
     def __init__(self, instance: SplitCJInstance,
                  deformations: Dict[str, DeformationForm],
-                 epsilons: Dict[str, Dict[Tuple[int, int], Dict]]):
+                 epsilons: Dict[str, Dict[Tuple[int, int], PolyLike]]):
         self.instance = instance
         self.deformations = deformations
         self.epsilons = epsilons
@@ -200,50 +202,49 @@ def load_instance(path: str) -> InstanceDocument:
                                 f"sizes (base_dim <= {MAX_BASE_DIM}, rank <= {MAX_RANK})")
 
     shapes = _shapes(m, n)
-    arrays = {key: _expect_array(data, key, shapes[attr][0], m) for key, attr in _TENSORS}
+    arrays = {key: _expect_array(data[key], key, shapes[attr][0], m) if key in data else None
+              for key, attr in _TENSORS}
     # every entry is parsed, and so checked, before any polynomial is built
-    forms = {key: {name: _expect_array({key: arr}, key, (n, n), m)
+    forms = {key: {name: _expect_array(arr, key, (n, n), m)
                    for name, arr in data.get(key, {}).items()}
              for key in ("deformations", "epsilons")}
 
-    inst = SplitCJInstance(m, n, name=name, **{
-        attr: _canonical_entries(arrays[key], *shapes[attr]) for key, attr in _TENSORS})
-    ctx = inst.context
-    for key, attr in _TENSORS:
-        shape, k = shapes[attr]
-        if k > 1:
-            _check_spread(ctx, arrays[key], _spread(ctx, getattr(inst, attr), shape, k),
-                          f"{key} is not {_SYMMETRY[k]}")
-
-    def two_forms(key: str, label: str) -> Dict[str, Dict[Tuple[int, int], Dict]]:
-        out = {}
-        for name, parsed in forms[key].items():
-            out[name] = _canonical_entries(parsed, (n, n), 2)
-            _check_spread(ctx, parsed, _spread(ctx, _canonical(ctx, out[name], (n, n), 2),
-                                               (n, n), 2),
-                          f"{label} {name!r} is not {_SYMMETRY[2]}")
-        return out
-
-    deformations = {name: DeformationForm.from_dict(inst, entries)
-                    for name, entries in two_forms("deformations", "deformation").items()}
-    return InstanceDocument(inst, deformations, two_forms("epsilons", "epsilon"))
+    ctx = ContactContext(m, n)
+    inst = SplitCJInstance(m, n, name=name, context=ctx, **{
+        attr: _read_tensor(ctx, arrays[key], *shapes[attr], key) for key, attr in _TENSORS})
+    deformations = {name: DeformationForm.from_dict(
+        inst, _read_tensor(ctx, arr, (n, n), 2, f"deformation {name!r}"))
+        for name, arr in forms["deformations"].items()}
+    epsilons = {name: _read_tensor(ctx, arr, (n, n), 2, f"epsilon {name!r}")
+                for name, arr in forms["epsilons"].items()}
+    return InstanceDocument(inst, deformations, epsilons)
 
 
-def _canonical_entries(arr, shape: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], Dict]:
-    """The nonzero entries of a parsed array at its canonical index tuples.
+def _read_tensor(ctx: ContactContext, arr, shape: Tuple[int, ...], k: int,
+                 what: str) -> Dict[Tuple[int, ...], Poly]:
+    """The stored tensor of a parsed array antisymmetric in its last k indices, in one pass.
 
-    An index tuple is canonical when `cjalg._canonical_key` keeps it as it
-    is, with sign +1; an absent array has none.
+    The array's index tuples are walked in order.  A canonical one (kept as
+    it is by `cjalg._canonical_key`, sign +1) holds an entry, kept when
+    nonzero; it sorts first among its permutations, so every other tuple
+    is compared with the signed entry already read, or with zero when an
+    antisymmetric index repeats.  The first that differs is named after
+    `what`.  An absent array is the zero tensor.
     """
+    out: Dict[Tuple[int, ...], Poly] = {}
     if arr is None:
-        return {}
-    out = {}
+        return out
+    zero = ctx.algebra.zero()
     for idx in itertools.product(*map(range, shape)):
         v = arr
         for i in idx:
             v = v[i]
-        if v and _canonical_key(idx, shape, k) == (idx, 1):
-            out[idx] = v
+        hit = _canonical_key(idx, shape, k)
+        if hit == (idx, 1):
+            if v:
+                out[idx] = _as_xpoly(ctx, v)
+        elif _as_xpoly(ctx, v) != (zero if hit is None else out.get(hit[0], zero).scale(hit[1])):
+            raise InstanceFileError(f"{what} is not {_SYMMETRY[k]} at index {idx}")
     return out
 
 
@@ -253,6 +254,7 @@ def _spread(ctx: ContactContext, tensor, shape: Tuple[int, ...], k: int) -> list
     Each index tuple holds the entry of its canonical key with the sign of
     `cjalg._canonical_key`, and zero when an antisymmetric index repeats.
     A tensor stored as a list over its first index is spread row by row.
+    Only saving spreads; loading reads each array with `_read_tensor`.
     """
     if len(shape) > k:
         return [_spread(ctx, row, shape[1:], k) for row in tensor]
@@ -268,20 +270,6 @@ def _spread(ctx: ContactContext, tensor, shape: Tuple[int, ...], k: int) -> list
         return value if hit[1] > 0 else -value
 
     return nest(())
-
-
-def _check_spread(ctx: ContactContext, arr, table, message: str,
-                  key: Tuple[int, ...] = ()) -> None:
-    """Reject a parsed tensor unless it equals `table`, the spread of its canonical entries.
-
-    Entries are compared in index order; the first that differs is named
-    after `message`.
-    """
-    if isinstance(table, list):
-        for i, (entry, value) in enumerate(zip(arr or [], table)):
-            _check_spread(ctx, entry, value, message, key + (i,))
-    elif _as_xpoly(ctx, arr) != table:
-        raise InstanceFileError(f"{message} at index {key}")
 
 
 def save_instance(path: str, doc: InstanceDocument) -> None:

@@ -251,23 +251,26 @@ class TaylorMorphism(_WordwiseLinear):
         degs = [self.space.degree(k) for k in word]
         out: SVector = {}
         for partition in _set_partitions(n):
-            blocks = [sorted(b) for b in partition]
-            blocks.sort(key=lambda b: b[0])
             factors: List[Vector] = []
-            for b in blocks:
+            for b in partition:
                 val = self.coefficient(len(b), tuple(word[p] for p in b))
                 if not val:
                     break
                 factors.append(val)
             else:
-                perm = [p for b in blocks for p in b]
+                perm = [p for b in partition for p in b]
                 add_into(out, self.space.expand_word_of_vectors(factors),
                          koszul_sign(perm, degs))
         return out
 
 
 def _set_partitions(n: int) -> Iterable[List[List[int]]]:
-    """All set partitions of {0..n-1}."""
+    """All set partitions of {0..n-1}.
+
+    Each block is increasing and the blocks are ordered by their first
+    element: n-1 is appended to a block of a partition of {0..n-2}, or
+    opens a last block of its own.
+    """
     if n == 0:
         yield []
         return

@@ -93,6 +93,12 @@ def ordered_curve_coefficient(arities, bracket, curve, r):
     return out
 
 
+def printed(stored):
+    """A stored tensor (or list of them) as (key, printed entry) lists, in stored
+    order: instances in two contexts compare by what they print."""
+    rows = stored if isinstance(stored, list) else [stored]
+    return [[(key, str(v)) for key, v in t.items()] for t in rows]
+
 def antisymmetric_entry(tensor, idx, ctx):
     """A stored antisymmetric tensor's value at any index tuple: the entry of the
     sorted tuple times the sign of the sort, and zero on a repeated index."""

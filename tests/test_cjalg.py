@@ -57,7 +57,7 @@ from cjde.vdata import higher_derived_bracket
 
 from conftest import (antisymmetric_entry, assert_m2_closed_on_two_words,
                       assert_routes_agree, basis_keys, dense_courant_tensor,
-                      random_form_section, random_instance, random_x_poly)
+                      printed, random_form_section, random_instance, random_x_poly)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -579,6 +579,34 @@ def test_is_dirac_jacobi_rejects_frames_not_of_rank_n():
     assert is_dirac_jacobi(inst, e) == (True, None)
 
 
+
+def test_is_dirac_jacobi_rejects_dependent_frames(omni1):
+    """n isotropic elements that are linearly dependent over the base's function
+    field span no Lagrangian subbundle: the product of their bodies is zero."""
+    inst = load_fixture("djmix4").instance
+    e = [inst.frame_A(a) for a in range(4)]
+    with pytest.raises(NotLagrangian, match="linearly dependent"):
+        is_dirac_jacobi(inst, [e[0], e[0], e[1], e[2]])
+    # the degree check of courant_tensor still names a wrong element first
+    ctx = inst.context
+    with pytest.raises(ValueError, match="frame element 3 is not of pure degree 1"):
+        is_dirac_jacobi(inst, [e[0], e[0], e[1], Section(ctx, ctx.u(0) * ctx.u(1))])
+    ctx = omni1.context
+    x_e0 = Section(ctx, ctx.x(0) * ctx.pa(0))
+    # dependent over Q(x), though not over Q
+    with pytest.raises(NotLagrangian, match="linearly dependent"):
+        is_dirac_jacobi(omni1, [omni1.frame_A(0), x_e0])
+    # independent over Q(x), though x1 e_0 vanishes at x1 = 0
+    assert is_dirac_jacobi(omni1, [x_e0, omni1.frame_A(1)]) == (True, None)
+    for name in FIXTURE_NAMES:
+        doc = load_fixture(name)
+        zero = DeformationForm.from_dict(doc.instance, {})
+        for eta in [zero, *doc.deformations.values()]:
+            frame = graph_frame(doc.instance, eta)
+            ok, witness = is_dirac_jacobi(doc.instance, frame)
+            assert ok == (witness is None)
+
+
 # --- graphs and the correspondence --------------------------------------------
 
 
@@ -1051,6 +1079,19 @@ def test_extract_instance_roundtrip(omni1):
     again = extract_instance(omni1, omni1.theta)
     assert build_theta(again) == omni1.theta
 
+
+
+def test_extract_instance_reproduces_every_stored_tensor():
+    """Theta read back gives every stored tensor key for key, in stored order:
+    seeded instances at ranks 2-4 over bases of dimension 0-2, and every fixture."""
+    rng = random.Random(24)
+    instances = [random_instance(rng, m, n) for n in (2, 3, 4) for m in (0, 1, 2)
+                 for _ in range(2)]
+    instances += [load_fixture(name).instance for name in FIXTURE_NAMES]
+    for inst in instances:
+        again = extract_instance(inst, inst.theta)
+        for name in ("rho", "c", "lam", "rho_dual", "c_dual", "lam_dual", "phi", "psi"):
+            assert printed(getattr(again, name)) == printed(getattr(inst, name))
 
 def test_extract_instance_rejects_wrong_degree(heis2):
     ctx = heis2.context

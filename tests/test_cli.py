@@ -56,6 +56,39 @@ def test_check_fail_carries_witness(capsys):
     assert all(line["witness"] for line in failing)
 
 
+
+def test_check_text_format(capsys):
+    """`--format text`: one line per check, the status padded to 11 columns,
+    extras as sorted key=value pairs, then the witness."""
+    code, out, _ = run_cli(["check", fixture("heis2-broken.json"), "--format", "text"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL        structure-equation {Theta,Theta}=0  witness: (2*u1*u2*p)*mu",
+        "FAIL        loday-jacobi-identity on frame triples  triples=64  "
+        "witness: triple (0, 1, 2): (-u1)*mu",
+        "FAIL        connection-flatness on frame pairs  pairs=16  "
+        "witness: pair (0, 1, 'mu'): (1)*mu",
+        "PASS        biconditional structure-equation <-> direct axioms",
+        "PASS        v-data: projection idempotent  samples=12",
+        "PASS        v-data: projection lands in subalgebra  samples=12",
+        "PASS        v-data: subalgebra abelian  samples=12",
+        "PASS        v-data: kernel closed under bracket  samples=12",
+        "FAIL        v-data: MC equation {Phi,Phi}=0  witness: (2*u1*u2*p)*mu",
+        "PASS        v-data: curvature flag  flag=flat",
+    ]
+
+
+def test_cohomology_text_format_prints_list_extras(capsys):
+    code, out, _ = run_cli(["cohomology", fixture("obst1.json"), "--format", "text"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS        H^0  dimension=1 representatives=['(1)*mu']",
+        "PASS        H^1  dimension=3 representatives=['(u1)*mu', '(u2)*mu', '(u3)*mu']",
+        "PASS        H^2  dimension=3 representatives="
+        "['(u1*u2)*mu', '(u1*u3)*mu', '(u2*u3)*mu']",
+        "PASS        H^3  dimension=1 representatives=['(u1*u2*u3)*mu']",
+    ]
+
 def test_check_malformed_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -9,6 +9,7 @@ import pytest
 from cjde.cjalg import (
     DeformationForm,
     SplitCJInstance,
+    change_complement,
     check_cj_axioms,
     de_rham,
     graph_frame,
@@ -268,6 +269,22 @@ def test_extension_obstructed_at_two(obst1):
     assert any(curve.obstruction_class)
     assert not curve.obstruction_representative.is_zero()
 
+
+
+def test_order_three_obstruction_depends_on_the_chosen_eta2():
+    """aff_1 + aff_1 on the dual side, with its complement changed: extend_mc's
+    eta_2 = 0 leaves an order-3 class, but eta_2 = -4 u1 u4 makes the residual
+    vanish through t^3.  So an obstruction at order >= 3 holds only for the
+    chosen lower coefficients, as extend_mc's docstring says."""
+    base = SplitCJInstance(0, 4, c_dual={(0, 0, 1): 1, (2, 2, 3): 1})
+    inst = change_complement(base, {(1, 2): 1})["instance"]
+    eta1 = DeformationForm.from_dict(inst, {(0, 1): 2, (2, 3): 2})
+    curve = extend_mc(inst, eta1, 6)
+    assert curve.obstructed_at == 3
+    assert curve.obstruction_class == [0, 0, -8, 0]
+    assert curve.coefficients[1].is_zero()
+    eta2 = DeformationForm.from_dict(inst, {(0, 3): -4})
+    assert all(r.is_zero() for r in mc_residual_coefficients(inst, [eta1, eta2], 3))
 
 def test_extension_dgla_to_order_four(dgla1):
     cm = ComplexMatrices(dgla1)

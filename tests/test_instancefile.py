@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_structure, random_x_poly
+from conftest import printed, random_structure, random_x_poly
 
 from cjde.cjalg import DeformationForm, SplitCJInstance, build_theta
 from cjde.contact import ContactContext
-from cjde.gca import koszul_sign
+from cjde.gca import Poly, koszul_sign
 from cjde.instancefile import (
     InstanceDocument,
     InstanceFileError,
@@ -57,6 +57,22 @@ def test_save_writes_each_fixture_byte_for_byte(tmp_path, name):
         assert out.read_bytes() == fh.read()
 
 
+
+def test_loaded_epsilons_are_stored_two_tensors():
+    """A loaded epsilon is a stored 2-tensor, as a deformation's entries are:
+    base polynomials at increasing pairs, in sorted key order, zeros left out."""
+    checked = 0
+    for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json")):
+        doc = load_instance(os.path.join(FIXTURES, name))
+        inst = doc.instance
+        for eps in doc.epsilons.values():
+            assert list(eps.items()) == \
+                list(DeformationForm.from_dict(inst, eps).entries.items())
+            assert all(isinstance(v, Poly) and v.algebra is inst.context.algebra
+                       for v in eps.values())
+            checked += 1
+    assert checked >= 3
+
 def shuffled_keys(rng, entries, k):
     """The entries at keys whose last k indices are permuted at random, values
     signed by the permutation, in a shuffled insertion order."""
@@ -71,13 +87,6 @@ def shuffled_keys(rng, entries, k):
                     value if sign > 0 else {e: -c for e, c in value.items()}))
     rng.shuffle(out)
     return dict(out)
-
-
-def printed(stored):
-    """A stored tensor (or list of them) as (key, printed entry) lists, in stored
-    order: instances in two contexts compare by what they print."""
-    rows = stored if isinstance(stored, list) else [stored]
-    return [[(key, str(v)) for key, v in t.items()] for t in rows]
 
 
 @pytest.mark.parametrize("seed", range(4))

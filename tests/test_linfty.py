@@ -19,6 +19,7 @@ from cjde.linfty import (
     mc_residual,
     svec_add,
     svec_scale as vec_scale,
+    _set_partitions,
 )
 
 F = Fraction
@@ -465,3 +466,18 @@ def test_decalage_roundtrip(V):
         back = decalage_up(decalage_down(mk, k, unshift), k, unshift)
         for w in V.words(BASIS, k, k):
             assert mk(w) == back(w)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_set_partitions_come_in_canonical_order(n):
+    """Every set partition of {0..n-1} once (the Bell number of them), each
+    block increasing and the blocks ordered by their first element, which
+    `TaylorMorphism.apply_word` relies on."""
+    bell = [1, 1, 2, 5, 15, 52, 203, 877]
+    partitions = list(_set_partitions(n))
+    assert len(partitions) == bell[n]
+    assert len({tuple(map(tuple, p)) for p in partitions}) == bell[n]
+    for p in partitions:
+        assert sorted(i for b in p for i in b) == list(range(n))
+        assert all(b == sorted(b) for b in p)
+        assert [b[0] for b in p] == sorted(b[0] for b in p)
