@@ -51,12 +51,12 @@ coefficient on the closed route.
 The closed route rests on one contraction: `_contract` gives, for a fully
 antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
 d_{u^{a_1}} f_1 ... d_{u^{a_k}} f_k, reading each nonzero entry once with
-its signed permutations.  One form-degree rule, `_form_parts`, splits the
-argument that carries a sign (-1)^{|w|} into its even and odd parts.  Then
-m_3 = -(-1)^{|beta|} <psi; alpha, beta, gamma>, M_2 = (-1)^{|w_1|} <eps;
-w_1, w_2> on every pair of forms, and m_2 is first order in each slot plus
-the contraction of the 2-tensor K built from the nonzero lam~ and c~
-(`m2_closed`).
+its signed permutations.  The argument w that carries a sign (-1)^{|w|} is
+twisted once, w~ = `Poly.parity_twist` of its body (the x's are even, so
+|w| is the parity of each monomial), and each formula is linear in it.
+Then m_3 = -<psi; alpha, beta~, gamma>, M_2 = <eps; w_1~, w_2> on every
+pair of forms, and m_2 is first order in each slot plus the contraction of
+the 2-tensor K built from the nonzero lam~ and c~ (`m2_closed`).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign
+from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign, koszul_sort
 from .linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -103,7 +103,6 @@ __all__ = [
     "pairing",
     "derived_operations",
     "courant_tensor",
-    "tensor_witness",
     "graph_frame",
     "is_dirac_jacobi",
     "deformation_space",
@@ -113,7 +112,6 @@ __all__ = [
     "contact_vdata",
     "change_complement",
     "extract_instance",
-    "fiber_split",
     "form_basis",
     "epsilon_section",
     "m2_closed",
@@ -175,18 +173,19 @@ def _canonical_key(key, shape: Tuple[int, ...], k: int
     """(canonical key, sign) of an index of a tensor antisymmetric in its last k indices.
 
     A key is an index tuple (a bare int for one index).  Its last k indices
-    are sorted, and the sign of that sort is returned with it; None when
-    two of them repeat, the entry cancelling.  Raises ValueError unless the
-    key holds len(shape) ints, not bools, within the shape.
+    are sorted by `gca.koszul_sort`, every index odd, and the sign of that
+    sort is returned with it; None when two of them repeat, the entry
+    cancelling.  Raises ValueError unless the key holds len(shape) ints, not
+    bools, within the shape.
     """
     idx = key if isinstance(key, tuple) else (key,)
     if len(idx) != len(shape) or not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, shape)):
         raise ValueError(f"index {idx} is not {len(shape)} ints in range for shape {shape}")
     head, tail = idx[:len(idx) - k], idx[len(idx) - k:]
-    if len(set(tail)) < k:
+    sign, perm = koszul_sort(tail, lambda _: True)
+    if not sign:
         return None
-    inversions = sum(a > b for a, b in itertools.combinations(tail, 2))
-    return head + tuple(sorted(tail)), (-1) ** inversions
+    return head + tuple(tail[i] for i in perm), sign
 
 
 def _canonical(ctx: ContactContext, entries: Optional[Dict], shape: Tuple[int, ...],
@@ -263,21 +262,12 @@ def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> _Te
     """
     position = {g: a for a, g in enumerate(gens)}
     entries = {}
-    for fiber, coeff in fiber_split(ctx, f).items():
+    for fiber, coeff in f.split(ctx.ix_x).items():
         key = tuple(position.get(g) for g, _ in fiber)
         if len(key) != k or None in key:
             raise ValueError(f"not a {k}-form in the given generators")
         entries[key] = coeff
     return dict(sorted(entries.items()))
-
-
-def fiber_split(ctx: ContactContext, f: Poly) -> Dict[Monomial, Poly]:
-    """Group a polynomial by its fiber monomial, mapping to x-coefficients.
-
-    Base coordinates are even, so a monomial factors as (x part)*(fiber
-    part) without a sign; the split is a mask test on the packed keys.
-    """
-    return f.split(ctx.ix_x)
 
 
 def form_basis(ctx: ContactContext, k: int) -> List[Monomial]:
@@ -831,16 +821,6 @@ def courant_tensor(inst: SplitCJInstance,
     return out
 
 
-def tensor_witness(t: Dict[Tuple[int, int, int], Section]
-                   ) -> Optional[Tuple[Tuple[int, int, int], Section]]:
-    """The first item of a `courant_tensor`, None for the zero tensor.
-
-    Y is totally antisymmetric, so this is also its first nonzero entry over
-    all index triples in lexicographic order, with the same value.
-    """
-    return next(iter(t.items()), None)
-
-
 def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
     """Frame of gr(eta) = { e_a + iota_{e_a} eta }.
 
@@ -856,9 +836,10 @@ def graph_frame(inst: SplitCJInstance, eta: Section) -> List[Section]:
 
 def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
     """(True, None) if the Courant tensor of the Lagrangian frame vanishes, else
-    (False, its first nonzero increasing triple and entry from `tensor_witness`),
-    which is its first nonzero entry in index order; a frame of rank <= 2 is
-    always involutive.
+    (False, the first item of `courant_tensor`: its first nonzero increasing
+    triple and entry).  The tensor is totally antisymmetric, so that is also
+    its first nonzero entry over all index triples in lexicographic order; a
+    frame of rank <= 2 is always involutive.
 
     Raises NotLagrangian unless the frame has n elements, is isotropic and
     is linearly independent over the base's function field, as every
@@ -872,7 +853,7 @@ def is_dirac_jacobi(inst: SplitCJInstance, frame: Sequence[Section]):
     tensor = courant_tensor(inst, frame)
     if functools.reduce(Poly.__mul__, (u.body for u in frame)).is_zero():
         raise NotLagrangian("the frame is linearly dependent: the product of its elements is 0")
-    witness = tensor_witness(tensor)
+    witness = next(iter(tensor.items()), None)
     return witness is None, witness
 
 
@@ -890,7 +871,7 @@ def deformation_space(inst: SplitCJInstance) -> GradedSpace:
 
 
 def section_to_vector(inst: SplitCJInstance, s: Section) -> Vector:
-    if not s.body.uses_only(inst.context.base_indices()):
+    if not inst.context.is_base_poly(s.body):
         raise ValueError("not a pullback form")
     return dict(s.body.terms)
 
@@ -906,12 +887,8 @@ def word_to_sections(inst: SplitCJInstance, word: Word) -> List[Section]:
 def contact_vdata(inst: SplitCJInstance) -> VData:
     """The contact V-data: Jacobi bracket, pullback subalgebra, P, Phi = `inst.minus_theta`."""
     ctx = inst.context
-
-    def in_sub(s: Section) -> bool:
-        return s.body.uses_only(ctx.base_indices())
-
-    return VData(bracket=jacobi_bracket, in_subalgebra=in_sub, project=project_P,
-                 mc_element=inst.minus_theta)
+    return VData(bracket=jacobi_bracket, in_subalgebra=lambda s: ctx.is_base_poly(s.body),
+                 project=project_P, mc_element=inst.minus_theta)
 
 
 def derived_bracket_sections(inst: SplitCJInstance, args: Sequence[Section]) -> Section:
@@ -971,17 +948,16 @@ def _contract(ctx: ContactContext, tensor: _Tensor,
     return out
 
 
-def _form_parts(s: Section) -> List[Tuple[int, Poly]]:
-    """The form-degree rule: a pullback form as (sign, part) with sign = (-1)^{|part|}.
+def _twisted(s: Section) -> Poly:
+    """The body of a pullback form w with the sign (-1)^{|w|} taken part by part.
 
-    A closed formula's sign (-1)^{|w|} on one argument depends only on the
-    parity of w's form degree, which is the parity of its monomials (the x's
-    are even), so w splits into at most two parts.  Raises ValueError unless
+    |w| is the parity of w's form degree, the parity of each monomial (the
+    x's are even), so this is `Poly.parity_twist`.  Raises ValueError unless
     s is a pullback form.
     """
-    if not s.body.uses_only(s.context.base_indices()):
+    if not s.context.is_base_poly(s.body):
         raise ValueError("not a pullback form")
-    return [(1 - 2 * parity, part) for parity, part in s.body.parity_components().items()]
+    return s.body.parity_twist()
 
 
 def _dual_bracket_tensor(inst: SplitCJInstance) -> _Tensor:
@@ -1011,8 +987,9 @@ def m2_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
 
     with d_a = d/du^a, nabla_a = lam~_a + rho~^i_a d/dx^i, <T; f_1..f_k>
     the contraction `_contract` and K the 2-tensor `_dual_bracket_tensor`.
-    The nabla sums are contractions of the 1-tensors lam~ and rho~^i; A runs
-    over the parts of alpha by the form-degree rule `_form_parts`.
+    The nabla sums are contractions of the 1-tensors lam~ and rho~^i.  The
+    formula is linear in A, so for any form alpha each signed term reads the
+    twist alpha~ (`_twisted`) in place of (-1)^{|A|} A.
     """
     ctx = inst.context
     zero = ctx.algebra.zero()
@@ -1023,36 +1000,28 @@ def m2_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
     def along(f: Poly, x: Optional[int]) -> Poly:
         return f if x is None else f.partials().get(x, zero)
 
-    B = beta.body
-    out = zero
-    for sign, A in _form_parts(alpha):
-        out = out + _contract(ctx, K, [A, B]).scale(sign)
-        for T, x in nabla:
-            if T:
-                out = out - _contract(ctx, T, [A]) * along(B, x) \
-                    - (along(A, x) * _contract(ctx, T, [B])).scale(sign)
+    A, At, B = alpha.body, _twisted(alpha), beta.body
+    out = _contract(ctx, K, [At, B])
+    for T, x in nabla:
+        if T:
+            out = out - _contract(ctx, T, [A]) * along(B, x) \
+                - along(At, x) * _contract(ctx, T, [B])
     return Section(ctx, out)
 
 
 def gj_bracket_closed(inst: SplitCJInstance, alpha: Section, beta: Section) -> Section:
     """Gerstenhaber-Jacobi bracket of the dual side: [a,b] = (-1)^|a| m_2(a,b)."""
-    twisted = inst.context.algebra.zero()
-    for sign, part in _form_parts(alpha):
-        twisted = twisted + part.scale(sign)
-    return m2_closed(inst, Section(inst.context, twisted), beta)
+    return m2_closed(inst, Section(inst.context, _twisted(alpha)), beta)
 
 
 def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Section) -> Section:
     """m_3(alpha, beta, gamma) = -(-1)^{|beta|} <psi; alpha, beta, gamma>.
 
-    The contraction `_contract` of the dual Courant tensor psi, beta split
-    by the form-degree rule `_form_parts`.
+    The contraction `_contract` of the dual Courant tensor psi, linear in
+    beta, so it reads the twist beta~ (`_twisted`) once.
     """
     ctx = inst.context
-    out = ctx.algebra.zero()
-    for sign, part in _form_parts(beta):
-        out = out - _contract(ctx, inst.psi, [alpha.body, part, gamma.body]).scale(sign)
-    return Section(ctx, out)
+    return Section(ctx, -_contract(ctx, inst.psi, [alpha.body, _twisted(beta), gamma.body]))
 
 
 def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> TaylorCoderivation:
@@ -1140,15 +1109,13 @@ def m2_sharp_closed(inst: SplitCJInstance, eps_sec: Section,
         M_2(w1, w2) = (-1)^{|w1|} <eps; w1, w2>
 
     with eps_ab the entries of eps_sec = sum_{a<b} eps_ab pa_a pa_b and
-    <eps; -, -> the contraction `_contract`; w1 is split by the form-degree
-    rule `_form_parts`.  It equals the derived P{{eps, w1}, w2} on every pair.
+    <eps; -, -> the contraction `_contract`, linear in w1, so it reads the
+    twist w1~ (`_twisted`) once.  It equals the derived P{{eps, w1}, w2} on
+    every pair.
     """
     ctx = inst.context
     eps = _form_keys(ctx, ctx.ix_pa, 2, eps_sec.body)
-    out = ctx.algebra.zero()
-    for sign, part in _form_parts(w1):
-        out = out + _contract(ctx, eps, [part, w2.body]).scale(sign)
-    return Section(ctx, out)
+    return Section(ctx, _contract(ctx, eps, [_twisted(w1), w2.body]))
 
 
 def change_complement(inst: SplitCJInstance,

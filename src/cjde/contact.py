@@ -206,8 +206,9 @@ class HamiltonianOperator(Derivation):
     The bracket is first order in its right argument,
     {f, g} = C_0 g + sum_k C_k dg/dk: the C_k are the values and C_0 the
     scalar.  With F the partials of f, T those of its parity twist
-    f~ = f_even - f_odd (the sign (-1)^|f| of the u-blocks, taken part by
-    part), and D_i = d/dx^i + pi_i d/dp, D_a = d/du^a + pa_a d/dp:
+    f~ = f_even - f_odd = `f.parity_twist()` (the sign (-1)^|f| of the
+    u-blocks, taken part by part), and D_i = d/dx^i + pi_i d/dp,
+    D_a = d/du^a + pa_a d/dp:
 
         C_{x^i} = -F_{pi_i}         C_{pi_i} = D_i f
         C_{u^a} = T_{pa_a}          C_{pa_a} = D_a f~
@@ -239,7 +240,7 @@ class HamiltonianOperator(Derivation):
             if len(parts) < 2:
                 self._twist = self.f.partials(), -1 if 1 in parts else 1
             else:
-                self._twist = (parts[0] - parts[1]).partials(), 1
+                self._twist = self.f.parity_twist().partials(), 1
         return self._twist
 
     def _missing_value(self, k: int) -> Poly:

@@ -432,6 +432,17 @@ def _random_point_instance(rng: random.Random, context: ContactContext,
 SEARCH_RANK = 3
 
 
+def _flat_complex(inst: SplitCJInstance) -> Optional[ComplexMatrices]:
+    """The complex of a search candidate, or None unless {Theta,Theta} = 0 and
+    the A side is flat."""
+    if not jacobi_bracket(inst.theta, inst.theta).is_zero():
+        return None
+    try:
+        return ComplexMatrices(inst)
+    except NotFlat:
+        return None
+
+
 def search_obstructed_instance(seed: int = 42, tries: int = 2000
                                ) -> Tuple[SplitCJInstance, DeformationForm, Vec]:
     """Seeded search for a valid instance with an obstructed 2-cocycle.
@@ -451,12 +462,8 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000
     context = ContactContext(0, SEARCH_RANK)
     for attempt in range(tries):
         inst = _random_point_instance(rng, context, f"search-{seed}-{attempt}")
-        theta = inst.theta
-        if not jacobi_bracket(theta, theta).is_zero():
-            continue
-        try:
-            cm = ComplexMatrices(inst)
-        except NotFlat:
+        cm = _flat_complex(inst)
+        if cm is None:
             continue
         h2 = cohomology(inst, 2, cm)
         h3 = cohomology(inst, 3, cm)
@@ -496,26 +503,15 @@ def search_unobstructed_dgla() -> Tuple[SplitCJInstance, DeformationForm]:
     dual_slots += [("lam_dual", (a,)) for a in range(n)]
     for aside in aside_variants:
         base = SplitCJInstance(0, n, **aside)
-        if not jacobi_bracket(base.theta, base.theta).is_zero():
-            continue
-        try:
-            cm_base = ComplexMatrices(base)
-        except NotFlat:
-            continue
-        if cohomology(base, n, cm_base).dimension != 0:
+        cm_base = _flat_complex(base)
+        if cm_base is None or cohomology(base, n, cm_base).dimension != 0:
             continue
         for slot, key in dual_slots:
             for v in (1, -1):
-                kw = {"c": dict(aside["c"]), "lam": dict(aside["lam"]),
-                      "c_dual": {}, "lam_dual": {}}
-                if slot == "c_dual":
-                    kw["c_dual"][key] = v
-                else:
-                    kw["lam_dual"][key[0]] = v
-                inst = SplitCJInstance(0, n, name="DGLA1", **kw)
-                if not jacobi_bracket(inst.theta, inst.theta).is_zero():
+                inst = SplitCJInstance(0, n, name="DGLA1", **aside, **{slot: {key: v}})
+                cm = _flat_complex(inst)
+                if cm is None:
                     continue
-                cm = ComplexMatrices(inst)
                 kern = nullspace(cm.matrices[2], len(cm.basis[2]))
                 for kv in kern:
                     cand = cm.coords_to_form(kv, 2)

@@ -58,14 +58,18 @@ and its `__call__` is the one code that applies a derivation.  `contact`'s
 bracket operator {f, .}, its line-bundle derivations f + X (such as
 d_{A,L}) and its vector fields are Derivations.
 
-`Poly`, `linfty` and `instancefile` share one sparse kernel:
+One sparse kernel and two sign rules serve every module:
   * `add_into(acc, vec, scale)`, the one accumulate loop, adds scale * vec
     to a dict the caller owns, in place, dropping keys that cancel;
   * `Poly.mul_into(other, acc)`, the one product loop, adds self * other to
     such a dict the same way, with no intermediate dict; `*` runs it into a
     fresh one;
-  * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises both
-    generator words (monomials) and words of basis keys (`linfty`).
+  * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises
+    generator words (monomials) and words of basis keys (`linfty`), and signs
+    the sorted index keys of stored tensors (`cjalg`, every index odd);
+  * `Poly.parity_twist()`, the one parity twist f_even - f_odd, gives the
+    sign (-1)^|f| taken part by part: the Jacobi bracket's u-blocks
+    (`contact`) and the closed deformation brackets (`cjalg`) read it.
 
 A `Poly` is immutable: nothing writes to its terms after construction.
 `Poly(algebra, terms)` packs the {Monomial: coefficient} dict it is given
@@ -551,6 +555,15 @@ class Poly:
         if not (out[0] and out[1]):
             return {p: self for p, t in out.items() if t}
         return {p: Poly._trusted(self.algebra, t) for p, t in out.items()}
+
+    def parity_twist(self) -> "Poly":
+        """f_even - f_odd, in one pass over the keys; self when no term is odd."""
+        oddmask, flipped, out = self.algebra._oddmask, False, {}
+        for k, c in self._packed.items():
+            if (k & oddmask).bit_count() & 1:
+                c, flipped = -c, True
+            out[k] = c
+        return Poly._trusted(self.algebra, out) if flipped else self
 
     def is_homogeneous(self) -> bool:
         return len(self.degree_components()) <= 1

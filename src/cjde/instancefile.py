@@ -5,7 +5,8 @@ Courant-Jacobi algebroid, plus optional named deformations (2-forms on the
 A side) and epsilon tensors (2-forms on the dual side).  Rational numbers
 are "num/den" strings, bit-exact; polynomial entries are either such a
 string (a constant) or a map from comma-separated exponent vectors to
-rationals, each exponent at most MAX_EXPONENT.
+rationals, each exponent at most MAX_EXPONENT.  No key repeats in a JSON
+object, and no two nonzero terms of a polynomial spell one exponent vector.
 
 The file writes each tensor as a dense nested array; this module is the
 only place where dense tables exist.  An instance stores its tensors as
@@ -29,7 +30,7 @@ from typing import Dict, List, Tuple
 from .cjalg import (DeformationForm, PolyLike, SplitCJInstance, _as_xpoly, _canonical,
                     _canonical_key, _is_int, _shapes)
 from .contact import ContactContext
-from .gca import Poly, add_into
+from .gca import Poly
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
@@ -71,6 +72,16 @@ class InstanceFileError(ValueError):
     """Malformed or inconsistent instance file (CLI exit code 2)."""
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """One JSON object as a dict; a repeated key raises, where json keeps its last value."""
+    out: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise InstanceFileError(f"repeated key {key!r} in one JSON object")
+        out[key] = value
+    return out
+
+
 def _parse_rational(s) -> Fraction:
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
@@ -97,7 +108,7 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
         q = _parse_rational(entry)
         return {(0,) * m: q} if q else {}
     if isinstance(entry, dict):
-        terms: List[Tuple[Tuple[int, ...], Fraction]] = []
+        terms: Dict[Tuple[int, ...], Fraction] = {}
         for key, val in entry.items():
             if key == "":
                 exps: Tuple[int, ...] = (0,) * m
@@ -115,8 +126,14 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
             if any(e > MAX_EXPONENT for e in exps):
                 raise InstanceFileError(f"exponent vector {key!r}: an exponent exceeds "
                                         f"{MAX_EXPONENT}")
-            terms.append((exps, _parse_rational(val)))
-        return add_into({}, terms)
+            q = _parse_rational(val)
+            if not q:  # a zero coefficient writes no term
+                continue
+            if exps in terms:
+                raise InstanceFileError(f"repeated exponent vector {key!r}: an earlier key "
+                                        "of the polynomial spells the same exponents")
+            terms[exps] = q
+        return terms
     raise InstanceFileError(f"bad polynomial entry {entry!r}")
 
 
@@ -167,7 +184,7 @@ class InstanceDocument:
 def load_instance(path: str) -> InstanceDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InstanceFileError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

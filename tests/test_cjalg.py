@@ -953,18 +953,42 @@ def test_contract_reads_each_entry_with_its_signed_permutations():
 
 
 def test_m3_closed_is_linear_in_its_sign_argument(djmix):
-    """m_3 with an inhomogeneous beta is the sum over beta's form-degree components."""
+    """Each closed formula with an inhomogeneous sign-carrying argument (m_3's
+    beta, m_2's alpha, M_2's w_1) is the sum over its form-degree components."""
+    ctx = djmix.context
+    eps_sec = epsilon_section(djmix, {(0, 1): 1, (1, 2): Fraction(1, 2)})
+    # (operation, arity, the slot that carries the sign)
+    operations = [(lambda a, b, c: m3_closed(djmix, a, b, c), 3, 1),
+                  (lambda a, b: m2_closed(djmix, a, b), 2, 0),
+                  (lambda a, b: m2_sharp_closed(djmix, eps_sec, a, b), 2, 0)]
     rng = random.Random(20)
-    hits = 0
-    for _ in range(10):
-        alpha, beta, gamma = (random_form_section(djmix, rng) for _ in range(3))
-        whole = m3_closed(djmix, alpha, beta, gamma)
-        parts = djmix.context.zero_section()
-        for comp in beta.body.bidegree_components().values():
-            parts = parts + m3_closed(djmix, alpha, djmix.context.section(comp), gamma)
-        assert whole == parts
-        hits += len(beta.body.bidegree_components()) > 1 and not whole.is_zero()
-    assert hits
+    for op, arity, slot in operations:
+        hits = 0
+        for _ in range(10):
+            args = [random_form_section(djmix, rng) for _ in range(arity)]
+            whole = op(*args)
+            comps = args[slot].body.bidegree_components().values()
+            parts = ctx.zero_section()
+            for comp in comps:
+                parts = parts + op(*args[:slot], ctx.section(comp), *args[slot + 1:])
+            assert whole == parts
+            hits += len(comps) > 1 and not whole.is_zero()
+        assert hits
+
+
+def test_canonical_key_on_every_short_index_tuple():
+    """`_canonical_key` on every index tuple of length <= 3 over range(4), for
+    each number k of trailing antisymmetric indices, against an inversion count."""
+    for length in range(4):
+        shape = (4,) * length
+        for idx in itertools.product(range(4), repeat=length):
+            for k in range(length + 1):
+                head, tail = idx[:length - k], idx[length - k:]
+                expect = None
+                if len(set(tail)) == k:
+                    inversions = sum(a > b for a, b in itertools.combinations(tail, 2))
+                    expect = head + tuple(sorted(tail)), (-1) ** inversions
+                assert cjalg_module._canonical_key(idx, shape, k) == expect, (idx, k)
 
 
 def test_extract_instance_builds_theta_once(monkeypatch, heis2):

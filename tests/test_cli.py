@@ -516,3 +516,25 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
         assert counts[0] == counts[1] > 1
     finally:
         cli._parser.cache_clear()
+
+
+# JSON text, as json.dumps cannot write a repeated key
+_REPEATS = '{"schema": 1, "base_dim": 1, "rank": 2, %s}'
+_ETA = '[["0", "1"], ["-1", "0"]]'
+
+
+@pytest.mark.parametrize("body, message", [
+    ('"rep": [{"1": "2", "01": "3"}, "0"], "rep": ["5", "0"]', "repeated key 'rep'"),
+    ('"rep": [{"1": "2", "1": "3"}, "0"]', "repeated key '1'"),
+    ('"rep": [{"1": "2", "01": "3"}, "0"]', "exponent vector '01'"),
+    ('"rep": [{"": "2", "0": "3"}, "0"]', "exponent vector '0'"),
+    (f'"deformations": {{"eta": {_ETA}, "eta": {_ETA}}}', "repeated key 'eta'"),
+    (f'"epsilons": {{"eps": {_ETA}, "eps": {_ETA}}}', "repeated key 'eps'"),
+], ids=["top-level", "in-polynomial", "exponent-spellings", "empty-exponent",
+        "deformations", "epsilons"])
+def test_repeated_key_exits_2(body, message, tmp_path, capsys):
+    # json.load keeps a repeated key's last value and the parser summed two
+    # spellings of one exponent vector: either would drop or merge an entry
+    bad = tmp_path / "repeats.json"
+    bad.write_text(_REPEATS % body)
+    _assert_one_error_line(*run_cli(["check", str(bad)], capsys), message)

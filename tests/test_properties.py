@@ -176,6 +176,22 @@ def test_koszul_sort_sign_is_koszul_sign(letters, odd):
     assert sign == koszul_sign(perm, [int(x in odd) for x in letters])
 
 
+@PROPERTY
+@given(polys(), polys())
+def test_parity_twist_is_an_involutive_automorphism(f, g):
+    twist, parts = f.parity_twist(), f.parity_components()
+    assert twist.parity_twist() == f
+    assert (f * g).parity_twist() == twist * g.parity_twist()
+    expect = ALG.zero()
+    for parity, part in parts.items():
+        expect = expect + part.scale((-1) ** parity)
+    assert twist == expect
+    if 0 in parts:
+        assert parts[0].parity_twist() is parts[0]
+    if 1 not in parts:
+        assert twist is f
+
+
 # --- the bracket against its Darboux formula --------------------------
 
 
