@@ -79,7 +79,7 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign, koszul_sort
+from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign
 from .linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -168,24 +168,38 @@ def _is_int(i) -> bool:
     return isinstance(i, int) and not isinstance(i, bool)
 
 
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_tails(bound: int, k: int) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]]:
+    """Every k-tuple of distinct indices below `bound`: (its increasing sort, the sort's sign)."""
+    return {tuple(sorted_tail[i] for i in perm): (sorted_tail, sign)
+            for sorted_tail in itertools.combinations(range(bound), k)
+            for perm, sign in _signed_permutations(k)}
+
+
 def _canonical_key(key, shape: Tuple[int, ...], k: int
                    ) -> Optional[Tuple[Tuple[int, ...], int]]:
     """(canonical key, sign) of an index of a tensor antisymmetric in its last k indices.
 
     A key is an index tuple (a bare int for one index).  Its last k indices
-    are sorted by `gca.koszul_sort`, every index odd, and the sign of that
-    sort is returned with it; None when two of them repeat, the entry
-    cancelling.  Raises ValueError unless the key holds len(shape) ints, not
-    bools, within the shape.
+    are sorted increasingly and the sign of that permutation is returned
+    with it, both read from one table per index bound and k
+    (`_sorted_tails`); None when two of them repeat, the entry cancelling.
+    Raises ValueError unless the key holds len(shape) ints, not bools,
+    within the shape.
     """
     idx = key if isinstance(key, tuple) else (key,)
     if len(idx) != len(shape) or not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, shape)):
         raise ValueError(f"index {idx} is not {len(shape)} ints in range for shape {shape}")
-    head, tail = idx[:len(idx) - k], idx[len(idx) - k:]
-    sign, perm = koszul_sort(tail, lambda _: True)
-    if not sign:
+    cut = len(idx) - k
+    hit = _sorted_tails(max(shape[cut:], default=0), k).get(idx[cut:])
+    if hit is None:
         return None
-    return head + tuple(tail[i] for i in perm), sign
+    return idx[:cut] + hit[0], hit[1]
 
 
 def _canonical(ctx: ContactContext, entries: Optional[Dict], shape: Tuple[int, ...],
@@ -918,11 +932,6 @@ def _derived_coefficients(inst: SplitCJInstance, vdata: VData,
     def coefficient(word: Word) -> Vector:
         return section_to_vector(inst, fold(word))
     return dict.fromkeys(arities, coefficient)
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
-    return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
 
 
 def _contract(ctx: ContactContext, tensor: _Tensor,

@@ -65,8 +65,7 @@ One sparse kernel and two sign rules serve every module:
     such a dict the same way, with no intermediate dict; `*` runs it into a
     fresh one;
   * `koszul_sort(letters, is_odd)`, the one Koszul sort, normalises
-    generator words (monomials) and words of basis keys (`linfty`), and signs
-    the sorted index keys of stored tensors (`cjalg`, every index odd);
+    generator words (monomials) and words of basis keys (`linfty`);
   * `Poly.parity_twist()`, the one parity twist f_even - f_odd, gives the
     sign (-1)^|f| taken part by part: the Jacobi bracket's u-blocks
     (`contact`) and the closed deformation brackets (`cjalg`) read it.

@@ -1,4 +1,4 @@
-"""Symmetric-coalgebra machinery: coderivations, morphisms, MC elements, decalage.
+"""Symmetric-coalgebra machinery: coderivations, morphisms, MC elements.
 
 A graded space is described by a degree function on hashable, orderable basis
 keys; vectors are finite rational combinations of keys and words are canonical
@@ -33,7 +33,7 @@ structure or memo is cached on an instance or in a module-level table.  A
 memoised vector is shared by every later call, so the Vector a coefficient
 returns is read-only.  Every sum here accumulates with `gca.add_into` into a
 dict that the summing function created itself, and only reads the
-coefficients it adds; `svec_scale` and `svec_add` return new dicts.
+coefficients it adds; `svec_add` returns a new dict.
 
 `check_codifferential` and `check_morphism` decide Q^2 = 0 and
 Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
@@ -47,18 +47,17 @@ words in which each word's one-letter-shorter sub-words come earlier
 
 `curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
-Its t^r coefficient visits only the multisets i_1 <= ... <= i_k of indices
-of nonzero curve entries with sum r, so its cost is per contributing
-multiset; it never scans the k-tuples of indices up to r.
+Its t^r coefficient enumerates the multisets i_1 <= ... <= i_k of indices
+of nonzero curve entries and evaluates Q_k only on those with sum r, once
+per multiset rather than once per ordered k-tuple.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .gca import add_into, koszul_sign, koszul_sort
 
@@ -77,22 +76,13 @@ __all__ = [
     "exp_series",
     "curve_coefficient",
     "mc_residual",
-    "decalage_down",
-    "decalage_up",
     "svec_add",
-    "svec_scale",
 ]
 
 
 def svec_add(a: Dict, b: Dict) -> Dict:
     """a + b as a new dict; works for Vectors and SVectors alike."""
     return add_into(dict(a), b)
-
-
-def svec_scale(a: Dict, c: Union[int, Fraction]) -> Dict:
-    """c * a as a new dict; works for Vectors and SVectors alike."""
-    c = Fraction(c)
-    return {k: c * v for k, v in a.items()} if c else {}
 
 
 class GradedSpace:
@@ -416,44 +406,16 @@ def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
     return TaylorMorphism(M.space, coefficient)
 
 
-def _index_multisets(indices: Sequence[int], k: int, r: int,
-                     start: int = 0) -> Iterator[Tuple[int, ...]]:
-    """The multisets i_1 <= ... <= i_k of entries of `indices[start:]` with sum r.
-
-    `indices` must be increasing and positive.  The multisets come in
-    lexicographic order, the order in which
-    `itertools.combinations_with_replacement(indices, k)` lists them; a
-    prefix is dropped as soon as no tail can complete it to sum r, so the
-    work is proportional to the multisets yielded.
-    """
-    if k == 0:
-        if r == 0:
-            yield ()
-        return
-    if k == 1:
-        pos = bisect.bisect_left(indices, r, start)
-        if pos < len(indices) and indices[pos] == r:
-            yield (r,)
-        return
-    for j in range(start, len(indices)):
-        i = indices[j]
-        if i * k > r:
-            return
-        if i + (k - 1) * indices[-1] >= r:
-            for tail in _index_multisets(indices, k - 1, r - i, j):
-                yield (i,) + tail
-
-
 def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) -> Vector:
     """The t^r coefficient of sum_k (1/k!) Q_k(x,...,x), x(t) = sum_{i>=1} t^i curve[i-1].
 
     The entries of `curve` must have even degree, so Q_k is symmetric in them:
     a multiset {i_1 <= ... <= i_k} of indices with sum r stands for
     k!/prod(mult!) ordered tuples and is evaluated once, with weight
-    1/prod(mult!).  Only the multisets of indices of nonzero entries with sum
-    r are visited, in lexicographic order (`_index_multisets`), so the cost is
-    per contributing multiset, not per k-tuple of indices up to r.  Only Q's
-    own arities are visited; arity 0, the curvature, is the t^0 coefficient.
+    1/prod(mult!).  The multisets of indices of nonzero entries come from
+    `itertools.combinations_with_replacement`, in lexicographic order, and
+    only those with sum r are evaluated.  Only Q's own arities are visited;
+    arity 0, the curvature, is the t^0 coefficient.
     r must be a non-negative int, else ValueError.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
@@ -464,7 +426,9 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     indices = [i for i, vec in enumerate(curve, 1) if vec]
     out: Vector = {}
     for k in Q.arities():
-        for idx in _index_multisets(indices, k, r):
+        for idx in itertools.combinations_with_replacement(indices, k):
+            if sum(idx) != r:
+                continue
             weight = Fraction(1, math.prod(math.factorial(idx.count(i)) for i in set(idx)))
             vectors = [curve[i - 1] for i in idx]
             for word, c in space.expand_word_of_vectors(vectors).items():
@@ -486,24 +450,3 @@ def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))
     return out
-
-
-# --- decalage ------------------------------------------------------------
-
-
-def decalage_down(mk: Callable[[Word], Vector], k: int,
-                  unshifted_degree: Callable[[object], int]) -> Callable[[Word], Vector]:
-    """Turn an L-infinity[1] bracket on V[1] into the L-infinity bracket on V.
-
-    Keys are shared between V and V[1]; `unshifted_degree` gives degrees in V.
-    The bracket is multiplied by (-1)^k (-1)^{sum_i (k-i)|v_i|} (1-based i).
-    That sign depends only on k and the degrees of the word and squares to 1,
-    so the map is its own inverse: :func:`decalage_up` is this function.
-    """
-    def mu(word: Word) -> Vector:
-        s = k + sum((k - i) * unshifted_degree(key) for i, key in enumerate(word, 1))
-        return svec_scale(mk(word), -1 if s % 2 else 1)
-    return mu
-
-
-decalage_up = decalage_down

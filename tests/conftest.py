@@ -9,7 +9,7 @@ import pytest
 from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space,
                         m2_sharp_closed, pairing, section_to_vector, vector_to_section,
                         word_to_sections)
-from cjde.contact import ContactContext, jacobi_bracket
+from cjde.contact import ContactContext, ContactVectorField, jacobi_bracket
 from cjde.gca import Poly, add_into, koszul_sign
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     basis_keys,
@@ -21,6 +21,25 @@ from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
 
 def random_base_poly(ctx, rng, weight=2, terms=3):
     return random_poly(ctx, rng, weight, terms, indices=ctx.base_indices())
+
+
+def random_vector_field(ctx, rng):
+    """A random homogeneous contact vector field of degree in [-2, 1]: up to
+    three terms per generator, each a random word kept when its degree fits."""
+    degree = rng.choice([-2, -1, 0, 1])
+    values = {}
+    for idx in range(len(ctx.algebra.gens)):
+        target = degree + ctx.algebra.gens[idx].degree
+        out = ctx.algebra.zero()
+        for _ in range(3):
+            k = rng.randint(0, 3)
+            word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
+            _, mono = ctx.algebra.normalize_word(word)
+            if mono is None or ctx.algebra.monomial_degree(mono) != target:
+                continue
+            out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
+        values[idx] = out
+    return ContactVectorField(ctx, degree, values)
 
 
 def random_x_poly(ctx, rng, maxdeg=1):

@@ -42,12 +42,7 @@ from cjde.deform import (
     search_unobstructed_dgla,
 )
 from cjde.gca import Poly
-from cjde.linfty import (
-    check_codifferential,
-    check_morphism,
-    decalage_down,
-    decalage_up,
-)
+from cjde.linfty import check_codifferential, check_morphism
 
 from conftest import (
     assert_m2_closed_on_two_words,
@@ -57,6 +52,7 @@ from conftest import (
     random_homogeneous_section,
     random_instance,
     random_poly,
+    random_vector_field,
 )
 
 F = Fraction
@@ -144,25 +140,8 @@ def test_criterion_3_legendre_suite():
     ctx = ContactContext(1, 2)
     mir = ctx.mirror
 
-    def random_vf(c):
-        from cjde.contact import ContactVectorField
-        degree = rng.choice([-2, -1, 0, 1])
-        values = {}
-        for idx in range(len(c.algebra.gens)):
-            target = degree + c.algebra.gens[idx].degree
-            out = c.algebra.zero()
-            for _ in range(3):
-                k = rng.randint(0, 3)
-                word = [rng.randrange(len(c.algebra.gens)) for _ in range(k)]
-                _, mono = c.algebra.normalize_word(word)
-                if mono is None or c.algebra.monomial_degree(mono) != target:
-                    continue
-                out = out + Poly(c.algebra, {mono: F(rng.randint(-2, 2))})
-            values[idx] = out
-        return ContactVectorField(c, degree, values)
-
     for _ in range(50):
-        X = random_vf(ctx)
+        X = random_vector_field(ctx, rng)
         FX = legendre_pushforward(X, mir)
         assert legendre_pullback(contract_theta(FX), ctx) == contract_theta(X)
     for _ in range(100):
@@ -288,25 +267,3 @@ def test_criterion_8_kuranishi_suite():
     assert all(r.is_zero() for r in residuals)
     report(8, "OBST1 (from seeded search) obstructed at order 2; dgLa fixture "
               "extends to order 4 with residual 0 mod t^5", t0)
-
-
-def test_criterion_9_decalage_roundtrip():
-    """Decalage is a bijection on random cubic bracket families."""
-    t0 = time.time()
-    rng = random.Random(909)
-    from cjde.linfty import GradedSpace
-    V = GradedSpace({"a": -1, "b": 0, "c": 1, "e": 2}.__getitem__)
-    basis = ["a", "b", "c", "e"]
-    unshift = lambda key: V.degree(key) + 1
-    for trial in range(20):
-        for k in (1, 2, 3):
-            table = {}
-            for w in V.words(basis, k, k):
-                table[w] = {key: F(rng.randint(-3, 3)) for key in basis
-                            if rng.random() < 0.6}
-            mk = lambda word, t=table: dict(t.get(tuple(word), {}))
-            down = decalage_down(mk, k, unshift)
-            back = decalage_up(down, k, unshift)
-            for w in V.words(basis, k, k):
-                assert mk(w) == back(w)
-    report(9, "decalage round trip is the identity on random cubic families", t0)

@@ -7,7 +7,6 @@ import pytest
 
 from cjde.contact import (
     ContactContext,
-    ContactVectorField,
     LineDerivation,
     Section,
     bidegree_decompose,
@@ -21,7 +20,8 @@ from cjde.contact import (
 )
 from cjde.gca import ContextMismatch, Derivation, Poly
 
-from conftest import random_base_poly, random_homogeneous_section, random_poly
+from conftest import (random_base_poly, random_homogeneous_section, random_poly,
+                      random_vector_field)
 
 
 @pytest.fixture
@@ -209,23 +209,6 @@ def test_legendre_dimension_mismatch(ctx):
     other = ContactContext(0, 2)
     with pytest.raises(ContextMismatch):
         legendre_pullback(other.section(1), ctx)
-
-
-def random_vector_field(ctx, rng):
-    degree = rng.choice([-2, -1, 0, 1])
-    values = {}
-    for idx in range(len(ctx.algebra.gens)):
-        target = degree + ctx.algebra.gens[idx].degree
-        out = ctx.algebra.zero()
-        for _ in range(3):
-            k = rng.randint(0, 3)
-            word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
-            _, mono = ctx.algebra.normalize_word(word)
-            if mono is None or ctx.algebra.monomial_degree(mono) != target:
-                continue
-            out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
-        values[idx] = out
-    return ContactVectorField(ctx, degree, values)
 
 
 def test_legendre_preserves_contact_form_50(ctx):

@@ -1,4 +1,4 @@
-"""Coalgebra machinery: coderivations, morphisms, exponentials, decalage."""
+"""Coalgebra machinery: coderivations, morphisms, exponentials."""
 
 import random
 import types
@@ -6,19 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from cjde.gca import add_into
 from cjde.linfty import (
     GradedSpace,
     TaylorCoderivation,
     TaylorMorphism,
     check_codifferential,
     check_morphism,
-    decalage_down,
-    decalage_up,
     exp_coderivation,
     exp_series,
     mc_residual,
     svec_add,
-    svec_scale as vec_scale,
     _set_partitions,
 )
 
@@ -156,7 +154,7 @@ def reference_codifferential(Q, words):
 
 def reference_morphism(phi, Q, Qp, words):
     return first_residual(lambda w: svec_add(Qp.apply(phi.apply_word(w)),
-                                             vec_scale(phi.apply(Q.apply_word(w)), -1)), words)
+                                             add_into({}, phi.apply(Q.apply_word(w)), -1)), words)
 
 
 def seeded_structures(V, seed, max_len):
@@ -173,7 +171,7 @@ def seeded_structures(V, seed, max_len):
     Q = TaylorCoderivation(V, coeffs)
     tables = {k: random_table(V, rng, k, 0) for k in (2, 3)}
     M = TaylorCoderivation(V, {k: from_table(t) for k, t in tables.items()})
-    Mminus = TaylorCoderivation(V, {k: from_table({w: vec_scale(v, -1) for w, v in t.items()})
+    Mminus = TaylorCoderivation(V, {k: from_table({w: add_into({}, v, -1) for w, v in t.items()})
                                     for k, t in tables.items()})
     eM = exp_coderivation(M)
     Qp = conjugate(Q, M, Mminus, max_len)
@@ -329,7 +327,7 @@ def test_exp_coderivation(V):
     eM = exp_coderivation(M)
     assert eM.coefficient(1, ("b",)) == {"b": F(1)}
     assert eM.coefficient(2, ("b", "c")) == {"a": F(3)}
-    Mneg = TaylorCoderivation(V, {2: lambda w: vec_scale(M2.get(tuple(w), {}), -1)})
+    Mneg = TaylorCoderivation(V, {2: lambda w: add_into({}, M2.get(tuple(w), {}), -1)})
     for w in V.words(BASIS, 4):
         assert exp_series(Mneg, exp_series(M, {w: F(1)})) == {w: F(1)}
         # partition-sum reconstruction agrees with the series action
@@ -437,35 +435,6 @@ def test_mc_residual_int_coefficients_stay_exact(V):
     out = mc_residual(Q, {"a": 1})
     assert out == {"b": F(1, 2), "c": F(1, 6)}
     assert all(type(c) is F for c in out.values())
-
-
-def test_decalage_examples(V):
-    unshift = lambda key: V.degree(key) + 1
-
-    def m1(word):
-        return {"e": F(1)} if word[0] == "b" else {}
-    mu1 = decalage_down(m1, 1, unshift)
-    # k=1: mu_1 = (-1)^1 (-1)^0 m_1 = -m_1 (independent of degrees)
-    assert mu1(("b",)) == {"e": F(-1)}
-
-    def m2(word):
-        return {"e": F(1)} if tuple(word) == ("a", "b") else {}
-    mu2 = decalage_down(m2, 2, unshift)
-    # k=2 on (a,b): sign (-1)^2 (-1)^{(2-1)|a| + 0} = (-1)^{|a|_unshifted} = -1
-    assert mu2(("a", "b")) == {"e": F(-1)}
-
-
-def test_decalage_roundtrip(V):
-    rng = random.Random(2)
-    unshift = lambda key: V.degree(key) + 1
-    for k in (1, 2, 3):
-        table = {}
-        for w in V.words(BASIS, k, k):
-            table[w] = {key: F(rng.randint(-2, 2)) for key in BASIS}
-        mk = lambda word, t=table: dict(t.get(tuple(word), {}))
-        back = decalage_up(decalage_down(mk, k, unshift), k, unshift)
-        for w in V.words(BASIS, k, k):
-            assert mk(w) == back(w)
 
 
 @pytest.mark.parametrize("n", range(8))

@@ -20,7 +20,7 @@ from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
 from cjde.deform import ComplexMatrices
-from cjde.linfty import GradedSpace, TaylorCoderivation, _index_multisets, curve_coefficient
+from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
 from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
                       koszul_sign, koszul_sort)
 
@@ -764,22 +764,6 @@ long_curves = st.lists(st.one_of(st.just({}),
 def test_curve_coefficient_matches_ordered_expansion_on_long_curves(Q, curve, r):
     expected = ordered_curve_coefficient(Q.arities(), toy_bracket(Q), curve, r)
     assert curve_coefficient(Q, curve, r) == expected
-
-
-def brute_force_multisets(indices, k, r):
-    return [idx for idx in itertools.combinations_with_replacement(indices, k) if sum(idx) == r]
-
-
-def test_index_multisets_match_brute_force():
-    # every subset of 1..6 as the nonzero indices, and a few longer ones; each
-    # multiset with sum r, in lexicographic order
-    index_lists = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(64)]
-    index_lists += [list(range(1, 13)), [2, 5, 11], [12], [1, 12]]
-    for indices in index_lists:
-        for k in range(5):
-            for r in range(13):
-                assert list(_index_multisets(indices, k, r)) == \
-                    brute_force_multisets(indices, k, r), (indices, k, r)
 
 
 @pytest.mark.parametrize("r", [2.5, True, -1])
