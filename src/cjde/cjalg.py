@@ -45,8 +45,9 @@ over the letters of each word, basis monomials read as sections.  The fold
 keeps the unprojected bracket of each word prefix shorter than the top
 arity, so a word costs one bracket past its prefix.  The kept brackets are
 freed with the coefficient function, and so with Q or M; nothing is cached
-on the instance.  `_coefficient` adapts an operation on sections to a Taylor
-coefficient on the closed route.
+on the instance.  `mc_residual_form` runs one such fold with a 2-form itself
+as the letter, three brackets in all.  `_coefficient` adapts an operation on
+sections to a Taylor coefficient on the closed route.
 
 The closed route rests on one contraction: `_contract` gives, for a fully
 antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
@@ -86,7 +87,7 @@ from .linfty import (
     Vector,
     Word,
     exp_coderivation,
-    mc_residual,
+    require_degree_zero,
 )
 from .vdata import VData, derived_bracket_fold, higher_derived_bracket
 
@@ -1059,9 +1060,27 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
 
 
 def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
-    """m_0 + m_1(eta) + 1/2 m_2(eta,eta) + 1/6 m_3(eta,eta,eta) as a section."""
-    residual = mc_residual(deformation_brackets(inst), section_to_vector(inst, eta))
-    return vector_to_section(inst, residual)
+    """m_0 + m_1(eta) + 1/2 m_2(eta,eta) + 1/6 m_3(eta,eta,eta) as a section.
+
+    One `derived_bracket_fold` of the contact V-data with eta itself as the
+    letter: m_k(eta,...,eta) = -P{...{{Theta,eta},eta}...,eta} on the words
+    (), (eta,), (eta,eta), (eta,eta,eta), so three brackets in all, each
+    word one bracket past its kept prefix.  This is the word route
+    `linfty.mc_residual` summed over the basis words of eta^k, because the
+    derived brackets are multilinear and, on the abelian subalgebra of
+    pullback forms, symmetric: a 2-form has degree 0, so no Koszul sign
+    enters.  Arity 3 is complete: Theta has degree 3 and every momentum has
+    degree >= 1, so a monomial of Theta holds at most three momenta, and a
+    bracket with a pullback form takes one away; the fourth bracket is zero.
+    Word (), the curvature P(-Theta) = Upsilon_A, is m_0.  Raises ValueError
+    unless eta is a pullback form of degree 0 in Omega(A;L)[2].
+    """
+    require_degree_zero(deformation_space(inst), section_to_vector(inst, eta))
+    fold = derived_bracket_fold(contact_vdata(inst), lambda s: s, 2)
+    residual = inst.context.zero_section()
+    for k in range(4):
+        residual = residual + fold((eta,) * k).scale(Fraction(1, math.factorial(k)))
+    return residual
 
 
 # --- change of complement ----------------------------------------------------

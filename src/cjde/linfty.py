@@ -49,7 +49,11 @@ words in which each word's one-letter-shorter sub-words come earlier
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
 Its t^r coefficient enumerates the multisets i_1 <= ... <= i_k of indices
 of nonzero curve entries and evaluates Q_k only on those with sum r, once
-per multiset rather than once per ordered k-tuple.
+per multiset rather than once per ordered k-tuple.  `mc_residual` is this
+word route for any Q: each m_k runs on every basis word of eta^k.  The
+contact model's residual of a 2-form, `cjalg.mc_residual_form`, folds the
+derived brackets on the form itself instead, and the tests check it
+against `mc_residual` on both routes' Q.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ __all__ = [
     "exp_series",
     "curve_coefficient",
     "mc_residual",
+    "require_degree_zero",
     "svec_add",
 ]
 
@@ -436,16 +441,24 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     return out
 
 
+def require_degree_zero(space: GradedSpace, eta: Vector) -> None:
+    """Raise ValueError naming the first key of eta whose degree is not 0."""
+    for key in eta:
+        if space.degree(key):
+            raise ValueError(f"a Maurer-Cartan element has degree 0, but {key!r} "
+                             f"has degree {space.degree(key)}")
+
+
 def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta.
 
-    The sum over the arities k of Q of the t^k coefficients of the curve t*eta.
-    A key of eta of nonzero degree raises ValueError.
+    The sum over the arities k of Q of the t^k coefficients of the curve t*eta,
+    so each m_k runs on every basis word of eta^k.  This word route serves any
+    Q; the tests use it as the oracle for `cjalg.mc_residual_form`, which
+    folds the contact brackets on eta itself.  A key of eta of nonzero degree
+    raises ValueError (`require_degree_zero`).
     """
-    for key in eta:
-        if Q.space.degree(key):
-            raise ValueError(f"a Maurer-Cartan element has degree 0, but {key!r} "
-                             f"has degree {Q.space.degree(key)}")
+    require_degree_zero(Q.space, eta)
     out: Vector = {}
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))

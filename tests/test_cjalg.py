@@ -51,7 +51,7 @@ import cjde.contact as contact_module
 from cjde.contact import ContactContext, Section, jacobi_bracket, project_P
 from cjde.gca import Poly, add_into, koszul_sign
 from cjde.instancefile import load_instance
-from cjde.linfty import check_codifferential, check_morphism, exp_coderivation
+from cjde.linfty import check_codifferential, check_morphism, exp_coderivation, mc_residual
 from cjde.vdata import higher_derived_bracket
 
 from conftest import (antisymmetric_entry, assert_m2_closed_on_two_words,
@@ -695,6 +695,75 @@ def test_correspondence_50(djmix, obst1):
                 seen_nonzero = True
                 assert witness is not None
     assert seen_nonzero
+
+
+def mc_instance(name):
+    """A fixture's instance, or OMNIX: dual-trivial over x with a non-closed d."""
+    if name == "OMNIX":
+        return SplitCJInstance(1, 3, lam={0: 1}, rho={(0, 2): 1}, name="OMNIX")
+    return load_fixture(name).instance
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["OMNIX"])
+def test_mc_residual_form_equals_the_word_route(name):
+    """The fold on eta equals the word route's residual, summed over the basis
+    words of eta^k, of both routes' Q on seeded 2-forms (x-polynomial
+    coefficients over a positive-dimensional base)."""
+    inst = mc_instance(name)
+    rng = random.Random(f"mc fold {name}")
+    Qs = [deformation_brackets(inst, route) for route in ("derived", "closed")]
+    nonzero = 0
+    for _ in range(10):
+        eta = random_two_form(inst, rng)
+        residual = mc_residual_form(inst, eta)
+        for Q in Qs:
+            assert residual == vector_to_section(
+                inst, mc_residual(Q, section_to_vector(inst, eta))), (name, eta.entries)
+        nonzero += not residual.is_zero()
+    # a residual is a 3-form, so below rank 3 it is zero
+    assert nonzero or inst.n < 3, name
+
+
+@pytest.mark.parametrize("name, dense", [("djmix4", True), ("djmix4", False),
+                                         ("djmix", True), ("obst1", True)])
+def test_mc_residual_form_makes_three_brackets(monkeypatch, name, dense):
+    """One bracket per arity past the curvature, on the form itself: the
+    word route makes one per new prefix of every basis word of eta^k."""
+    doc = load_fixture(name)
+    inst = doc.instance
+    if dense:
+        eta = DeformationForm.from_dict(inst, {key: i for i, key in enumerate(
+            itertools.combinations(range(inst.n), 2), 1)})
+    else:
+        eta = doc.deformations["eta3"]
+    calls = record_brackets(monkeypatch)
+    residual = mc_residual_form(inst, eta)
+    assert len(calls) == 3
+    assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["OMNIX"])
+def test_the_fourth_derived_bracket_of_a_2_form_is_zero(name):
+    """Why the MC sum stops at arity 3: each monomial of Theta holds at most
+    three momenta, and a bracket with a pullback form takes one away, so the
+    fourth bracket is zero before the projection as well as after it."""
+    inst = mc_instance(name)
+    rng = random.Random(f"arity four {name}")
+    for _ in range(10):
+        eta = random_two_form(inst, rng)
+        assert derived_bracket_sections(inst, [eta] * 4).is_zero(), name
+        unprojected = inst.minus_theta
+        for _ in range(4):
+            unprojected = jacobi_bracket(unprojected, eta)
+        assert unprojected.is_zero(), name
+
+
+def test_mc_residual_form_rejects_a_momentum():
+    inst = load_fixture("djmix4").instance
+    ctx = inst.context
+    for body in (ctx.pa(0), ctx.u(0) * ctx.u(1) + ctx.pa(0) * ctx.u(2) * ctx.u(3)):
+        with pytest.raises(ValueError, match="not a pullback form"):
+            mc_residual_form(inst, Section(ctx, body))
 
 
 # --- deformation brackets ------------------------------------------------------
