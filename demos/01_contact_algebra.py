@@ -40,9 +40,9 @@ print()
 print("== Reeb vector fields ==")
 lam = S(u1)
 X = reeb_field(lam)
-print("Reeb field of u1 mu acts on p as", X.value(ctx.ix_p),
-      "and on pa1 as", X.value(ctx.ix_pa[0]))
-print("iota_X theta =", contract_theta(X), " (= (-1)^{|u1|} u1 mu)")
+print("Reeb field of u1 mu acts on p as", X.values[ctx.ix_p],
+      "and on pa1 as", X.values[ctx.ix_pa[0]])
+print("iota_X theta =", contract_theta(ctx, X), " (= (-1)^{|u1|} u1 mu)")
 
 print()
 print("== the Legendre transform swaps the two bundle structures ==")

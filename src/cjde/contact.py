@@ -19,8 +19,9 @@ each is a `gca.Derivation`, applied by its one `__call__`:
   * a derivation f + X of the line bundle over A[1], such as d_{A,L}
     (`LineDerivation`), whose Hamiltonian lift is the fiberwise-linear
     section (f p + X^i pi_i + X^a pa_a) mu;
-  * a vector field on the contact manifold (`ContactVectorField`), such as
-    the Reeb field of a section, whose values are the bracket operator's.
+  * a vector field on the contact manifold, such as the Reeb field of a
+    section (`reeb_field`): a plain `gca.Derivation` with no scalar and a
+    value on every generator, here the bracket operator's.
 
 Everything else (Hamiltonian lifts, the Legendre transform) is checked
 against the bracket.
@@ -36,12 +37,10 @@ __all__ = [
     "ContactContext",
     "Section",
     "LineDerivation",
-    "ContactVectorField",
     "jacobi_bracket",
     "hamiltonian_lift",
     "project_P",
     "legendre_pullback",
-    "legendre_pushforward",
     "reeb_field",
     "contract_theta",
     "bidegree_decompose",
@@ -218,7 +217,6 @@ class HamiltonianOperator(Derivation):
     The C_k are the values of f's Reeb field (`reeb_field`).  Each is built
     the first time a right argument has a partial by k, and kept: most left
     arguments meet a few right ones, so an eager build would mostly be waste.
-    When f has one parity, T is F times its sign and f~ is never formed.
     f may be inhomogeneous, so the operator has no degree and takes no
     commutator; the Reeb field of a homogeneous section is the vector field
     to take commutators of.
@@ -231,16 +229,12 @@ class HamiltonianOperator(Derivation):
         super().__init__(context.algebra, None, {}, None if d_p is None else -d_p)
         self.context = context
         self.f = f
-        self._twist: Optional[Tuple[Dict[int, Poly], int]] = None
+        self._twist: Optional[Dict[int, Poly]] = None
 
-    def _twisted(self) -> Tuple[Dict[int, Poly], int]:
-        """(parts, sign) with T_k = sign * parts[k]."""
+    def _twisted(self) -> Dict[int, Poly]:
+        """T, the partials of the twist f~, taken once and kept."""
         if self._twist is None:
-            parts = self.f.parity_components()
-            if len(parts) < 2:
-                self._twist = self.f.partials(), -1 if 1 in parts else 1
-            else:
-                self._twist = self.f.parity_twist().partials(), 1
+            self._twist = self.f.parity_twist().partials()
         return self._twist
 
     def _missing_value(self, k: int) -> Poly:
@@ -250,27 +244,27 @@ class HamiltonianOperator(Derivation):
         acc: Dict = {}
         if k == ctx.ix_p:
             F = self.f.partials()
-            T, sign = self._twisted()
+            T = self._twisted()
             add_into(acc, self.f._packed)
             for pi in ctx.ix_pi:
                 if pi in F:
                     F[pi].mul_into(-alg.gen(pi), acc)
             for pa in ctx.ix_pa:
                 if pa in T:
-                    T[pa].mul_into(alg.gen(pa).scale(sign), acc)
+                    T[pa].mul_into(alg.gen(pa), acc)
         else:
             coord, mom, signed = ctx.darboux[k]
-            parts, sign = self._twisted() if signed else (self.f.partials(), 1)
+            parts = self._twisted() if signed else self.f.partials()
             if k == coord:
                 # T_{pa_a} for u^a, but -F_{pi_i} for x^i
                 if mom in parts:
-                    add_into(acc, parts[mom]._packed, sign if signed else -1)
+                    add_into(acc, parts[mom]._packed, 1 if signed else -1)
             else:
-                # D f = df/d(coord) + mom * df/dp, or D f~ = sign * D f for one parity
+                # D f = df/d(coord) + mom * df/dp, or D f~ for u^a
                 if coord in parts:
-                    add_into(acc, parts[coord]._packed, sign)
+                    add_into(acc, parts[coord]._packed)
                 if ctx.ix_p in parts:
-                    alg.gen(mom).scale(sign).mul_into(parts[ctx.ix_p], acc)
+                    alg.gen(mom).mul_into(parts[ctx.ix_p], acc)
         c = self.values[k] = Poly._trusted(alg, acc)
         return c
 
@@ -377,50 +371,14 @@ def legendre_pullback(t: Section, into: ContactContext) -> Section:
     return Section(into, body)
 
 
-def legendre_pushforward(X: "ContactVectorField", into: ContactContext) -> "ContactVectorField":
-    """Push a vector field to the mirror side: (F_* X)(g) = (F^-1)^* X(F^* g)."""
-    src = X.context
-    if into is not src.mirror:
-        raise ContextMismatch("pushforward must land on the mirror context")
-    pull = _legendre_images(into, src)        # F^*: mirror poly -> src poly
-    pull_inv = _legendre_images(src, into)    # (F^-1)^* = mirror Legendre
-    values: Dict[int, Poly] = {}
-    for idx in range(len(into.algebra.gens)):
-        g_img = into.algebra.gen(idx).substitute(src.algebra, pull)
-        values[idx] = X(g_img).substitute(into.algebra, pull_inv)
-    return ContactVectorField(into, X.degree, values)
-
-
 # --- Reeb vector fields --------------------------------------------------
 
 
-class ContactVectorField(Derivation):
-    """A graded vector field X on the contact manifold, by its values on the coordinates.
-
-    It is a `gca.Derivation` of the coordinate algebra with no scalar that
-    also carries its context: X(f) applies it, and `commutator` stays a
-    ContactVectorField.  `value` reads a coordinate's value, zero when none
-    is given.
-    """
-
-    __slots__ = ("context",)
-
-    def __init__(self, context: ContactContext, degree: int, values: Dict[int, Poly]):
-        super().__init__(context.algebra, degree, values)
-        self.context = context
-
-    def value(self, idx: int) -> Poly:
-        return self.values.get(idx, self.context.algebra.zero())
-
-    def commutator(self, other: "ContactVectorField") -> "ContactVectorField":
-        d = super().commutator(other)
-        return ContactVectorField(self.context, d.degree, d.values)
-
-
-def reeb_field(lam: Section) -> ContactVectorField:
+def reeb_field(lam: Section) -> Derivation:
     """Reeb vector field of a homogeneous section: X(k) = C_k of {lam, .}.
 
-    Its values on the coordinates are the values of the bracket's operator
+    A plain `gca.Derivation` of degree |lam| - 2 with no scalar and a value
+    on every generator: the values of the bracket's operator
     (`HamiltonianOperator`), so {lam, g} = X(g) - dlam/dp g.
     """
     ctx = lam.context
@@ -428,22 +386,25 @@ def reeb_field(lam: Section) -> ContactVectorField:
     op = lam._hamiltonian()
     values = {k: op.values[k] if k in op.values else op._missing_value(k)
               for k in range(len(ctx.algebra.gens))}
-    return ContactVectorField(ctx, -2 if deg is None else deg - 2, values)
+    return Derivation(ctx.algebra, -2 if deg is None else deg - 2, values)
 
 
-def contract_theta(X: ContactVectorField) -> Section:
-    """Contraction of a vector field against the Cartan contact form.
+def contract_theta(ctx: ContactContext, X: Derivation) -> Section:
+    """Contraction of a vector field on `ctx` against the Cartan contact form.
 
     theta = (dp - pi_i dx^i - pa_a du^a) mu; the Koszul signs follow the
     convention iota_{fX} = (-1)^{|f|} f iota_X used throughout, under which
-    iota_{X_lam} theta = (-1)^{|lam|} lam holds exactly.
+    iota_{X_lam} theta = (-1)^{|lam|} lam holds exactly.  Only X's values
+    on p, the x's and the u's are read; a field on another algebra raises
+    ContextMismatch.
     """
-    ctx = X.context
+    if X.algebra is not ctx.algebra:
+        raise ContextMismatch("vector field from a different context")
     sign = -1 if X.degree % 2 else 1
-    out = X.value(ctx.ix_p)
+    out = X.values[ctx.ix_p]
     for i in range(ctx.m):
-        out = out - ctx.pi(i) * X.value(ctx.ix_x[i])
+        out = out - ctx.pi(i) * X.values[ctx.ix_x[i]]
     out = out.scale(sign)
     for a in range(ctx.n):
-        out = out + ctx.pa(a) * X.value(ctx.ix_u[a])
+        out = out + ctx.pa(a) * X.values[ctx.ix_u[a]]
     return Section(ctx, out)

@@ -26,11 +26,11 @@ from typing import List, Optional, Sequence, Tuple
 from .cjalg import (
     DeformationForm,
     SplitCJInstance,
+    _is_int,
     check_cj_axioms,
     deformation_brackets,
     derived_bracket_sections,
     form_basis,
-    m2_closed,
     section_to_vector,
     vector_to_section,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "extend_mc",
     "mc_residual_coefficients",
     "search_obstructed_instance",
-    "search_unobstructed_dgla",
 ]
 
 Matrix = List[List[Fraction]]
@@ -272,10 +271,11 @@ def cohomology(inst: SplitCJInstance, k: int,
                cm: Optional[ComplexMatrices] = None) -> Cohomology:
     """Exact H^k with representative basis completing the image inside the kernel.
 
-    k must be >= 0; above the rank H^k is the zero space.
+    k must be an int >= 0, else ValueError; above the rank H^k is the zero
+    space.
     """
-    if k < 0:
-        raise ValueError(f"cohomology degree must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"cohomology degree must be an int >= 0, got {k!r}")
     cm = cm or ComplexMatrices(inst)
     _require_complex_of(inst, cm)
     if k > cm.n:
@@ -347,10 +347,10 @@ def mc_residual_coefficients(inst: SplitCJInstance, coeffs: Sequence[Section],
     Entry r - 1 of the returned list is the coefficient of t^r (r >= 1):
     `linfty.curve_coefficient` of the closed-route structure, exact.
     `coeffs` holds eta_1, eta_2, ..., each a 2-form; coefficients past its
-    end count as zero.  An order below 0 raises ValueError.
+    end count as zero.  An order that is not an int >= 0 raises ValueError.
     """
-    if order < 0:
-        raise ValueError(f"the expansion order must be at least 0, got {order}")
+    if not _is_int(order) or order < 0:
+        raise ValueError(f"the expansion order must be an int at least 0, got {order!r}")
     for s in coeffs:
         DeformationForm.from_section(inst, s)
     Q = deformation_brackets(inst, "closed")
@@ -371,12 +371,12 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     eta_1 alone.  At order r >= 3 it holds only for the chosen
     eta_2..eta_{r-1}: the order-r residual is affine in eta_{r-1}, and
     adding a closed 2-form to it can make the residual exact.  `h3` must be
-    H^3 of a complex built for `inst` itself, eta_1 a 2-form and `order` at
-    least 1, else ValueError.
+    H^3 of a complex built for `inst` itself, eta_1 a 2-form and `order` an
+    int at least 1, else ValueError.
     """
     DeformationForm.from_section(inst, eta1)
-    if order < 1:
-        raise ValueError(f"the extension order must be at least 1, got {order}")
+    if not _is_int(order) or order < 1:
+        raise ValueError(f"the extension order must be an int at least 1, got {order!r}")
     h3 = h3 or cohomology(inst, 3)
     _require_h3_of(inst, h3)
     if not h3.complex.d(eta1).is_zero():
@@ -427,20 +427,8 @@ def _random_point_instance(rng: random.Random, context: ContactContext,
     return SplitCJInstance(0, n, name=name, context=context, **kw)
 
 
-# Rank of the instances the two fixture searches build; the dgLa search's
-# A-side brackets name e_0, e_1 and e_2.
+# Rank of the instances the obstructed-fixture search builds.
 SEARCH_RANK = 3
-
-
-def _flat_complex(inst: SplitCJInstance) -> Optional[ComplexMatrices]:
-    """The complex of a search candidate, or None unless {Theta,Theta} = 0 and
-    the A side is flat."""
-    if not jacobi_bracket(inst.theta, inst.theta).is_zero():
-        return None
-    try:
-        return ComplexMatrices(inst)
-    except NotFlat:
-        return None
 
 
 def search_obstructed_instance(seed: int = 42, tries: int = 2000
@@ -462,8 +450,11 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000
     context = ContactContext(0, SEARCH_RANK)
     for attempt in range(tries):
         inst = _random_point_instance(rng, context, f"search-{seed}-{attempt}")
-        cm = _flat_complex(inst)
-        if cm is None:
+        if not jacobi_bracket(inst.theta, inst.theta).is_zero():
+            continue
+        try:
+            cm = ComplexMatrices(inst)
+        except NotFlat:
             continue
         h2 = cohomology(inst, 2, cm)
         h3 = cohomology(inst, 3, cm)
@@ -481,43 +472,3 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000
                 inst.name = f"OBST1(seed={seed})"
                 return inst, eta, coords
     raise RuntimeError(f"no obstructed instance found in {tries} tries (seed {seed})")
-
-
-def search_unobstructed_dgla() -> Tuple[SplitCJInstance, DeformationForm]:
-    """Deterministic search for a dgLa fixture: m_3 = 0, m_2 != 0, H^3 = 0.
-
-    Enumerates solvable A-side brackets against single small dual-side slots,
-    keeping the first combination that satisfies the structure equation, has
-    vanishing H^3, and carries a closed 2-form with a genuinely nonzero
-    binary bracket.  On such an instance every closed eta_1 extends to any
-    order since the obstructions live in H^3.
-    """
-    aside_variants = [
-        {"c": {(1, 0, 1): 1, (2, 0, 2): 1}, "lam": {}},
-        {"c": {(1, 0, 1): 1, (2, 0, 2): 2}, "lam": {}},
-        {"c": {(1, 0, 1): 1, (2, 0, 2): 1}, "lam": {0: 1}},
-    ]
-    n = SEARCH_RANK
-    dual_slots = [("c_dual", (cc, a, b)) for cc in range(n)
-                  for a, b in itertools.combinations(range(n), 2)]
-    dual_slots += [("lam_dual", (a,)) for a in range(n)]
-    for aside in aside_variants:
-        base = SplitCJInstance(0, n, **aside)
-        cm_base = _flat_complex(base)
-        if cm_base is None or cohomology(base, n, cm_base).dimension != 0:
-            continue
-        for slot, key in dual_slots:
-            for v in (1, -1):
-                inst = SplitCJInstance(0, n, name="DGLA1", **aside, **{slot: {key: v}})
-                cm = _flat_complex(inst)
-                if cm is None:
-                    continue
-                kern = nullspace(cm.matrices[2], len(cm.basis[2]))
-                for kv in kern:
-                    cand = cm.coords_to_form(kv, 2)
-                    if m2_closed(inst, cand, cand).is_zero():
-                        continue
-                    if not check_cj_axioms(inst).ok:
-                        break
-                    return inst, DeformationForm.from_section(inst, cand)
-    raise RuntimeError("no dgLa fixture found in the structured family")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from cjde.cjalg import (SplitCJInstance, deformation_brackets, deformation_space,
                         m2_sharp_closed, pairing, section_to_vector, vector_to_section,
                         word_to_sections)
-from cjde.contact import ContactContext, ContactVectorField, jacobi_bracket
-from cjde.gca import Poly, add_into, koszul_sign
+from cjde.contact import (ContactContext, LineDerivation, jacobi_bracket,
+                          legendre_pullback)
+from cjde.gca import Derivation, Poly, add_into, koszul_sign
+from cjde.instancefile import load_instance
 from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     basis_keys,
     random_homogeneous_section,
@@ -18,14 +21,22 @@ from cjde.samples import (  # noqa: F401  (re-exported to the test modules)
     random_section,
 )
 
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def load_fixture(name):
+    """The parsed `fixtures/<name>.json`: its instance and named 2-forms."""
+    return load_instance(os.path.join(FIXTURES, name + ".json"))
+
 
 def random_base_poly(ctx, rng, weight=2, terms=3):
     return random_poly(ctx, rng, weight, terms, indices=ctx.base_indices())
 
 
 def random_vector_field(ctx, rng):
-    """A random homogeneous contact vector field of degree in [-2, 1]: up to
-    three terms per generator, each a random word kept when its degree fits."""
+    """A random homogeneous vector field on `ctx`, a `gca.Derivation` of degree
+    in [-2, 1]: up to three terms per generator, each a random word kept when
+    its degree fits."""
     degree = rng.choice([-2, -1, 0, 1])
     values = {}
     for idx in range(len(ctx.algebra.gens)):
@@ -39,7 +50,36 @@ def random_vector_field(ctx, rng):
                 continue
             out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
         values[idx] = out
-    return ContactVectorField(ctx, degree, values)
+    return Derivation(ctx.algebra, degree, values)
+
+
+def legendre_pushforward(X, into):
+    """F_* X = (F^-1)^* X F^*, a vector field on `into` from one on its mirror:
+    both pullbacks are `legendre_pullback`, as the Legendre map is an involution."""
+    src, values = into.mirror, {}
+    for idx in range(len(into.algebra.gens)):
+        pulled = legendre_pullback(into.section(into.algebra.gen(idx)), src).body
+        values[idx] = legendre_pullback(src.section(X(pulled)), into).body
+    return Derivation(into.algebra, X.degree, values)
+
+
+def hom_line_derivation(ctx, rng, degree):
+    """Random line derivation homogeneous of the given degree."""
+    def hom_poly(d):
+        out = ctx.algebra.zero()
+        if d < 0:
+            return out
+        for _ in range(4):
+            k = rng.randint(0, 3)
+            word = [rng.choice(ctx.base_indices()) for _ in range(k)]
+            _, mono = ctx.algebra.normalize_word(word)
+            if mono is None or ctx.algebra.monomial_degree(mono) != d:
+                continue
+            out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
+        return out
+    return LineDerivation(ctx, degree, hom_poly(degree),
+                          [hom_poly(degree) for _ in range(ctx.m)],
+                          [hom_poly(degree + 1) for _ in range(ctx.n)])
 
 
 def random_x_poly(ctx, rng, maxdeg=1):

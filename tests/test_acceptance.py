@@ -25,13 +25,11 @@ from cjde.cjalg import (
 )
 from cjde.contact import (
     ContactContext,
-    LineDerivation,
     Section,
     contract_theta,
     hamiltonian_lift,
     jacobi_bracket,
     legendre_pullback,
-    legendre_pushforward,
 )
 from cjde.deform import (
     cohomology,
@@ -39,15 +37,16 @@ from cjde.deform import (
     kuranishi,
     mc_residual_coefficients,
     search_obstructed_instance,
-    search_unobstructed_dgla,
 )
-from cjde.gca import Poly
 from cjde.linfty import check_codifferential, check_morphism
 
 from conftest import (
     assert_m2_closed_on_two_words,
     assert_routes_agree,
     basis_keys,
+    hom_line_derivation,
+    legendre_pushforward,
+    load_fixture,
     random_form_section,
     random_homogeneous_section,
     random_instance,
@@ -98,24 +97,6 @@ def test_criterion_1_jacobi_structure_suite():
     report(1, f"bracket skew+Jacobi exact on {checked} random homogeneous triples", t0)
 
 
-def hom_line_derivation(ctx, rng, degree):
-    def hom_poly(d):
-        out = ctx.algebra.zero()
-        if d < 0:
-            return out
-        for _ in range(4):
-            k = rng.randint(0, 3)
-            word = [rng.choice(ctx.base_indices()) for _ in range(k)]
-            _, mono = ctx.algebra.normalize_word(word)
-            if mono is None or ctx.algebra.monomial_degree(mono) != d:
-                continue
-            out = out + Poly(ctx.algebra, {mono: F(rng.randint(-2, 2))})
-        return out
-    return LineDerivation(ctx, degree, hom_poly(degree),
-                          [hom_poly(degree) for _ in range(ctx.m)],
-                          [hom_poly(degree + 1) for _ in range(ctx.n)])
-
-
 def test_criterion_2_hamiltonian_lift_suite():
     """The three lift identities on 100 random quadruples."""
     t0 = time.time()
@@ -143,7 +124,7 @@ def test_criterion_3_legendre_suite():
     for _ in range(50):
         X = random_vector_field(ctx, rng)
         FX = legendre_pushforward(X, mir)
-        assert legendre_pullback(contract_theta(FX), ctx) == contract_theta(X)
+        assert legendre_pullback(contract_theta(mir, FX), ctx) == contract_theta(ctx, X)
     for _ in range(100):
         s = Section(mir, random_poly(mir, rng, weight=3))
         t = Section(mir, random_poly(mir, rng, weight=3))
@@ -257,7 +238,8 @@ def test_criterion_8_kuranishi_suite():
     assert curve.obstructed_at == 2
     assert any(curve.obstruction_class)
 
-    dgla, eta_d = search_unobstructed_dgla()
+    doc = load_fixture("dgla1")
+    dgla, eta_d = doc.instance, doc.deformations["eta1"]
     assert cohomology(dgla, 3).dimension == 0
     kur, _ = kuranishi(dgla, eta_d)
     assert not any(kur)

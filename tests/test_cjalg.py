@@ -50,21 +50,15 @@ import cjde.cjalg as cjalg_module
 import cjde.contact as contact_module
 from cjde.contact import ContactContext, Section, jacobi_bracket, project_P
 from cjde.gca import Poly, add_into, koszul_sign
-from cjde.instancefile import load_instance
 from cjde.linfty import check_codifferential, check_morphism, exp_coderivation, mc_residual
 from cjde.vdata import higher_derived_bracket
 
-from conftest import (antisymmetric_entry, assert_m2_closed_on_two_words,
-                      assert_routes_agree, basis_keys, dense_courant_tensor,
+from conftest import (FIXTURES, antisymmetric_entry, assert_m2_closed_on_two_words,
+                      assert_routes_agree, basis_keys, dense_courant_tensor, load_fixture,
                       printed, random_form_section, random_instance, random_x_poly)
 
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FIXTURE_NAMES = sorted(f[:-len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
-
-
-def load_fixture(name):
-    return load_instance(os.path.join(FIXTURES, name + ".json"))
 
 
 # --- Theta ------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Contact model: the coordinate bracket, lifts, Legendre transform, Reeb fields."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,14 +13,13 @@ from cjde.contact import (
     hamiltonian_lift,
     jacobi_bracket,
     legendre_pullback,
-    legendre_pushforward,
     project_P,
     reeb_field,
 )
-from cjde.gca import ContextMismatch, Derivation, Poly
+from cjde.gca import ContextMismatch, Derivation
 
-from conftest import (random_base_poly, random_homogeneous_section, random_poly,
-                      random_vector_field)
+from conftest import (hom_line_derivation, legendre_pushforward, random_base_poly,
+                      random_homogeneous_section, random_poly, random_vector_field)
 
 
 @pytest.fixture
@@ -31,25 +29,6 @@ def ctx():
 
 def S(ctx, body):
     return ctx.section(body)
-
-
-def hom_line_derivation(ctx, rng, degree):
-    """Random line derivation homogeneous of the given degree."""
-    def hom_poly(d):
-        out = ctx.algebra.zero()
-        if d < 0:
-            return out
-        for _ in range(4):
-            k = rng.randint(0, 3)
-            word = [rng.choice(ctx.base_indices()) for _ in range(k)]
-            _, mono = ctx.algebra.normalize_word(word)
-            if mono is None or ctx.algebra.monomial_degree(mono) != d:
-                continue
-            out = out + Poly(ctx.algebra, {mono: Fraction(rng.randint(-2, 2))})
-        return out
-    return LineDerivation(ctx, degree, hom_poly(degree),
-                          [hom_poly(degree) for _ in range(ctx.m)],
-                          [hom_poly(degree + 1) for _ in range(ctx.n)])
 
 
 # --- the bracket -----------------------------------------------------------
@@ -218,7 +197,7 @@ def test_legendre_preserves_contact_form_50(ctx):
     for _ in range(50):
         X = random_vector_field(ctx, rng)
         FX = legendre_pushforward(X, mir)
-        assert legendre_pullback(contract_theta(FX), ctx) == contract_theta(X)
+        assert legendre_pullback(contract_theta(mir, FX), ctx) == contract_theta(ctx, X)
 
 
 # --- Reeb fields -------------------------------------------------------------
@@ -226,13 +205,29 @@ def test_legendre_preserves_contact_form_50(ctx):
 
 def test_reeb_examples(ctx):
     X = reeb_field(S(ctx, ctx.algebra.one()))
-    assert X.value(ctx.ix_p) == ctx.algebra.one()
-    assert all(X.value(i).is_zero() for i in range(len(ctx.algebra.gens))
+    assert X.values[ctx.ix_p] == ctx.algebra.one()
+    assert all(X.values[i].is_zero() for i in range(len(ctx.algebra.gens))
                if i != ctx.ix_p)
     Xp = reeb_field(S(ctx, ctx.p))
-    assert Xp.value(ctx.ix_p) == ctx.p
-    assert Xp.value(ctx.ix_pa[0]) == ctx.pa(0)
-    assert Xp.value(ctx.ix_pi[0]) == ctx.pi(0)
+    assert Xp.values[ctx.ix_p] == ctx.p
+    assert Xp.values[ctx.ix_pa[0]] == ctx.pa(0)
+    assert Xp.values[ctx.ix_pi[0]] == ctx.pi(0)
+
+
+def test_reeb_field_is_a_plain_derivation(ctx):
+    # no subclass and no scalar: a value on every generator, degree |lam| - 2
+    X = reeb_field(S(ctx, ctx.u(0) * ctx.p))
+    assert type(X) is Derivation and X.scalar is None and X.degree == 1
+    assert set(X.values) == set(range(len(ctx.algebra.gens)))
+
+
+def test_contract_theta_rejects_a_field_from_another_context(ctx):
+    mir = ctx.mirror
+    lam = mir.section(mir.u(0))
+    Y = reeb_field(lam)
+    with pytest.raises(ContextMismatch):
+        contract_theta(ctx, Y)
+    assert contract_theta(mir, Y) == -lam
 
 
 def test_reeb_rejects_inhomogeneous(ctx):
@@ -249,7 +244,7 @@ def test_reeb_contraction(ctx):
             continue
         count += 1
         sign = (-1) ** (lam.degree() % 2)
-        assert contract_theta(reeb_field(lam)) == lam.scale(sign)
+        assert contract_theta(ctx, reeb_field(lam)) == lam.scale(sign)
 
 
 def test_reeb_commutator_consistency(ctx):
@@ -263,7 +258,7 @@ def test_reeb_commutator_consistency(ctx):
         count += 1
         sign = (-1) ** ((l1.degree() + l2.degree()) % 2)
         lhs = jacobi_bracket(l1, l2)
-        rhs = contract_theta(reeb_field(l1).commutator(reeb_field(l2))).scale(sign)
+        rhs = contract_theta(ctx, reeb_field(l1).commutator(reeb_field(l2))).scale(sign)
         assert lhs == rhs
 
 

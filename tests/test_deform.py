@@ -31,11 +31,10 @@ from cjde.deform import (
     nullspace,
     rref,
     search_obstructed_instance,
-    search_unobstructed_dgla,
     solve_linear,
 )
 
-from conftest import ordered_curve_coefficient
+from conftest import load_fixture, ordered_curve_coefficient
 
 F = Fraction
 
@@ -419,6 +418,17 @@ def test_mc_residual_coefficients_rejects_order_below_zero(obst1, order):
     assert mc_residual_coefficients(obst1, [eta], 0) == []
 
 
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+def test_a_degree_or_order_that_is_not_an_int_is_rejected(obst1, value):
+    # a bool is an int to Python, so it must be rejected explicitly, or True
+    # reads as degree or order 1
+    eta = DeformationForm.from_dict(obst1, {(1, 2): 1})
+    for call in (lambda: cohomology(obst1, value), lambda: extend_mc(obst1, eta, value),
+                 lambda: mc_residual_coefficients(obst1, [eta], value)):
+        with pytest.raises(ValueError, match=r"an int .*got " + repr(value)):
+            call()
+
+
 # --- seeded searches -------------------------------------------------------------
 
 
@@ -438,7 +448,9 @@ def test_search_obstructed_reproducible():
 
 
 def test_search_dgla_reproducible():
-    inst, eta = search_unobstructed_dgla()
+    # the frozen dgLa fixture: m_3 = 0, H^3 = 0 and eta1 = u1*u3 with m_2(eta1, eta1) != 0
+    doc = load_fixture("dgla1")
+    inst, eta = doc.instance, doc.deformations["eta1"]
     assert check_cj_axioms(inst).ok
     assert cohomology(inst, 3).dimension == 0
     assert not m2_closed(inst, eta, eta).is_zero()

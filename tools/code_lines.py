@@ -3,12 +3,15 @@
 A code line holds at least one token that is not a comment; the lines of a
 docstring (a statement that is nothing but a string) are left out, and so
 are blank lines.  Prints a markdown table of raw and code lines per file
-and in total:
+and in total.  A directory stands for the `*.py` files under it, in sorted
+order:
 
-    python3 tools/code_lines.py src/cjde/*.py
+    python3 tools/code_lines.py src/cjde
 """
 
+import glob
 import io
+import os
 import sys
 import tokenize
 
@@ -30,11 +33,20 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def python_files(paths):
+    """Each path, a directory replaced by the `*.py` files under it, sorted."""
+    for path in paths:
+        if os.path.isdir(path):
+            yield from sorted(glob.glob(os.path.join(path, "**", "*.py"), recursive=True))
+        else:
+            yield path
+
+
 def main(paths) -> None:
     print("| file | lines | code lines |")
     print("|---|---|---|")
     total_raw = total_code = 0
-    for path in paths:
+    for path in python_files(paths):
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         raw, code = len(source.splitlines()), code_lines(source)
