@@ -80,7 +80,7 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, koszul_sign
+from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, _is_int, koszul_sign
 from .linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -162,11 +162,6 @@ def _same(f: Poly) -> Poly:
 
 # A structure tensor: its nonzero canonical entries, in sorted key order.
 _Tensor = Dict[Tuple[int, ...], Poly]
-
-
-def _is_int(i) -> bool:
-    """True for an int; a bool is a subclass of int and does not count."""
-    return isinstance(i, int) and not isinstance(i, bool)
 
 
 @functools.lru_cache(maxsize=None)
@@ -694,8 +689,12 @@ def de_rham(inst: SplitCJInstance, omega: Section) -> Section:
 def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
     """Independent oracle for d_{A,L}: the evaluation Koszul formula.
 
-    Evaluates (d omega)(e_{a_0},...,e_{a_k}) frame tuple by frame tuple,
-    using nabla on coefficients and the bracket insertion terms, and
+    Evaluates, frame tuple by frame tuple,
+
+        (d omega)(e_0, ..., e_k) = sum_i (-1)^i nabla_{e_i} omega(..., e_i^, ...)
+            + sum_{i<j} (-1)^{i+j} omega([e_i, e_j], ..., e_i^, ..., e_j^, ...),
+
+    with nabla on coefficients and [e_a, e_b] = c^c_{ab} e_c, and
     reassembles the resulting (k+1)-form.
     """
     ctx = inst.context
@@ -729,7 +728,7 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
                 if coeff is None:
                     continue
                 term = coeff * evaluate(omega, (cc,) + rest)
-                val = val + term.scale((-1) ** (p1 + p2 + 1))
+                val = val + term.scale((-1) ** (p1 + p2))
         mono = ctx.algebra.one()
         for a in tup:
             mono = mono * ctx.u(a)

@@ -143,7 +143,11 @@ def cmd_check(args) -> Report:
 
 
 def _passes_check(inst: SplitCJInstance, report: Report) -> bool:
-    """Report the axiom check as the precondition of a deformation analysis."""
+    """Report the axiom check as the precondition of a deformation analysis.
+
+    Callers look up the names they were given first: an unknown name is bad
+    input (exit 2) whether or not the instance passes.
+    """
     witness = check_cj_axioms(inst).witness()
     report.check("precondition: instance passes check", witness)
     return witness is None
@@ -164,11 +168,11 @@ def _get_eta(doc, args, inst) -> DeformationForm:
 def cmd_deform(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
+    eta = _get_eta(doc, args, inst)
     report = Report()
     if not _passes_check(inst, report):
         return report
 
-    eta = _get_eta(doc, args, inst)
     residual = mc_residual_form(inst, eta)
     report.add("maurer-cartan residual", "pass" if residual.is_zero() else "info",
                None, residual=str(residual))
@@ -206,13 +210,13 @@ def cmd_deform(args) -> Report:
 def cmd_complement(args) -> Report:
     doc = load_instance(args.file)
     inst = doc.instance
+    if args.epsilon not in doc.epsilons:
+        raise InstanceFileError(f"unknown epsilon name {args.epsilon!r}")
+    eps = doc.epsilons[args.epsilon]
     report = Report()
     if not _passes_check(inst, report):
         return report
 
-    if args.epsilon not in doc.epsilons:
-        raise InstanceFileError(f"unknown epsilon name {args.epsilon!r}")
-    eps = doc.epsilons[args.epsilon]
     out = change_complement(inst, eps)
     report.check("theta transported", theta1=str(out["theta1"]))
 

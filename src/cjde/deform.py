@@ -8,6 +8,14 @@ spaces are finite dimensional, so m_1 becomes exact rational matrices on the
 `deformation_space`).  Kernels, images and cohomology representatives come
 from Gauss-Jordan elimination over Q, in exact `Fraction` arithmetic.
 
+`Cohomology` holds H^k as the data a homotopy transfer reads (Berglund,
+arXiv:0909.3485): representatives (i), class coordinates (p) and primitives
+(h).  A degree-k form z is answered by one elimination, z = d(b) +
+sum_i c_i rep_i over the columns of d_{k-1} followed by the
+representatives: c is its class and, when c = 0, b its primitive.
+`kuranishi` reads c of m_2(eta, eta); `extend_mc` reads both c and b of
+each order's residual from that one solve.
+
 The t^r coefficient of the MC residual of a formal curve sum_k t^k eta_k is
 `linfty.curve_coefficient` of Q, over every arity Q has.  `extend_mc` solves
 the MC equation order by order with it and reports the first obstructed
@@ -26,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 from .cjalg import (
     DeformationForm,
     SplitCJInstance,
-    _is_int,
     check_cj_axioms,
     deformation_brackets,
     derived_bracket_sections,
@@ -35,7 +42,7 @@ from .cjalg import (
     vector_to_section,
 )
 from .contact import ContactContext, Section, jacobi_bracket
-from .gca import add_into
+from .gca import _is_int, add_into
 from .linfty import Vector, curve_coefficient
 
 __all__ = [
@@ -94,9 +101,6 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
 
 def nullspace(matrix: Matrix, cols: int) -> List[Vec]:
     """Basis of the right kernel, deterministic (free columns in order)."""
-    if not matrix:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(cols)]
-                for i in range(cols)]
     red, pivots = rref(matrix)
     free = [c for c in range(cols) if c not in pivots]
     basis: List[Vec] = []
@@ -194,35 +198,44 @@ class ComplexMatrices:
 
 @dataclass
 class Cohomology:
-    """H^k of the complex: dimension, representatives, and a decision procedure."""
+    """H^k of the complex as contraction data: representatives, class and primitive.
+
+    The representatives (i) complete a basis of the image of d_{k-1} to one
+    of the cocycles.  Every question about a degree-k form z is one `solve_linear`
+    (`_split`): z = d(b) + sum_i c_i rep_i over the columns of d_{k-1}
+    followed by the representatives' coordinates.  Its solution exists
+    exactly when z is a cocycle; c is the class (p, `class_coordinates`)
+    and, when c = 0, b is the primitive (h, `primitive`).  Pivots are picked
+    from the left and free variables are zero, so b is the solution against
+    d_{k-1} alone with the same pivot choice.
+    """
 
     complex: ComplexMatrices
     k: int
     dimension: int
     representatives: List[Section]
     _rep_coords: List[Vec]
-    _image_basis: List[Vec]
+
+    def _split(self, s: Section) -> Optional[Tuple[Vec, Vec]]:
+        """(b, c) with s = d(b) + sum_i c_i rep_i, or None when s is not a cocycle."""
+        cm, k = self.complex, self.k
+        z = cm.form_to_coords(s, k)
+        prev = cm.matrices[k - 1] if k else [[] for _ in z]
+        cut = len(prev[0])
+        sol = solve_linear([row + [v[i] for v in self._rep_coords]
+                            for i, row in enumerate(prev)], z)
+        return None if sol is None else (sol[:cut], sol[cut:])
 
     def class_coordinates(self, s: Section) -> Vec:
         """Coordinates of [s] on the representative basis; requires a cocycle."""
-        cm = self.complex
-        if self.k > cm.n:
+        if self.k > self.complex.n:
             if not s.is_zero():
                 raise ValueError("nonzero form above the top degree")
             return []
-        z = cm.form_to_coords(s, self.k)
-        dk = cm.matrices[self.k]
-        if dk and any(_apply(dk, z)):
+        split = self._split(s)
+        if split is None:
             raise ValueError("not a cocycle")
-        cols = self._image_basis + self._rep_coords
-        if not cols:
-            if any(z):
-                raise ValueError("nonzero cocycle in zero space")
-            return []
-        sol = solve_linear(_transpose(cols), z)
-        if sol is None:
-            raise ValueError("cocycle not in span of image and representatives")
-        return sol[len(self._image_basis):]
+        return split[1]
 
     def representative(self, coords: Sequence[Fraction]) -> Section:
         """The cocycle sum_i coords[i] * representatives[i]."""
@@ -235,18 +248,16 @@ class Cohomology:
         return not any(self.class_coordinates(s))
 
     def primitive(self, s: Section) -> Optional[Section]:
-        """A deterministic primitive of an exact cocycle, else None."""
+        """The deterministic primitive of an exact form, else None."""
         if self.k == 0:
             raise ValueError("0-forms have no primitives")
         cm = self.complex
         if self.k > cm.n:
             raise ValueError(f"degree {self.k} is above the top degree {cm.n}")
-        z = cm.form_to_coords(s, self.k)
-        d_prev = cm.matrices[self.k - 1]
-        sol = solve_linear(d_prev, z)
-        if sol is None:
+        split = self._split(s)
+        if split is None or any(split[1]):
             return None
-        return cm.coords_to_form(sol, self.k - 1)
+        return cm.coords_to_form(split[0], self.k - 1)
 
 
 def _apply(mat: Matrix, v: Vec) -> Vec:
@@ -258,13 +269,6 @@ def _require_complex_of(inst: SplitCJInstance, cm: ComplexMatrices) -> None:
     if cm.inst is not inst:
         raise ValueError(f"the complex was built for instance {cm.inst.name!r}, "
                          f"not for {inst.name!r}")
-
-
-def _require_h3_of(inst: SplitCJInstance, h3: Cohomology) -> None:
-    """Raise ValueError unless `h3` is H^3 of a complex built for `inst` itself."""
-    _require_complex_of(inst, h3.complex)
-    if h3.k != 3:
-        raise ValueError(f"h3 must be the cohomology of degree 3, not of degree {h3.k}")
 
 
 def cohomology(inst: SplitCJInstance, k: int,
@@ -279,22 +283,35 @@ def cohomology(inst: SplitCJInstance, k: int,
     cm = cm or ComplexMatrices(inst)
     _require_complex_of(inst, cm)
     if k > cm.n:
-        return Cohomology(cm, k, 0, [], [], [])
+        return Cohomology(cm, k, 0, [], [])
     # d on the top degree is the empty matrix, whose kernel is everything
     kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
     image = _transpose(cm.matrices[k - 1]) if k >= 1 else []
 
     # image columns first, then kernel vectors; pivots are picked greedily from
     # the left, so those past the image part are the representatives
-    combined = image + kernel
-    pivots = rref(_transpose(combined))[1] if combined else []
-    img_red = [image[p] for p in pivots if p < len(image)]
+    pivots = rref(_transpose(image + kernel))[1]
     reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
-    rep_secs = [cm.coords_to_form(v, k) for v in reps]
-    return Cohomology(cm, k, len(reps), rep_secs, reps, img_red)
+    return Cohomology(cm, k, len(reps), [cm.coords_to_form(v, k) for v in reps], reps)
 
 
 # --- Kuranishi map ------------------------------------------------------
+
+
+def _closed_h3(inst: SplitCJInstance, eta: Section, h3: Optional[Cohomology]) -> Cohomology:
+    """H^3 of `inst` (`h3`, or built), once eta is known to be a closed 2-form.
+
+    Raises ValueError unless eta is a 2-form, `h3` is H^3 of a complex built
+    for `inst` itself, and d(eta) = 0.
+    """
+    DeformationForm.from_section(inst, eta)
+    h3 = h3 or cohomology(inst, 3)
+    _require_complex_of(inst, h3.complex)
+    if h3.k != 3:
+        raise ValueError(f"h3 must be the cohomology of degree 3, not of degree {h3.k}")
+    if not h3.complex.d(eta).is_zero():
+        raise ValueError("eta is not closed")
+    return h3
 
 
 def kuranishi(inst: SplitCJInstance, eta: Section,
@@ -304,11 +321,7 @@ def kuranishi(inst: SplitCJInstance, eta: Section,
     Returns (coordinates on the H^3 representatives, reduced representative).
     `h3` must be H^3 of a complex built for `inst` itself, else ValueError.
     """
-    DeformationForm.from_section(inst, eta)
-    h3 = h3 or cohomology(inst, 3)
-    _require_h3_of(inst, h3)
-    if not h3.complex.d(eta).is_zero():
-        raise ValueError("eta is not closed")
+    h3 = _closed_h3(inst, eta, h3)
     w = derived_bracket_sections(inst, [eta, eta])
     coords = h3.class_coordinates(w)
     return coords, h3.representative(coords)
@@ -364,23 +377,21 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
     """Solve the MC equation order by order starting from a closed 2-form.
 
     At order r the t^r coefficient of the residual of eta_1..eta_{r-1} (the
-    `linfty.curve_coefficient` of `h3.complex.Q`) must be exact; its
-    primitive (with the deterministic pivot choice) gives -eta_r.  A
-    non-exact residual stops the extension and is reported as the
-    obstruction class at that order.  At order 2 that class depends on
-    eta_1 alone.  At order r >= 3 it holds only for the chosen
+    `linfty.curve_coefficient` of `h3.complex.Q`) is split by one solve into
+    d(b) plus its class (`Cohomology`).  A zero class makes it exact, and its
+    deterministic primitive b gives -eta_r; a nonzero class stops the
+    extension and is reported as the obstruction at that order.  A residual
+    that is not a cocycle has no class and raises ValueError (a
+    codifferential's residuals are cocycles).  At order 2 the class depends
+    on eta_1 alone.  At order r >= 3 it holds only for the chosen
     eta_2..eta_{r-1}: the order-r residual is affine in eta_{r-1}, and
     adding a closed 2-form to it can make the residual exact.  `h3` must be
-    H^3 of a complex built for `inst` itself, eta_1 a 2-form and `order` an
-    int at least 1, else ValueError.
+    H^3 of a complex built for `inst` itself, eta_1 a closed 2-form and
+    `order` an int at least 1, else ValueError.
     """
-    DeformationForm.from_section(inst, eta1)
     if not _is_int(order) or order < 1:
         raise ValueError(f"the extension order must be an int at least 1, got {order!r}")
-    h3 = h3 or cohomology(inst, 3)
-    _require_h3_of(inst, h3)
-    if not h3.complex.d(eta1).is_zero():
-        raise ValueError("eta_1 must be an infinitesimal deformation (closed)")
+    h3 = _closed_h3(inst, eta1, h3)
     coeffs = [eta1]
     for r in range(2, order + 1):
         curve = [section_to_vector(inst, s) for s in coeffs]
@@ -388,14 +399,14 @@ def extend_mc(inst: SplitCJInstance, eta1: Section, order: int,
         if residual.is_zero():
             coeffs.append(inst.context.zero_section())
             continue
-        cls = h3.class_coordinates(residual)
+        split = h3._split(residual)
+        if split is None:
+            raise ValueError(f"the order-{r} residual is not a cocycle")
+        prim, cls = split
         if any(cls):
             return FormalCurve(inst, coeffs, obstructed_at=r, obstruction_class=cls,
                                obstruction_representative=h3.representative(cls))
-        prim = h3.primitive(residual)
-        if prim is None:
-            raise RuntimeError("exact residual without primitive")
-        coeffs.append(-prim)
+        coeffs.append(-h3.complex.coords_to_form(prim, 2))
     return FormalCurve(inst, coeffs)
 
 
@@ -442,10 +453,11 @@ def search_obstructed_instance(seed: int = 42, tries: int = 2000
     candidate of one search is built in one shared `ContactContext`, so the
     rejected ones do not each pay for a fresh algebra, mirror and memos; the
     context changes no value, and each seed finds the same instance as with
-    a context per candidate.  `tries` below 1 raises ValueError.
+    a context per candidate.  `tries` that is not an int at least 1 raises
+    ValueError.
     """
-    if tries < 1:
-        raise ValueError(f"the search needs at least 1 try, got {tries}")
+    if not _is_int(tries) or tries < 1:
+        raise ValueError(f"the search needs an int of at least 1 try, got {tries!r}")
     rng = random.Random(seed)
     context = ContactContext(0, SEARCH_RANK)
     for attempt in range(tries):

@@ -230,6 +230,11 @@ def add_into(acc: Dict, vec: Union[Mapping, Iterable[Tuple[object, Scalar]]],
     return acc
 
 
+def _is_int(i) -> bool:
+    """True for an int; a bool is a subclass of int and does not count."""
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 def _coefficient(c) -> Scalar:
     """c as the kernel stores it: an int when integral, else a Fraction."""
     if type(c) is int:

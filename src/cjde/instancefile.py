@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .cjalg import (DeformationForm, PolyLike, SplitCJInstance, _as_xpoly, _canonical,
-                    _canonical_key, _is_int, _shapes)
+                    _canonical_key, _shapes)
 from .contact import ContactContext
-from .gca import Poly
+from .gca import Poly, _is_int
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 

@@ -63,7 +63,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .gca import add_into, koszul_sign, koszul_sort
+from .gca import _is_int, add_into, koszul_sign, koszul_sort
 
 Vector = Dict[object, Fraction]
 Word = Tuple[object, ...]
@@ -423,7 +423,7 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     arity 0, the curvature, is the t^0 coefficient.
     r must be a non-negative int, else ValueError.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+    if not _is_int(r) or r < 0:
         raise ValueError(f"the order of a curve coefficient must be a non-negative int, got {r!r}")
     space = Q.space
     if any(space.degree(key) % 2 for vec in curve for key in vec):

@@ -1226,6 +1226,26 @@ def test_de_rham_routes_agree(omni1):
             assert de_rham(omni1, s) == de_rham_koszul(omni1, s)
 
 
+def test_de_rham_koszul_bracket_term_sign():
+    # omni1's bracket c is zero, so the bracket insertion term needs an
+    # instance of its own: [e1, e2] = e3 makes d u3 = -u1*u2, the
+    # Chevalley-Eilenberg value (d u3)(e1, e2) = -u3([e1, e2]) = -1
+    inst = SplitCJInstance(0, 3, c={(2, 0, 1): 1})
+    ctx = inst.context
+    u3 = ctx.section(ctx.u(2))
+    assert iota(inst, [0, 1, 0], iota(inst, [1, 0, 0], de_rham(inst, u3))) == ctx.section(
+        ctx.algebra.scalar(-1))
+    assert de_rham_koszul(inst, u3) == de_rham(inst, u3) == ctx.section(-(ctx.u(0) * ctx.u(1)))
+    rng = random.Random(29)
+    for m, n in itertools.product((0, 1), (2, 3, 4)):
+        for _ in range(2):
+            inst = random_instance(rng, m, n)
+            w = random_form_section(inst, rng)
+            for comp in w.body.bidegree_components().values():
+                s = inst.context.section(comp)
+                assert de_rham_koszul(inst, s) == de_rham(inst, s), (m, n, str(s))
+
+
 def test_cartan_identities(heis2, omni1):
     rng = random.Random(14)
     for inst in (heis2, omni1):

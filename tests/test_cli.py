@@ -149,6 +149,32 @@ def test_deform_unknown_eta_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, name, option", [
+    ("deform", "heis2-broken.json", "--eta"),
+    ("complement", "heis2.json", "--epsilon"),
+    ("complement", "heis2-broken.json", "--epsilon")])
+def test_an_unknown_name_exits_2_on_every_instance(command, name, option, capsys):
+    # the name is input: it is looked up before the instance is checked, so a
+    # failing instance does not turn a typo into a mathematical failure
+    kind = "deformation" if option == "--eta" else "epsilon"
+    _assert_one_error_line(*run_cli([command, fixture(name), option, "nope"], capsys),
+                           f"unknown {kind} name 'nope'")
+
+
+def test_complement_on_a_failing_instance_reports_the_precondition(tmp_path, capsys):
+    with open(fixture("heis2-broken.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["epsilons"] = {"eps1": [["0", "1/2"], ["-1/2", "0"]]}
+    path = tmp_path / "heis2-broken-eps.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["complement", str(path), "--epsilon", "eps1"], capsys)
+    assert (code, err) == (1, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["check"], line["status"]) for line in lines] == [
+        ("precondition: instance passes check", "fail")]
+    assert lines[0]["witness"]
+
+
 def test_deform_random_deterministic(capsys):
     code1, out1, _ = run_cli(
         ["deform", fixture("djmix.json"), "--random", "7"], capsys)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cjde.deform as deform_module
 from cjde.cjalg import (
     DeformationForm,
     SplitCJInstance,
@@ -156,6 +157,93 @@ def test_cohomology_rejects_degrees_outside_the_complex(dgla1):
     assert (h4.dimension, h4.representatives) == (0, [])
     with pytest.raises(ValueError, match="top degree"):
         h4.primitive(top)
+
+
+POINT_FIXTURES = ["curv1", "dgla1", "djmix", "djmix4", "heis2", "obst1"]
+
+
+def basis_forms(cm, k):
+    """Each degree-k `form_basis` word of the complex as a form."""
+    return [cm.coords_to_form([F(w == v) for w in cm.basis[k]], k) for v in cm.basis[k]]
+
+
+@pytest.mark.parametrize("name", POINT_FIXTURES)
+def test_cohomology_splits_a_cocycle_into_exact_part_and_class(name):
+    # z = d(b) + sum_i c_i rep_i on seeded cocycles in every degree; the
+    # primitive of an exact form is the pivot-column solution against d_{k-1}
+    inst = load_fixture(name).instance
+    cm = ComplexMatrices(inst)
+    rng = random.Random(2900)
+    for k in range(inst.n + 1):
+        h = cohomology(inst, k, cm)
+        for _ in range(4):
+            c = [F(rng.randint(-2, 2)) for _ in range(h.dimension)]
+            exact = inst.context.zero_section()
+            if k:
+                b = [F(rng.randint(-2, 2)) for _ in cm.basis[k - 1]]
+                exact = cm.d(cm.coords_to_form(b, k - 1))
+            z = exact + h.representative(c)
+            assert h.class_coordinates(z) == c
+            assert h.is_exact(z) == (not any(c))
+            if not k:
+                continue
+            prim = h.primitive(exact)
+            assert cm.d(prim) == exact
+            coords = cm.form_to_coords(exact, k)
+            assert prim == cm.coords_to_form(solve_linear(cm.matrices[k - 1], coords), k - 1)
+            if any(c):
+                assert h.primitive(z) is None
+
+
+@pytest.mark.parametrize("name", POINT_FIXTURES)
+def test_cohomology_rejects_representatives_and_non_cocycles(name):
+    inst = load_fixture(name).instance
+    cm = ComplexMatrices(inst)
+    non_cocycles = 0
+    for k in range(inst.n + 1):
+        h = cohomology(inst, k, cm)
+        for r in h.representatives:
+            assert not k or h.primitive(r) is None
+        for s in basis_forms(cm, k):
+            if cm.d(s).is_zero():
+                continue
+            non_cocycles += 1
+            assert not k or h.primitive(s) is None
+            with pytest.raises(ValueError, match="not a cocycle"):
+                h.class_coordinates(s)
+    # djmix, djmix4 and obst1 have d = 0: every form of theirs is a cocycle
+    assert non_cocycles or not any(x for mat in cm.matrices for row in mat for x in row)
+
+
+def test_extend_mc_solves_once_per_nonzero_residual(monkeypatch):
+    # dgla1's eta1 has one nonzero residual, at order 2: its class and its
+    # primitive come from one elimination
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(len(rhs))
+        return solve_linear(matrix, rhs)
+
+    doc = load_fixture("dgla1")
+    inst, eta = doc.instance, doc.deformations["eta1"]
+    h3 = cohomology(inst, 3)
+    monkeypatch.setattr(deform_module, "solve_linear", counting)
+    curve = extend_mc(inst, eta, 6, h3)
+    assert curve.ok and curve.order() == 6
+    assert len(calls) == 1
+
+
+def test_extend_mc_rejects_a_residual_that_is_not_a_cocycle(monkeypatch):
+    # the residuals of a codifferential are closed; one that is not closed has
+    # no class, and is an error rather than an obstruction
+    inst = SplitCJInstance(0, 4, lam={0: 1})
+    cm = ComplexMatrices(inst)
+    open_form = next(s for s in basis_forms(cm, 3) if not cm.d(s).is_zero())
+    monkeypatch.setattr(deform_module, "curve_coefficient",
+                        lambda Q, curve, r: section_to_vector(inst, open_form))
+    eta = DeformationForm.from_dict(inst, {(0, 1): 1})
+    with pytest.raises(ValueError, match="order-2 residual is not a cocycle"):
+        extend_mc(inst, eta, 2)
 
 
 def test_complex_of_another_instance_is_rejected(obst1, djmix):
@@ -466,7 +554,9 @@ def test_search_obstructed_default_tries_cover_slow_seed():
     assert inst.name == "OBST1(seed=12034)"
 
 
-@pytest.mark.parametrize("tries", [0, -3])
+# a float or str used to raise a bare TypeError from range, and True ran one
+# try and reported "no obstructed instance found in True tries"
+@pytest.mark.parametrize("tries", [0, -3, 2.5, "3", True, None])
 def test_search_obstructed_rejects_tries_below_one(tries):
     with pytest.raises(ValueError, match="at least 1 try"):
         search_obstructed_instance(seed=42, tries=tries)
