@@ -38,12 +38,23 @@ coefficients it adds; `svec_add` returns a new dict.
 `check_codifferential` and `check_morphism` decide Q^2 = 0 and
 Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
 pr_1 of a coderivation or morphism F on a word u is F's Taylor coefficient
-of arity |u| at u, so pr_1 of Q(Q(w)) is read off Q(w) and the coefficients
-of Q, and Q(Q(w)) is never built.  Both residuals are coderivations (along
-phi for the morphism), so a residual that vanishes on every proper sub-word
-of w is primitive on w: it equals its pr_1 part.  The checks therefore take
-words in which each word's one-letter-shorter sub-words come earlier
-(`GradedSpace.words` gives them so) and raise ValueError on any other list.
+of arity |u| at u.  So on an n-word w, pr_1 Q(Q(w)) is the L-infinity
+identity sum_{i+j=n+1} sum_unshuffles +- Q_j(Q_i(w_sel), w_rest) (Lada and
+Markl, hep-th/9406095), and the checks sum it term by term.  Each map has
+one term generator, `_terms(word, lengths)`, that `apply_word` also sums:
+the coderivation's yields, for each nonzero head Q_i(w_sel), the canonical
+words key (+) w_rest with their signed coefficients, visiting an arity i
+only when the outer arity n - i + 1 is in `lengths`; the morphism's visits
+only the set partitions whose block count is in `lengths` and multiplies
+their factors out with `expand_word_of_vectors`.  A check contracts each
+term with the outer map as it comes: Q after Q; for the morphism, phi
+(every length >= 1) after Q, and Q' after phi.  So neither Q(w) nor phi(w)
+is built, and no term whose outer arity does not exist is evaluated.  Both
+residuals are coderivations (along phi for the morphism), so a residual
+that vanishes on every proper sub-word of w is primitive on w: it equals
+its pr_1 part.  The checks therefore take words in which each word's
+one-letter-shorter sub-words come earlier (`GradedSpace.words` gives them
+so) and raise ValueError on any other list.
 
 `curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
@@ -61,7 +72,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Container, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .gca import _is_int, add_into, koszul_sign, koszul_sort
 
@@ -129,11 +141,6 @@ class GradedSpace:
             sign, w = self.normalize_letters(letters)
             if w is not None:
                 yield w, (c if sign > 0 else -c)
-
-    def symmetric_insert(self, vec: Vector, word: Word) -> SVector:
-        """Expand v (+) word multilinearly into canonical words."""
-        word = tuple(word)
-        return add_into({}, self._signed_words(((key,) + word, c) for key, c in vec.items()))
 
     def expand_word_of_vectors(self, vectors: Sequence[Vector]) -> SVector:
         """Multilinear expansion of v_1 (+) ... (+) v_k into canonical words."""
@@ -204,22 +211,42 @@ class TaylorCoderivation(_WordwiseLinear):
         """This coderivation: `perfbench/workloads.py` still calls `to_coderivation`."""
         return self
 
-    def apply_word(self, word: Word) -> SVector:
-        """Full coderivation on one canonical word, via the unshuffle sum."""
+    def _pr1(self, word: Word) -> Vector:
+        """The one-letter part of Q on a canonical word: its Taylor coefficient there.
+
+        An arity that Q does not have raises KeyError: the checks visit only
+        Q's arities, so a wrong visit fails instead of adding zero.
+        """
+        entry = self.coefficients[len(word)]
+        return entry(word) if word else entry
+
+    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Fraction]]:
+        """The terms (canonical word, coefficient) of Q on `word` whose length is in `lengths`.
+
+        The unshuffle sum: Q_i on i selected letters, inserted before the
+        n - i others, gives words of length n - i + 1, so an arity i is
+        visited only when that length is in `lengths`.  A word may repeat.
+        """
         n = len(word)
         degs = [self.space.degree(k) for k in word]
-        out: SVector = {}
+        normalize = self.space.normalize_letters
         for i in self.arities():
-            if i > n:
+            if i > n or n - i + 1 not in lengths:
                 continue
             for sel, rest in _unshuffles(n, i):
                 # subwords of a canonical word are canonical
                 head = self.coefficient(i, tuple(word[p] for p in sel))
                 if head:
                     tail = tuple(word[p] for p in rest)
-                    add_into(out, self.space.symmetric_insert(head, tail),
-                             koszul_sign(sel + rest, degs))
-        return out
+                    sign = koszul_sign(sel + rest, degs)
+                    for key, c in head.items():
+                        s, u = normalize((key,) + tail)
+                        if u is not None:
+                            yield u, (c if s == sign else -c)
+
+    def apply_word(self, word: Word) -> SVector:
+        """Full coderivation on one canonical word: its terms at every length."""
+        return add_into({}, self._terms(word, range(len(word) + 2)))
 
 
 class TaylorMorphism(_WordwiseLinear):
@@ -238,44 +265,52 @@ class TaylorMorphism(_WordwiseLinear):
         """The arity-k Taylor coefficient at `word`; k is len(word)."""
         return self._coefficient(word)
 
-    def apply_word(self, word: Word) -> SVector:
-        """Partition sum over unordered set partitions of the word positions."""
+    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Fraction]]:
+        """The terms (canonical word, coefficient) of phi on `word` whose length is in `lengths`.
+
+        The partition sum: a set partition of the word positions into k
+        blocks gives the words of phi on each block multiplied out, all of
+        length k, so only partitions with a block count in `lengths` are
+        visited.  A word may repeat.
+        """
         n = len(word)
-        if n == 0:
-            return {(): Fraction(1)}
         degs = [self.space.degree(k) for k in word]
-        out: SVector = {}
-        for partition in _set_partitions(n):
-            factors: List[Vector] = []
-            for b in partition:
-                val = self.coefficient(len(b), tuple(word[p] for p in b))
-                if not val:
-                    break
-                factors.append(val)
-            else:
-                perm = [p for b in partition for p in b]
-                add_into(out, self.space.expand_word_of_vectors(factors),
-                         koszul_sign(perm, degs))
-        return out
+        for k, partitions in enumerate(_set_partitions(n)):
+            if k not in lengths:
+                continue
+            for partition in partitions:
+                factors: List[Vector] = []
+                for b in partition:
+                    val = self.coefficient(len(b), tuple(word[p] for p in b))
+                    if not val:
+                        break
+                    factors.append(val)
+                else:
+                    sign = koszul_sign([p for b in partition for p in b], degs)
+                    for u, c in self.space.expand_word_of_vectors(factors).items():
+                        yield u, (c if sign > 0 else -c)
+
+    def apply_word(self, word: Word) -> SVector:
+        """Full morphism on one canonical word: its terms at every length."""
+        return add_into({}, self._terms(word, range(len(word) + 1)))
 
 
-def _set_partitions(n: int) -> Iterable[List[List[int]]]:
-    """All set partitions of {0..n-1}.
+def _set_partitions(n: int) -> List[List[List[List[int]]]]:
+    """The set partitions of {0..n-1}, listed by their number of blocks 0..n.
 
     Each block is increasing and the blocks are ordered by their first
-    element: n-1 is appended to a block of a partition of {0..n-2}, or
-    opens a last block of its own.
+    element.  Built up one element at a time: m joins a block of a partition
+    of {0..m-1} into j blocks, or opens a last block of its own after one
+    into j - 1 blocks.
     """
-    if n == 0:
-        yield []
-        return
-    if n == 1:
-        yield [[0]]
-        return
-    for smaller in _set_partitions(n - 1):
-        for i, block in enumerate(smaller):
-            yield smaller[:i] + [block + [n - 1]] + smaller[i + 1:]
-        yield smaller + [[n - 1]]
+    # rows[j]: the partitions of {0..m-1} into j blocks, for m = 0, 1, ..., n
+    rows = [[[]]] + [[] for _ in range(n)]
+    for m in range(n):
+        for j in range(m + 1, 0, -1):
+            rows[j] = ([p[:i] + [b + [m]] + p[i + 1:] for p in rows[j] for i, b in enumerate(p)]
+                       + [p + [[m]] for p in rows[j - 1]])
+        rows[0] = []
+    return rows
 
 
 class ResidualReport:
@@ -283,9 +318,10 @@ class ResidualReport:
 
     `entries` lists (word, residual) for each checked word whose residual is
     nonzero, in the order the words were given.  The checks below store the
-    one-letter residual pr_1 of each word.  At the first entry, the witness,
-    that is the whole residual; a later entry's whole residual may also have
-    longer words.
+    one-letter residual pr_1 of each word, summed term by term (module
+    docstring); it equals the one-letter part of the whole residual.  At the
+    first entry, the witness, that is the whole residual; a later entry's
+    whole residual may also have longer words.
     """
 
     def __init__(self, label: str):
@@ -308,18 +344,6 @@ class ResidualReport:
         return f"ResidualReport({self.label}: {state})"
 
 
-def _corestriction(coefficient: Callable[[int, Word], Vector], sv: SVector) -> SVector:
-    """pr_1 of a map applied to `sv`: sum_u c_u coefficient(|u|, u), on one-letter words.
-
-    For a coderivation or a coalgebra morphism the one-letter part of its
-    value on a word u is its Taylor coefficient of arity |u| at u.
-    """
-    out: Vector = {}
-    for word, c in sv.items():
-        add_into(out, coefficient(len(word), word), c)
-    return {(key,): c for key, c in out.items()}
-
-
 def _require_subwords_first(words: Sequence[Word]) -> None:
     """Raise ValueError unless each word's one-letter-shorter sub-words come earlier.
 
@@ -340,17 +364,21 @@ def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> Residu
     Q^2 is a coderivation, so the reduced coproduct of Q^2(w) involves Q^2
     only on proper sub-words of w.  Where Q^2 vanishes on those, Q^2(w) is
     primitive: it equals its one-letter part pr_1(Q(Q(w))) =
-    sum_u c_u Q_{|u|}(u) over the words u of Q(w), read off the Taylor
-    coefficients without building Q(Q(w)).  So on a list in which each word's
-    one-letter-shorter sub-words come earlier (as `GradedSpace.words` gives
-    them), the pr_1 residuals decide the verdict, and at the first failing
-    word the pr_1 residual is the whole residual.  Any other list raises
-    ValueError.
+    sum +- c Q_{|u|}(u) over the terms c u of Q(w).  The sum runs term by
+    term over the unshuffles whose outer arity |u| = n - i + 1 is an arity
+    of Q, and neither Q(w) nor Q(Q(w)) is built.  So on a list in which each
+    word's one-letter-shorter sub-words come earlier (as `GradedSpace.words`
+    gives them), the pr_1 residuals decide the verdict, and at the first
+    failing word the pr_1 residual is the whole residual.  Any other list
+    raises ValueError.
     """
     _require_subwords_first(words)
     report = ResidualReport("Q^2")
     for w in words:
-        report.add(w, _corestriction(Q.coefficient, Q.apply_word(w)))
+        out: Vector = {}
+        for u, c in Q._terms(w, Q.coefficients):
+            add_into(out, Q._pr1(u), c)
+        report.add(w, {(key,): c for key, c in out.items()})
     return report
 
 
@@ -360,17 +388,23 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
 
     Q' phi - phi Q is a coderivation along phi, so the argument of
     `check_codifferential` applies: on a list in which each word's
-    one-letter-shorter sub-words come earlier, the pr_1 residuals
-    sum_u c_u Q'_{|u|}(u) over phi(w) minus sum_u c_u phi_{|u|}(u) over Q(w)
-    decide the verdict, and at the first failing word the pr_1 residual is
-    the whole residual.  Any other list raises ValueError.
+    one-letter-shorter sub-words come earlier, the pr_1 residuals decide the
+    verdict, and at the first failing word the pr_1 residual is the whole
+    residual.  Any other list raises ValueError.  The pr_1 residual is
+    sum c Q'_{|u|}(u) over the terms c u of phi(w), from the set partitions
+    of w whose block count |u| is an arity of Q', minus sum c phi_{|u|}(u)
+    over the terms of Q(w) at every length, each contracted as it comes;
+    neither phi(w) nor Q(w) is built.
     """
     _require_subwords_first(words)
     report = ResidualReport("morphism")
     for w in words:
-        residual = _corestriction(Qp.coefficient, phi.apply_word(w))
-        add_into(residual, _corestriction(phi.coefficient, Q.apply_word(w)), -1)
-        report.add(w, residual)
+        out: Vector = {}
+        for u, c in phi._terms(w, Qp.coefficients):
+            add_into(out, Qp._pr1(u), c)
+        for u, c in Q._terms(w, range(1, len(w) + 2)):
+            add_into(out, phi._coefficient(u), -c)
+        report.add(w, {(key,): c for key, c in out.items()})
     return report
 
 

@@ -3,8 +3,10 @@
 Every fixture is run through `check`, `cohomology`, `deform --random 0/1`,
 `deform --eta` and `deform --eta --order 4` for each named 2-form and
 `complement --trunc 3` for each named epsilon, in-process through
-`cli.main`.  Stdout must equal the file `tests/golden/<run>.out` and the
-exit code and stderr must equal the entry of `tests/golden/MANIFEST.json`.
+`cli.main`.  `EXTRA_RUNS` adds `complement` runs that pin a longer
+truncation and the failing witness of a doubled M_2 (`--corrupt-m2`).
+Stdout must equal the file `tests/golden/<run>.out` and the exit code and
+stderr must equal the entry of `tests/golden/MANIFEST.json`.
 The stdout of each script in `demos/` must equal
 `tests/golden/demos/<script>.out`.  README's library quick start is run the
 same way, and its last line must print what its `# -> ` comment says.
@@ -33,6 +35,19 @@ MANIFEST = os.path.join(GOLDEN, "MANIFEST.json")
 DEMOS = os.path.join(ROOT, "demos")
 
 
+# heis2 at arity 4 reaches set partitions into 4 blocks; with M_2 doubled
+# the intertwining check fails, and its witness is pinned
+EXTRA_RUNS = {
+    "heis2.complement-eps1-trunc4": ["complement", "fixtures/heis2.json", "--epsilon", "eps1",
+                                     "--trunc", "4"],
+    "heis2.complement-eps1-trunc4-corrupt-m2": ["complement", "fixtures/heis2.json",
+                                                "--epsilon", "eps1", "--trunc", "4",
+                                                "--corrupt-m2"],
+    "omni1.complement-eps1-corrupt-m2": ["complement", "fixtures/omni1.json", "--epsilon",
+                                         "eps1", "--trunc", "3", "--corrupt-m2"],
+}
+
+
 def golden_runs():
     """{run name: argv} for every fixture and command, argv relative to the root."""
     runs = {}
@@ -54,6 +69,7 @@ def golden_runs():
         for eps in sorted(data.get("epsilons") or {}):
             runs[f"{stem}.complement-{eps}"] = ["complement", path, "--epsilon", eps,
                                                 "--trunc", "3"]
+    runs.update(EXTRA_RUNS)
     return runs
 
 

@@ -148,13 +148,25 @@ def first_residual(residual_of, words):
     return None
 
 
-def reference_codifferential(Q, words):
-    return first_residual(lambda w: Q.apply(Q.apply_word(w)), words)
+def pr1_entries(residual_of, words):
+    """(word, one-letter part of its full residual) wherever that part is nonzero."""
+    out = []
+    for w in words:
+        pr1 = {u: c for u, c in residual_of(w).items() if len(u) == 1}
+        if pr1:
+            out.append((w, pr1))
+    return out
 
 
-def reference_morphism(phi, Q, Qp, words):
-    return first_residual(lambda w: svec_add(Qp.apply(phi.apply_word(w)),
-                                             add_into({}, phi.apply(Q.apply_word(w)), -1)), words)
+def q2(Q):
+    """The full residual Q(Q(w)) of a word, built by `apply` and `apply_word`."""
+    return lambda w: Q.apply(Q.apply_word(w))
+
+
+def intertwining(phi, Q, Qp):
+    """The full residual Q'(phi(w)) - phi(Q(w)) of a word."""
+    return lambda w: svec_add(Qp.apply(phi.apply_word(w)),
+                              add_into({}, phi.apply(Q.apply_word(w)), -1))
 
 
 def seeded_structures(V, seed, max_len):
@@ -189,9 +201,9 @@ def test_corestriction_checks_match_full_residuals(V, seed):
     """pr_1 decides both checks: same verdict, same first word, same first residual."""
     Q, eM, Qp, Qbad = seeded_structures(V, seed, 4)
     words = V.words(BASIS, 4)
-    cases = [(check_codifferential(Qq, words), reference_codifferential(Qq, words))
+    cases = [(check_codifferential(Qq, words), first_residual(q2(Qq), words))
              for Qq in (Q, Qp, Qbad)]
-    cases += [(check_morphism(eM, Q, Qq, words), reference_morphism(eM, Q, Qq, words))
+    cases += [(check_morphism(eM, Q, Qq, words), first_residual(intertwining(eM, Q, Qq), words))
               for Qq in (Qp, Qbad)]
     for report, reference in cases:
         assert report.witness() == reference
@@ -209,10 +221,55 @@ def test_corestriction_checks_match_on_random_coefficients(V, seed):
                                     for k in (2, 3)}) for _ in range(2))
     phi = TaylorMorphism(V, by_arity({1: identity, 2: from_table(random_table(V, rng, 2, 0))}))
     words = V.words(BASIS, 4)
-    for report, reference in [(check_codifferential(Q, words), reference_codifferential(Q, words)),
+    for report, reference in [(check_codifferential(Q, words), first_residual(q2(Q), words)),
                               (check_morphism(phi, Q, Qp, words),
-                               reference_morphism(phi, Q, Qp, words))]:
+                               first_residual(intertwining(phi, Q, Qp), words))]:
         assert report.witness() == reference
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checks_report_every_pr1_residual(V, seed):
+    """Every report entry, not only the witness, is the pr_1 part of the full residual."""
+    Q, eM, Qp, Qbad = seeded_structures(V, seed, 4)
+    words = V.words(BASIS, 4)
+    for Qq in (Q, Qp, Qbad):
+        assert check_codifferential(Qq, words).entries == pr1_entries(q2(Qq), words)
+    for Qq in (Qp, Qbad):
+        assert check_morphism(eM, Q, Qq, words).entries == pr1_entries(intertwining(eM, Q, Qq),
+                                                                       words)
+    assert not check_morphism(eM, Q, Qbad, words).ok
+
+
+def gapped(V, rng, arities, curvature):
+    """A seeded Q of odd degree with exactly the given arities >= 1, and curvature if given."""
+    coeffs = {k: from_table(random_table(V, rng, k, 1, density=0.7)) for k in arities}
+    if curvature:
+        coeffs[0] = curvature
+    return TaylorCoderivation(V, coeffs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])  # seeds whose reports all have entries
+def test_checks_skip_missing_arities(V, seed):
+    """Q of arities {0, 1, 3} and Q' without arity 2: every entry is the full residual's pr_1.
+
+    The outer map of a term m_j(m_i(...), ...) has arity j = n - i + 1 on an
+    n-word; visiting j = n - i, or every j up to the largest arity, reads an
+    arity that is not there.
+    """
+    rng = random.Random(300 + seed)
+    Q = gapped(V, rng, (1, 3), {"b": F(1)})
+    Qp = gapped(V, rng, (1, 3), {"c": F(-1)} if seed % 2 else None)
+    assert sorted(Q.coefficients) == [0, 1, 3] and 2 not in Qp.coefficients
+    phi = TaylorMorphism(V, by_arity({1: identity, 2: from_table(random_table(V, rng, 2, 0)),
+                                      3: from_table(random_table(V, rng, 3, 0))}))
+    words = V.words(BASIS, 4)
+    reports = [(check_codifferential(Qq, words), pr1_entries(q2(Qq), words)) for Qq in (Q, Qp)]
+    reports.append((check_morphism(phi, Q, Qp, words),
+                    pr1_entries(intertwining(phi, Q, Qp), words)))
+    for report, entries in reports:
+        assert report.entries == entries
+        assert entries
+    assert {3, 4} <= {len(w) for w, _ in reports[-1][1]}
 
 
 def test_checks_need_sub_words_first(V):
@@ -439,11 +496,14 @@ def test_mc_residual_int_coefficients_stay_exact(V):
 
 @pytest.mark.parametrize("n", range(8))
 def test_set_partitions_come_in_canonical_order(n):
-    """Every set partition of {0..n-1} once (the Bell number of them), each
-    block increasing and the blocks ordered by their first element, which
-    `TaylorMorphism.apply_word` relies on."""
+    """Every set partition of {0..n-1} once (the Bell number of them), listed
+    under its block count, each block increasing and the blocks ordered by
+    their first element, which the partition sum of a morphism relies on."""
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
-    partitions = list(_set_partitions(n))
+    by_blocks = _set_partitions(n)
+    partitions = [p for ps in by_blocks for p in ps]
+    assert len(by_blocks) == n + 1
+    assert all(len(p) == k for k, ps in enumerate(by_blocks) for p in ps)
     assert len(partitions) == bell[n]
     assert len({tuple(map(tuple, p)) for p in partitions}) == bell[n]
     for p in partitions:
