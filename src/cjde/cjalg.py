@@ -123,14 +123,12 @@ __all__ = [
     "lie_derivative",
     "de_rham",
     "de_rham_koszul",
-    "de_rham_derivation",
     "loday_bracket_formula",
     "upsilon_A_section",
     "section_bracket_A",
     "section_to_vector",
     "vector_to_section",
     "word_to_sections",
-    "form_degree",
 ]
 
 PolyLike = Union[Poly, Scalar, Dict[Tuple[int, ...], Scalar]]
@@ -468,11 +466,6 @@ def _xpolys(inst: SplitCJInstance, values: Sequence[PolyLike]) -> List[Poly]:
 # --- assembling Theta ------------------------------------------------------
 
 
-def de_rham_derivation(inst: SplitCJInstance) -> LineDerivation:
-    """d_{A,L} as a degree-1 derivation of the line bundle over A[1]."""
-    return _de_rham_derivation(_side_A(inst))
-
-
 def upsilon_A_section(inst: SplitCJInstance) -> Section:
     """pi^* Upsilon_A as a bidegree-(0,3) section."""
     return _upsilon_form(_side_A(inst))
@@ -652,7 +645,7 @@ class DeformationForm(Section):
         A 2-form is a section of bidegree (0, 2): the u's are the only
         generators of bidegree (0, 1), and the x's have (0, 0).
         """
-        if not s.is_zero() and form_degree(s) != 2:
+        if not s.is_zero() and _form_degree(s) != 2:
             raise ValueError("not a 2-form in the fiber coordinates")
         return cls(inst.context, s.body)
 
@@ -662,7 +655,7 @@ class DeformationForm(Section):
         return _form_keys(self.context, self.context.ix_u, 2, self.body)
 
 
-def form_degree(s: Section) -> int:
+def _form_degree(s: Section) -> int:
     """Form degree of a (0,k)-section; raises on mixed input."""
     comps = bidegree_decompose(s)
     degs = {bd for bd in comps}
@@ -683,7 +676,7 @@ def iota(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Secti
 
 def de_rham(inst: SplitCJInstance, omega: Section) -> Section:
     """d_{A,L} on pullback forms via the generator-value derivation."""
-    return de_rham_derivation(inst)(omega)
+    return _de_rham_derivation(_side_A(inst))(omega)
 
 
 def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
@@ -698,7 +691,7 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
     reassembles the resulting (k+1)-form.
     """
     ctx = inst.context
-    k = form_degree(omega)
+    k = _form_degree(omega)
 
     def evaluate(form: Section, idx: Tuple[int, ...]) -> Poly:
         body = form.body
@@ -738,7 +731,8 @@ def de_rham_koszul(inst: SplitCJInstance, omega: Section) -> Section:
 
 def lie_derivative(inst: SplitCJInstance, xi: Sequence[PolyLike], omega: Section) -> Section:
     """Lie derivative along xi in Gamma(A): [d, iota_xi] = d iota + iota d."""
-    return _lie_derivative(_side_A(inst), de_rham_derivation(inst), _xpolys(inst, xi), omega)
+    side = _side_A(inst)
+    return _lie_derivative(side, _de_rham_derivation(side), _xpolys(inst, xi), omega)
 
 
 def _loday_component(own: _Side, other: _Side, s1: Sequence[Poly], s2: Sequence[Poly],
@@ -1047,7 +1041,7 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
     if route == "derived":
         coefficients = _derived_coefficients(inst, contact_vdata(inst), (1, 2, 3))
     elif route == "closed":
-        coefficients = {1: _coefficient(inst, de_rham_derivation(inst)),
+        coefficients = {1: _coefficient(inst, _de_rham_derivation(_side_A(inst))),
                         2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
                         3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
     else:

@@ -30,7 +30,7 @@ letters, it is (-1)^popcount(a & S(b)).  A left partial subtracts the
 generator's unit from the key, and an odd generator's sign is
 (-1)^popcount(key & odd letters before it).  The parity of a monomial is
 popcount(key & odd mask) mod 2, and "uses only these generators" is one mask
-test.
+test, with the mask kept per tuple of generator indices on the algebra.
 
 One codec, `Algebra.pack` / `Algebra.unpack`, converts between keys and the
 canonical `Monomial` tuples.  The tuple is the public form: `normalize_word`,
@@ -289,6 +289,7 @@ class Algebra:
         self._keys: Dict[Monomial, int] = {ONE: 0}
         self._monos: Dict[int, Monomial] = {0: ONE}
         self._crossings: Dict[int, int] = {}
+        self._masks: Dict[Tuple[int, ...], int] = {}
 
     def generator(self, key: Union[str, int]) -> Generator:
         if isinstance(key, str):
@@ -334,8 +335,13 @@ class Algebra:
         return mono
 
     def _fields(self, indices: Iterable[int]) -> int:
-        """The mask of the given generators' bits in a packed key."""
-        return sum(self._width[i] << self._shift[i] for i in set(indices))
+        """The mask of the given generators' bits in a packed key, kept per index tuple."""
+        indices = tuple(indices)
+        mask = self._masks.get(indices)
+        if mask is None:
+            mask = self._masks[indices] = sum(self._width[i] << self._shift[i]
+                                              for i in set(indices))
+        return mask
 
     def _crossing_mask(self, key: int) -> int:
         """S(key): the odd positions above an odd number of key's odd letters."""

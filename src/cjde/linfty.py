@@ -28,12 +28,17 @@ is called as given and never meets a result cached for the old entry.  A
 coefficient function may keep a memo of its own, under the same rule: the
 derived route's keeps the unprojected bracket of each word prefix
 (`vdata.derived_bracket_fold`), and that memo belongs to the coefficient
-function, so it is freed with the function and so with its Q or M.  No
-structure or memo is cached on an instance or in a module-level table.  A
-memoised vector is shared by every later call, so the Vector a coefficient
-returns is read-only.  Every sum here accumulates with `gca.add_into` into a
-dict that the summing function created itself, and only reads the
-coefficients it adds; `svec_add` returns a new dict.
+function, so it is freed with the function and so with its Q or M.  The
+word sums' sign bookkeeping is kept by the `GradedSpace` under the same
+rule: its tables (each key's parity; the unshuffles and set partitions of a
+word's positions, listed once per length; the Koszul sign of each such
+order per parity pattern of a word, worked out with `gca.koszul_sign` the
+first time a term needs it) belong to the space and are freed with it.  No
+memo is kept in a module-level table.  A memoised vector is shared by every
+later call, so the Vector a coefficient returns is read-only.  Every sum
+here accumulates with `gca.add_into` into a dict that the summing function
+created itself, and only reads the coefficients it adds; `svec_add` returns
+a new dict.
 
 `check_codifferential` and `check_morphism` decide Q^2 = 0 and
 Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
@@ -43,7 +48,9 @@ identity sum_{i+j=n+1} sum_unshuffles +- Q_j(Q_i(w_sel), w_rest) (Lada and
 Markl, hep-th/9406095), and the checks sum it term by term.  Each map has
 one term generator, `_terms(word, lengths)`, that `apply_word` also sums:
 the coderivation's yields, for each nonzero head Q_i(w_sel), the canonical
-words key (+) w_rest with their signed coefficients, visiting an arity i
+words key (+) w_rest with their signed coefficients, each key placed into
+the canonical tail w_rest by bisection (`GradedSpace._insert`) and each
+unshuffle's sign read from the space's tables, visiting an arity i
 only when the outer arity n - i + 1 is in `lengths`; the morphism's visits
 only the set partitions whose block count is in `lengths` and multiplies
 their factors out with `expand_word_of_vectors`.  A check contracts each
@@ -54,7 +61,10 @@ residuals are coderivations (along phi for the morphism), so a residual
 that vanishes on every proper sub-word of w is primitive on w: it equals
 its pr_1 part.  The checks therefore take words in which each word's
 one-letter-shorter sub-words come earlier (`GradedSpace.words` gives them
-so) and raise ValueError on any other list.
+so) and raise ValueError on any other list.  A word handed to the checks
+or to `apply_word` must be canonical, sorted and with no repeated odd
+letter, since the insertion relies on it; any other word raises ValueError
+instead of being re-sorted.
 
 `curve_coefficient` expands sum_k (1/k!) Q_k(x,...,x) along a formal curve
 x(t): `mc_residual` and the deformation workflow's MC curves both use it.
@@ -71,8 +81,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import (Callable, Container, Dict, Iterable, Iterator, List, Optional, Sequence,
+from typing import (Callable, Container, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from .gca import _is_int, add_into, koszul_sign, koszul_sort
@@ -103,16 +114,33 @@ def svec_add(a: Dict, b: Dict) -> Dict:
 
 
 class GradedSpace:
-    """Degrees (and hence Koszul parities) for basis keys of a graded space."""
+    """Degrees (and hence Koszul parities) for basis keys of a graded space.
+
+    The space owns the tables its word sums read signs from, each entry
+    worked out once and freed with the space (module docstring): the parity
+    of every key it has met; per word length, the unshuffles and the set
+    partitions of the positions; and the Koszul sign of each such reordering
+    per parity pattern of a word (one bool per letter), filled the first
+    time a nonzero term needs it.  A Koszul sign depends only on the
+    parities, so all words of one pattern share their signs.
+    """
 
     def __init__(self, degree: Callable[[object], int]):
         """`degree` maps a basis key to its degree."""
         self.degree = degree
+        self._parity: Dict[object, bool] = {}
+        self._signs: Dict[Tuple[Tuple[bool, ...], Tuple[int, ...]], int] = {}
+        self._unshuffle_lists: Dict[Tuple[int, int], list] = {}
+        self._partition_lists: Dict[int, list] = {}
 
     # --- words ----------------------------------------------------------
 
     def _is_odd(self, key: object) -> bool:
-        return self.degree(key) % 2 == 1
+        try:
+            return self._parity[key]
+        except KeyError:
+            odd = self._parity[key] = self.degree(key) % 2 == 1
+            return odd
 
     def normalize_letters(self, letters: Sequence[object]) -> Tuple[int, Optional[Word]]:
         """Canonical word for a sequence of keys: (koszul sign, word) or (1, None)=0."""
@@ -121,33 +149,86 @@ class GradedSpace:
             return 1, None
         return sign, tuple(letters[i] for i in perm)
 
+    def _insert(self, key: object, word: Word, at_end: bool = False) -> Tuple[int, Optional[Word]]:
+        """`normalize_letters` of key (+) word, or of word (+) key, for a canonical `word`.
+
+        The key goes where `bisect` puts it: before the letters equal to it
+        when it comes first, after them when it comes last, as the stable
+        sort would.  An odd key's sign is -1 to the number of odd letters it
+        passes, and an odd key equal to a letter of the word gives (1, None).
+        """
+        if at_end:
+            pos = bisect_right(word, key)
+            passed = word[pos:]
+            clash = pos and word[pos - 1] == key
+        else:
+            pos = bisect_left(word, key)
+            passed = word[:pos]
+            clash = pos < len(word) and word[pos] == key
+        sign = 1
+        if self._is_odd(key):
+            if clash:
+                return 1, None
+            if sum(map(self._is_odd, passed)) % 2:
+                sign = -1
+        return sign, word[:pos] + (key,) + word[pos:]
+
+    def _is_canonical(self, word: Word) -> bool:
+        """True when `word` is sorted and repeats no odd letter: one scan of its neighbours."""
+        return not any(b < a or (a == b and self._is_odd(a)) for a, b in zip(word, word[1:]))
+
+    def _require_canonical(self, word: Word) -> None:
+        if not self._is_canonical(word):
+            raise ValueError(f"word {word!r} is not canonical: it is not sorted "
+                             "or repeats an odd letter")
+
+    def _sign(self, pattern: Tuple[bool, ...], order: Tuple[int, ...]) -> int:
+        """koszul_sign(order, pattern): the sign of reordering a word of that parity pattern.
+
+        Worked out once per (pattern, order) and then read from the space.
+        """
+        sign = self._signs.get((pattern, order))
+        if sign is None:
+            sign = self._signs[pattern, order] = koszul_sign(order, pattern)
+        return sign
+
+    def _unshuffles(self, n: int, i: int) -> List[Tuple[Tuple[int, ...], ...]]:
+        """(sel, rest, sel + rest) for each (i, n - i) unshuffle of the positions 0..n-1."""
+        table = self._unshuffle_lists.get((n, i))
+        if table is None:
+            table = self._unshuffle_lists[n, i] = []
+            for sel in itertools.combinations(range(n), i):
+                rest = tuple(p for p in range(n) if p not in sel)
+                table.append((sel, rest, sel + rest))
+        return table
+
+    def _partitions(self, n: int) -> List[List[Tuple[List[List[int]], Tuple[int, ...]]]]:
+        """(partition, its blocks' positions in turn) for each set partition of 0..n-1,
+        listed by block count as `_set_partitions` lists them."""
+        table = self._partition_lists.get(n)
+        if table is None:
+            table = self._partition_lists[n] = [
+                [(p, tuple(q for b in p for q in b)) for p in partitions]
+                for partitions in _set_partitions(n)]
+        return table
+
     def word_degree(self, word: Word) -> int:
         return sum(self.degree(k) for k in word)
 
     def words(self, basis: Sequence[object], max_len: int, min_len: int = 0) -> List[Word]:
         """All canonical words over `basis` with length in [min_len, max_len]."""
         basis = sorted(basis)
-        out: List[Word] = []
-        for L in range(min_len, max_len + 1):
-            for combo in itertools.combinations_with_replacement(basis, L):
-                if koszul_sort(combo, self._is_odd)[0]:
-                    out.append(combo)
-        return out
-
-    def _signed_words(self, terms: Iterable[Tuple[Sequence[object], Fraction]]
-                      ) -> Iterable[Tuple[Word, Fraction]]:
-        """(canonical word, signed coefficient) for each (letters, coefficient)."""
-        for letters, c in terms:
-            sign, w = self.normalize_letters(letters)
-            if w is not None:
-                yield w, (c if sign > 0 else -c)
+        return [combo for L in range(min_len, max_len + 1)
+                for combo in itertools.combinations_with_replacement(basis, L)
+                if self._is_canonical(combo)]
 
     def expand_word_of_vectors(self, vectors: Sequence[Vector]) -> SVector:
         """Multilinear expansion of v_1 (+) ... (+) v_k into canonical words."""
         out: SVector = {(): Fraction(1)}
         for vec in vectors:
-            out = add_into({}, self._signed_words(
-                (word + (key,), cw * c) for word, cw in out.items() for key, c in vec.items()))
+            terms = ((self._insert(key, word, at_end=True), cw * c)
+                     for word, cw in out.items() for key, c in vec.items())
+            out = add_into({}, ((u, c if s > 0 else -c) for (s, u), c in terms if u is not None))
         return out
 
 
@@ -162,13 +243,6 @@ def _memoised(fn: Callable[[Word], Vector]) -> Callable[[Word], Vector]:
             value = memo[word] = fn(word)
             return value
     return coefficient
-
-
-def _unshuffles(n: int, i: int) -> Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    positions = range(n)
-    for sel in itertools.combinations(positions, i):
-        rest = tuple(p for p in positions if p not in sel)
-        yield sel, rest
 
 
 class _WordwiseLinear:
@@ -226,26 +300,33 @@ class TaylorCoderivation(_WordwiseLinear):
         The unshuffle sum: Q_i on i selected letters, inserted before the
         n - i others, gives words of length n - i + 1, so an arity i is
         visited only when that length is in `lengths`.  A word may repeat.
+        `word` must be canonical: each key of a head goes into the canonical
+        tail by `GradedSpace._insert`.
         """
         n = len(word)
-        degs = [self.space.degree(k) for k in word]
-        normalize = self.space.normalize_letters
+        space = self.space
+        pattern = tuple(map(space._is_odd, word))
+        insert = space._insert
         for i in self.arities():
             if i > n or n - i + 1 not in lengths:
                 continue
-            for sel, rest in _unshuffles(n, i):
+            for sel, rest, order in space._unshuffles(n, i):
                 # subwords of a canonical word are canonical
                 head = self.coefficient(i, tuple(word[p] for p in sel))
                 if head:
                     tail = tuple(word[p] for p in rest)
-                    sign = koszul_sign(sel + rest, degs)
+                    sign = space._sign(pattern, order)
                     for key, c in head.items():
-                        s, u = normalize((key,) + tail)
+                        s, u = insert(key, tail)
                         if u is not None:
                             yield u, (c if s == sign else -c)
 
     def apply_word(self, word: Word) -> SVector:
-        """Full coderivation on one canonical word: its terms at every length."""
+        """Full coderivation on one canonical word: its terms at every length.
+
+        A word that is not canonical raises ValueError.
+        """
+        self.space._require_canonical(word)
         return add_into({}, self._terms(word, range(len(word) + 2)))
 
 
@@ -273,12 +354,12 @@ class TaylorMorphism(_WordwiseLinear):
         length k, so only partitions with a block count in `lengths` are
         visited.  A word may repeat.
         """
-        n = len(word)
-        degs = [self.space.degree(k) for k in word]
-        for k, partitions in enumerate(_set_partitions(n)):
+        space = self.space
+        pattern = tuple(map(space._is_odd, word))
+        for k, partitions in enumerate(space._partitions(len(word))):
             if k not in lengths:
                 continue
-            for partition in partitions:
+            for partition, order in partitions:
                 factors: List[Vector] = []
                 for b in partition:
                     val = self.coefficient(len(b), tuple(word[p] for p in b))
@@ -286,12 +367,16 @@ class TaylorMorphism(_WordwiseLinear):
                         break
                     factors.append(val)
                 else:
-                    sign = koszul_sign([p for b in partition for p in b], degs)
-                    for u, c in self.space.expand_word_of_vectors(factors).items():
+                    sign = space._sign(pattern, order)
+                    for u, c in space.expand_word_of_vectors(factors).items():
                         yield u, (c if sign > 0 else -c)
 
     def apply_word(self, word: Word) -> SVector:
-        """Full morphism on one canonical word: its terms at every length."""
+        """Full morphism on one canonical word: its terms at every length.
+
+        A word that is not canonical raises ValueError.
+        """
+        self.space._require_canonical(word)
         return add_into({}, self._terms(word, range(len(word) + 1)))
 
 
@@ -344,13 +429,15 @@ class ResidualReport:
         return f"ResidualReport({self.label}: {state})"
 
 
-def _require_subwords_first(words: Sequence[Word]) -> None:
-    """Raise ValueError unless each word's one-letter-shorter sub-words come earlier.
+def _require_subwords_first(space: GradedSpace, words: Sequence[Word]) -> None:
+    """Raise ValueError unless each word is canonical and its one-letter-shorter
+    sub-words come earlier.
 
     The empty word is the sub-word of every one-letter word.
     """
     seen = set()
     for w in words:
+        space._require_canonical(w)
         for i in range(len(w)):
             sub = w[:i] + w[i + 1:]
             if sub not in seen:
@@ -372,7 +459,7 @@ def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> Residu
     failing word the pr_1 residual is the whole residual.  Any other list
     raises ValueError.
     """
-    _require_subwords_first(words)
+    _require_subwords_first(Q.space, words)
     report = ResidualReport("Q^2")
     for w in words:
         out: Vector = {}
@@ -396,7 +483,7 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
     over the terms of Q(w) at every length, each contracted as it comes;
     neither phi(w) nor Q(w) is built.
     """
-    _require_subwords_first(words)
+    _require_subwords_first(Q.space, words)
     report = ResidualReport("morphism")
     for w in words:
         out: Vector = {}
@@ -460,7 +547,7 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     if not _is_int(r) or r < 0:
         raise ValueError(f"the order of a curve coefficient must be a non-negative int, got {r!r}")
     space = Q.space
-    if any(space.degree(key) % 2 for vec in curve for key in vec):
+    if any(space._is_odd(key) for vec in curve for key in vec):
         raise ValueError("a formal curve must have even degree")
     indices = [i for i, vec in enumerate(curve, 1) if vec]
     out: Vector = {}

@@ -1,12 +1,13 @@
 """Coalgebra machinery: coderivations, morphisms, exponentials."""
 
+import itertools
 import random
 import types
 from fractions import Fraction
 
 import pytest
 
-from cjde.gca import add_into
+from cjde.gca import add_into, koszul_sign
 from cjde.linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -282,6 +283,33 @@ def test_checks_need_sub_words_first(V):
             check_morphism(ident, Q, Q, words)
 
 
+def after_its_sub_words(word):
+    """Every sub-word of `word` (its letters kept in order), shortest first, ending with it."""
+    subs = {tuple(word[p] for p in sel) for k in range(len(word) + 1)
+            for sel in itertools.combinations(range(len(word)), k)}
+    return sorted(subs, key=len)
+
+
+@pytest.mark.parametrize("word", [("c", "b"), ("b", "b"), ("e", "a", "a"), ("a", "c", "c")])
+def test_non_canonical_words_are_refused(V, word):
+    """A word that is unsorted or repeats an odd letter raises ValueError:
+    the term sums insert letters into canonical words by bisection, so such a
+    word would give wrong terms instead of being re-sorted."""
+    Q = differential(V, {"a": {"b": F(1)}, "c": {"e": F(1)}})
+    ident = TaylorMorphism(V, identity)
+    words = after_its_sub_words(word)
+    with pytest.raises(ValueError, match="not canonical"):
+        Q.apply_word(word)
+    with pytest.raises(ValueError, match="not canonical"):
+        ident.apply_word(word)
+    with pytest.raises(ValueError, match="not canonical"):
+        check_codifferential(Q, words)
+    with pytest.raises(ValueError, match="not canonical"):
+        check_morphism(ident, Q, Q, words)
+    # repeated even letters are canonical
+    assert check_codifferential(Q, after_its_sub_words(("a", "a", "c"))).ok
+
+
 def test_curved_check_needs_the_empty_word(V):
     # Q_0 = b, Q_1(b) = e: Q^2 = (e) on the empty word, so Q^2(a) = e (.) a is
     # nonzero with no one-letter part; only the empty word shows the failure
@@ -510,3 +538,40 @@ def test_set_partitions_come_in_canonical_order(n):
         assert sorted(i for b in p for i in b) == list(range(n))
         assert all(b == sorted(b) for b in p)
         assert [b[0] for b in p] == sorted(b[0] for b in p)
+
+
+def odd_inversion_sign(order, pattern):
+    """-1 to the number of pairs of odd positions that `order` puts out of order."""
+    odd = [p for p in order if pattern[p]]
+    return (-1) ** sum(a > b for a, b in itertools.combinations(odd, 2))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sign_tables_match_koszul_sign(n):
+    """Every unshuffle and set partition the space lists, for every parity
+    pattern of an n-word, carries the Koszul sign of its reordering, read
+    back from the space's table after all patterns have filled it."""
+    space = GradedSpace({}.__getitem__)  # the tables are read by parity pattern, not by key
+    patterns = list(itertools.product((False, True), repeat=n))
+    orders = []
+    for i in range(n + 1):
+        listed = space._unshuffles(n, i)
+        assert [sel for sel, _, _ in listed] == list(itertools.combinations(range(n), i))
+        for sel, rest, order in listed:
+            assert order == sel + rest and sorted(order) == list(range(n))
+            assert list(rest) == sorted(rest)
+            orders.append(order)
+    by_blocks = space._partitions(n)
+    assert [[p for p, _ in ps] for ps in by_blocks] == _set_partitions(n)
+    for ps in by_blocks:
+        for p, order in ps:
+            assert order == tuple(q for b in p for q in b)
+            orders.append(order)
+    for pattern in patterns:
+        for order in orders:
+            space._sign(pattern, order)
+    for pattern in patterns:
+        for order in orders:
+            expected = koszul_sign(order, pattern)
+            assert expected == odd_inversion_sign(order, pattern)
+            assert space._sign(pattern, order) == expected

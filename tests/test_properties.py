@@ -789,3 +789,37 @@ def test_curve_coefficient_rejects_an_odd_curve():
     Q = TaylorCoderivation(TOY_SPACE, {2: toy_coefficient(0, 2)})
     with pytest.raises(ValueError):
         curve_coefficient(Q, [{"a": 1}, {"c": 1}], 2)
+
+
+# --- inserting one letter into a canonical word -------------------------------
+
+# mixed parities, with odd and even letters interleaved in the key order
+INSERT_DEGREES = {"a": 0, "b": 1, "c": 2, "d": -1, "e": 1, "f": 4, "g": 3}
+INSERT_SPACE = GradedSpace(INSERT_DEGREES.__getitem__)
+
+
+def canonical(letters):
+    """The canonical word of some letters, dropping a repeated odd letter instead of zeroing."""
+    word = []
+    for key in sorted(letters):
+        if not (word and word[-1] == key and INSERT_DEGREES[key] % 2):
+            word.append(key)
+    return tuple(word)
+
+
+canonical_words = st.lists(st.sampled_from(sorted(INSERT_DEGREES)), max_size=7).map(canonical)
+
+
+@PROPERTY
+@given(canonical_words, st.sampled_from(sorted(INSERT_DEGREES)))
+@example(word=("a", "a", "c", "c", "f"), key="c")  # repeated even letters, an equal even key
+@example(word=("a", "b", "d", "e"), key="d")  # an odd key clashing with a letter
+@example(word=("b", "d", "e", "g"), key="c")  # an even key passing odd letters
+@example(word=("a", "b", "c", "d", "e", "f"), key="e")
+def test_insertion_matches_normalize_letters(word, key):
+    """Placing a letter into a canonical word by bisection, at the front or at
+    the end, gives the word and sign of re-sorting the whole sequence."""
+    assert INSERT_SPACE._is_canonical(word)
+    assert INSERT_SPACE._insert(key, word) == INSERT_SPACE.normalize_letters((key,) + word)
+    assert (INSERT_SPACE._insert(key, word, at_end=True)
+            == INSERT_SPACE.normalize_letters(word + (key,)))
