@@ -66,6 +66,7 @@ class ContactContext:
         self.ix_pa = list(range(m + n, m + 2 * n))
         self.ix_pi = list(range(m + 2 * n, 2 * m + 2 * n))
         self.ix_p = 2 * m + 2 * n
+        self._base = tuple(self.ix_x + self.ix_u)
         # each coordinate and each momentum: (coordinate, its momentum, and
         # whether the bracket signs the pair by the parity of its left argument)
         self.darboux: Dict[int, Tuple[int, int, bool]] = {}
@@ -107,8 +108,9 @@ class ContactContext:
             body = self.algebra.scalar(body)
         return Section(self, body)
 
-    def base_indices(self) -> List[int]:
-        return list(self.ix_x) + list(self.ix_u)
+    def base_indices(self) -> Tuple[int, ...]:
+        """The x and u generators, built once per context."""
+        return self._base
 
     def is_base_poly(self, f: Poly) -> bool:
         """True when f only involves the x and u generators."""

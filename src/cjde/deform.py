@@ -3,10 +3,12 @@
 `ComplexMatrices` owns the closed-route structure of the instance,
 `Q = deformation_brackets(inst, "closed")`, the codifferential with m_1 =
 d_{A,L}, m_2 and m_3 memoised per word.  Over a point base the L-valued form
-spaces are finite dimensional, so m_1 becomes exact rational matrices on the
-`form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys of
-`deformation_space`).  Kernels, images and cohomology representatives come
-from Gauss-Jordan elimination over Q, in exact `Fraction` arithmetic.
+spaces are finite dimensional, so m_1 becomes sparse rows {column: Fraction}
+on the `form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys
+of `deformation_space`), the vector format of every other layer.  Kernels,
+images and cohomology representatives come from exact elimination over Q on
+those rows, each step a `gca.add_into`, to the unique reduced row echelon
+form; coordinates of forms and kernel vectors are dense lists.
 
 `Cohomology` holds H^k as the data a homotopy transfer reads (Berglund,
 arXiv:0909.3485): representatives (i), class coordinates (p) and primitives
@@ -29,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cjalg import (
     DeformationForm,
@@ -59,85 +61,89 @@ __all__ = [
     "search_obstructed_instance",
 ]
 
-Matrix = List[List[Fraction]]
+Row = Dict[int, Fraction]
 Vec = List[Fraction]
 
 
 # --- exact linear algebra ---------------------------------------------------
 
 
-def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form over Q; returns (R, pivot column list).
+def rref(rows: Sequence[Mapping[int, Fraction]]) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form over Q of sparse rows {column: entry}.
 
-    Exact for any int or Fraction entries: the pivot row is divided by the
-    pivot as a Fraction, so an int matrix never turns into floats.
+    Returns (R, pivots): the nonzero reduced rows in pivot order, as new
+    dicts of `Fraction`s without zero entries, and their pivot columns in
+    increasing order.  Each row in turn is reduced by the pivot rows found
+    so far; if anything is left, its first column becomes a new pivot, the
+    row is divided by its entry there, and that column is cleared from the
+    other pivot rows.  Every step is a `gca.add_into`.  The reduced row
+    echelon form is unique for the column order, so the result is the
+    dense Gauss-Jordan one without its zero rows.  The input rows are only
+    read; int entries are read as `Fraction`s.
     """
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    reduced: Dict[int, Row] = {}
+    for given in rows:
+        row = add_into({}, ((c, Fraction(x)) for c, x in given.items()))
+        for p in [c for c in row if c in reduced]:
+            add_into(row, reduced[p], -row[p])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = Fraction(m[r][c])
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        lead = min(row)
+        row = add_into({}, row, 1 / row[lead])
+        for other in reduced.values():
+            if lead in other:
+                add_into(other, row, -other[lead])
+        reduced[lead] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
 
 
-def nullspace(matrix: Matrix, cols: int) -> List[Vec]:
-    """Basis of the right kernel, deterministic (free columns in order)."""
-    red, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+def _require_columns(rows: Sequence[Mapping[int, Fraction]], cols: int) -> None:
+    """Raise ValueError unless every entry of every row lies in a column of range(cols)."""
+    for row in rows:
+        for c in row:
+            if c not in range(cols):
+                raise ValueError(f"a row has an entry in column {c!r}, outside range({cols})")
+
+
+def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> List[Vec]:
+    """Basis of the right kernel of sparse rows over `cols` columns, as dense lists.
+
+    One vector per free column, in order: 1 there, minus that column of
+    each reduced row at its pivot, 0 elsewhere.  A row entry outside
+    range(cols) raises ValueError.
+    """
+    _require_columns(rows, cols)
+    red, pivots = rref(rows)
     basis: List[Vec] = []
-    for fc in free:
+    for fc in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row.get(fc, Fraction(0))
         basis.append(v)
     return basis
 
 
-def solve_linear(matrix: Matrix, rhs: Vec) -> Optional[Vec]:
-    """One solution of M x = rhs with free variables set to zero, or None.
+def solve_linear(rows: Sequence[Mapping[int, Fraction]], cols: int,
+                 rhs: Sequence[Fraction]) -> Optional[Vec]:
+    """One solution of M x = rhs, a dense list over `cols` columns, or None.
 
-    Deterministic: the particular solution is supported on the
-    lexicographically first pivot columns of the reduced matrix.
+    M is given by its sparse rows and rhs holds one entry per row; an rhs
+    of another length, or a row entry outside range(cols), raises
+    ValueError.  Deterministic: rhs rides along as column `cols`, and the
+    free variables of the reduced system are zero.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [Fraction(0)] * cols if not any(rhs) else None
-    aug = [matrix[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
+    _require_columns(rows, cols)
+    if len(rhs) != len(rows):
+        raise ValueError(f"rhs has {len(rhs)} entries for {len(rows)} rows")
+    red, pivots = rref([{**row, cols: b} for row, b in zip(rows, rhs)])
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for row, pc in zip(red, pivots):
+        x[pc] = row.get(cols, Fraction(0))
     return x
-
-
-def _transpose(matrix: Matrix) -> Matrix:
-    """Rows become columns: also turns a list of column vectors into a matrix."""
-    if not matrix:
-        return []
-    return [[row[j] for row in matrix] for j in range(len(matrix[0]))]
 
 
 # --- the complex as matrices --------------------------------------------
@@ -152,10 +158,14 @@ class NotFlat(ValueError):
 
 
 class ComplexMatrices:
-    """The complex (Omega(A;L), m_1) over a point base, as matrices degree by degree.
+    """The complex (Omega(A;L), m_1) over a point base, as sparse rows degree by degree.
 
-    `Q` is the closed-route structure; `matrices[k]` holds its m_1 on the
-    degree-k `form_basis` words, and `d` applies m_1 to a section.
+    `Q` is the closed-route structure and `d` applies its m_1 to a section.
+    `matrices[k]` holds m_1 from the degree-k to the degree-(k+1) forms:
+    one sparse row {j: entry} per word of `basis[k + 1]`, whose entry in
+    column j is that word's coefficient in m_1 of the word `basis[k][j]`
+    (no rows at the top degree).  Coordinates of a form on `basis[k]` are
+    dense lists, one entry per word.
     """
 
     def __init__(self, inst: SplitCJInstance):
@@ -165,16 +175,17 @@ class ComplexMatrices:
         self.n = inst.n
         self.basis = [form_basis(inst.context, k) for k in range(self.n + 1)]
         self.Q = deformation_brackets(inst, "closed")
-        self.matrices: List[Matrix] = []
+        self.matrices: List[List[Row]] = []
         for k in range(self.n + 1):
-            rows = self.basis[k + 1] if k < self.n else []
-            columns = [self.Q.coefficient(1, (mono,)) for mono in self.basis[k]]
-            self.matrices.append([[col.get(mono, Fraction(0)) for col in columns]
-                                  for mono in rows])
+            rows = {mono: {} for mono in (self.basis[k + 1] if k < self.n else [])}
+            for j, mono in enumerate(self.basis[k]):
+                for out, c in self.Q.coefficient(1, (mono,)).items():
+                    rows[out][j] = c
+            self.matrices.append(list(rows.values()))
         for k in range(self.n - 1):
-            if any(any(_apply(self.matrices[k + 1], col))
-                   for col in _transpose(self.matrices[k])):
-                raise NotFlat("d^2 != 0: the A side is not flat")
+            for mono in self.basis[k]:
+                if not self.d(self.d(vector_to_section(inst, {mono: 1}))).is_zero():
+                    raise NotFlat("d^2 != 0: the A side is not flat")
 
     def d(self, s: Section) -> Section:
         """m_1(s) from the arity-1 coefficient of `Q` alone: `Q.apply` would add m_0."""
@@ -189,8 +200,24 @@ class ComplexMatrices:
             raise ValueError("section is not a homogeneous degree-k form")
         return coords
 
-    def coords_to_form(self, coords: Vec, k: int) -> Section:
+    def coords_to_form(self, coords: Sequence[Fraction], k: int) -> Section:
+        """The degree-k form with these coordinates, one per word of `basis[k]`."""
+        if len(coords) != len(self.basis[k]):
+            raise ValueError(f"{len(coords)} coordinates for the {len(self.basis[k])} "
+                             f"degree-{k} basis forms")
         return vector_to_section(self.inst, dict(zip(self.basis[k], coords)))
+
+    def _with_columns(self, k: int, vectors: Sequence[Vec]) -> Tuple[List[Row], int]:
+        """The rows of d_{k-1} over the degree-k coordinates, one column per vector appended.
+
+        Returns the rows and `cut`: column j < cut is the degree-(k-1) word
+        `basis[k-1][j]` (none for k = 0), column cut + t is vectors[t].
+        """
+        cut = len(self.basis[k - 1]) if k else 0
+        prev = self.matrices[k - 1] if k else [{} for _ in self.basis[k]]
+        rows = [add_into(dict(row), ((cut + t, v[i]) for t, v in enumerate(vectors)))
+                for i, row in enumerate(prev)]
+        return rows, cut
 
 
 # --- cohomology ---------------------------------------------------------
@@ -219,11 +246,8 @@ class Cohomology:
     def _split(self, s: Section) -> Optional[Tuple[Vec, Vec]]:
         """(b, c) with s = d(b) + sum_i c_i rep_i, or None when s is not a cocycle."""
         cm, k = self.complex, self.k
-        z = cm.form_to_coords(s, k)
-        prev = cm.matrices[k - 1] if k else [[] for _ in z]
-        cut = len(prev[0])
-        sol = solve_linear([row + [v[i] for v in self._rep_coords]
-                            for i, row in enumerate(prev)], z)
+        rows, cut = cm._with_columns(k, self._rep_coords)
+        sol = solve_linear(rows, cut + self.dimension, cm.form_to_coords(s, k))
         return None if sol is None else (sol[:cut], sol[cut:])
 
     def class_coordinates(self, s: Section) -> Vec:
@@ -238,7 +262,10 @@ class Cohomology:
         return split[1]
 
     def representative(self, coords: Sequence[Fraction]) -> Section:
-        """The cocycle sum_i coords[i] * representatives[i]."""
+        """The cocycle sum_i coords[i] * representatives[i], one coordinate per representative."""
+        if len(coords) != self.dimension:
+            raise ValueError(f"{len(coords)} coordinates for the {self.dimension} "
+                             f"representatives of H^{self.k}")
         rep = self.complex.inst.context.zero_section()
         for c, r in zip(coords, self.representatives):
             rep = rep + r.scale(c)
@@ -258,10 +285,6 @@ class Cohomology:
         if split is None or any(split[1]):
             return None
         return cm.coords_to_form(split[0], self.k - 1)
-
-
-def _apply(mat: Matrix, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in mat]
 
 
 def _require_complex_of(inst: SplitCJInstance, cm: ComplexMatrices) -> None:
@@ -284,14 +307,13 @@ def cohomology(inst: SplitCJInstance, k: int,
     _require_complex_of(inst, cm)
     if k > cm.n:
         return Cohomology(cm, k, 0, [], [])
-    # d on the top degree is the empty matrix, whose kernel is everything
+    # d on the top degree has no rows, so its kernel is everything
     kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
-    image = _transpose(cm.matrices[k - 1]) if k >= 1 else []
 
     # image columns first, then kernel vectors; pivots are picked greedily from
     # the left, so those past the image part are the representatives
-    pivots = rref(_transpose(image + kernel))[1]
-    reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
+    rows, cut = cm._with_columns(k, kernel)
+    reps = [kernel[p - cut] for p in rref(rows)[1] if p >= cut]
     return Cohomology(cm, k, len(reps), [cm.coords_to_form(v, k) for v in reps], reps)
 
 

@@ -44,39 +44,57 @@ F = Fraction
 
 
 def test_rref_and_nullspace():
-    M = [[F(2), F(4), F(2)], [F(1), F(2), F(3)]]
+    M = [{0: F(2), 1: F(4), 2: F(2)}, {0: F(1), 1: F(2), 2: F(3)}]
     red, pivots = rref(M)
     assert pivots == [0, 2]
     null = nullspace(M, 3)
     assert len(null) == 1
     v = null[0]
     for row in M:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert sum(a * v[j] for j, a in row.items()) == 0
 
 
 def test_rref_exact_on_int_input():
     # the pivot division used to turn an int matrix into floats
-    def exact(rows):
-        return all(type(x) in (int, F) for row in rows for x in row)
+    def exact(*vectors):
+        return all(type(x) in (int, F) for v in vectors for x in v)
 
-    red, pivots = rref([[2, 1], [1, 1]])
-    assert red == [[1, 0], [0, 1]] and pivots == [0, 1] and exact(red)
-    red, pivots = rref([[3, 1], [6, 2]])
-    assert red == [[1, F(1, 3)], [0, 0]] and pivots == [0] and exact(red)
-    null = nullspace([[3, 1]], 2)
-    assert null == [[F(-1, 3), 1]] and exact(null)
-    x = solve_linear([[3, 0], [0, 7]], [1, 2])
-    assert x == [F(1, 3), F(2, 7)] and exact([x])
+    red, pivots = rref([{0: 2, 1: 1}, {0: 1, 1: 1}])
+    assert red == [{0: 1}, {1: 1}] and pivots == [0, 1]
+    assert exact(*(row.values() for row in red))
+    # a dependent row reduces to nothing and is left out
+    red, pivots = rref([{0: 3, 1: 1}, {0: 6, 1: 2}])
+    assert red == [{0: 1, 1: F(1, 3)}] and pivots == [0]
+    assert exact(*(row.values() for row in red))
+    null = nullspace([{0: 3, 1: 1}], 2)
+    assert null == [[F(-1, 3), 1]] and exact(*null)
+    x = solve_linear([{0: 3}, {1: 7}], 2, [1, 2])
+    assert x == [F(1, 3), F(2, 7)] and exact(x)
 
 
 def test_solve_linear():
-    M = [[F(1), F(2)], [F(3), F(4)]]
-    x = solve_linear(M, [F(5), F(11)])
+    M = [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}]
+    x = solve_linear(M, 2, [F(5), F(11)])
     assert x == [F(1), F(2)]
-    assert solve_linear([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
+    assert solve_linear([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}], 2, [F(0), F(1)]) is None
     # deterministic: free variables are zero
-    x = solve_linear([[F(1), F(1)]], [F(3)])
+    x = solve_linear([{0: F(1), 1: F(1)}], 2, [F(3)])
     assert x == [F(3), F(0)]
+
+
+def test_elimination_rejects_entries_outside_the_columns_and_rhs_of_another_length():
+    # nullspace used to return [[-2, 1]], which is not in the kernel, and
+    # solve_linear [1, 0], dropping the equation 0 = 2
+    with pytest.raises(ValueError, match="column 2"):
+        nullspace([{0: 1, 1: 2, 2: 3}], 2)
+    with pytest.raises(ValueError, match="column -1"):
+        nullspace([{-1: 1}], 2)
+    # column 2 is where the rhs rides along
+    with pytest.raises(ValueError, match="column 2"):
+        solve_linear([{0: 1, 2: 1}], 2, [1])
+    for rhs in ([1, 2], []):
+        with pytest.raises(ValueError, match="rhs"):
+            solve_linear([{0: 1}], 2, rhs)
 
 
 def test_random_linear_roundtrip():
@@ -84,12 +102,13 @@ def test_random_linear_roundtrip():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in M]
         x = [F(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(M[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        sol = solve_linear(M, rhs)
+        sol = solve_linear(sparse, cols, rhs)
         assert sol is not None
         assert [sum(M[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == rhs
-        for v in nullspace(M, cols):
+        for v in nullspace(sparse, cols):
             assert all(sum(M[i][j] * v[j] for j in range(cols)) == 0
                        for i in range(rows))
 
@@ -159,6 +178,21 @@ def test_cohomology_rejects_degrees_outside_the_complex(dgla1):
         h4.primitive(top)
 
 
+def test_coordinates_of_another_length_are_rejected(dgla1):
+    # zip against the basis used to drop extra coordinates and pad missing ones
+    cm = ComplexMatrices(dgla1)
+    h1 = cohomology(dgla1, 1, cm)
+    assert h1.dimension == 1
+    assert h1.representative([2]) == h1.representatives[0].scale(2)
+    for coords in ([1, 5, 7, 9], [1, 5], []):
+        with pytest.raises(ValueError, match="coordinates"):
+            h1.representative(coords)
+    assert len(cm.basis[2]) == 3
+    for coords in ([1, 2, 3, 4, 5], [1, 2]):
+        with pytest.raises(ValueError, match="coordinates"):
+            cm.coords_to_form(coords, 2)
+
+
 POINT_FIXTURES = ["curv1", "dgla1", "djmix", "djmix4", "heis2", "obst1"]
 
 
@@ -190,7 +224,8 @@ def test_cohomology_splits_a_cocycle_into_exact_part_and_class(name):
             prim = h.primitive(exact)
             assert cm.d(prim) == exact
             coords = cm.form_to_coords(exact, k)
-            assert prim == cm.coords_to_form(solve_linear(cm.matrices[k - 1], coords), k - 1)
+            assert prim == cm.coords_to_form(
+                solve_linear(cm.matrices[k - 1], len(cm.basis[k - 1]), coords), k - 1)
             if any(c):
                 assert h.primitive(z) is None
 
@@ -212,7 +247,7 @@ def test_cohomology_rejects_representatives_and_non_cocycles(name):
             with pytest.raises(ValueError, match="not a cocycle"):
                 h.class_coordinates(s)
     # djmix, djmix4 and obst1 have d = 0: every form of theirs is a cocycle
-    assert non_cocycles or not any(x for mat in cm.matrices for row in mat for x in row)
+    assert non_cocycles or not any(x for mat in cm.matrices for row in mat for x in row.values())
 
 
 def test_extend_mc_solves_once_per_nonzero_residual(monkeypatch):
@@ -220,9 +255,9 @@ def test_extend_mc_solves_once_per_nonzero_residual(monkeypatch):
     # primitive come from one elimination
     calls = []
 
-    def counting(matrix, rhs):
+    def counting(rows, cols, rhs):
         calls.append(len(rhs))
-        return solve_linear(matrix, rhs)
+        return solve_linear(rows, cols, rhs)
 
     doc = load_fixture("dgla1")
     inst, eta = doc.instance, doc.deformations["eta1"]

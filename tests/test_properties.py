@@ -19,7 +19,7 @@ from conftest import ordered_curve_coefficient
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
-from cjde.deform import ComplexMatrices
+from cjde.deform import ComplexMatrices, nullspace, rref, solve_linear
 from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
 from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
                       koszul_sign, koszul_sort)
@@ -694,6 +694,83 @@ def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
     for bad in (ctx.u(0), ctx.x(0) * ctx.pa(1), ContactContext(1, 3).x(0)):
         with pytest.raises(ValueError):
             cjalg._form(ctx, ctx.ix_u, {(0,): zero, (1,): bad, (2,): zero}, cjalg._same)
+
+
+# --- sparse elimination against a dense Gauss-Jordan ------------------------
+
+
+def dense_gauss_jordan(matrix, cols):
+    """The reduced row echelon form of a list-of-lists matrix: (nonzero rows, pivots).
+
+    Column by column: the first row at or below the next pivot position
+    with a nonzero entry is swapped up, divided by that entry, and
+    subtracted from every other row.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for j in range(len(m)):
+            f = m[j][c]
+            if j != r and f:
+                m[j] = [a - f * b for a, b in zip(m[j], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+@st.composite
+def int_systems(draw):
+    """(matrix, cols, rhs): up to 6 x 6 small ints, with repeated rows and zeroed columns."""
+    cols = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    rows = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))]
+    zeroed = draw(st.sets(st.integers(0, 5), max_size=2))
+    matrix = [[0 if j in zeroed else x for j, x in enumerate(row)] for row in rows]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    else:
+        rhs = draw(st.lists(st.integers(-2, 2), min_size=len(matrix), max_size=len(matrix)))
+    return matrix, cols, rhs
+
+
+@settings(PROPERTY, max_examples=150)
+@given(int_systems())
+@example(([], 0, []))
+@example(([], 4, []))
+@example(([[], [], []], 0, [0, 1, 0]))
+@example(([[0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0]], 3, [0, 1, 1, 0]))
+@example(([[0, 1, 2, 0, 1, 2]] * 3 + [[1, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0], [0] * 6], 6,
+          [1, 1, 1, 2, 3, 0]))
+def test_sparse_elimination_matches_dense_gauss_jordan(system):
+    """rref, nullspace and solve_linear on sparse rows give what a dense
+    Gauss-Jordan of the same int matrix gives: the reduced row echelon form
+    is unique for the column order, so every pivot and entry agrees."""
+    matrix, cols, rhs = system
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    red, pivots = dense_gauss_jordan(matrix, cols)
+    assert rref(sparse) == ([{j: x for j, x in enumerate(row) if x} for row in red], pivots)
+    kernel = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(c == free) for c in range(cols)]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
+        kernel.append(v)
+    assert nullspace(sparse, cols) == kernel
+    red, pivots = dense_gauss_jordan([row + [b] for row, b in zip(matrix, rhs)], cols + 1)
+    want = None
+    if cols not in pivots:
+        want = [Fraction(0)] * cols
+        for row, pc in zip(red, pivots):
+            want[pc] = row[cols]
+    assert solve_linear(sparse, cols, rhs) == want
 
 
 # --- formal curves: t^r coefficients of sum_k (1/k!) Q_k(x,...,x) -------------
