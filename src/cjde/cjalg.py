@@ -570,19 +570,27 @@ def first_nonzero(residuals: Iterable[Tuple[Tuple, Section]]
 def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     """{Theta,Theta} versus Jacobi-in-Leibniz-form and flatness on frames.
 
-    Every bracket that several residuals share is computed once: {[[e_i, e_j]],
-    Theta} per pair, ad_i [[e_j, e_l]] per triple (the Jacobi residuals of
-    (i, j, l) and (j, i, l) both use it) and ad_i ad_j lam per pair and lam.
+    Both direct residuals are one bracket with the Jacobiator of a frame pair.
+    With theta_i = {Theta,e_i}, the derived bracket [[e_i,e_j]] = {theta_i,e_j}
+    and T_ij = {Theta,[[e_i,e_j]]}, let H_ij = {theta_i,theta_j} and K_ij =
+    H_ij - T_ij.  The theta_i are even (|s| = deg s - 2), so the graded Jacobi
+    identity of the contact bracket gives ad_i ad_j - ad_j ad_i = {H_ij, .},
+    with ad_i = {theta_i, .}, on every section, whatever Theta is: the
+    Jacobiator of a derived bracket is a bracket (Kosmann-Schwarzbach,
+    math/0312524; Roytenberg, math/0203110).  The Jacobi residual of (i, j, l),
+    ad_i [[e_j,e_l]] - [[ [[e_i,e_j]], e_l]] - ad_j [[e_i,e_l]], is therefore
+    {K_ij, e_l}, and the flatness residual of (i, j, lam), [[ [[e_i,e_j]], lam]]
+    - (ad_i ad_j - ad_j ad_i) lam, is -{K_ij, lam}.
 
     A bracket runs as the memoised operator of its left argument, so a bracket
     whose one side is used once runs through the other, reused side, by the
-    graded skew symmetry {a,b} = -(-1)^{|a||b|} {b,a} of the contact bracket
-    (|s| = deg s - 2: e_i, [[e_i,e_j]] and Theta odd, T_ij = {[[e_i,e_j]],Theta}
-    and lam even).  So {e_i,Theta} = {Theta,e_i} and {[[e_i,e_j]],Theta} =
-    {Theta,[[e_i,e_j]]} run through Theta's operator, {T_ij,e_l} = -{e_l,T_ij}
-    through e_l's and {T_ij,lam} = -{lam,T_ij} through lam's; ad_i runs through
-    the operator of {Theta,e_i}.  That is 2k + m + 2 operators for a frame of
-    k = 2n elements, not one per [[e_i,e_j]] and per T_ij.
+    graded skew symmetry {a,b} = -(-1)^{|a||b|} {b,a} (e_i, [[e_i,e_j]] and
+    Theta odd; theta_i, T_ij, K_ij and lam even).  The check runs four kinds of
+    bracket: theta_i = {Theta,e_i} and T_ij through Theta's operator, [[e_i,e_j]]
+    and H_ij (for i <= j only; H_ji = -H_ij, as theta is even) through theta_i's,
+    the Jacobi residual {K_ij,e_l} = -{e_l,K_ij} through e_l's and the flatness
+    residual -{K_ij,lam} = {lam,K_ij} through lam's.  That is 2k + m + 2
+    operators for a frame of k = 2n elements, not one per [[e_i,e_j]] or K_ij.
     """
     ctx = inst.context
     theta = inst.theta
@@ -591,35 +599,21 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     pairs = list(itertools.product(range(k), repeat=2))
 
     theta_br = [jacobi_bracket(theta, e) for e in frame]
-
-    def ad(i: int, s: Section) -> Section:
-        return jacobi_bracket(theta_br[i], s)
-
-    table = [[ad(i, frame[j]) for j in range(k)] for i in range(k)]
-    table_theta = {(i, j): jacobi_bracket(theta, table[i][j]) for i, j in pairs}
-    ad_table = {(i, j, l): ad(i, table[j][l])
-                for i, j, l in itertools.product(range(k), repeat=3)}
-
-    jacobi_residuals = []
-    for i, j, l in itertools.product(range(k), repeat=3):
-        r = ad_table[i, j, l] + jacobi_bracket(frame[l], table_theta[i, j]) \
-            - ad_table[j, i, l]
-        jacobi_residuals.append(((i, j, l), r))
-
-    lams = [Section(ctx, ctx.algebra.one())]
-    lam_names = ["mu"]
-    for i in range(ctx.m):
-        lams.append(Section(ctx, ctx.x(i)))
-        lam_names.append(f"x{i+1}*mu")
-    ad_lam = [[ad(j, lam) for lam in lams] for j in range(k)]
-    ad_ad_lam = {(i, j): [ad(i, s) for s in ad_lam[j]] for i, j in pairs}
-
-    flatness_residuals = []
+    table = [[jacobi_bracket(theta_br[i], e) for e in frame] for i in range(k)]
+    jacobiator = {}
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
+        h = jacobi_bracket(theta_br[i], theta_br[j])
+        jacobiator[j, i], jacobiator[i, j] = -h, h
     for i, j in pairs:
-        for t, (lam, lname) in enumerate(zip(lams, lam_names)):
-            lhs = -jacobi_bracket(lam, table_theta[i, j])
-            rhs = ad_ad_lam[i, j][t] - ad_ad_lam[j, i][t]
-            flatness_residuals.append(((i, j, lname), lhs - rhs))
+        jacobiator[i, j] -= jacobi_bracket(theta, table[i][j])
+
+    jacobi_residuals = [((i, j, l), -jacobi_bracket(frame[l], jacobiator[i, j]))
+                        for i, j, l in itertools.product(range(k), repeat=3)]
+
+    lams = [("mu", Section(ctx, ctx.algebra.one()))] + \
+        [(f"x{i+1}*mu", Section(ctx, ctx.x(i))) for i in range(ctx.m)]
+    flatness_residuals = [((i, j, name), jacobi_bracket(lam, jacobiator[i, j]))
+                          for i, j in pairs for name, lam in lams]
 
     return AxiomReport(jacobi_bracket(theta, theta), jacobi_residuals, flatness_residuals)
 

@@ -53,6 +53,40 @@ def random_vector_field(ctx, rng):
     return Derivation(ctx.algebra, degree, values)
 
 
+class ParametricContext(ContactContext):
+    """The contact context of (m, n) with `parameters` more base coordinates,
+    x_{m+1}, ...: a base coordinate whose momentum pi occurs in no argument is a
+    constant for the bracket, so each extra one is a free parameter."""
+
+    def __init__(self, m, n, parameters):
+        super().__init__(m + parameters, n)
+        self.generators = self.ix_x[:m] + self.ix_u + self.ix_pa + self.ix_pi[:m] + [self.ix_p]
+        self.unused = iter(self.ix_x[m:])
+
+
+def generic_section(ctx, degree, letters):
+    """Every monomial of `degree` in the generators of (m, n) with at most
+    `letters` letters among the coordinates x, each times its own unused
+    parameter of the ParametricContext `ctx`.
+
+    The x's have degree 0 and every other generator degree >= 1, so the
+    monomials are x^beta N with |beta| <= letters and N one of finitely many.
+    An identity multilinear in its arguments holds on generic ones exactly
+    when it holds on every tuple of those monomials: distinct tuples carry
+    distinct products of parameters."""
+    alg, xs, out = ctx.algebra, set(ctx.ix_x), ctx.algebra.zero()
+    monos = set()
+    for length in range(degree + letters + 1):
+        for word in itertools.combinations_with_replacement(ctx.generators, length):
+            _, mono = alg.normalize_word(word)
+            if mono is not None and alg.monomial_degree(mono) == degree \
+                    and sum(g in xs for g in word) <= letters:
+                monos.add(mono)
+    for mono in sorted(monos):
+        out = out + alg.monomial(mono) * alg.gen(next(ctx.unused))
+    return ctx.section(out)
+
+
 def legendre_pushforward(X, into):
     """F_* X = (F^-1)^* X F^*, a vector field on `into` from one on its mirror:
     both pullbacks are `legendre_pullback`, as the Legendre map is an involution."""

@@ -18,8 +18,9 @@ from cjde.contact import (
 )
 from cjde.gca import ContextMismatch, Derivation
 
-from conftest import (hom_line_derivation, legendre_pushforward, random_base_poly,
-                      random_homogeneous_section, random_poly, random_vector_field)
+from conftest import (ParametricContext, generic_section, hom_line_derivation,
+                      legendre_pushforward, random_base_poly, random_homogeneous_section,
+                      random_poly, random_vector_field)
 
 
 @pytest.fixture
@@ -84,6 +85,36 @@ def test_bracket_skew_and_jacobi(ctx):
             - jacobi_bracket(jacobi_bracket(a, b), c) \
             - jacobi_bracket(b, jacobi_bracket(a, c)).scale((-1) ** (da * db))
         assert jac.is_zero()
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (1, 3)])
+def test_even_jacobi_and_skew_on_generic_sections(m, n):
+    """{a,{b,c}} - {b,{a,c}} - {{a,b},c} = 0 and {a,b} + {b,a} = 0 for all
+    sections a, b of degree 2 (even: |s| = deg s - 2) and c of degree 1 or 0.
+
+    Why two letters suffice: {f, g} = sum_k C_k dg/dk + C_0 g with the C's
+    linear in f and its first partials, so the bracket is bilinear and of
+    order <= 1 in each argument.  The Jacobiator is then trilinear and of
+    order <= 2 in each argument, and skew symmetry of order <= 1.  A monomial
+    of a fixed degree is g N, g a monomial in the x's (degree 0) and N one of
+    finitely many monomials in the other generators (degree >= 1 each).  An
+    operator of order <= 2 takes g N to sum_{|beta| <= 2} E_beta d^beta g with
+    E_beta independent of g, so it vanishes for every g once it does for g =
+    1, x_i and x_i x_j.  Argument by argument, the identity holds for all
+    sections once it holds on every tuple of monomials with at most 2 letters
+    among the x's, and so on generic sections with that bound.  The controls
+    flip one sign of each identity and must leave a nonzero residual."""
+    ctx = ParametricContext(m, n, 140)  # (2, 2) takes 54 + 54 + 24 + 6
+    a, b = generic_section(ctx, 2, 2), generic_section(ctx, 2, 2)
+    ab, ba = jacobi_bracket(a, b), jacobi_bracket(b, a)
+    assert (ab + ba).is_zero()
+    assert not (ab - ba).is_zero()
+    for degree in (1, 0):
+        c = generic_section(ctx, degree, 2)
+        left = jacobi_bracket(a, jacobi_bracket(b, c)) - jacobi_bracket(b, jacobi_bracket(a, c))
+        right = jacobi_bracket(ab, c)
+        assert (left - right).is_zero()
+        assert not (left + right).is_zero()
 
 
 # --- Hamiltonian lift ------------------------------------------------------
