@@ -13,15 +13,17 @@ axioms, produces the cubic deformation brackets by two independent routes,
 and changes the Lagrangian complement via the exponential flow.
 
 A and A-dagger enter symmetrically, so the code for one side is written once
-over a private `_Side` record: the contact context the side's forms live in
-(`inst.context` for A, its mirror for A-dagger), the side's rho / c / lam /
-Upsilon tensors, the map carrying a base polynomial onto that context
-(identity, or `_mirror_xpoly`), and the maps taking sections from that
-context to `inst.context` and back (identity, or the Legendre transform F^*
-and its inverse).  The de Rham derivation, the cubic Upsilon form, 1-forms
-from coefficients, contraction, Lie derivative, section bracket and the
-reading of structure functions off Theta each take a side; Theta is the sum
-over both sides of the pulled-back h_d - Upsilon.
+over a private `_Side` record, which is data only: the contact context the
+side's forms live in (`inst.context` for A, its mirror for A-dagger) and the
+side's rho / c / lam / Upsilon tensors.  One map moves polynomials between
+the two contexts: `_onto` leaves a polynomial that already lives on its
+target as it is, and otherwise pulls it back from the target's mirror by the
+Legendre transform F^* (`contact.legendre_pullback`), an involution.  It
+carries each stored entry onto the side's context in `_form`, and each form
+back to `inst.context`.  The de Rham derivation, the cubic Upsilon form,
+1-forms from coefficients, contraction, Lie derivative, section bracket and
+the reading of structure functions off Theta each take a side; Theta is the
+sum over both sides of h_d - Upsilon carried onto `inst.context`.
 
 A structure tensor is stored in one format: its nonzero canonical entries,
 a dict from increasing index tuples to base polynomials in sorted key order
@@ -137,7 +139,7 @@ PolyLike = Union[Poly, Scalar, Dict[Tuple[int, ...], Scalar]]
 def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
     """Coerce a scalar / exponent-dict / Poly into a base-coordinate polynomial."""
     if isinstance(value, Poly):
-        if not value.uses_only(ctx.ix_x):
+        if value.algebra is not ctx.algebra or not value.uses_only(ctx.ix_x):
             raise ValueError("structure function must only involve base coordinates")
         return value
     if isinstance(value, dict):
@@ -150,10 +152,6 @@ def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
             terms[tuple((ctx.ix_x[i], e) for i, e in enumerate(exps) if e)] = Fraction(coeff)
         return Poly(ctx.algebra, terms)
     return ctx.algebra.scalar(value)
-
-
-def _same(f: Poly) -> Poly:
-    return f
 
 
 # --- the stored tensor format --------------------------------------------------
@@ -243,18 +241,29 @@ def _one_tensor(coeffs: Sequence[Poly]) -> _Tensor:
 # --- the form codec ------------------------------------------------------------
 
 
-def _form(ctx: ContactContext, gens: Sequence[int], tensor: _Tensor,
-          carry: Callable[[PolyLike], Poly]) -> Poly:
-    """sum over the entries a_1<...<a_k of carry(tensor[a]) g_{a_1}...g_{a_k}.
+def _onto(ctx: ContactContext, f: Poly) -> Poly:
+    """f on `ctx`: f itself if it lives there, else F^* of f from ctx's mirror.
 
-    `gens` are generator indices in canonical order, so each term is written
-    directly as an x-monomial followed by the fiber monomial, with no sign.
-    Raises ValueError on a carried entry that is not a base polynomial.
+    The one map between the two sides of the split; raises ValueError
+    (`ContextMismatch`) on a polynomial that lives on neither context.
+    """
+    if f.algebra is ctx.algebra:
+        return f
+    return legendre_pullback(Section(ctx.mirror, f), ctx).body
+
+
+def _form(ctx: ContactContext, gens: Sequence[int], tensor: _Tensor) -> Poly:
+    """sum over the entries a_1<...<a_k of tensor[a] g_{a_1}...g_{a_k}, on `ctx`.
+
+    Each entry is carried onto `ctx` by `_onto`.  `gens` are generator
+    indices in canonical order, so each term is written directly as an
+    x-monomial followed by the fiber monomial, with no sign.  Raises
+    ValueError on a carried entry that is not a base polynomial.
     """
     terms: Dict[Monomial, Scalar] = {}
     for key, entry in tensor.items():
-        coeff = carry(entry)
-        if coeff.algebra is not ctx.algebra or not coeff.uses_only(ctx.ix_x):
+        coeff = _onto(ctx, entry)
+        if not coeff.uses_only(ctx.ix_x):
             raise ValueError("form entry is not a base polynomial of the context")
         fiber = tuple((gens[a], 1) for a in key)
         for mono, c in coeff.terms.items():
@@ -367,16 +376,11 @@ class SplitCJInstance:
 # --- one side of the split ---------------------------------------------------
 
 
-def _mirror_xpoly(inst: SplitCJInstance, f: Poly) -> Poly:
-    ctx = inst.context
-    mir = ctx.mirror
-    images = {ctx.ix_x[i]: mir.x(i) for i in range(ctx.m)}
-    return f.substitute(mir.algebra, images)
-
-
 @dataclass(frozen=True)
 class _Side:
-    """A or A-dagger (see the module docstring); tensors on inst.context's base ring."""
+    """A or A-dagger as data (module docstring): the context its forms live in,
+    `inst.context` or its mirror, and its tensors on inst.context's base ring.
+    `_onto` moves polynomials between the two contexts."""
 
     inst: SplitCJInstance
     context: ContactContext
@@ -384,42 +388,35 @@ class _Side:
     c: List[_Tensor]
     lam: _Tensor
     upsilon: _Tensor
-    carry: Callable[[Poly], Poly]
-    pullback: Callable[[Section], Section]
-    push: Callable[[Section], Section]
 
 
 def _side_A(inst: SplitCJInstance) -> _Side:
-    return _Side(inst, inst.context, inst.rho, inst.c, inst.lam, inst.phi,
-                 carry=lambda f: f, pullback=lambda s: s, push=lambda s: s)
+    return _Side(inst, inst.context, inst.rho, inst.c, inst.lam, inst.phi)
 
 
 def _side_dual(inst: SplitCJInstance) -> _Side:
-    return _Side(inst, inst.context.mirror, inst.rho_dual, inst.c_dual, inst.lam_dual,
-                 inst.psi, carry=lambda f: _mirror_xpoly(inst, f),
-                 pullback=lambda s: legendre_pullback(s, inst.context),
-                 push=lambda s: legendre_pullback(s, inst.context.mirror))
+    return _Side(inst, inst.context.mirror, inst.rho_dual, inst.c_dual, inst.lam_dual, inst.psi)
 
 
 def _de_rham_derivation(side: _Side) -> LineDerivation:
     """d_{S,L} as a degree-1 derivation of the line bundle over S[1]."""
     ctx = side.context
-    f = _form(ctx, ctx.ix_u, side.lam, side.carry)
-    f_x = [_form(ctx, ctx.ix_u, row, side.carry) for row in side.rho]
-    f_u = [-_form(ctx, ctx.ix_u, tensor, side.carry) for tensor in side.c]
+    f = _form(ctx, ctx.ix_u, side.lam)
+    f_x = [_form(ctx, ctx.ix_u, row) for row in side.rho]
+    f_u = [-_form(ctx, ctx.ix_u, tensor) for tensor in side.c]
     return LineDerivation(ctx, 1, f, f_x, f_u)
 
 
 def _upsilon_form(side: _Side) -> Section:
     """The cubic form Upsilon of the side, over its own context."""
     ctx = side.context
-    return Section(ctx, _form(ctx, ctx.ix_u, side.upsilon, side.carry))
+    return Section(ctx, _form(ctx, ctx.ix_u, side.upsilon))
 
 
 def _one_form(side: _Side, coeffs: Sequence[Poly]) -> Section:
     """The 1-form coeffs_a u^a on the side, from base polynomials."""
     ctx = side.context
-    return Section(ctx, _form(ctx, ctx.ix_u, _one_tensor(coeffs), side.carry))
+    return Section(ctx, _form(ctx, ctx.ix_u, _one_tensor(coeffs)))
 
 
 def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
@@ -431,7 +428,7 @@ def _iota(side: _Side, xi: Sequence[Poly], omega: Section) -> Section:
     if omega.context is not ctx:
         raise ContextMismatch("form from the other side of the split")
     values = {idx: ctx.algebra.zero() for idx in range(len(ctx.algebra.gens))}
-    values.update((ctx.ix_u[a], side.carry(xi[a])) for a in range(side.inst.n))
+    values.update((ctx.ix_u[a], _onto(ctx, xi[a])) for a in range(side.inst.n))
     return Section(ctx, Derivation(ctx.algebra, -1, values)(omega.body))
 
 
@@ -473,11 +470,12 @@ def upsilon_A_section(inst: SplitCJInstance) -> Section:
 
 def build_theta(inst: SplitCJInstance) -> Section:
     """Theta = -pi^*Y_A + h_{d_A} + F^*h_{d_dual} - F^*pi~^*Y_dual."""
-    theta = inst.context.zero_section()
+    ctx = inst.context
+    theta = ctx.algebra.zero()
     for side in (_side_A(inst), _side_dual(inst)):
         own = hamiltonian_lift(_de_rham_derivation(side)) - _upsilon_form(side)
-        theta = theta + side.pullback(own)
-    return theta
+        theta = theta + _onto(ctx, own.body)
+    return Section(ctx, theta)
 
 
 # --- degree-1 sections and derived operations -------------------------------
@@ -487,8 +485,8 @@ def embed_anchored(inst: SplitCJInstance, xi: Sequence[PolyLike],
                    alpha: Sequence[PolyLike]) -> Section:
     """xi + alpha |-> h_{iota_xi} + pi^*alpha = (xi^a pa_a + alpha_a u^a) mu."""
     ctx = inst.context
-    return Section(ctx, _form(ctx, ctx.ix_pa, _one_tensor(_xpolys(inst, xi)), _same)
-                   + _form(ctx, ctx.ix_u, _one_tensor(_xpolys(inst, alpha)), _same))
+    return Section(ctx, _form(ctx, ctx.ix_pa, _one_tensor(_xpolys(inst, xi)))
+                   + _form(ctx, ctx.ix_u, _one_tensor(_xpolys(inst, alpha))))
 
 
 def split_anchored(inst: SplitCJInstance, s: Section) -> Tuple[List[Poly], List[Poly]]:
@@ -587,10 +585,11 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
     graded skew symmetry {a,b} = -(-1)^{|a||b|} {b,a} (e_i, [[e_i,e_j]] and
     Theta odd; theta_i, T_ij, K_ij and lam even).  The check runs four kinds of
     bracket: theta_i = {Theta,e_i} and T_ij through Theta's operator, [[e_i,e_j]]
-    and H_ij (for i <= j only; H_ji = -H_ij, as theta is even) through theta_i's,
-    the Jacobi residual {K_ij,e_l} = -{e_l,K_ij} through e_l's and the flatness
-    residual -{K_ij,lam} = {lam,K_ij} through lam's.  That is 2k + m + 2
-    operators for a frame of k = 2n elements, not one per [[e_i,e_j]] or K_ij.
+    and H_ij (for i < j only: H_ji = -H_ij, and H_ii = 0 as theta_i is even, so
+    K_ii = -T_ii) through theta_i's, the Jacobi residual {K_ij,e_l} =
+    -{e_l,K_ij} through e_l's and the flatness residual -{K_ij,lam} =
+    {lam,K_ij} through lam's.  That is 2k + m + 2 operators for a frame of
+    k = 2n elements, not one per [[e_i,e_j]] or K_ij.
     """
     ctx = inst.context
     theta = inst.theta
@@ -600,8 +599,8 @@ def check_cj_axioms(inst: SplitCJInstance) -> AxiomReport:
 
     theta_br = [jacobi_bracket(theta, e) for e in frame]
     table = [[jacobi_bracket(theta_br[i], e) for e in frame] for i in range(k)]
-    jacobiator = {}
-    for i, j in itertools.combinations_with_replacement(range(k), 2):
+    jacobiator = dict.fromkeys(((i, i) for i in range(k)), ctx.zero_section())
+    for i, j in itertools.combinations(range(k), 2):
         h = jacobi_bracket(theta_br[i], theta_br[j])
         jacobiator[j, i], jacobiator[i, j] = -h, h
     for i, j in pairs:
@@ -630,7 +629,7 @@ class DeformationForm(Section):
     def from_dict(cls, inst: SplitCJInstance,
                   data: Dict[Tuple[int, int], PolyLike]) -> "DeformationForm":
         ctx = inst.context
-        return cls(ctx, _form(ctx, ctx.ix_u, _canonical(ctx, data, (inst.n,) * 2, 2), _same))
+        return cls(ctx, _form(ctx, ctx.ix_u, _canonical(ctx, data, (inst.n,) * 2, 2)))
 
     @classmethod
     def from_section(cls, inst: SplitCJInstance, s: Section) -> "DeformationForm":
@@ -741,7 +740,8 @@ def _loday_component(own: _Side, other: _Side, s1: Sequence[Poly], s2: Sequence[
     form = form + _lie_derivative(own, d, s1, _one_form(own, t2))
     form = form - _iota(own, s2, d(_one_form(own, t1)))
     form = form + _one_form(own, _section_bracket(other, t1, t2))
-    return own.pullback(form)
+    home = own.inst.context
+    return Section(home, _onto(home, form.body))
 
 
 def loday_bracket_formula(inst: SplitCJInstance, xi: Sequence[PolyLike],
@@ -1076,26 +1076,25 @@ def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
 def epsilon_section(inst: SplitCJInstance, eps: Dict[Tuple[int, int], PolyLike]) -> Section:
     """A 2-form on the dual side as a bidegree-(2,0) section."""
     ctx = inst.context
-    return Section(ctx, _form(ctx, ctx.ix_pa, _canonical(ctx, eps, (inst.n,) * 2, 2), _same))
+    return Section(ctx, _form(ctx, ctx.ix_pa, _canonical(ctx, eps, (inst.n,) * 2, 2)))
 
 
 def _read_side(side: _Side, theta: Section) -> Tuple[Dict, Dict, Dict, Dict]:
     """rho, c, lam and Upsilon of one side, as constructor dicts on the base ring.
 
-    Pushed to the side's own context, Theta is that side's h_d - Upsilon
+    Carried onto the side's own context, Theta is that side's h_d - Upsilon
     plus the other side's part, every term of which carries one of this
     side's momenta.  So the base parts of the partials of Theta by pi_i,
     pa_cc and p are the forms of rho^i, -c^cc and lam, and the base part of
     Theta is -Upsilon; `_form_keys` reads each.
     """
-    ctx = side.context
-    body = side.push(theta).body
+    ctx, home = side.context, side.inst.context
+    body = _onto(ctx, theta.body)
     parts, base, zero = body.partials(), ctx.base_indices(), ctx.algebra.zero()
 
     def read(f: Poly, k: int, sign: int = 1, head: Tuple[int, ...] = ()) -> Dict:
         tensor = _form_keys(ctx, ctx.ix_u, k, f.restrict(base))
-        return {head + key: side.pullback(Section(ctx, v)).body.scale(sign)
-                for key, v in tensor.items()}
+        return {head + key: _onto(home, v).scale(sign) for key, v in tensor.items()}
 
     rho, c = {}, {}
     for i, g in enumerate(ctx.ix_pi):

@@ -34,7 +34,6 @@ from .cjalg import (
     check_cj_axioms,
     contact_vdata,
     deformation_brackets,
-    deformation_space,
     first_nonzero,
     graph_frame,
     is_dirac_jacobi,
@@ -222,7 +221,7 @@ def cmd_complement(args) -> Report:
 
     Q0 = deformation_brackets(inst, "derived")
     Q1 = deformation_brackets(out["instance"], "derived")
-    space = deformation_space(inst)
+    space = Q0.space
     keys = basis_keys(inst)
     words = space.words(keys, args.trunc)
     eM = out["exp_M"]

@@ -74,6 +74,8 @@ class ContactContext:
                 + [(u, pa, True) for u, pa in zip(self.ix_u, self.ix_pa)]:
             self.darboux[coord] = self.darboux[mom] = (coord, mom, signed)
         self._mirror = _mirror_of
+        # F^*'s generator images from the mirror, built on first use and kept
+        self._legendre: Optional[Dict[int, Poly]] = None
 
     @property
     def mirror(self) -> "ContactContext":
@@ -344,7 +346,11 @@ def hamiltonian_lift(d: LineDerivation) -> Section:
 
 
 def _legendre_images(src: ContactContext, dst: ContactContext) -> Dict[int, Poly]:
-    """Generator images of F*: functions on the mirror pull back to `dst`."""
+    """Generator images of F*: functions on the mirror pull back to `dst`.
+
+    `legendre_pullback` builds them once per destination context and keeps
+    them on it, the way a `Poly` keeps its partials.
+    """
     images: Dict[int, Poly] = {}
     for i in range(src.m):
         images[src.ix_x[i]] = dst.x(i)
@@ -364,13 +370,16 @@ def legendre_pullback(t: Section, into: ContactContext) -> Section:
     """Pull a mirror-side section back through the Legendre contactomorphism.
 
     `t` must live over the mirror of `into` (matching dimensions); the frame
-    mu is shared, so only the body is substituted.
+    mu is shared, so only the body is substituted.  The generator images
+    (`_legendre_images`) are built on the first pullback into a context and
+    kept on it.
     """
     src = t.context
     if src.m != into.m or src.n != into.n or into.mirror is not src:
         raise ContextMismatch("section does not live over the mirror context")
-    body = t.body.substitute(into.algebra, _legendre_images(src, into))
-    return Section(into, body)
+    if into._legendre is None:
+        into._legendre = _legendre_images(src, into)
+    return Section(into, t.body.substitute(into.algebra, into._legendre))
 
 
 # --- Reeb vector fields --------------------------------------------------

@@ -48,14 +48,15 @@ from cjde.cjalg import (
 )
 import cjde.cjalg as cjalg_module
 import cjde.contact as contact_module
-from cjde.contact import ContactContext, Section, jacobi_bracket, project_P
+from cjde.contact import ContactContext, Section, jacobi_bracket, legendre_pullback, project_P
 from cjde.gca import Poly, add_into, koszul_sign
 from cjde.linfty import check_codifferential, check_morphism, exp_coderivation, mc_residual
 from cjde.vdata import higher_derived_bracket
 
 from conftest import (FIXTURES, antisymmetric_entry, assert_m2_closed_on_two_words,
                       assert_routes_agree, basis_keys, dense_courant_tensor, load_fixture,
-                      printed, random_form_section, random_instance, random_x_poly)
+                      printed, random_base_poly, random_form_section, random_instance,
+                      random_x_poly)
 
 
 FIXTURE_NAMES = sorted(f[:-len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
@@ -141,6 +142,79 @@ def test_negative_exponent_rejected(lam):
     # x^-1 must not read as x^0 (lam = 1), nor add to an x^0 term beside it (lam = 2)
     with pytest.raises(ValueError):
         SplitCJInstance(1, 1, lam={0: lam})
+
+
+# --- the two sides of the split ----------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 3), (0, 4)])
+def test_pa_forms_are_legendre_pullbacks_of_mirror_u_forms(m, n):
+    """F^* takes u~^a to pa_a, so the pa-form of a stored tensor, which
+    `epsilon_section` and `embed_anchored` write directly on inst.context, is
+    the pullback of its u-form on the mirror, whose entries `_form` carries
+    there by `_onto`."""
+    ctx = ContactContext(m, n)
+    mir = ctx.mirror
+    rng = random.Random(f"pa forms {m} {n}")
+    nonempty = 0
+    for _ in range(30):
+        k = rng.randint(1, min(3, n))
+        tensor = {}
+        for key in itertools.combinations(range(n), k):
+            entry = cjalg_module._as_xpoly(ctx, random_x_poly(ctx, rng, maxdeg=2))
+            if not entry.is_zero():
+                tensor[key] = entry
+        nonempty += bool(tensor)
+        u_form = Section(mir, cjalg_module._form(mir, mir.ix_u, tensor))
+        assert legendre_pullback(u_form, ctx) == \
+            Section(ctx, cjalg_module._form(ctx, ctx.ix_pa, tensor))
+    assert nonempty >= 20
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_onto_round_trips_base_polynomials(m):
+    """`_onto` leaves a polynomial on its own context as it is and carries one
+    from the mirror by F^*, an involution; a polynomial from an unrelated
+    context of the same dimensions is rejected."""
+    ctx = ContactContext(m, 3)
+    rng = random.Random(f"onto {m}")
+    for _ in range(30):
+        f = random_base_poly(ctx, rng)
+        assert cjalg_module._onto(ctx, f) is f
+        there = cjalg_module._onto(ctx.mirror, f)
+        assert there.algebra is ctx.mirror.algebra
+        assert cjalg_module._onto(ctx, there) == f
+    with pytest.raises(ValueError):
+        cjalg_module._onto(ctx, ContactContext(m, 3).x(0))
+
+
+def test_extract_instance_builds_one_image_table_per_direction(monkeypatch):
+    """F^*'s generator images are built once per destination context and kept
+    on it: building and reading back djmix's Theta carries the dual side's
+    entries into the mirror and its forms back, one table each way."""
+    built = []
+    images = contact_module._legendre_images
+
+    def recording(src, dst):
+        built.append(dst)
+        return images(src, dst)
+
+    monkeypatch.setattr(contact_module, "_legendre_images", recording)
+    inst = load_fixture("djmix").instance
+    extract_instance(inst, inst.theta)
+    extract_instance(inst, inst.theta)
+    assert built == [inst.context.mirror, inst.context]
+
+
+def test_mirror_polynomial_is_not_a_structure_function():
+    """A base polynomial of the mirror is not one of inst.context, though it
+    uses the same generator indices."""
+    ctx = ContactContext(1, 2)
+    inst = SplitCJInstance(1, 2, context=ctx)
+    with pytest.raises(ValueError, match="base coordinates"):
+        SplitCJInstance(1, 2, lam={0: ctx.mirror.x(0)}, context=ctx)
+    with pytest.raises(ValueError, match="base coordinates"):
+        embed_anchored(inst, [ctx.mirror.x(0), 0], [0, 0])
 
 
 # --- axioms -----------------------------------------------------------------
@@ -265,8 +339,8 @@ def test_axiom_check_bracket_count(monkeypatch):
     calls = record_brackets(monkeypatch)
     check_cj_axioms(random_instance(random.Random(3), 1, 3, "R"))
     # k = 6 frame elements, m + 1 = 2 test sections lam:
-    # k + k^2 + k(k+1)/2 + k^2 + k^3 + k^2 (m+1) + 1 = 6 + 36 + 21 + 36 + 216 + 72 + 1
-    assert len(calls) == 388
+    # k + k^2 + k(k-1)/2 + k^2 + k^3 + k^2 (m+1) + 1 = 6 + 36 + 15 + 36 + 216 + 72 + 1
+    assert len(calls) == 382
 
 
 @pytest.mark.parametrize("name, expected", [("heis2", 10), ("omni1", 11), ("djmix4", 18)])
@@ -279,6 +353,16 @@ def test_axiom_check_operator_count(monkeypatch, name, expected):
     built = record_operators(monkeypatch)
     check_cj_axioms(inst)
     assert len(built) == expected
+
+
+def test_self_brackets_of_theta_i_vanish():
+    """theta_i = {Theta,e_i} is even, so graded skew symmetry makes
+    {theta_i,theta_i} zero on every instance, MC or not: `check_cj_axioms`
+    brackets theta_i with theta_j for i < j only."""
+    for inst in oracle_instances():
+        for e in inst.full_frame():
+            theta_i = jacobi_bracket(inst.theta, e)
+            assert jacobi_bracket(theta_i, theta_i).is_zero(), inst.name
 
 
 # --- derived operations -------------------------------------------------------

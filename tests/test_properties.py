@@ -603,7 +603,7 @@ def form_tensors(draw):
 @given(form_tensors())
 def test_form_entries_inverts_form(case):
     ctx, gens, k, tensor = case
-    body = cjalg._form(ctx, gens, tensor, cjalg._same)
+    body = cjalg._form(ctx, gens, tensor)
     inverse = cjalg._form_keys(ctx, gens, k, body)
     assert inverse == tensor
     assert list(inverse) == sorted(inverse)
@@ -693,7 +693,7 @@ def test_form_rejects_an_entry_that_is_not_a_base_polynomial():
     zero = ctx.algebra.zero()
     for bad in (ctx.u(0), ctx.x(0) * ctx.pa(1), ContactContext(1, 3).x(0)):
         with pytest.raises(ValueError):
-            cjalg._form(ctx, ctx.ix_u, {(0,): zero, (1,): bad, (2,): zero}, cjalg._same)
+            cjalg._form(ctx, ctx.ix_u, {(0,): zero, (1,): bad, (2,): zero})
 
 
 # --- sparse elimination against a dense Gauss-Jordan ------------------------
