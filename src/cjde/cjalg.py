@@ -43,13 +43,15 @@ One derived-bracket path: the derived m_k and a change of complement's M_2
 are higher derived brackets of the contact V-data, Phi = -Theta (held by the
 instance next to Theta) or Phi = eps.  `_derived_coefficients` gives all of
 a structure's derived Taylor coefficients from one `vdata.derived_bracket_fold`
-over the letters of each word, basis monomials read as sections.  The fold
-keeps the unprojected bracket of each word prefix shorter than the top
-arity, so a word costs one bracket past its prefix.  The kept brackets are
-freed with the coefficient function, and so with Q or M; nothing is cached
-on the instance.  `mc_residual_form` runs one such fold with a 2-form itself
-as the letter, three brackets in all.  `_coefficient` adapts an operation on
-sections to a Taylor coefficient on the closed route.
+over the letters of each word, basis monomials read as sections.  m_0 is
+the same fold on the empty word, the curvature P(-Theta), so the derived
+route reads m_0..m_3 from one V-data.  The fold keeps the unprojected
+bracket of each word prefix shorter than the top arity, so a word costs one
+bracket past its prefix.  The kept brackets are freed with the coefficient
+function, and so with Q or M; nothing is cached on the instance.
+`mc_residual_form` runs one such fold with a 2-form itself as the letter,
+three brackets in all.  `_coefficient` adapts an operation on sections to a
+Taylor coefficient on the closed route.
 
 The closed route rests on one contraction: `_contract` gives, for a fully
 antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
@@ -89,7 +91,6 @@ from .linfty import (
     Vector,
     Word,
     exp_coderivation,
-    require_degree_zero,
 )
 from .vdata import VData, derived_bracket_fold, higher_derived_bracket
 
@@ -1024,26 +1025,28 @@ def m3_closed(inst: SplitCJInstance, alpha: Section, beta: Section, gamma: Secti
 def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> TaylorCoderivation:
     """The cubic deformation L-infinity[1] algebra on Omega(A;L)[2], as its codifferential Q.
 
-    `Q.coefficient(k, w)` is m_k(w) for k = 1, 2, 3.  Q has arity 0, the
-    curvature m_0 = Upsilon_A, exactly when Upsilon_A != 0.
+    `Q.coefficient(k, w)` is m_k(w) for k = 0, 1, 2, 3; m_0, at the empty
+    word, is the curvature, and Q has arity 0 exactly when it is nonzero.
     route='derived' goes through the contact V-data higher derived brackets,
-    one prefix fold for all three arities;
-    route='closed' uses the de Rham derivation and the closed formulas
-    `m2_closed` and `m3_closed` (module docstring).  The two must agree on
-    every input; the test suite enforces this.
+    one prefix fold for all four arities, so m_0 = P(-Theta);
+    route='closed' uses Upsilon_A (`upsilon_A_section`), the de Rham
+    derivation and the closed formulas `m2_closed` and `m3_closed` (module
+    docstring).  The two must agree on every input, m_0 included; the test
+    suite enforces this.
     """
     if route == "derived":
-        coefficients = _derived_coefficients(inst, contact_vdata(inst), (1, 2, 3))
+        coefficients = _derived_coefficients(inst, contact_vdata(inst), (0, 1, 2, 3))
     elif route == "closed":
-        coefficients = {1: _coefficient(inst, _de_rham_derivation(_side_A(inst))),
+        coefficients = {0: _coefficient(inst, lambda: upsilon_A_section(inst)),
+                        1: _coefficient(inst, _de_rham_derivation(_side_A(inst))),
                         2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
                         3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
     else:
         raise ValueError(f"unknown route {route!r}")
-    curvature = section_to_vector(inst, upsilon_A_section(inst))
-    if curvature:
-        coefficients[0] = curvature
-    return TaylorCoderivation(deformation_space(inst), coefficients)
+    Q = TaylorCoderivation(deformation_space(inst), coefficients)
+    if not Q.coefficient(0, ()):
+        del Q.coefficients[0]
+    return Q
 
 
 def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
@@ -1059,10 +1062,11 @@ def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
     enters.  Arity 3 is complete: Theta has degree 3 and every momentum has
     degree >= 1, so a monomial of Theta holds at most three momenta, and a
     bracket with a pullback form takes one away; the fourth bracket is zero.
-    Word (), the curvature P(-Theta) = Upsilon_A, is m_0.  Raises ValueError
-    unless eta is a pullback form of degree 0 in Omega(A;L)[2].
+    Word (), the curvature P(-Theta), is m_0, as on the derived route of
+    `deformation_brackets`.  Raises ValueError unless eta is a 2-form
+    (`DeformationForm.from_section`), the degree-0 part of Omega(A;L)[2].
     """
-    require_degree_zero(deformation_space(inst), section_to_vector(inst, eta))
+    DeformationForm.from_section(inst, eta)
     fold = derived_bracket_fold(contact_vdata(inst), lambda s: s, 2)
     residual = inst.context.zero_section()
     for k in range(4):

@@ -9,17 +9,18 @@ the symmetric coalgebra is infinite-dimensional.
 
 An L-infinity[1] algebra is its codifferential Q, a `TaylorCoderivation`:
 `Q.coefficient(k, w)` is the bracket m_k(w), and arity 0, when Q has it, is
-the curvature m_0.  The contact model's m_k and M_2 (`cjalg`) are higher
-derived brackets of one V-data (`vdata`), Phi = -Theta or eps, made
-coefficients by one prefix fold.  A `TaylorMorphism` maps a space to itself
-and is given by one coefficient function on canonical words of every length
+the curvature m_0, the coefficient at the empty word.  The contact model's
+m_k and M_2 (`cjalg`) are higher derived brackets of one V-data (`vdata`),
+Phi = -Theta or eps, made coefficients by one prefix fold, the curvature
+m_0 = P(-Theta) among them.  A `TaylorMorphism` maps a space to itself and
+is given by one coefficient function on canonical words of every length
 >= 1; a word's length is its arity.  `exp_coderivation` builds e^M as such a
 morphism in one step: its coefficient on a word is the one-letter part of
 `exp_series`, the series sum_j M^j / j! on that word.
 
 A Taylor coefficient is a pure function of its canonical word, and the sums
 above evaluate the same coefficient on the same word many times.  So
-`TaylorCoderivation` memoises every coefficient of arity >= 1 and
+`TaylorCoderivation` memoises every coefficient, the curvature included, and
 `TaylorMorphism` its one coefficient function: when the object is built,
 each function is wrapped in a callable that keeps one dict of results, keyed
 by canonical word.  The memo belongs to that wrapper, so it is freed with the
@@ -83,8 +84,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import (Callable, Container, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gca import _is_int, add_into, koszul_sign, koszul_sort
 
@@ -103,7 +103,6 @@ __all__ = [
     "exp_series",
     "curve_coefficient",
     "mc_residual",
-    "require_degree_zero",
     "svec_add",
 ]
 
@@ -233,7 +232,12 @@ class GradedSpace:
 
 
 def _memoised(fn: Callable[[Word], Vector]) -> Callable[[Word], Vector]:
-    """`fn` computed once per canonical word; see the module docstring."""
+    """`fn` computed once per canonical word; see the module docstring.
+
+    Raises TypeError unless `fn` is callable.
+    """
+    if not callable(fn):
+        raise TypeError(f"a Taylor coefficient is a function of a word, not {fn!r}")
     memo: Dict[Word, Vector] = {}
 
     def coefficient(word: Word) -> Vector:
@@ -259,16 +263,15 @@ class TaylorCoderivation(_WordwiseLinear):
     """A coderivation of the symmetric coalgebra, by its Taylor coefficients.
 
     `coefficients[k]` maps a canonical k-word to a Vector; arity 0, when
-    present, is the curvature element (a Vector).  Arities missing from the
-    dict are zero maps.  Coefficients of arity >= 1 are memoised per word and
-    their Vectors are read-only (module docstring).
+    present, is the curvature, its value at the empty word.  Arities missing
+    from the dict are zero maps.  Every coefficient is memoised per word and
+    its Vectors are read-only (module docstring); an entry that is not
+    callable raises TypeError.
     """
 
-    def __init__(self, space: GradedSpace,
-                 coefficients: Dict[int, Union[Callable[[Word], Vector], Vector]]):
+    def __init__(self, space: GradedSpace, coefficients: Dict[int, Callable[[Word], Vector]]):
         self.space = space
-        self.coefficients = {k: entry if k == 0 else _memoised(entry)
-                             for k, entry in coefficients.items()}
+        self.coefficients = {k: _memoised(entry) for k, entry in coefficients.items()}
 
     def arities(self) -> List[int]:
         return sorted(self.coefficients)
@@ -276,23 +279,11 @@ class TaylorCoderivation(_WordwiseLinear):
     def coefficient(self, k: int, word: Word) -> Vector:
         if k not in self.coefficients:
             return {}
-        entry = self.coefficients[k]
-        if k == 0:
-            return dict(entry)
-        return entry(word)
+        return self.coefficients[k](word)
 
     def to_coderivation(self) -> "TaylorCoderivation":
         """This coderivation: `perfbench/workloads.py` still calls `to_coderivation`."""
         return self
-
-    def _pr1(self, word: Word) -> Vector:
-        """The one-letter part of Q on a canonical word: its Taylor coefficient there.
-
-        An arity that Q does not have raises KeyError: the checks visit only
-        Q's arities, so a wrong visit fails instead of adding zero.
-        """
-        entry = self.coefficients[len(word)]
-        return entry(word) if word else entry
 
     def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Fraction]]:
         """The terms (canonical word, coefficient) of Q on `word` whose length is in `lengths`.
@@ -457,14 +448,17 @@ def check_codifferential(Q: TaylorCoderivation, words: Sequence[Word]) -> Residu
     word's one-letter-shorter sub-words come earlier (as `GradedSpace.words`
     gives them), the pr_1 residuals decide the verdict, and at the first
     failing word the pr_1 residual is the whole residual.  Any other list
-    raises ValueError.
+    raises ValueError.  The outer read Q_{|u|}(u) is
+    `Q.coefficients[len(u)](u)`: an arity that Q does not have raises
+    KeyError, since only Q's arities are visited, so a wrong visit fails
+    instead of adding zero.
     """
     _require_subwords_first(Q.space, words)
     report = ResidualReport("Q^2")
     for w in words:
         out: Vector = {}
         for u, c in Q._terms(w, Q.coefficients):
-            add_into(out, Q._pr1(u), c)
+            add_into(out, Q.coefficients[len(u)](u), c)
         report.add(w, {(key,): c for key, c in out.items()})
     return report
 
@@ -481,14 +475,16 @@ def check_morphism(phi: TaylorMorphism, Q: TaylorCoderivation, Qp: TaylorCoderiv
     sum c Q'_{|u|}(u) over the terms c u of phi(w), from the set partitions
     of w whose block count |u| is an arity of Q', minus sum c phi_{|u|}(u)
     over the terms of Q(w) at every length, each contracted as it comes;
-    neither phi(w) nor Q(w) is built.
+    neither phi(w) nor Q(w) is built.  As in `check_codifferential`, the
+    outer read `Qp.coefficients[len(u)](u)` raises KeyError at an arity Q'
+    does not have instead of adding zero.
     """
     _require_subwords_first(Q.space, words)
     report = ResidualReport("morphism")
     for w in words:
         out: Vector = {}
         for u, c in phi._terms(w, Qp.coefficients):
-            add_into(out, Qp._pr1(u), c)
+            add_into(out, Qp.coefficients[len(u)](u), c)
         for u, c in Q._terms(w, range(1, len(w) + 2)):
             add_into(out, phi._coefficient(u), -c)
         report.add(w, {(key,): c for key, c in out.items()})
@@ -562,14 +558,6 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
     return out
 
 
-def require_degree_zero(space: GradedSpace, eta: Vector) -> None:
-    """Raise ValueError naming the first key of eta whose degree is not 0."""
-    for key in eta:
-        if space.degree(key):
-            raise ValueError(f"a Maurer-Cartan element has degree 0, but {key!r} "
-                             f"has degree {space.degree(key)}")
-
-
 def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     """m0 + sum_k (1/k!) m_k(eta,...,eta) for a degree-0 element eta.
 
@@ -577,9 +565,12 @@ def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     so each m_k runs on every basis word of eta^k.  This word route serves any
     Q; the tests use it as the oracle for `cjalg.mc_residual_form`, which
     folds the contact brackets on eta itself.  A key of eta of nonzero degree
-    raises ValueError (`require_degree_zero`).
+    raises ValueError naming the first such key.
     """
-    require_degree_zero(Q.space, eta)
+    for key in eta:
+        if Q.space.degree(key):
+            raise ValueError(f"a Maurer-Cartan element has degree 0, but {key!r} "
+                             f"has degree {Q.space.degree(key)}")
     out: Vector = {}
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))

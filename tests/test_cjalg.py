@@ -288,13 +288,15 @@ def oracle_instances():
 
 def test_axiom_residuals_match_one_by_one_brackets():
     """check_cj_axioms takes each direct residual as one bracket with the
-    Jacobiator K_ij = {theta_i,theta_j} - {Theta,[[e_i,e_j]]}, run through e_l's
-    or lam's operator with a skew sign, and fills H_ji = -H_ij from i <= j; the
-    oracle takes each residual in Leibniz form, every bracket as its
-    definition writes it.  Both kinds of residual are nonzero on nine of
-    these instances, the m = 2 ones with anchors in two variables and three
-    lam rows among them, so a wrong sign on H, on T or on either residual
-    shows in the residual lists; the witness and {Theta,Theta} match too."""
+    Jacobiator K_ij = H_ij - T_ij, H_ij = {theta_i,theta_j} and T_ij =
+    {Theta,[[e_i,e_j]]}, run through e_l's or lam's operator with a skew
+    sign; it takes H_ij for i < j only (H_ji = -H_ij) and sets H_ii = 0, so
+    K_ii = -T_ii.  The oracle takes each residual in Leibniz form, every
+    bracket as its definition writes it.  Both kinds of residual are nonzero
+    on nine of these instances, the m = 2 ones with anchors in two variables
+    and three lam rows among them, so a wrong sign on H, on T or on either
+    residual shows in the residual lists; the witness and {Theta,Theta}
+    match too."""
     nonzero_jacobi = nonzero_flatness = 0
     for inst in oracle_instances():
         rep = check_cj_axioms(inst)
@@ -905,6 +907,18 @@ def test_curvature_is_upsilon(curv1):
     Q = deformation_brackets(curv1)
     assert 0 in Q.arities()
     assert vector_to_section(curv1, Q.coefficient(0, ())) == upsilon_A_section(curv1)
+
+
+def test_derived_curvature_comes_from_the_v_data(curv1, monkeypatch):
+    """The derived m_0 is P(-Theta), read from the V-data like m_1..m_3; only
+    the closed route reads `upsilon_A_section`, so zeroing it drops the
+    closed Q's arity 0 and leaves the derived one."""
+    zero = curv1.context.zero_section()
+    monkeypatch.setattr(cjalg_module, "upsilon_A_section", lambda inst: zero)
+    Q = deformation_brackets(curv1, "derived")
+    assert 0 in Q.arities()
+    assert Q.coefficient(0, ()) == section_to_vector(curv1, project_P(curv1.minus_theta))
+    assert 0 not in deformation_brackets(curv1, "closed").arities()
 
 
 def test_codifferential_on_flat_fixtures(heis2, obst1, dgla1, djmix):

@@ -506,7 +506,7 @@ NOT_2_FORM_CALLS = {
     "extend_mc": (lambda inst, eta: extend_mc(inst, eta, 3), "2-form"),
     "mc_residual_coefficients": (lambda inst, eta: mc_residual_coefficients(inst, [eta], 2),
                                  "2-form"),
-    "mc_residual_form": (lambda inst, eta: mc_residual_form(inst, eta), "degree 0"),
+    "mc_residual_form": (lambda inst, eta: mc_residual_form(inst, eta), "2-form"),
 }
 
 

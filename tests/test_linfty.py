@@ -134,9 +134,8 @@ def conjugate(Q, M, Mminus, max_len):
         full = exp_series(M, Q.apply(exp_series(Mminus, {tuple(w): F(1)})))
         return {wd[0]: c for wd, c in full.items() if len(wd) == 1}
     coeffs = {k: coefficient for k in range(1, max_len + 2)}
-    curvature = coefficient(())
-    if curvature:
-        coeffs[0] = curvature
+    if coefficient(()):
+        coeffs[0] = coefficient
     return TaylorCoderivation(Q.space, coeffs)
 
 
@@ -180,7 +179,8 @@ def seeded_structures(V, seed, max_len):
     rng = random.Random(seed)
     coeffs = {1: lambda w: {"a": {"b": F(1)}, "c": {"e": F(1)}}.get(w[0], {})}
     if seed % 2:
-        coeffs[0] = {"b": F(rng.choice([-1, 1]))}
+        curvature = {"b": F(rng.choice([-1, 1]))}
+        coeffs[0] = lambda w: curvature
     Q = TaylorCoderivation(V, coeffs)
     tables = {k: random_table(V, rng, k, 0) for k in (2, 3)}
     M = TaylorCoderivation(V, {k: from_table(t) for k, t in tables.items()})
@@ -245,7 +245,7 @@ def gapped(V, rng, arities, curvature):
     """A seeded Q of odd degree with exactly the given arities >= 1, and curvature if given."""
     coeffs = {k: from_table(random_table(V, rng, k, 1, density=0.7)) for k in arities}
     if curvature:
-        coeffs[0] = curvature
+        coeffs[0] = lambda w: curvature
     return TaylorCoderivation(V, coeffs)
 
 
@@ -313,7 +313,8 @@ def test_non_canonical_words_are_refused(V, word):
 def test_curved_check_needs_the_empty_word(V):
     # Q_0 = b, Q_1(b) = e: Q^2 = (e) on the empty word, so Q^2(a) = e (.) a is
     # nonzero with no one-letter part; only the empty word shows the failure
-    Q = TaylorCoderivation(V, {0: {"b": F(1)}, 1: lambda w: {"e": F(1)} if w == ("b",) else {}})
+    Q = TaylorCoderivation(V, {0: lambda w: {"b": F(1)},
+                               1: lambda w: {"e": F(1)} if w == ("b",) else {}})
     assert Q.apply(Q.apply_word(("a",))) == {("a", "e"): F(1)}
     with pytest.raises(ValueError, match="sub-word"):
         check_codifferential(Q, V.words(BASIS, 2, 1))
@@ -463,6 +464,23 @@ def test_coefficients_memoised_per_word(V):
     assert sorted(phi_calls) == [("a",), ("a", "b"), ("b",)]  # each word once
 
 
+def test_curvature_follows_the_memo_rule(V):
+    """Arity 0 is a coefficient like the others: memoised on the empty word,
+    called as given once replaced, and a bare Vector is no coefficient."""
+    calls = []
+
+    def m0(word):
+        calls.append(word)
+        return {"b": F(1)}
+    Q = TaylorCoderivation(V, {0: m0})
+    first = Q.coefficient(0, ())
+    assert Q.coefficient(0, ()) is first and calls == [()]
+    Q.coefficients[0] = lambda w: {"e": F(2)}
+    assert Q.coefficient(0, ()) == {"e": F(2)}
+    with pytest.raises(TypeError):
+        TaylorCoderivation(V, {0: {"b": F(1)}})
+
+
 def test_read_only_coefficients_give_the_same_results(V):
     """Sums only read the Vectors that coefficients return (module docstring).
 
@@ -482,7 +500,7 @@ def test_read_only_coefficients_give_the_same_results(V):
         Q = TaylorCoderivation(V, dict(coeff))
         phi = TaylorMorphism(V, by_arity({1: lambda w: wrap({w[0]: F(1)}), 2: coeff[2]}))
         M = TaylorCoderivation(V, {2: coeff[2], 3: coeff[3]})
-        Qc = TaylorCoderivation(V, {0: {"b": F(1)}, **coeff})
+        Qc = TaylorCoderivation(V, {0: lambda w: {"b": F(1)}, **coeff})
         return (check_codifferential(Q, words).entries,
                 check_morphism(phi, Q, Q, words).entries,
                 [exp_series(M, {w: F(1)}) for w in words],
@@ -509,7 +527,7 @@ def test_mc_residual(V):
     with pytest.raises(ValueError, match="degree 0"):
         mc_residual(Q, {"e": F(1)})  # degree 2: even, but not 0
     # curved: m0 alone survives at eta = 0
-    Qc = TaylorCoderivation(V, {0: {"b": F(1)}})
+    Qc = TaylorCoderivation(V, {0: lambda w: {"b": F(1)}})
     assert mc_residual(Qc, {}) == {"b": F(1)}
 
 

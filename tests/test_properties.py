@@ -797,8 +797,9 @@ def toy_structures(draw, max_arity=4, min_arities=2):
     arities = draw(st.sets(st.integers(0, max_arity), min_size=min_arities))
     coefficients = {k: toy_coefficient(seed, k) for k in arities}
     if 0 in coefficients:
-        coefficients[0] = draw(st.dictionaries(st.sampled_from(list(TOY_DEGREES)), TOY_VALUES,
-                                               min_size=1))
+        curvature = draw(st.dictionaries(st.sampled_from(list(TOY_DEGREES)), TOY_VALUES,
+                                         min_size=1))
+        coefficients[0] = lambda word: curvature
     return TaylorCoderivation(TOY_SPACE, coefficients)
 
 
@@ -818,7 +819,7 @@ def toy_bracket(Q):
 
 @PROPERTY
 @given(toy_structures(), curves, st.integers(0, 6))
-@example(Q=TaylorCoderivation(TOY_SPACE, {0: {"c": 1}, 2: toy_coefficient(0, 2),
+@example(Q=TaylorCoderivation(TOY_SPACE, {0: lambda w: {"c": 1}, 2: toy_coefficient(0, 2),
                                           4: toy_coefficient(0, 4)}),
          curve=[{"a": 1, "b": -2}, {}, {"e": Fraction(1, 2)}], r=4)
 def test_curve_coefficient_matches_ordered_expansion(Q, curve, r):
@@ -845,7 +846,7 @@ def test_curve_coefficient_matches_ordered_expansion_on_long_curves(Q, curve, r)
 
 @pytest.mark.parametrize("r", [2.5, True, -1])
 def test_curve_coefficient_rejects_an_order_that_is_not_a_count(r):
-    Q = TaylorCoderivation(TOY_SPACE, {0: {"c": 1}, 1: toy_coefficient(0, 1),
+    Q = TaylorCoderivation(TOY_SPACE, {0: lambda w: {"c": 1}, 1: toy_coefficient(0, 1),
                                        2: toy_coefficient(0, 2)})
     with pytest.raises(ValueError, match="non-negative int"):
         curve_coefficient(Q, [{"a": 1}, {"b": 1}, {"a": 2}], r)
@@ -853,7 +854,7 @@ def test_curve_coefficient_rejects_an_order_that_is_not_a_count(r):
 
 def test_curve_coefficient_reads_every_arity_and_the_curvature():
     # x(t) = t a: the t^k coefficient is Q_k(a,...,a)/k!, arity 4 included
-    Q = TaylorCoderivation(TOY_SPACE, {0: {"c": 1},
+    Q = TaylorCoderivation(TOY_SPACE, {0: lambda w: {"c": 1},
                                        4: lambda w: {"f": 1} if w == ("a",) * 4 else {}})
     assert curve_coefficient(Q, [{"a": 1}], 0) == {"c": 1}
     assert curve_coefficient(Q, [{"a": 1}], 4) == {"f": Fraction(1, 24)}
