@@ -8,15 +8,18 @@ on the `form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys
 of `deformation_space`), the vector format of every other layer.  Kernels,
 images and cohomology representatives come from exact elimination over Q on
 those rows, each step a `gca.add_into`, to the unique reduced row echelon
-form; coordinates of forms and kernel vectors are dense lists.
+form; coordinates of forms and kernel vectors are dense lists.  A
+`LinearSystem` keeps one elimination and answers any number of right-hand
+sides from it.
 
 `Cohomology` holds H^k as the data a homotopy transfer reads (Berglund,
 arXiv:0909.3485): representatives (i), class coordinates (p) and primitives
-(h).  A degree-k form z is answered by one elimination, z = d(b) +
-sum_i c_i rep_i over the columns of d_{k-1} followed by the
-representatives: c is its class and, when c = 0, b its primitive.
-`kuranishi` reads c of m_2(eta, eta); `extend_mc` reads both c and b of
-each order's residual from that one solve.
+(h).  Each degree is eliminated once, over the columns of d_{k-1} followed
+by the cocycles, when H^k is built.  A degree-k form z is answered by one
+pass over the degree's kept elimination, z = d(b) + sum_i c_i rep_i: c is
+its class and, when c = 0, b its primitive.  `kuranishi` reads c of
+m_2(eta, eta); `extend_mc` reads both c and b of each order's residual from
+that one pass.
 
 The t^r coefficient of the MC residual of a formal curve sum_k t^k eta_k is
 `linfty.curve_coefficient` of Q, over every arity Q has.  `extend_mc` solves
@@ -44,12 +47,12 @@ from .cjalg import (
     vector_to_section,
 )
 from .contact import ContactContext, Section, jacobi_bracket
-from .gca import _is_int, add_into
+from .gca import Monomial, _is_int, add_into
 from .linfty import Vector, curve_coefficient
 
 __all__ = [
     "rref",
-    "solve_linear",
+    "LinearSystem",
     "nullspace",
     "ComplexMatrices",
     "Cohomology",
@@ -125,25 +128,43 @@ def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> List[Vec]:
     return basis
 
 
-def solve_linear(rows: Sequence[Mapping[int, Fraction]], cols: int,
-                 rhs: Sequence[Fraction]) -> Optional[Vec]:
-    """One solution of M x = rhs, a dense list over `cols` columns, or None.
+class LinearSystem:
+    """M x = b for a fixed M and any b: one elimination, then one pass per b.
 
-    M is given by its sparse rows and rhs holds one entry per row; an rhs
-    of another length, or a row entry outside range(cols), raises
-    ValueError.  Deterministic: rhs rides along as column `cols`, and the
-    free variables of the reduced system are zero.
+    M is given by its sparse rows over `cols` columns; a row entry outside
+    range(cols) raises ValueError.  The constructor reduces [M | I] once:
+    each reduced row is [r | t] with t M = r, and since I is invertible,
+    M x = b holds exactly when r x = t b for every row.  A row whose pivot
+    lies in M's columns fixes x there to t b, with the free variables zero,
+    so the solution is the one of the reduced [M | b].  A row whose pivot
+    lies in the I block has r = 0, so y = t satisfies y M = 0, and the
+    system has no solution exactly when y b != 0 for some such row.
+    `pivots` holds M's pivot columns in increasing order.
     """
-    _require_columns(rows, cols)
-    if len(rhs) != len(rows):
-        raise ValueError(f"rhs has {len(rhs)} entries for {len(rows)} rows")
-    red, pivots = rref([{**row, cols: b} for row, b in zip(rows, rhs)])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for row, pc in zip(red, pivots):
-        x[pc] = row.get(cols, Fraction(0))
-    return x
+
+    def __init__(self, rows: Sequence[Mapping[int, Fraction]], cols: int):
+        _require_columns(rows, cols)
+        self.cols, self.size = cols, len(rows)
+        red, pivots = rref([{**row, cols + i: 1} for i, row in enumerate(rows)])
+        self.pivots = [p for p in pivots if p < cols]
+        self._reduced = list(zip(pivots, red))
+
+    def solve(self, rhs: Sequence[Fraction]) -> Optional[Vec]:
+        """One solution x of M x = rhs, a dense list over the columns, or None.
+
+        rhs holds one entry per row of M; another length raises ValueError.
+        """
+        if len(rhs) != self.size:
+            raise ValueError(f"rhs has {len(rhs)} entries for {self.size} rows")
+        cols = self.cols
+        x = [Fraction(0)] * cols
+        for p, row in self._reduced:
+            tb = sum((y * rhs[c - cols] for c, y in row.items() if c >= cols), Fraction(0))
+            if p < cols:
+                x[p] = tb
+            elif tb:
+                return None
+        return x
 
 
 # --- the complex as matrices --------------------------------------------
@@ -194,30 +215,25 @@ class ComplexMatrices:
             add_into(out, self.Q.coefficient(1, (mono,)), c)
         return vector_to_section(self.inst, out)
 
+    def _words(self, k: int) -> List[Monomial]:
+        """`basis[k]`; a degree that is not an int in 0..n raises ValueError."""
+        if not _is_int(k) or not 0 <= k <= self.n:
+            raise ValueError(f"degree {k!r} is not an int from 0 to the top degree {self.n}")
+        return self.basis[k]
+
     def form_to_coords(self, s: Section, k: int) -> Vec:
-        coords = [s.body.coefficient(mono) for mono in self.basis[k]]
+        coords = [s.body.coefficient(mono) for mono in self._words(k)]
         if self.coords_to_form(coords, k) != s:
             raise ValueError("section is not a homogeneous degree-k form")
         return coords
 
     def coords_to_form(self, coords: Sequence[Fraction], k: int) -> Section:
         """The degree-k form with these coordinates, one per word of `basis[k]`."""
-        if len(coords) != len(self.basis[k]):
-            raise ValueError(f"{len(coords)} coordinates for the {len(self.basis[k])} "
+        words = self._words(k)
+        if len(coords) != len(words):
+            raise ValueError(f"{len(coords)} coordinates for the {len(words)} "
                              f"degree-{k} basis forms")
-        return vector_to_section(self.inst, dict(zip(self.basis[k], coords)))
-
-    def _with_columns(self, k: int, vectors: Sequence[Vec]) -> Tuple[List[Row], int]:
-        """The rows of d_{k-1} over the degree-k coordinates, one column per vector appended.
-
-        Returns the rows and `cut`: column j < cut is the degree-(k-1) word
-        `basis[k-1][j]` (none for k = 0), column cut + t is vectors[t].
-        """
-        cut = len(self.basis[k - 1]) if k else 0
-        prev = self.matrices[k - 1] if k else [{} for _ in self.basis[k]]
-        rows = [add_into(dict(row), ((cut + t, v[i]) for t, v in enumerate(vectors)))
-                for i, row in enumerate(prev)]
-        return rows, cut
+        return vector_to_section(self.inst, dict(zip(words, coords)))
 
 
 # --- cohomology ---------------------------------------------------------
@@ -228,27 +244,33 @@ class Cohomology:
     """H^k of the complex as contraction data: representatives, class and primitive.
 
     The representatives (i) complete a basis of the image of d_{k-1} to one
-    of the cocycles.  Every question about a degree-k form z is one `solve_linear`
-    (`_split`): z = d(b) + sum_i c_i rep_i over the columns of d_{k-1}
-    followed by the representatives' coordinates.  Its solution exists
-    exactly when z is a cocycle; c is the class (p, `class_coordinates`)
-    and, when c = 0, b is the primitive (h, `primitive`).  Pivots are picked
-    from the left and free variables are zero, so b is the solution against
-    d_{k-1} alone with the same pivot choice.
+    of the cocycles.  `_system` is the degree's one `LinearSystem`, over the
+    columns of d_{k-1} followed by a kernel basis of d_k; its pivots past
+    the image columns are the representatives.  Every question about a
+    degree-k form z is one `solve` on it (`_split`): z = d(b) + sum_i c_i
+    rep_i, read off the image columns (b) and the representatives' pivots
+    (c).  The other kernel columns are free, so they are zero, and (b, c) is
+    the solution against d_{k-1} followed by the representatives alone.  It
+    exists exactly when z is a cocycle; c is the class (p,
+    `class_coordinates`) and, when c = 0, b is the primitive (h,
+    `primitive`), the solution against d_{k-1} alone with the same pivot
+    choice.  Above the top degree there is no system.
     """
 
     complex: ComplexMatrices
     k: int
     dimension: int
     representatives: List[Section]
-    _rep_coords: List[Vec]
+    _system: Optional[LinearSystem]
 
     def _split(self, s: Section) -> Optional[Tuple[Vec, Vec]]:
         """(b, c) with s = d(b) + sum_i c_i rep_i, or None when s is not a cocycle."""
-        cm, k = self.complex, self.k
-        rows, cut = cm._with_columns(k, self._rep_coords)
-        sol = solve_linear(rows, cut + self.dimension, cm.form_to_coords(s, k))
-        return None if sol is None else (sol[:cut], sol[cut:])
+        cm, k, system = self.complex, self.k, self._system
+        # above the top degree there is no system, and the degree check raises first
+        coords = cm.form_to_coords(s, k)
+        sol = system.solve(coords)
+        cut = len(cm.basis[k - 1]) if k else 0
+        return None if sol is None else (sol[:cut], [sol[p] for p in system.pivots if p >= cut])
 
     def class_coordinates(self, s: Section) -> Vec:
         """Coordinates of [s] on the representative basis; requires a cocycle."""
@@ -271,20 +293,14 @@ class Cohomology:
             rep = rep + r.scale(c)
         return rep
 
-    def is_exact(self, s: Section) -> bool:
-        return not any(self.class_coordinates(s))
-
     def primitive(self, s: Section) -> Optional[Section]:
         """The deterministic primitive of an exact form, else None."""
         if self.k == 0:
             raise ValueError("0-forms have no primitives")
-        cm = self.complex
-        if self.k > cm.n:
-            raise ValueError(f"degree {self.k} is above the top degree {cm.n}")
         split = self._split(s)
         if split is None or any(split[1]):
             return None
-        return cm.coords_to_form(split[0], self.k - 1)
+        return self.complex.coords_to_form(split[0], self.k - 1)
 
 
 def _require_complex_of(inst: SplitCJInstance, cm: ComplexMatrices) -> None:
@@ -306,15 +322,18 @@ def cohomology(inst: SplitCJInstance, k: int,
     cm = cm or ComplexMatrices(inst)
     _require_complex_of(inst, cm)
     if k > cm.n:
-        return Cohomology(cm, k, 0, [], [])
+        return Cohomology(cm, k, 0, [], None)
     # d on the top degree has no rows, so its kernel is everything
     kernel = nullspace(cm.matrices[k], len(cm.basis[k]))
 
     # image columns first, then kernel vectors; pivots are picked greedily from
     # the left, so those past the image part are the representatives
-    rows, cut = cm._with_columns(k, kernel)
-    reps = [kernel[p - cut] for p in rref(rows)[1] if p >= cut]
-    return Cohomology(cm, k, len(reps), [cm.coords_to_form(v, k) for v in reps], reps)
+    cut = len(cm.basis[k - 1]) if k else 0
+    prev = cm.matrices[k - 1] if k else [{} for _ in cm.basis[k]]
+    system = LinearSystem([add_into(dict(row), ((cut + t, v[i]) for t, v in enumerate(kernel)))
+                           for i, row in enumerate(prev)], cut + len(kernel))
+    reps = [cm.coords_to_form(kernel[p - cut], k) for p in system.pivots if p >= cut]
+    return Cohomology(cm, k, len(reps), reps, system)
 
 
 # --- Kuranishi map ------------------------------------------------------

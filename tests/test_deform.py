@@ -23,6 +23,7 @@ from cjde.cjalg import (
 from cjde.contact import Section, jacobi_bracket
 from cjde.deform import (
     ComplexMatrices,
+    LinearSystem,
     NotFlat,
     UnsupportedBase,
     cohomology,
@@ -32,7 +33,6 @@ from cjde.deform import (
     nullspace,
     rref,
     search_obstructed_instance,
-    solve_linear,
 )
 
 from conftest import load_fixture, ordered_curve_coefficient
@@ -68,33 +68,33 @@ def test_rref_exact_on_int_input():
     assert exact(*(row.values() for row in red))
     null = nullspace([{0: 3, 1: 1}], 2)
     assert null == [[F(-1, 3), 1]] and exact(*null)
-    x = solve_linear([{0: 3}, {1: 7}], 2, [1, 2])
+    x = LinearSystem([{0: 3}, {1: 7}], 2).solve([1, 2])
     assert x == [F(1, 3), F(2, 7)] and exact(x)
 
 
 def test_solve_linear():
     M = [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}]
-    x = solve_linear(M, 2, [F(5), F(11)])
+    x = LinearSystem(M, 2).solve([F(5), F(11)])
     assert x == [F(1), F(2)]
-    assert solve_linear([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}], 2, [F(0), F(1)]) is None
+    assert LinearSystem([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}], 2).solve([F(0), F(1)]) is None
     # deterministic: free variables are zero
-    x = solve_linear([{0: F(1), 1: F(1)}], 2, [F(3)])
+    x = LinearSystem([{0: F(1), 1: F(1)}], 2).solve([F(3)])
     assert x == [F(3), F(0)]
 
 
 def test_elimination_rejects_entries_outside_the_columns_and_rhs_of_another_length():
     # nullspace used to return [[-2, 1]], which is not in the kernel, and
-    # solve_linear [1, 0], dropping the equation 0 = 2
+    # the solve [1, 0], dropping the equation 0 = 2
     with pytest.raises(ValueError, match="column 2"):
         nullspace([{0: 1, 1: 2, 2: 3}], 2)
     with pytest.raises(ValueError, match="column -1"):
         nullspace([{-1: 1}], 2)
-    # column 2 is where the rhs rides along
+    # column 2 is where the identity block of [M | I] starts
     with pytest.raises(ValueError, match="column 2"):
-        solve_linear([{0: 1, 2: 1}], 2, [1])
+        LinearSystem([{0: 1, 2: 1}], 2)
     for rhs in ([1, 2], []):
         with pytest.raises(ValueError, match="rhs"):
-            solve_linear([{0: 1}], 2, rhs)
+            LinearSystem([{0: 1}], 2).solve(rhs)
 
 
 def test_random_linear_roundtrip():
@@ -105,7 +105,7 @@ def test_random_linear_roundtrip():
         sparse = [{j: a for j, a in enumerate(row) if a} for row in M]
         x = [F(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(M[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        sol = solve_linear(sparse, cols, rhs)
+        sol = LinearSystem(sparse, cols).solve(rhs)
         assert sol is not None
         assert [sum(M[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == rhs
         for v in nullspace(sparse, cols):
@@ -147,7 +147,7 @@ def test_cohomology_decision_procedure(dgla1):
     ctx = dgla1.context
     one_form = ctx.section(ctx.u(0) + ctx.u(1).scale(F(2)))
     z = de_rham(dgla1, one_form)
-    assert h2.is_exact(z)
+    assert not any(h2.class_coordinates(z))
     prim = h2.primitive(z)
     assert prim is not None
     assert de_rham(dgla1, prim) == z
@@ -193,6 +193,23 @@ def test_coordinates_of_another_length_are_rejected(dgla1):
             cm.coords_to_form(coords, 2)
 
 
+@pytest.mark.parametrize("k, alias", [(-1, 3), (-3, 1), (True, 1), (4, 3), (5, 3),
+                                      (2.0, 2), ("2", 2), (None, 0)])
+def test_form_coordinates_reject_degrees_outside_the_complex(dgla1, k, alias):
+    # a degree that is not an int in 0..n used to index basis[k] directly:
+    # coords_to_form([1], -1) gave the top form (u1*u2*u3)*mu, and
+    # form_to_coords of that form at -1 gave [1]; `alias` is a valid degree
+    # whose coordinates and form are offered, so only the check can refuse
+    cm = ComplexMatrices(dgla1)
+    assert dgla1.n == 3
+    coords = [F(1)] + [F(0)] * (len(cm.basis[alias]) - 1)
+    form = cm.coords_to_form(coords, alias)
+    with pytest.raises(ValueError, match="degree"):
+        cm.coords_to_form(coords, k)
+    with pytest.raises(ValueError, match="degree"):
+        cm.form_to_coords(form, k)
+
+
 POINT_FIXTURES = ["curv1", "dgla1", "djmix", "djmix4", "heis2", "obst1"]
 
 
@@ -218,14 +235,13 @@ def test_cohomology_splits_a_cocycle_into_exact_part_and_class(name):
                 exact = cm.d(cm.coords_to_form(b, k - 1))
             z = exact + h.representative(c)
             assert h.class_coordinates(z) == c
-            assert h.is_exact(z) == (not any(c))
             if not k:
                 continue
             prim = h.primitive(exact)
             assert cm.d(prim) == exact
             coords = cm.form_to_coords(exact, k)
             assert prim == cm.coords_to_form(
-                solve_linear(cm.matrices[k - 1], len(cm.basis[k - 1]), coords), k - 1)
+                LinearSystem(cm.matrices[k - 1], len(cm.basis[k - 1])).solve(coords), k - 1)
             if any(c):
                 assert h.primitive(z) is None
 
@@ -252,20 +268,35 @@ def test_cohomology_rejects_representatives_and_non_cocycles(name):
 
 def test_extend_mc_solves_once_per_nonzero_residual(monkeypatch):
     # dgla1's eta1 has one nonzero residual, at order 2: its class and its
-    # primitive come from one elimination
-    calls = []
+    # primitive come from one pass over H^3's kept elimination, and neither
+    # the extension nor the Kuranishi map eliminates anything of its own
+    eliminations, solves = [], []
+    real_rref, real_solve = deform_module.rref, LinearSystem.solve
 
-    def counting(rows, cols, rhs):
-        calls.append(len(rhs))
-        return solve_linear(rows, cols, rhs)
+    def counting_rref(rows):
+        eliminations.append(len(rows))
+        return real_rref(rows)
 
+    def counting_solve(system, rhs):
+        solves.append(len(rhs))
+        return real_solve(system, rhs)
+
+    monkeypatch.setattr(deform_module, "rref", counting_rref)
+    monkeypatch.setattr(LinearSystem, "solve", counting_solve)
     doc = load_fixture("dgla1")
     inst, eta = doc.instance, doc.deformations["eta1"]
-    h3 = cohomology(inst, 3)
-    monkeypatch.setattr(deform_module, "solve_linear", counting)
+    cm = ComplexMatrices(inst)
+    for k in range(inst.n + 2):
+        eliminations.clear()
+        cohomology(inst, k, cm)
+        assert len(eliminations) <= 2 and not solves
+    h3 = cohomology(inst, 3, cm)
+    eliminations.clear()
     curve = extend_mc(inst, eta, 6, h3)
     assert curve.ok and curve.order() == 6
-    assert len(calls) == 1
+    assert (eliminations, len(solves)) == ([], 1)
+    kuranishi(inst, eta, h3)
+    assert (eliminations, len(solves)) == ([], 2)
 
 
 def test_extend_mc_rejects_a_residual_that_is_not_a_cocycle(monkeypatch):

@@ -19,7 +19,7 @@ from conftest import ordered_curve_coefficient
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
 from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
-from cjde.deform import ComplexMatrices, nullspace, rref, solve_linear
+from cjde.deform import ComplexMatrices, LinearSystem, nullspace, rref
 from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
 from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
                       koszul_sign, koszul_sort)
@@ -726,34 +726,38 @@ def dense_gauss_jordan(matrix, cols):
 
 @st.composite
 def int_systems(draw):
-    """(matrix, cols, rhs): up to 6 x 6 small ints, with repeated rows and zeroed columns."""
+    """(matrix, cols, rhs, rhs2): up to 6 x 6 small ints, with repeated rows and
+    zeroed columns, and two right-hand sides, each solvable or drawn freely."""
     cols = draw(st.integers(0, 6))
     pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
                          min_size=1, max_size=4))
     rows = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))]
     zeroed = draw(st.sets(st.integers(0, 5), max_size=2))
     matrix = [[0 if j in zeroed else x for j, x in enumerate(row)] for row in rows]
-    if draw(st.booleans()):
-        x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
-    else:
-        rhs = draw(st.lists(st.integers(-2, 2), min_size=len(matrix), max_size=len(matrix)))
-    return matrix, cols, rhs
+
+    def rhs():
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+            return [sum(a * b for a, b in zip(row, x)) for row in matrix]
+        return draw(st.lists(st.integers(-2, 2), min_size=len(matrix), max_size=len(matrix)))
+    return matrix, cols, rhs(), rhs()
 
 
 @settings(PROPERTY, max_examples=150)
 @given(int_systems())
-@example(([], 0, []))
-@example(([], 4, []))
-@example(([[], [], []], 0, [0, 1, 0]))
-@example(([[0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0]], 3, [0, 1, 1, 0]))
+@example(([], 0, [], []))
+@example(([], 4, [], []))
+@example(([[], [], []], 0, [0, 1, 0], [0, 0, 0]))
+@example(([[0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0]], 3, [0, 1, 1, 0], [0, 1, 2, 0]))
 @example(([[0, 1, 2, 0, 1, 2]] * 3 + [[1, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0], [0] * 6], 6,
-          [1, 1, 1, 2, 3, 0]))
+          [1, 1, 1, 2, 3, 0], [2, 2, 2, 0, 1, 0]))
 def test_sparse_elimination_matches_dense_gauss_jordan(system):
-    """rref, nullspace and solve_linear on sparse rows give what a dense
+    """rref, nullspace and a `LinearSystem` on sparse rows give what a dense
     Gauss-Jordan of the same int matrix gives: the reduced row echelon form
-    is unique for the column order, so every pivot and entry agrees."""
-    matrix, cols, rhs = system
+    is unique for the column order, so every pivot and entry agrees.  One
+    `LinearSystem` answers both right-hand sides, each as the dense
+    elimination of the matrix with that rhs appended."""
+    matrix, cols, *rhss = system
     sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
     red, pivots = dense_gauss_jordan(matrix, cols)
     assert rref(sparse) == ([{j: x for j, x in enumerate(row) if x} for row in red], pivots)
@@ -764,13 +768,17 @@ def test_sparse_elimination_matches_dense_gauss_jordan(system):
             v[pc] = -row[free]
         kernel.append(v)
     assert nullspace(sparse, cols) == kernel
-    red, pivots = dense_gauss_jordan([row + [b] for row, b in zip(matrix, rhs)], cols + 1)
-    want = None
-    if cols not in pivots:
-        want = [Fraction(0)] * cols
-        for row, pc in zip(red, pivots):
-            want[pc] = row[cols]
-    assert solve_linear(sparse, cols, rhs) == want
+    solver = LinearSystem(sparse, cols)
+    # both solves first: an answer must not change when the next one is asked
+    solutions = [solver.solve(rhs) for rhs in rhss]
+    for rhs, got in zip(rhss, solutions):
+        red, pivots = dense_gauss_jordan([row + [b] for row, b in zip(matrix, rhs)], cols + 1)
+        want = None
+        if cols not in pivots:
+            want = [Fraction(0)] * cols
+            for row, pc in zip(red, pivots):
+                want[pc] = row[cols]
+        assert got == want
 
 
 # --- formal curves: t^r coefficients of sum_k (1/k!) Q_k(x,...,x) -------------
