@@ -47,8 +47,9 @@ over the letters of each word, basis monomials read as sections.  m_0 is
 the same fold on the empty word, the curvature P(-Theta), so the derived
 route reads m_0..m_3 from one V-data.  The fold keeps the unprojected
 bracket of each word prefix shorter than the top arity, so a word costs one
-bracket past its prefix.  The kept brackets are freed with the coefficient
-function, and so with Q or M; nothing is cached on the instance.
+bracket past its prefix, and each basis key is made a letter section once.
+The kept brackets and letters are freed with the coefficient function, and
+so with Q or M; nothing is cached on the instance.
 `mc_residual_form` runs one such fold with a 2-form itself as the letter,
 three brackets in all.  `_coefficient` adapts an operation on sections to a
 Taylor coefficient on the closed route.
@@ -874,9 +875,15 @@ def deformation_space(inst: SplitCJInstance) -> GradedSpace:
 
 
 def section_to_vector(inst: SplitCJInstance, s: Section) -> Vector:
+    """A pullback form as a Vector over its monomials, with the kernel's scalars.
+
+    Each coefficient is an int when integral, else a Fraction
+    (`Poly.scalar_terms`); a section that is not a pullback form raises
+    ValueError.
+    """
     if not inst.context.is_base_poly(s.body):
         raise ValueError("not a pullback form")
-    return dict(s.body.terms)
+    return s.body.scalar_terms()
 
 
 def vector_to_section(inst: SplitCJInstance, v: Vector) -> Section:
@@ -912,11 +919,14 @@ def _derived_coefficients(inst: SplitCJInstance, vdata: VData,
 
     One coefficient function serves every arity: a word w is
     P[...[Phi, w_1], ..., w_k] from one `derived_bracket_fold`, which keeps
-    the prefixes shorter than the top arity (module docstring).
+    the prefixes shorter than the top arity (module docstring).  The fold's
+    letters are built once per basis key, keyed by the monomial, so a
+    letter's packed monomial and memoised partials serve every word it
+    occurs in; they are freed with the coefficient function.
     """
     ctx = inst.context
-    fold = derived_bracket_fold(vdata, lambda key: Section(ctx, ctx.algebra.monomial(key)),
-                                max(arities) - 1)
+    letter = functools.cache(lambda key: Section(ctx, ctx.algebra.monomial(key)))
+    fold = derived_bracket_fold(vdata, letter, max(arities) - 1)
 
     def coefficient(word: Word) -> Vector:
         return section_to_vector(inst, fold(word))

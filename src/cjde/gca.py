@@ -45,7 +45,9 @@ otherwise.  Nothing in the kernel divides: a coefficient becomes a Fraction
 only by meeting one, and a product or scaling whose value is integral again
 is stored as an int.  A sum is not re-examined, so an integral sum of
 Fractions stays a Fraction (equal to the int, and as exact, only slower).
-`Poly.terms` decodes, to {Monomial: Fraction}.
+`Poly.terms` decodes, to {Monomial: Fraction}; `Poly.scalar_terms()` decodes
+to the kernel's own scalars, an int when integral (the L-infinity vectors
+of `cjalg.section_to_vector` read it).
 
 `Poly.partials()` is the derivative kernel: it takes every left partial of a
 polynomial in one sweep, and library code takes every derivative through it.
@@ -459,6 +461,11 @@ class Poly:
         unpack = self.algebra.unpack
         return {unpack(k): c if type(c) is Fraction else Fraction(c)
                 for k, c in self._packed.items()}
+
+    def scalar_terms(self) -> Dict[Monomial, Scalar]:
+        """{canonical monomial: coefficient}, each an int when integral, else a Fraction."""
+        unpack = self.algebra.unpack
+        return _settle({unpack(k): c for k, c in self._packed.items()})
 
     # --- ring structure ----------------------------------------------
 

@@ -7,6 +7,13 @@ coderivations/morphisms are rebuilt from them by the usual unshuffle and
 partition sums.  Every computation carries an explicit arity truncation since
 the symmetric coalgebra is infinite-dimensional.
 
+Coefficients are the kernel's scalars (`gca.Scalar`): an int when integral,
+otherwise a Fraction.  Nothing here divides one int by another: a weight 1/d
+is `Fraction(1, d)` when d > 1 and the int 1 when d = 1.  The vectors that
+e^M's coefficients, `curve_coefficient` and `mc_residual` return store an
+integral value as an int (`gca._settle`), as do the contact model's
+coefficients (`cjalg.section_to_vector`).
+
 An L-infinity[1] algebra is its codifferential Q, a `TaylorCoderivation`:
 `Q.coefficient(k, w)` is the bracket m_k(w), and arity 0, when Q has it, is
 the curvature m_0, the coefficient at the empty word.  The contact model's
@@ -15,8 +22,12 @@ Phi = -Theta or eps, made coefficients by one prefix fold, the curvature
 m_0 = P(-Theta) among them.  A `TaylorMorphism` maps a space to itself and
 is given by one coefficient function on canonical words of every length
 >= 1; a word's length is its arity.  `exp_coderivation` builds e^M as such a
-morphism in one step: its coefficient on a word is the one-letter part of
-`exp_series`, the series sum_j M^j / j! on that word.
+morphism: its coefficient on a word w is the one-letter part of
+`exp_series`, the series sum_j M^j / j! on w, summed as E_j(w) =
+pr_1(M^j w) / j! by recursion on sub-words, E_j(w) = (1/j) sum c E_{j-1}(u)
+over the terms c u of M(w), with M(w) and each E_j(w) memoised, so a
+sub-word shared by many words costs one `apply_word`.  `exp_series` stays the
+public series and the tests' oracle.
 
 A Taylor coefficient is a pure function of its canonical word, and the sums
 above evaluate the same coefficient on the same word many times.  So
@@ -28,18 +39,19 @@ structure, and a coderivation entry replaced later (`Q.coefficients[2] = f`)
 is called as given and never meets a result cached for the old entry.  A
 coefficient function may keep a memo of its own, under the same rule: the
 derived route's keeps the unprojected bracket of each word prefix
-(`vdata.derived_bracket_fold`), and that memo belongs to the coefficient
-function, so it is freed with the function and so with its Q or M.  The
-word sums' sign bookkeeping is kept by the `GradedSpace` under the same
-rule: its tables (each key's parity; the unshuffles and set partitions of a
-word's positions, listed once per length; the Koszul sign of each such
-order per parity pattern of a word, worked out with `gca.koszul_sign` the
-first time a term needs it) belong to the space and are freed with it.  No
-memo is kept in a module-level table.  A memoised vector is shared by every
-later call, so the Vector a coefficient returns is read-only.  Every sum
-here accumulates with `gca.add_into` into a dict that the summing function
-created itself, and only reads the coefficients it adds; `svec_add` returns
-a new dict.
+(`vdata.derived_bracket_fold`) and one letter section per basis key, and
+e^M's keeps M(w) and E_j(w) per sub-word; such a memo belongs to the
+coefficient function, so it is freed with the function and so with its Q
+or M.  The word sums' sign bookkeeping is kept by the `GradedSpace` under
+the same rule: its tables (each key's parity; the unshuffles and set
+partitions of a word's positions, listed once per length; the Koszul sign
+of each such order per parity pattern of a word, worked out with
+`gca.koszul_sign` the first time a term needs it) belong to the space and
+are freed with it.  No memo is kept in a module-level table.  A memoised
+vector is shared by every later call, so the Vector a coefficient returns
+is read-only.  Every sum here accumulates with `gca.add_into` into a dict
+that the summing function created itself, and only reads the coefficients
+it adds; `svec_add` returns a new dict.
 
 `check_codifferential` and `check_morphism` decide Q^2 = 0 and
 Q' phi = phi Q by the one-letter part pr_1 of the residual on each word.
@@ -80,17 +92,18 @@ against `mc_residual` on both routes' Q.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gca import _is_int, add_into, koszul_sign, koszul_sort
+from .gca import Scalar, _is_int, _settle, add_into, koszul_sign, koszul_sort
 
-Vector = Dict[object, Fraction]
+Vector = Dict[object, Scalar]
 Word = Tuple[object, ...]
-SVector = Dict[Word, Fraction]
+SVector = Dict[Word, Scalar]
 
 __all__ = [
     "GradedSpace",
@@ -110,6 +123,11 @@ __all__ = [
 def svec_add(a: Dict, b: Dict) -> Dict:
     """a + b as a new dict; works for Vectors and SVectors alike."""
     return add_into(dict(a), b)
+
+
+def _reciprocal(d: int) -> Scalar:
+    """1/d for an int d >= 1 as a kernel scalar: Fraction(1, d), or the int 1 when d is 1."""
+    return Fraction(1, d) if d > 1 else 1
 
 
 class GradedSpace:
@@ -223,7 +241,7 @@ class GradedSpace:
 
     def expand_word_of_vectors(self, vectors: Sequence[Vector]) -> SVector:
         """Multilinear expansion of v_1 (+) ... (+) v_k into canonical words."""
-        out: SVector = {(): Fraction(1)}
+        out: SVector = {(): 1}
         for vec in vectors:
             terms = ((self._insert(key, word, at_end=True), cw * c)
                      for word, cw in out.items() for key, c in vec.items())
@@ -285,7 +303,7 @@ class TaylorCoderivation(_WordwiseLinear):
         """This coderivation: `perfbench/workloads.py` still calls `to_coderivation`."""
         return self
 
-    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Fraction]]:
+    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Scalar]]:
         """The terms (canonical word, coefficient) of Q on `word` whose length is in `lengths`.
 
         The unshuffle sum: Q_i on i selected letters, inserted before the
@@ -337,7 +355,7 @@ class TaylorMorphism(_WordwiseLinear):
         """The arity-k Taylor coefficient at `word`; k is len(word)."""
         return self._coefficient(word)
 
-    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Fraction]]:
+    def _terms(self, word: Word, lengths: Container[int]) -> Iterator[Tuple[Word, Scalar]]:
         """The terms (canonical word, coefficient) of phi on `word` whose length is in `lengths`.
 
         The partition sum: a set partition of the word positions into k
@@ -508,22 +526,53 @@ def exp_series(M: TaylorCoderivation, sv: SVector) -> SVector:
         if j >= longest:
             raise RuntimeError(f"M^{j} is nonzero on words of length <= {longest}: "
                                "M does not lower word length")
-        add_into(total, term, Fraction(1, math.factorial(j)))
+        add_into(total, term, _reciprocal(math.factorial(j)))
 
 
 def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
     """Exponential of a word-length-lowering coderivation, as a Taylor morphism.
 
-    Requires every Taylor coefficient of M to have arity >= 2.  The arity-k
-    coefficient of e^M at a k-word is the one-letter part of `exp_series`
-    on that word, at every arity.
+    Requires every Taylor coefficient of M to have arity >= 2, else
+    ValueError.  The arity-k coefficient of e^M at a k-word w is the
+    one-letter part of `exp_series` on w, phi(w) = sum_j E_j(w) with
+    E_j(w) = pr_1(M^j w) / j!, computed by recursion on sub-words:
+    E_0(w) is w when w has one letter and zero otherwise, and
+
+        E_j(w) = (1/j) sum c E_{j-1}(u)   over the terms c u of M(w).
+
+    M's arities are >= 2, so each term of M(w) is shorter than w: E_j(w) = 0
+    for j >= |w|, and E_{j-1}(u) is visited only when |u| >= j.  M(w)
+    (`apply_word`) and each E_j(w) are memoised in the returned morphism's
+    coefficient function, so a sub-word shared by many words is worked out
+    once; the memos are freed with e^M, which is the exponential of M as it
+    stands when each word is first read.  A word read after M was given an
+    arity below 2, so that a term of M(w) need not be shorter than w,
+    raises RuntimeError instead of returning a truncated sum.  Coefficients
+    are kernel scalars.
     """
     if any(k < 2 for k in M.arities()):
         raise ValueError("exponential needs a coderivation that lowers word length (arities >= 2)")
+    image = _memoised(M.apply_word)
+
+    @functools.cache
+    def power(j: int, word: Word) -> Vector:
+        """E_j(word) = pr_1(M^j word) / j!, for 1 <= j < len(word)."""
+        terms = image(word).items()
+        if j == 1:
+            return {u[0]: c for u, c in terms if len(u) == 1}
+        value: Vector = {}
+        for u, c in terms:
+            if len(u) >= j:
+                add_into(value, power(j - 1, u), c)
+        return add_into({}, value, Fraction(1, j))
 
     def coefficient(word: Word) -> Vector:
-        full = exp_series(M, {word: Fraction(1)})
-        return {w[0]: c for w, c in full.items() if len(w) == 1}
+        if any(k < 2 for k in M.coefficients):
+            raise RuntimeError("M has an arity below 2: it does not lower word length")
+        out: Vector = {word[0]: 1} if len(word) == 1 else {}
+        for j in range(1, len(word)):
+            add_into(out, power(j, word))
+        return _settle(out)
 
     return TaylorMorphism(M.space, coefficient)
 
@@ -551,11 +600,11 @@ def curve_coefficient(Q: TaylorCoderivation, curve: Sequence[Vector], r: int) ->
         for idx in itertools.combinations_with_replacement(indices, k):
             if sum(idx) != r:
                 continue
-            weight = Fraction(1, math.prod(math.factorial(idx.count(i)) for i in set(idx)))
+            weight = _reciprocal(math.prod(math.factorial(idx.count(i)) for i in set(idx)))
             vectors = [curve[i - 1] for i in idx]
             for word, c in space.expand_word_of_vectors(vectors).items():
                 add_into(out, Q.coefficient(k, word), weight * c)
-    return out
+    return _settle(out)
 
 
 def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
@@ -574,4 +623,4 @@ def mc_residual(Q: TaylorCoderivation, eta: Vector) -> Vector:
     out: Vector = {}
     for k in Q.arities():
         add_into(out, curve_coefficient(Q, [eta], k))
-    return out
+    return _settle(out)

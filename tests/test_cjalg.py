@@ -941,6 +941,25 @@ def test_codifferential_bracket_count(monkeypatch, request, name, brackets):
     assert len(calls) == brackets
 
 
+def test_derived_fold_builds_one_letter_per_basis_key(monkeypatch, djmix):
+    """Swept through arity 3, the derived Q makes each basis key a letter
+    section once, 8 at rank 3, however many words the key occurs in."""
+    Q = deformation_brackets(djmix, "derived")
+    built = []
+
+    class Recorded(Section):
+        __slots__ = ()
+
+        def __init__(self, context, body):
+            built.append(body)
+            super().__init__(context, body)
+    monkeypatch.setattr(cjalg_module, "Section", Recorded)
+    assert check_codifferential(Q, Q.space.words(basis_keys(djmix), 3)).ok
+    keys = [next(iter(body.terms)) for body in built]
+    assert all(body.terms == {key: 1} for body, key in zip(built, keys))
+    assert sorted(keys) == sorted(basis_keys(djmix)) and len(keys) == 8
+
+
 @pytest.mark.parametrize("name", sorted(os.path.splitext(f)[0] for f in os.listdir(FIXTURES)
                                          if f.endswith(".json")))
 def test_derived_coefficients_are_exact_folds(name):

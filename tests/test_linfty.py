@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cjde.cjalg import change_complement, deformation_brackets, deformation_space
 from cjde.gca import add_into, koszul_sign
 from cjde.linfty import (
     GradedSpace,
@@ -14,12 +15,15 @@ from cjde.linfty import (
     TaylorMorphism,
     check_codifferential,
     check_morphism,
+    curve_coefficient,
     exp_coderivation,
     exp_series,
     mc_residual,
     svec_add,
     _set_partitions,
 )
+
+from conftest import basis_keys, load_fixture
 
 F = Fraction
 BASIS = ["a", "b", "c", "e"]
@@ -433,6 +437,35 @@ def test_exp_coefficients_at_every_arity():
         assert eM.coefficient(k, word) == {"a": series[("a",)]}
 
 
+def assert_kernel_scalars(vec, where):
+    for key, c in vec.items():
+        assert type(c) is int or (type(c) is F and c.denominator != 1), (where, key, c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("arities", [(2,), (2, 3)])
+def test_exp_recursion_matches_the_series(V, arities, seed):
+    """e^M's coefficient, by recursion on sub-words, is the one-letter part of
+    `exp_series` on every word through arity 5, with int and Fraction entries,
+    and holds kernel scalars."""
+    rng = random.Random(seed)
+    scalars = [-2, -1, 1, 2, F(1, 2), F(-2, 3)]
+    tables = {}
+    for k in arities:
+        tables[k] = {w: {key: rng.choice(scalars) for key in BASIS
+                         if V.degree(key) == V.word_degree(w) and rng.random() < 0.6}
+                     for w in V.words(BASIS, k, k)}
+    M = TaylorCoderivation(V, {k: from_table(t) for k, t in tables.items()})
+    eM = exp_coderivation(M)
+    nonzero = 0
+    for w in V.words(BASIS, 5, 1):
+        series = {u[0]: c for u, c in exp_series(M, {w: 1}).items() if len(u) == 1}
+        assert eM.coefficient(len(w), w) == series, w
+        assert_kernel_scalars(eM.coefficient(len(w), w), w)
+        nonzero += len(w) > 2 and bool(series)
+    assert nonzero
+
+
 def test_exp_series_raises_when_words_do_not_shorten(V):
     M = TaylorCoderivation(V, {2: lambda w: {}})
     eM = exp_coderivation(M)
@@ -538,6 +571,38 @@ def test_mc_residual_int_coefficients_stay_exact(V):
     out = mc_residual(Q, {"a": 1})
     assert out == {"b": F(1, 2), "c": F(1, 6)}
     assert all(type(c) is F for c in out.values())
+
+
+@pytest.mark.parametrize("name", ["curv1", "dgla1", "djmix", "djmix4", "heis2", "obst1", "omni1"])
+def test_coefficients_hold_kernel_scalars(name):
+    """Through arity 3 every L-infinity value is an int, or a Fraction that is
+    not integral: the Taylor coefficients of both routes' Q, of M and e^M, the
+    curve coefficients and the MC residual.  A weight 1/j taken as `/` between
+    two ints would be a float, and an integral sum left a Fraction would fail."""
+    doc = load_fixture(name)
+    inst = doc.instance
+    space = deformation_space(inst)
+    words = space.words(basis_keys(inst), 3)
+    forms = sorted(key for key in basis_keys(inst) if not space.degree(key))
+    rng = random.Random(37)
+    scalars = [1, -2, F(1, 2), F(2, 3)]
+    curves = [[{key: rng.choice(scalars) for key in forms if rng.random() < 0.7}
+               for _ in range(2)] for _ in range(3)]
+    checked = []
+    for route in ("derived", "closed"):
+        Q = deformation_brackets(inst, route)
+        checked += [(route, w, Q.coefficient(len(w), w)) for w in words]
+        for curve in curves:
+            checked += [(route, "curve", curve_coefficient(Q, curve, r)) for r in range(5)]
+            checked.append((route, "mc", mc_residual(Q, curve[0])))
+    if name in ("djmix", "heis2", "omni1"):
+        out = change_complement(inst, doc.epsilons["eps1"])
+        checked += [(kind, w, phi.coefficient(len(w), w))
+                    for kind, phi in (("M", out["M"]), ("e^M", out["exp_M"]))
+                    for w in words if w and (kind == "e^M" or len(w) == 2)]
+    for route, word, vec in checked:
+        assert_kernel_scalars(vec, (route, word))
+    assert any(type(c) is int for _, _, vec in checked for c in vec.values())
 
 
 @pytest.mark.parametrize("n", range(8))
