@@ -51,8 +51,8 @@ bracket past its prefix, and each basis key is made a letter section once.
 The kept brackets and letters are freed with the coefficient function, and
 so with Q or M; nothing is cached on the instance.
 `mc_residual_form` runs one such fold with a 2-form itself as the letter,
-three brackets in all.  `_coefficient` adapts an operation on sections to a
-Taylor coefficient on the closed route.
+three brackets in all.  `_taylor_coefficient` adapts an operation on
+sections to a Taylor coefficient on the closed route.
 
 The closed route rests on one contraction: `_contract` gives, for a fully
 antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
@@ -71,7 +71,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -85,7 +84,8 @@ from .contact import (
     legendre_pullback,
     project_P,
 )
-from .gca import ContextMismatch, Derivation, Monomial, Poly, Scalar, _is_int, koszul_sign
+from .gca import (ContextMismatch, Derivation, Monomial, Poly, Scalar, _coefficient, _is_int,
+                  _reciprocal, koszul_sign, koszul_sort)
 from .linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -151,7 +151,7 @@ def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
         for exps, coeff in value.items():
             if len(exps) != ctx.m:
                 raise ValueError("exponent vector length does not match base dimension")
-            terms[tuple((ctx.ix_x[i], e) for i, e in enumerate(exps) if e)] = Fraction(coeff)
+            terms[tuple((ctx.ix_x[i], e) for i, e in enumerate(exps) if e)] = _coefficient(coeff)
         return Poly(ctx.algebra, terms)
     return ctx.algebra.scalar(value)
 
@@ -167,22 +167,14 @@ def _signed_permutations(k: int) -> List[Tuple[Tuple[int, ...], int]]:
     return [(perm, koszul_sign(perm, (1,) * k)) for perm in itertools.permutations(range(k))]
 
 
-@functools.lru_cache(maxsize=None)
-def _sorted_tails(bound: int, k: int) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]]:
-    """Every k-tuple of distinct indices below `bound`: (its increasing sort, the sort's sign)."""
-    return {tuple(sorted_tail[i] for i in perm): (sorted_tail, sign)
-            for sorted_tail in itertools.combinations(range(bound), k)
-            for perm, sign in _signed_permutations(k)}
-
-
 def _canonical_key(key, shape: Tuple[int, ...], k: int
                    ) -> Optional[Tuple[Tuple[int, ...], int]]:
     """(canonical key, sign) of an index of a tensor antisymmetric in its last k indices.
 
     A key is an index tuple (a bare int for one index).  Its last k indices
-    are sorted increasingly and the sign of that permutation is returned
-    with it, both read from one table per index bound and k
-    (`_sorted_tails`); None when two of them repeat, the entry cancelling.
+    are sorted increasingly by `gca.koszul_sort`, each index taken as odd,
+    and the sign of that permutation is returned with it; None when two of
+    them repeat, the entry cancelling.
     Raises ValueError unless the key holds len(shape) ints, not bools,
     within the shape.
     """
@@ -190,10 +182,10 @@ def _canonical_key(key, shape: Tuple[int, ...], k: int
     if len(idx) != len(shape) or not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, shape)):
         raise ValueError(f"index {idx} is not {len(shape)} ints in range for shape {shape}")
     cut = len(idx) - k
-    hit = _sorted_tails(max(shape[cut:], default=0), k).get(idx[cut:])
-    if hit is None:
+    sign, perm = koszul_sort(idx[cut:], lambda _: True)
+    if not sign:
         return None
-    return idx[:cut] + hit[0], hit[1]
+    return idx[:cut] + tuple(idx[cut + i] for i in perm), sign
 
 
 def _canonical(ctx: ContactContext, entries: Optional[Dict], shape: Tuple[int, ...],
@@ -877,13 +869,12 @@ def deformation_space(inst: SplitCJInstance) -> GradedSpace:
 def section_to_vector(inst: SplitCJInstance, s: Section) -> Vector:
     """A pullback form as a Vector over its monomials, with the kernel's scalars.
 
-    Each coefficient is an int when integral, else a Fraction
-    (`Poly.scalar_terms`); a section that is not a pullback form raises
-    ValueError.
+    Each coefficient is settled (`Poly.terms`); a section that is not a
+    pullback form raises ValueError.
     """
     if not inst.context.is_base_poly(s.body):
         raise ValueError("not a pullback form")
-    return s.body.scalar_terms()
+    return s.body.terms
 
 
 def vector_to_section(inst: SplitCJInstance, v: Vector) -> Section:
@@ -906,7 +897,8 @@ def derived_bracket_sections(inst: SplitCJInstance, args: Sequence[Section]) -> 
     return higher_derived_bracket(contact_vdata(inst), args)
 
 
-def _coefficient(inst: SplitCJInstance, op: Callable[..., Section]) -> Callable[[Word], Vector]:
+def _taylor_coefficient(inst: SplitCJInstance,
+                        op: Callable[..., Section]) -> Callable[[Word], Vector]:
     """The Taylor coefficient of an operation on sections: word -> its sections -> op -> vector."""
     def coefficient(word: Word) -> Vector:
         return section_to_vector(inst, op(*word_to_sections(inst, word)))
@@ -1047,10 +1039,10 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
     if route == "derived":
         coefficients = _derived_coefficients(inst, contact_vdata(inst), (0, 1, 2, 3))
     elif route == "closed":
-        coefficients = {0: _coefficient(inst, lambda: upsilon_A_section(inst)),
-                        1: _coefficient(inst, _de_rham_derivation(_side_A(inst))),
-                        2: _coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
-                        3: _coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
+        coefficients = {0: _taylor_coefficient(inst, lambda: upsilon_A_section(inst)),
+                        1: _taylor_coefficient(inst, _de_rham_derivation(_side_A(inst))),
+                        2: _taylor_coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
+                        3: _taylor_coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
     else:
         raise ValueError(f"unknown route {route!r}")
     Q = TaylorCoderivation(deformation_space(inst), coefficients)
@@ -1080,7 +1072,7 @@ def mc_residual_form(inst: SplitCJInstance, eta: Section) -> Section:
     fold = derived_bracket_fold(contact_vdata(inst), lambda s: s, 2)
     residual = inst.context.zero_section()
     for k in range(4):
-        residual = residual + fold((eta,) * k).scale(Fraction(1, math.factorial(k)))
+        residual = residual + fold((eta,) * k).scale(_reciprocal(math.factorial(k)))
     return residual
 
 
@@ -1170,7 +1162,7 @@ def change_complement(inst: SplitCJInstance,
         if k > steps:
             raise RuntimeError(f"complement flow step {k} is nonzero past its "
                                f"bidegree bound of {steps} steps")
-        theta1 = theta1 + term.scale(Fraction(1, math.factorial(k)))
+        theta1 = theta1 + term.scale(_reciprocal(math.factorial(k)))
 
     new_inst = extract_instance(inst, theta1, name=inst.name + "+eps")
 

@@ -23,7 +23,6 @@ import itertools
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -160,7 +159,7 @@ def _get_eta(doc, args, inst) -> DeformationForm:
     rng = random.Random(args.random)
     data = {}
     for a, b in itertools.combinations(range(inst.n), 2):
-        data[(a, b)] = Fraction(rng.randint(-2, 2))
+        data[(a, b)] = rng.randint(-2, 2)
     return DeformationForm.from_dict(inst, data)
 
 

@@ -3,14 +3,15 @@
 `ComplexMatrices` owns the closed-route structure of the instance,
 `Q = deformation_brackets(inst, "closed")`, the codifferential with m_1 =
 d_{A,L}, m_2 and m_3 memoised per word.  Over a point base the L-valued form
-spaces are finite dimensional, so m_1 becomes sparse rows {column: Fraction}
+spaces are finite dimensional, so m_1 becomes sparse rows {column: scalar}
 on the `form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys
 of `deformation_space`), the vector format of every other layer.  Kernels,
 images and cohomology representatives come from exact elimination over Q on
 those rows, each step a `gca.add_into`, to the unique reduced row echelon
-form; coordinates of forms and kernel vectors are dense lists.  A
-`LinearSystem` keeps one elimination and answers any number of right-hand
-sides from it.
+form; coordinates of forms and kernel vectors are dense lists.  Every
+entry, coordinate and solution keeps the scalar rule of the `gca`
+docstring, and the one division is `gca._reciprocal`.  A `LinearSystem`
+keeps one elimination and answers any number of right-hand sides from it.
 
 `Cohomology` holds H^k as the data a homotopy transfer reads (Berglund,
 arXiv:0909.3485): representatives (i), class coordinates (p) and primitives
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cjalg import (
@@ -47,7 +47,7 @@ from .cjalg import (
     vector_to_section,
 )
 from .contact import ContactContext, Section, jacobi_bracket
-from .gca import Monomial, _is_int, add_into
+from .gca import Monomial, Scalar, _coefficient, _is_int, _reciprocal, _settle, add_into
 from .linfty import Vector, curve_coefficient
 
 __all__ = [
@@ -64,44 +64,46 @@ __all__ = [
     "search_obstructed_instance",
 ]
 
-Row = Dict[int, Fraction]
-Vec = List[Fraction]
+Row = Dict[int, Scalar]
+Vec = List[Scalar]
 
 
 # --- exact linear algebra ---------------------------------------------------
 
 
-def rref(rows: Sequence[Mapping[int, Fraction]]) -> Tuple[List[Row], List[int]]:
+def rref(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form over Q of sparse rows {column: entry}.
 
     Returns (R, pivots): the nonzero reduced rows in pivot order, as new
-    dicts of `Fraction`s without zero entries, and their pivot columns in
-    increasing order.  Each row in turn is reduced by the pivot rows found
-    so far; if anything is left, its first column becomes a new pivot, the
-    row is divided by its entry there, and that column is cleared from the
-    other pivot rows.  Every step is a `gca.add_into`.  The reduced row
-    echelon form is unique for the column order, so the result is the
-    dense Gauss-Jordan one without its zero rows.  The input rows are only
-    read; int entries are read as `Fraction`s.
+    dicts of settled scalars without zero entries, and their pivot columns
+    in increasing order.  Each row in turn is reduced by the pivot rows
+    found so far; if anything is left, its first column becomes a new pivot,
+    the row is scaled by the reciprocal of its entry there
+    (`gca._reciprocal`), and that column is cleared from the other pivot
+    rows.  Every step is a `gca.add_into`, and each pivot row is settled
+    (`gca._settle`) whenever it is written.  The reduced row echelon form
+    is unique for the column order, so the result is the dense Gauss-Jordan
+    one without its zero rows.  The input rows are only read, each entry by
+    `gca._coefficient`.
     """
     reduced: Dict[int, Row] = {}
     for given in rows:
-        row = add_into({}, ((c, Fraction(x)) for c, x in given.items()))
+        row = add_into({}, ((c, _coefficient(x)) for c, x in given.items()))
         for p in [c for c in row if c in reduced]:
             add_into(row, reduced[p], -row[p])
         if not row:
             continue
         lead = min(row)
-        row = add_into({}, row, 1 / row[lead])
+        row = _settle(add_into({}, row, _reciprocal(row[lead])))
         for other in reduced.values():
             if lead in other:
-                add_into(other, row, -other[lead])
+                _settle(add_into(other, row, -other[lead]))
         reduced[lead] = row
     pivots = sorted(reduced)
     return [reduced[p] for p in pivots], pivots
 
 
-def _require_columns(rows: Sequence[Mapping[int, Fraction]], cols: int) -> None:
+def _require_columns(rows: Sequence[Mapping[int, Scalar]], cols: int) -> None:
     """Raise ValueError unless every entry of every row lies in a column of range(cols)."""
     for row in rows:
         for c in row:
@@ -109,7 +111,7 @@ def _require_columns(rows: Sequence[Mapping[int, Fraction]], cols: int) -> None:
                 raise ValueError(f"a row has an entry in column {c!r}, outside range({cols})")
 
 
-def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> List[Vec]:
+def nullspace(rows: Sequence[Mapping[int, Scalar]], cols: int) -> List[Vec]:
     """Basis of the right kernel of sparse rows over `cols` columns, as dense lists.
 
     One vector per free column, in order: 1 there, minus that column of
@@ -120,10 +122,10 @@ def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> List[Vec]:
     red, pivots = rref(rows)
     basis: List[Vec] = []
     for fc in sorted(set(range(cols)) - set(pivots)):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v: Vec = [0] * cols
+        v[fc] = 1
         for row, pc in zip(red, pivots):
-            v[pc] = -row.get(fc, Fraction(0))
+            v[pc] = -row.get(fc, 0)
         basis.append(v)
     return basis
 
@@ -142,14 +144,14 @@ class LinearSystem:
     `pivots` holds M's pivot columns in increasing order.
     """
 
-    def __init__(self, rows: Sequence[Mapping[int, Fraction]], cols: int):
+    def __init__(self, rows: Sequence[Mapping[int, Scalar]], cols: int):
         _require_columns(rows, cols)
         self.cols, self.size = cols, len(rows)
         red, pivots = rref([{**row, cols + i: 1} for i, row in enumerate(rows)])
         self.pivots = [p for p in pivots if p < cols]
         self._reduced = list(zip(pivots, red))
 
-    def solve(self, rhs: Sequence[Fraction]) -> Optional[Vec]:
+    def solve(self, rhs: Sequence[Scalar]) -> Optional[Vec]:
         """One solution x of M x = rhs, a dense list over the columns, or None.
 
         rhs holds one entry per row of M; another length raises ValueError.
@@ -157,9 +159,9 @@ class LinearSystem:
         if len(rhs) != self.size:
             raise ValueError(f"rhs has {len(rhs)} entries for {self.size} rows")
         cols = self.cols
-        x = [Fraction(0)] * cols
+        x: Vec = [0] * cols
         for p, row in self._reduced:
-            tb = sum((y * rhs[c - cols] for c, y in row.items() if c >= cols), Fraction(0))
+            tb = _coefficient(sum(y * rhs[c - cols] for c, y in row.items() if c >= cols))
             if p < cols:
                 x[p] = tb
             elif tb:
@@ -227,7 +229,7 @@ class ComplexMatrices:
             raise ValueError("section is not a homogeneous degree-k form")
         return coords
 
-    def coords_to_form(self, coords: Sequence[Fraction], k: int) -> Section:
+    def coords_to_form(self, coords: Sequence[Scalar], k: int) -> Section:
         """The degree-k form with these coordinates, one per word of `basis[k]`."""
         words = self._words(k)
         if len(coords) != len(words):
@@ -283,7 +285,7 @@ class Cohomology:
             raise ValueError("not a cocycle")
         return split[1]
 
-    def representative(self, coords: Sequence[Fraction]) -> Section:
+    def representative(self, coords: Sequence[Scalar]) -> Section:
         """The cocycle sum_i coords[i] * representatives[i], one coordinate per representative."""
         if len(coords) != self.dimension:
             raise ValueError(f"{len(coords)} coordinates for the {self.dimension} "

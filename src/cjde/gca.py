@@ -40,14 +40,20 @@ reaches output (`sorted_terms`, `str`) is an order of tuples.  Both
 directions are memoised per algebra; a key is a pure function of the
 monomial and the algebra's fixed layout.
 
-Coefficients are stored as `int` while they are integral and as `Fraction`
-otherwise.  Nothing in the kernel divides: a coefficient becomes a Fraction
-only by meeting one, and a product or scaling whose value is integral again
-is stored as an int.  A sum is not re-examined, so an integral sum of
-Fractions stays a Fraction (equal to the int, and as exact, only slower).
-`Poly.terms` decodes, to {Monomial: Fraction}; `Poly.scalar_terms()` decodes
-to the kernel's own scalars, an int when integral (the L-infinity vectors
-of `cjalg.section_to_vector` read it).
+Scalars.  cjde has one scalar rule, and this is its one statement: a
+scalar (`Scalar`) is an `int` when integral and a `Fraction` otherwise, never
+a float or a bool.  Every layer keeps it: the kernel, the L-infinity vectors
+(`linfty`, `cjalg.section_to_vector`) and the deformation workflow's exact
+elimination (`deform`).  `_coefficient` reads an outside number by the rule,
+and `_reciprocal` is the one division: 1/c of a nonzero scalar, the int
+itself for 1 and -1 and `Fraction(1, c)` for any other int, so no layer
+divides one int by another.  Inside a `Poly` a coefficient becomes a
+Fraction only by meeting one, and a product or scaling whose value is
+integral again is stored as an int.  A sum is not re-examined, so an
+integral sum of Fractions may be stored as a Fraction (equal to the int, and
+as exact, only slower); `_settle` turns it back, and what leaves the kernel
+is settled: `Poly.terms`, `Poly.coefficient` and `sorted_terms` hand out
+scalars by the rule.
 
 `Poly.partials()` is the derivative kernel: it takes every left partial of a
 polynomial in one sweep, and library code takes every derivative through it.
@@ -244,6 +250,16 @@ def _coefficient(c) -> Scalar:
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _reciprocal(c: Scalar) -> Scalar:
+    """1/c for a nonzero scalar c, by the scalar rule; a zero raises ZeroDivisionError.
+
+    An int of 1 or -1 is its own reciprocal, so that path makes no Fraction.
+    """
+    if type(c) is int:
+        return c if c == 1 or c == -1 else Fraction(1, c)
+    return _coefficient(1 / c)
 
 
 def _settle(terms: Dict) -> Dict:
@@ -456,14 +472,8 @@ class Poly:
         return p
 
     @property
-    def terms(self) -> Dict[Monomial, Fraction]:
-        """{canonical monomial: Fraction}, decoded from the packed terms."""
-        unpack = self.algebra.unpack
-        return {unpack(k): c if type(c) is Fraction else Fraction(c)
-                for k, c in self._packed.items()}
-
-    def scalar_terms(self) -> Dict[Monomial, Scalar]:
-        """{canonical monomial: coefficient}, each an int when integral, else a Fraction."""
+    def terms(self) -> Dict[Monomial, Scalar]:
+        """{canonical monomial: coefficient}, decoded from the packed terms and settled."""
         unpack = self.algebra.unpack
         return _settle({unpack(k): c for k, c in self._packed.items()})
 
@@ -594,8 +604,9 @@ class Poly:
             raise ValueError(f"inhomogeneous polynomial: {self}")
         return next(iter(comps))
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._packed.get(self.algebra.pack(mono), 0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        """The settled coefficient of a canonical monomial, 0 when absent."""
+        return _coefficient(self._packed.get(self.algebra.pack(mono), 0))
 
     def uses_only(self, allowed: Iterable[int]) -> bool:
         outside = ~self.algebra._fields(allowed)
@@ -639,7 +650,7 @@ class Poly:
         """
         g = self.algebra.generator(key)
         alg = self.algebra
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for pos, (idx, exp) in enumerate(mono):
                 if idx != g.index:
@@ -699,7 +710,7 @@ class Poly:
 
     # --- presentation ---------------------------------------------------
 
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Monomial, Scalar]]:
         def key(item):
             mono, _ = item
             return (self.algebra.monomial_degree(mono), mono)

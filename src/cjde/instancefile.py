@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 from .cjalg import (DeformationForm, PolyLike, SplitCJInstance, _as_xpoly, _canonical,
                     _canonical_key, _shapes)
 from .contact import ContactContext
-from .gca import Poly, _is_int
+from .gca import Poly, Scalar, _is_int
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
@@ -98,7 +98,7 @@ def _parse_rational(s) -> Fraction:
     raise InstanceFileError(f"rational must be a 'num/den' string, got {s!r}")
 
 
-def _format_rational(q: Fraction) -> str:
+def _format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
@@ -139,7 +139,7 @@ def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
 
 def _format_poly(p: Poly, inst: SplitCJInstance):
     ctx = inst.context
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
+    coeffs: Dict[Tuple[int, ...], Scalar] = {}
     for mono, c in p.terms.items():
         exps = [0] * inst.m
         for idx, e in mono:

@@ -7,12 +7,10 @@ coderivations/morphisms are rebuilt from them by the usual unshuffle and
 partition sums.  Every computation carries an explicit arity truncation since
 the symmetric coalgebra is infinite-dimensional.
 
-Coefficients are the kernel's scalars (`gca.Scalar`): an int when integral,
-otherwise a Fraction.  Nothing here divides one int by another: a weight 1/d
-is `Fraction(1, d)` when d > 1 and the int 1 when d = 1.  The vectors that
-e^M's coefficients, `curve_coefficient` and `mc_residual` return store an
-integral value as an int (`gca._settle`), as do the contact model's
-coefficients (`cjalg.section_to_vector`).
+Coefficients are the kernel's scalars (`gca.Scalar`), under the one scalar
+rule that the `gca` docstring states; a weight 1/d is `gca._reciprocal(d)`.
+The vectors that e^M's coefficients, `curve_coefficient` and `mc_residual`
+return are settled (`gca._settle`).
 
 An L-infinity[1] algebra is its codifferential Q, a `TaylorCoderivation`:
 `Q.coefficient(k, w)` is the bracket m_k(w), and arity 0, when Q has it, is
@@ -96,10 +94,9 @@ import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gca import Scalar, _is_int, _settle, add_into, koszul_sign, koszul_sort
+from .gca import Scalar, _is_int, _reciprocal, _settle, add_into, koszul_sign, koszul_sort
 
 Vector = Dict[object, Scalar]
 Word = Tuple[object, ...]
@@ -123,11 +120,6 @@ __all__ = [
 def svec_add(a: Dict, b: Dict) -> Dict:
     """a + b as a new dict; works for Vectors and SVectors alike."""
     return add_into(dict(a), b)
-
-
-def _reciprocal(d: int) -> Scalar:
-    """1/d for an int d >= 1 as a kernel scalar: Fraction(1, d), or the int 1 when d is 1."""
-    return Fraction(1, d) if d > 1 else 1
 
 
 class GradedSpace:
@@ -564,7 +556,7 @@ def exp_coderivation(M: TaylorCoderivation) -> TaylorMorphism:
         for u, c in terms:
             if len(u) >= j:
                 add_into(value, power(j - 1, u), c)
-        return add_into({}, value, Fraction(1, j))
+        return add_into({}, value, _reciprocal(j))
 
     def coefficient(word: Word) -> Vector:
         if any(k < 2 for k in M.coefficients):

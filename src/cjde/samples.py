@@ -8,7 +8,6 @@ the same functions, so a seed gives the same sample everywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
 from .cjalg import form_basis
@@ -29,14 +28,14 @@ def random_poly(ctx: ContactContext, rng: random.Random, weight: int = 4, terms:
     """Up to `terms` random monomials of at most `weight` letters from `indices`
     (default: every generator), with integer coefficients in [-3, 3]."""
     pool = list(indices) if indices is not None else list(range(len(ctx.algebra.gens)))
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, int] = {}
     for _ in range(terms):
         k = rng.randint(0, weight)
         word = [rng.choice(pool) for _ in range(k)]
         _, mono = ctx.algebra.normalize_word(word)
         if mono is None:
             continue
-        out[mono] = Fraction(rng.randint(-3, 3))
+        out[mono] = rng.randint(-3, 3)
     return Poly(ctx.algebra, out)
 
 
@@ -54,15 +53,14 @@ def random_kernel_section(ctx: ContactContext, rng: random.Random) -> Section:
 def random_homogeneous_section(ctx: ContactContext, rng: random.Random, weight: int = 4,
                                terms: int = 5) -> Section:
     """Random section concentrated in one total degree (possibly zero)."""
-    by_degree: Dict[int, Dict[Monomial, Fraction]] = {}
+    by_degree: Dict[int, Dict[Monomial, int]] = {}
     for _ in range(terms):
         k = rng.randint(0, weight)
         word = [rng.randrange(len(ctx.algebra.gens)) for _ in range(k)]
         _, mono = ctx.algebra.normalize_word(word)
         if mono is None:
             continue
-        by_degree.setdefault(ctx.algebra.monomial_degree(mono), {})[mono] = \
-            Fraction(rng.randint(-2, 2))
+        by_degree.setdefault(ctx.algebra.monomial_degree(mono), {})[mono] = rng.randint(-2, 2)
     if not by_degree:
         return ctx.zero_section()
     pick = rng.choice(sorted(by_degree))

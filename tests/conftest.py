@@ -186,6 +186,11 @@ def ordered_curve_coefficient(arities, bracket, curve, r):
     return out
 
 
+def settled(c) -> bool:
+    """The kernel's scalar rule: an int while integral, else a Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def printed(stored):
     """A stored tensor (or list of them) as (key, printed entry) lists, in stored
     order: instances in two contexts compare by what they print."""

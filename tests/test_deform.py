@@ -35,7 +35,7 @@ from cjde.deform import (
     search_obstructed_instance,
 )
 
-from conftest import load_fixture, ordered_curve_coefficient
+from conftest import load_fixture, ordered_curve_coefficient, settled
 
 F = Fraction
 
@@ -70,6 +70,46 @@ def test_rref_exact_on_int_input():
     assert null == [[F(-1, 3), 1]] and exact(*null)
     x = LinearSystem([{0: 3}, {1: 7}], 2).solve([1, 2])
     assert x == [F(1, 3), F(2, 7)] and exact(x)
+
+
+@pytest.mark.parametrize("name", ["dgla1", "obst1", "djmix4"])
+def test_elimination_keeps_kernel_scalars(name):
+    """Every scalar the deformation workflow hands out is settled: an int when
+    integral, else a Fraction, never a float or a bool."""
+    def all_settled(values):
+        values = list(values)
+        assert all(settled(c) for c in values), values
+
+    doc = load_fixture(name)
+    inst = doc.instance
+    cm = ComplexMatrices(inst)
+    for k in range(inst.n + 1):
+        red, _ = rref(cm.matrices[k])
+        all_settled(c for row in red for c in row.values())
+        all_settled(c for v in nullspace(cm.matrices[k], len(cm.basis[k])) for c in v)
+        h = cohomology(inst, k, cm)
+        for rep in h.representatives:
+            all_settled(h.class_coordinates(rep))
+            all_settled(h._system.solve(cm.form_to_coords(rep, k)))
+            all_settled(rep.body.terms.values())
+            all_settled(rep.body.coefficient(mono) for mono in cm.basis[k])
+    h3 = cohomology(inst, 3, cm)
+    etas = [eta for eta in doc.deformations.values() if cm.d(eta).is_zero()]
+    for eta in etas + cohomology(inst, 2, cm).representatives:
+        coords, rep = kuranishi(inst, eta, h3)
+        all_settled(coords)
+        curve = extend_mc(inst, eta, 3, h3)
+        all_settled(curve.obstruction_class or [])
+        for s in curve.coefficients:
+            all_settled(s.body.terms.values())
+    # int pivots of 2: int / int would give a float; clearing column 1 from
+    # the first row leaves 3/2 - 1/2, an integral Fraction unless settled
+    red, pivots = rref([{0: 2, 1: 1, 2: 3}, {1: 2, 2: 2}])
+    assert red == [{0: 1, 2: 1}, {1: 1, 2: 1}] and pivots == [0, 1]
+    all_settled(c for row in red for c in row.values())
+    x = LinearSystem([{0: 2, 1: 4}], 2).solve([6])
+    assert x == [3, 0]
+    all_settled(x)
 
 
 def test_solve_linear():

@@ -17,7 +17,6 @@ Regenerate the files only for a change meant to alter reports:
 """
 
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -139,14 +138,6 @@ def test_readme_quick_start_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.splitlines()[-1] == expected[0]
-
-
-@pytest.mark.parametrize("module", ["gca", "contact", "linfty", "vdata", "cjalg",
-                                    "deform", "instancefile", "samples"])
-def test_all_names_exist(module):
-    mod = importlib.import_module(f"cjde.{module}")
-    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
-    assert not missing
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ordered_curve_coefficient
+from conftest import ordered_curve_coefficient, settled
 
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
@@ -330,7 +330,7 @@ ODD_SQUARE = (CTX03, CTX03.u(0) + CTX03.u(1), CTX03.u(0) + CTX03.u(1))
 @example(pair=(CTX, ODD_AFTER_ODD, MIXED))
 def test_kernel_results_store_no_zero(pair):
     for p in kernel_results(*pair):
-        assert all(isinstance(c, Fraction) and c for c in p.terms.values()), p.terms
+        assert all(settled(c) and c for c in p.terms.values()), p.terms
 
 
 def test_cancelled_terms_are_dropped():
@@ -486,15 +486,10 @@ def test_coefficients_leaving_the_kernel_are_exact(case):
     for p in results:
         # stored: int or Fraction, never a bool or a float
         assert all(type(c) in (int, Fraction) for c in p._packed.values()), p._packed
-        # decoded: Fraction, as Poly.terms and Poly.coefficient promise
-        assert all(type(c) is Fraction for c in p.terms.values()), p.terms
-        assert all(type(p.coefficient(m)) is Fraction for m in p.terms)
-        assert type(p.coefficient(())) is Fraction
-
-
-def settled(c) -> bool:
-    """The kernel's storage rule: an int while integral, else a Fraction."""
-    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        # decoded: settled, as Poly.terms and Poly.coefficient promise
+        assert all(settled(c) for c in p.terms.values()), p.terms
+        assert all(settled(p.coefficient(m)) for m in p.terms)
+        assert settled(p.coefficient(()))
 
 
 @PROPERTY
