@@ -85,7 +85,7 @@ from .contact import (
     project_P,
 )
 from .gca import (ContextMismatch, Derivation, Monomial, Poly, Scalar, _coefficient, _is_int,
-                  _reciprocal, koszul_sign, koszul_sort)
+                  _reciprocal, _settle, add_into, koszul_sign, koszul_sort)
 from .linfty import (
     GradedSpace,
     TaylorCoderivation,
@@ -153,7 +153,7 @@ def _as_xpoly(ctx: ContactContext, value: PolyLike) -> Poly:
                 raise ValueError("exponent vector length does not match base dimension")
             terms[tuple((ctx.ix_x[i], e) for i, e in enumerate(exps) if e)] = _coefficient(coeff)
         return Poly(ctx.algebra, terms)
-    return ctx.algebra.scalar(value)
+    return Poly._trusted(ctx.algebra, {0: _coefficient(value)} if value else {})
 
 
 # --- the stored tensor format --------------------------------------------------
@@ -174,7 +174,8 @@ def _canonical_key(key, shape: Tuple[int, ...], k: int
     A key is an index tuple (a bare int for one index).  Its last k indices
     are sorted increasingly by `gca.koszul_sort`, each index taken as odd,
     and the sign of that permutation is returned with it; None when two of
-    them repeat, the entry cancelling.
+    them repeat, the entry cancelling.  A tail already strictly increasing
+    is the canonical key itself, with sign 1, and is not sorted.
     Raises ValueError unless the key holds len(shape) ints, not bools,
     within the shape.
     """
@@ -182,6 +183,8 @@ def _canonical_key(key, shape: Tuple[int, ...], k: int
     if len(idx) != len(shape) or not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, shape)):
         raise ValueError(f"index {idx} is not {len(shape)} ints in range for shape {shape}")
     cut = len(idx) - k
+    if all(a < b for a, b in zip(idx[cut:], idx[cut + 1:])):
+        return idx, 1
     sign, perm = koszul_sort(idx[cut:], lambda _: True)
     if not sign:
         return None
@@ -250,19 +253,21 @@ def _form(ctx: ContactContext, gens: Sequence[int], tensor: _Tensor) -> Poly:
     """sum over the entries a_1<...<a_k of tensor[a] g_{a_1}...g_{a_k}, on `ctx`.
 
     Each entry is carried onto `ctx` by `_onto`.  `gens` are generator
-    indices in canonical order, so each term is written directly as an
-    x-monomial followed by the fiber monomial, with no sign.  Raises
-    ValueError on a carried entry that is not a base polynomial.
+    indices in canonical order, so each term is written directly as a packed
+    key, the x-part's key plus the units of the fiber letters, with no sign;
+    distinct entries write distinct keys.  Raises ValueError on a carried
+    entry that is not a base polynomial.
     """
-    terms: Dict[Monomial, Scalar] = {}
+    unit = ctx.algebra._unit
+    terms: Dict[int, Scalar] = {}
     for key, entry in tensor.items():
         coeff = _onto(ctx, entry)
         if not coeff.uses_only(ctx.ix_x):
             raise ValueError("form entry is not a base polynomial of the context")
-        fiber = tuple((gens[a], 1) for a in key)
-        for mono, c in coeff.terms.items():
-            terms[mono + fiber] = c
-    return Poly(ctx.algebra, terms)
+        fiber = sum(unit[gens[a]] for a in key)
+        for k, c in coeff._packed.items():
+            terms[k + fiber] = c
+    return Poly._trusted(ctx.algebra, _settle(terms))
 
 
 def _form_keys(ctx: ContactContext, gens: Sequence[int], k: int, f: Poly) -> _Tensor:
@@ -463,13 +468,17 @@ def upsilon_A_section(inst: SplitCJInstance) -> Section:
 
 
 def build_theta(inst: SplitCJInstance) -> Section:
-    """Theta = -pi^*Y_A + h_{d_A} + F^*h_{d_dual} - F^*pi~^*Y_dual."""
+    """Theta = -pi^*Y_A + h_{d_A} + F^*h_{d_dual} - F^*pi~^*Y_dual.
+
+    Each side's h_d - Y, carried onto inst.context, is added into one packed
+    dict.
+    """
     ctx = inst.context
-    theta = ctx.algebra.zero()
+    terms: Dict[int, Scalar] = {}
     for side in (_side_A(inst), _side_dual(inst)):
         own = hamiltonian_lift(_de_rham_derivation(side)) - _upsilon_form(side)
-        theta = theta + _onto(ctx, own.body)
-    return Section(ctx, theta)
+        add_into(terms, _onto(ctx, own.body)._packed)
+    return Section(ctx, Poly._trusted(ctx.algebra, terms))
 
 
 # --- degree-1 sections and derived operations -------------------------------

@@ -334,12 +334,15 @@ class LineDerivation(Derivation):
 
 
 def hamiltonian_lift(d: LineDerivation) -> Section:
-    """Fiberwise-linear section (f p + f^i pi_i + f^a pa_a) mu encoding d = f + X."""
+    """Fiberwise-linear section (f p + f^i pi_i + f^a pa_a) mu encoding d = f + X.
+
+    Each product goes by `Poly.mul_into` into one packed dict.
+    """
     ctx = d.context
-    body = d.scalar * ctx.p
+    acc = d.scalar.mul_into(ctx.p, {})
     for coord, mom in zip(ctx.ix_x + ctx.ix_u, ctx.ix_pi + ctx.ix_pa):
-        body = body + d.values[coord] * ctx.algebra.gen(mom)
-    return Section(ctx, body)
+        d.values[coord].mul_into(ctx.algebra.gen(mom), acc)
+    return Section(ctx, Poly._trusted(ctx.algebra, acc))
 
 
 # --- Legendre transform ------------------------------------------------

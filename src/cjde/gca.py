@@ -81,12 +81,13 @@ One sparse kernel and two sign rules serve every module:
 A `Poly` is immutable: nothing writes to its terms after construction.
 `Poly(algebra, terms)` packs the {Monomial: coefficient} dict it is given
 and drops zero coefficients, so outside callers may pass any dict.  Inside
-this module and `contact`, `Poly._trusted(algebra, packed)` takes ownership
-of a packed dict that already holds no zero, without the copy; the caller
-must not touch the dict afterwards, and reads another Poly's packed dict
-(`_packed`) only.  `partials()` is memoised on the `Poly` (sound because the
-`Poly` is immutable), and the dict it returns, like the packed dict of each
-partial, is read-only: the same rule `linfty` has for coefficient Vectors.
+this module, `contact` and `cjalg`'s form codec and Theta assembly,
+`Poly._trusted(algebra, packed)` takes ownership of a packed dict that
+already holds no zero, without the copy; the caller must not touch the dict
+afterwards, and reads another Poly's packed dict (`_packed`) only.
+`partials()` is memoised on the `Poly` (sound because the `Poly` is
+immutable), and the dict it returns, like the packed dict of each partial,
+is read-only: the same rule `linfty` has for coefficient Vectors.
 `contact.Section` keeps the same rule for its bracket operator: its body is
 never reassigned, the memo is a slot of the Section and goes with it, and
 no table outside the object holds it.
@@ -694,19 +695,20 @@ class Poly:
 
         Images must be given for every generator occurring in self; being an
         even morphism, letters are substituted in word order and the target
-        algebra supplies all Koszul signs.
+        algebra supplies all Koszul signs.  Each key is decoded once, its
+        term c * img_1 * ... * img_r built by `mul_into` and added into one
+        packed dict for the whole result, which is settled at the end.
         """
-        out = target.zero()
-        for mono, c in self.terms.items():
-            term = target.scalar(c)
-            for idx, exp in mono:
+        unpack, acc = self.algebra.unpack, {}
+        for k, c in self._packed.items():
+            term = {0: c}
+            for idx, exp in unpack(k):
                 if idx not in images:
                     raise UnknownGenerator(self.algebra.gens[idx].name)
-                img = images[idx]
                 for _ in range(exp):
-                    term = term * img
-            out = out + term
-        return out
+                    term = Poly._trusted(target, term).mul_into(images[idx], {})
+            add_into(acc, term)
+        return Poly._trusted(target, _settle(acc))
 
     # --- presentation ---------------------------------------------------
 

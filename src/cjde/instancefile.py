@@ -12,15 +12,19 @@ The file writes each tensor as a dense nested array; this module is the
 only place where dense tables exist.  An instance stores its tensors as
 their nonzero canonical entries (see `cjalg`), and `cjalg._canonical_key`
 is the one symmetry rule both ways.  Loading reads each array in one pass
-(`_read_tensor`): it keeps the nonzero entries at canonical index tuples,
-and accepts a tensor with a symmetry (bracket, upsilon, 2-form) only if
-every other entry is the signed canonical entry, or zero at a repeated
-index.  Saving writes `_spread`, which lays stored entries out on every
-index tuple with the sign of `cjalg._canonical_key`.
+(`_read_tensor`) over a table of its index tuples and their canonical keys,
+built once per shape (`_index_table`): it keeps the nonzero entries at
+canonical index tuples, and accepts a tensor with a symmetry (bracket,
+upsilon, 2-form) only if every other entry is the signed canonical entry,
+or zero at a repeated index.  Entries are compared as parsed values,
+exponent-vector dicts of exact rationals, so "2/4" matches "1/2"; only the
+kept entries become polynomials.  Saving writes `_spread`, which lays stored
+entries out on every index tuple with the sign of `cjalg._canonical_key`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -30,7 +34,7 @@ from typing import Dict, List, Tuple
 from .cjalg import (DeformationForm, PolyLike, SplitCJInstance, _as_xpoly, _canonical,
                     _canonical_key, _shapes)
 from .contact import ContactContext
-from .gca import Poly, Scalar, _is_int
+from .gca import Poly, Scalar, _coefficient, _is_int
 
 __all__ = ["InstanceFileError", "InstanceDocument", "load_instance", "save_instance"]
 
@@ -82,17 +86,20 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
     return out
 
 
-def _parse_rational(s) -> Fraction:
+def _parse_rational(s) -> Scalar:
+    """A file's rational, read by `int()` from its ASCII digits, as a kernel
+    scalar: an int when integral, else a Fraction."""
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
             raise InstanceFileError(f"bad rational {s!r}: expected 'num' or 'num/den' "
                                     "in ASCII digits")
+        num, _, den = s.partition("/")
         try:
-            return Fraction(s)
+            return _coefficient(Fraction(int(num), int(den))) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int's digit limit
             raise InstanceFileError(f"bad rational {s!r}: {exc}") from None
     if _is_int(s):
-        return Fraction(s)
+        return s
     if isinstance(s, bool):
         raise InstanceFileError(f"a rational entry may not be a boolean, got {s!r}")
     raise InstanceFileError(f"rational must be a 'num/den' string, got {s!r}")
@@ -102,13 +109,13 @@ def _format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Fraction]:
+def _parse_poly(entry, m: int) -> Dict[Tuple[int, ...], Scalar]:
     """Polynomial as an exponent-vector dict (exponents over the x variables)."""
     if isinstance(entry, (str, int)):
         q = _parse_rational(entry)
         return {(0,) * m: q} if q else {}
     if isinstance(entry, dict):
-        terms: Dict[Tuple[int, ...], Fraction] = {}
+        terms: Dict[Tuple[int, ...], Scalar] = {}
         for key, val in entry.items():
             if key == "":
                 exps: Tuple[int, ...] = (0,) * m
@@ -237,32 +244,42 @@ def load_instance(path: str) -> InstanceDocument:
     return InstanceDocument(inst, deformations, epsilons)
 
 
+@functools.lru_cache(maxsize=None)
+def _index_table(shape: Tuple[int, ...], k: int) -> Tuple[tuple, ...]:
+    """Every index tuple of `shape` in dense order, with its `cjalg._canonical_key`.
+
+    Built once per (shape, k); a loaded shape is bounded by MAX_BASE_DIM and
+    MAX_RANK, and so is the number of tables.
+    """
+    return tuple((idx, _canonical_key(idx, shape, k))
+                 for idx in itertools.product(*map(range, shape)))
+
+
 def _read_tensor(ctx: ContactContext, arr, shape: Tuple[int, ...], k: int,
                  what: str) -> Dict[Tuple[int, ...], Poly]:
     """The stored tensor of a parsed array antisymmetric in its last k indices, in one pass.
 
-    The array's index tuples are walked in order.  A canonical one (kept as
-    it is by `cjalg._canonical_key`, sign +1) holds an entry, kept when
-    nonzero; it sorts first among its permutations, so every other tuple
-    is compared with the signed entry already read, or with zero when an
-    antisymmetric index repeats.  The first that differs is named after
-    `what`.  An absent array is the zero tensor.
+    The array's index tuples are walked in dense order, each with its
+    canonical key from `_index_table`.  A canonical one (kept as it is by
+    `cjalg._canonical_key`, sign +1) holds an entry; it sorts first among its
+    permutations, so every other tuple's parsed value (an exponent-vector
+    dict, in which equal values are equal dicts) is compared with the signed
+    entry already read, or with zero when an antisymmetric index repeats.
+    The first that differs is named after `what`.  The nonzero canonical
+    entries become base polynomials.  An absent array is the zero tensor.
     """
-    out: Dict[Tuple[int, ...], Poly] = {}
+    read: Dict[Tuple[int, ...], Dict] = {}
     if arr is None:
-        return out
-    zero = ctx.algebra.zero()
-    for idx in itertools.product(*map(range, shape)):
+        return read
+    for idx, hit in _index_table(shape, k):
         v = arr
         for i in idx:
             v = v[i]
-        hit = _canonical_key(idx, shape, k)
         if hit == (idx, 1):
-            if v:
-                out[idx] = _as_xpoly(ctx, v)
-        elif _as_xpoly(ctx, v) != (zero if hit is None else out.get(hit[0], zero).scale(hit[1])):
+            read[idx] = v
+        elif v != ({e: hit[1] * q for e, q in read[hit[0]].items()} if hit else {}):
             raise InstanceFileError(f"{what} is not {_SYMMETRY[k]} at index {idx}")
-    return out
+    return {idx: _as_xpoly(ctx, v) for idx, v in read.items() if v}
 
 
 def _spread(ctx: ContactContext, tensor, shape: Tuple[int, ...], k: int) -> list:

@@ -97,9 +97,12 @@ def derived_bracket_fold(v: VData, letter: Callable[[object], object],
     Words are hashable tuples of letters.  The unprojected bracket of each
     prefix of length <= `keep` is kept by the returned function, so a word
     costs one bracket per letter past its longest kept prefix (module
-    docstring).  A letter outside the abelian subalgebra raises ValueError.
+    docstring).  A letter outside the abelian subalgebra raises ValueError
+    on its first use; the function keeps the set of letters it has tested,
+    so each distinct letter is tested once.
     """
     prefixes: Dict[Tuple, object] = {(): v.mc_element}
+    tested: set = set()
 
     def fold(word: Tuple) -> object:
         j = min(len(word), keep)
@@ -108,8 +111,10 @@ def derived_bracket_fold(v: VData, letter: Callable[[object], object],
         current = prefixes[word[:j]]
         for i in range(j, len(word)):
             a = letter(word[i])
-            if not v.in_subalgebra(a):
-                raise ValueError("argument outside the abelian subalgebra")
+            if word[i] not in tested:
+                if not v.in_subalgebra(a):
+                    raise ValueError("argument outside the abelian subalgebra")
+                tested.add(word[i])
             current = v.bracket(current, a)
             if i < keep:
                 prefixes[word[:i + 1]] = current

@@ -119,6 +119,15 @@ def test_non_int_index_rejected(kw):
         SplitCJInstance(1, 2, **kw)
 
 
+@pytest.mark.parametrize("kw", [{"c": {(True, 0, 1): 1}}, {"c": {(0, False, True): 1}},
+                                {"c": {(0, 0, 2): 1}}, {"phi": {(0, 1, 2): 1}}])
+def test_increasing_tail_is_still_validated(kw):
+    # an antisymmetric tail already increasing is not sorted, but a bool or an
+    # index out of range in it is still rejected
+    with pytest.raises(ValueError, match="ints in range"):
+        SplitCJInstance(0, 2, **kw)
+
+
 @pytest.mark.parametrize("key", [(0, 1.0), (True, 0), (0, "b"), 1])
 def test_non_int_two_form_index_rejected(key):
     inst = SplitCJInstance(0, 2)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,43 @@ def test_bad_rational(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InstanceFileError):
         load_instance(str(path))
+
+
+# int() caps the digits of a decimal string (sys.get_int_max_str_digits, 4300
+# by default); Python 3.10 words the limit without "digits"
+LIMIT = r"Exceeds the limit \(4300( digits)?\) for integer string conversion: value has 4301 " \
+        r"digits; use sys.set_int_max_str_digits\(\) to increase the limit"
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("1/0", re.escape("Fraction(1, 0)")), ("-3/0", re.escape("Fraction(-3, 0)")),
+    ("1" * 4301, LIMIT), ("-1/" + "7" * 4301, LIMIT)])
+def test_bad_rational_error_text(tmp_path, text, reason):
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the digit limit is not Python's default")
+    data = {"schema": 1, "base_dim": 0, "rank": 2, "rep": [text, "0"]}
+    with pytest.raises(InstanceFileError) as info:
+        load_json(tmp_path, data)
+    assert re.fullmatch(f"bad rational {re.escape(repr(text))}: {reason}", str(info.value))
+
+
+def test_symmetry_compares_values_not_spellings(tmp_path):
+    # "2/4" and "-1/2" are one value up to sign: a skew pair, whatever the spelling
+    bracket = [[["0", "2/4"], ["-1/2", "0"]], [["0", "0"], ["0", "0"]]]
+    data = {"schema": 1, "base_dim": 0, "rank": 2, "bracket": bracket}
+    inst = load_json(tmp_path, data).instance
+    assert inst.c[0] == {(0, 1): inst.context.algebra.scalar(Fraction(1, 2))}
+    bracket[0][1][0] = "1/2"
+    with pytest.raises(InstanceFileError, match=r"bracket is not skew at index \(0, 1, 0\)"):
+        load_json(tmp_path, data)
+    # over a base, each exponent vector is compared with its negated twin
+    rep = [["0", {"1": "2/4", "0": "3"}], [{"0": "-6/2", "1": "-1/2"}, "0"]]
+    data = {"schema": 1, "base_dim": 1, "rank": 2, "deformations": {"w": rep}}
+    assert load_json(tmp_path, data).deformations["w"].entries[(0, 1)].terms == \
+        {(): 3, ((0, 1),): Fraction(1, 2)}
+    rep[1][0] = {"0": "-3", "1": "-1/2", "2": "1"}
+    with pytest.raises(InstanceFileError, match=r"deformation 'w' is not skew at index \(1, 0\)"):
+        load_json(tmp_path, data)
 
 
 def test_bad_exponent_vector(tmp_path):

@@ -18,7 +18,8 @@ from conftest import ordered_curve_coefficient, settled
 
 from cjde import cjalg
 from cjde.cjalg import DeformationForm, SplitCJInstance
-from cjde.contact import ContactContext, LineDerivation, Section, jacobi_bracket, project_P
+from cjde.contact import (ContactContext, LineDerivation, Section, _legendre_images,
+                          jacobi_bracket, project_P)
 from cjde.deform import ComplexMatrices, LinearSystem, nullspace, rref
 from cjde.linfty import GradedSpace, TaylorCoderivation, curve_coefficient
 from cjde.gca import (MAX_FIELD_EXPONENT, ContextMismatch, Derivation, Poly, add_into,
@@ -507,6 +508,51 @@ def test_mul_into_is_product_then_add_into(case, start):
     if start == "cancel":
         assert got == {}
     assert all(settled(c) for c in got.values()), got
+
+
+def substitute_by_terms(f: Poly, target, images) -> Poly:
+    """The reference for `Poly.substitute`: each decoded term a Poly of its own,
+    its images multiplied on in word order, the terms added one by one."""
+    out = target.zero()
+    for mono, c in f.terms.items():
+        term = target.scalar(c)
+        for idx, exp in mono:
+            for _ in range(exp):
+                term = term * images[idx]
+        out = out + term
+    return out
+
+
+HALVES = st.sampled_from([-2, -1, 1, 3, Fraction(1, 2), Fraction(-3, 2)])
+# F^*'s images from each context's mirror: p~ -> p - u^a pa_a and
+# u~^a p~_a -> -u^a pa_a.  So (1/2) p~^2 has the cross terms -(1/2) p u^a pa_a
+# twice, and (1/2) p~ + (1/2) u~^1 p~_1 gives -u^1 pa_1 from two terms: both
+# integral sums of Fractions
+LEGENDRE = {ctx: _legendre_images(ctx.mirror, ctx) for ctx in PACKED_CONTEXTS}
+HALF_SUMS = Poly(CTX.mirror.algebra, {((CTX.ix_p, 2),): Fraction(1, 2),
+                                      ((CTX.ix_p, 1),): Fraction(1, 2),
+                                      ((CTX.ix_u[0], 1), (CTX.ix_pa[0], 1)): Fraction(1, 2),
+                                      ((CTX.ix_x[0], 1), (CTX.ix_p, 1)): 3, (): Fraction(-3, 2)})
+
+
+@st.composite
+def substitutions(draw):
+    """(f on a mirror, its target algebra, images): F^*'s images, each scaled."""
+    ctx = draw(st.sampled_from(PACKED_CONTEXTS))
+    monos = draw(st.lists(canonical_monomials(ctx.mirror.algebra, 3), min_size=1, max_size=4))
+    f = Poly(ctx.mirror.algebra, {m: draw(HALVES) for m in monos})
+    images = {k: img.scale(draw(HALVES)) for k, img in LEGENDRE[ctx].items()}
+    return f, ctx.algebra, images
+
+
+@PROPERTY
+@given(substitutions())
+@example(case=(HALF_SUMS, CTX.algebra, LEGENDRE[CTX]))
+def test_substitute_matches_term_by_term(case):
+    f, target, images = case
+    got = f.substitute(target, images)
+    assert got == substitute_by_terms(f, target, images)
+    assert all(settled(c) for c in got._packed.values()), got._packed
 
 
 # --- line-bundle derivations f + X -----------------------------------

@@ -1,5 +1,6 @@
 """V-data validation and higher derived brackets over the contact oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from cjde.cjalg import (
 )
 from cjde.contact import Section, project_P
 from cjde.linfty import GradedSpace, TaylorCoderivation, check_codifferential
-from cjde.vdata import VData, higher_derived_bracket, validate
+from cjde.vdata import VData, derived_bracket_fold, higher_derived_bracket, validate
 
 from conftest import basis_keys, random_form_section, random_section
 
@@ -96,6 +97,36 @@ def test_argument_outside_subalgebra(heis2):
     ctx = heis2.context
     with pytest.raises(ValueError):
         higher_derived_bracket(vd, [Section(ctx, ctx.p)])
+
+
+def test_fold_tests_each_distinct_letter_once(heis2):
+    """A fold asks `in_subalgebra` once per distinct letter over all its words,
+    and each word's value is still the higher derived bracket of its letters."""
+    vd = contact_vdata(heis2)
+    asked = []
+
+    def in_subalgebra(s):
+        asked.append(s)
+        return vd.in_subalgebra(s)
+    counted = VData(vd.bracket, in_subalgebra, vd.project, vd.mc_element)
+    fold = derived_bracket_fold(counted, lambda key: word_to_sections(heis2, (key,))[0], 2)
+    keys = basis_keys(heis2)[:3]
+    words = [w for k in range(4) for w in itertools.product(keys, repeat=k)]
+    for w in words:
+        assert fold(w) == higher_derived_bracket(vd, word_to_sections(heis2, w)), w
+    assert len(asked) == len(keys) == 3
+
+
+def test_fold_rejects_a_letter_outside_on_first_use(heis2):
+    ctx = heis2.context
+    letters = {"u": Section(ctx, ctx.u(0)), "p": Section(ctx, ctx.p)}
+    fold = derived_bracket_fold(contact_vdata(heis2), letters.__getitem__, 2)
+    fold(("u", "u"))
+    with pytest.raises(ValueError, match="outside the abelian subalgebra"):
+        fold(("u", "p"))
+    # a rejected letter is not taken as tested
+    with pytest.raises(ValueError, match="outside the abelian subalgebra"):
+        fold(("p",))
 
 
 def test_graded_symmetry(djmix):
