@@ -17,8 +17,9 @@ over a private `_Side` record, which is data only: the contact context the
 side's forms live in (`inst.context` for A, its mirror for A-dagger) and the
 side's rho / c / lam / Upsilon tensors.  One map moves polynomials between
 the two contexts: `_onto` leaves a polynomial that already lives on its
-target as it is, and otherwise pulls it back from the target's mirror by the
-Legendre transform F^* (`contact.legendre_pullback`), an involution.  It
+target as it is, relabels one in the x's alone, which F^* fixes, and
+otherwise pulls it back from the target's mirror by the Legendre transform
+F^* (`contact.legendre_pullback`), an involution.  It
 carries each stored entry onto the side's context in `_form`, and each form
 back to `inst.context`.  The de Rham derivation, the cubic Upsilon form,
 1-forms from coefficients, contraction, Lie derivative, section bracket and
@@ -49,10 +50,13 @@ route reads m_0..m_3 from one V-data.  The fold keeps the unprojected
 bracket of each word prefix shorter than the top arity, so a word costs one
 bracket past its prefix, and each basis key is made a letter section once.
 The kept brackets and letters are freed with the coefficient function, and
-so with Q or M; nothing is cached on the instance.
+so with Q or M; the derived route caches nothing on the instance.
 `mc_residual_form` runs one such fold with a 2-form itself as the letter,
 three brackets in all.  `_taylor_coefficient` adapts an operation on
-sections to a Taylor coefficient on the closed route.
+sections to a Taylor coefficient on the closed route.  The instance owns
+its closed route's m_0..m_3, each memoised per word
+(`SplitCJInstance.closed_coefficients`), and every closed-route Q wraps
+them afresh, so the Qs of one instance share one evaluation of each word.
 
 The closed route rests on one contraction: `_contract` gives, for a fully
 antisymmetric k-tensor T and forms f_1..f_k, the sum of T[a_1..a_k]
@@ -91,6 +95,7 @@ from .linfty import (
     TaylorCoderivation,
     Vector,
     Word,
+    _memoised,
     exp_coderivation,
 )
 from .vdata import VData, derived_bracket_fold, higher_derived_bracket
@@ -242,10 +247,15 @@ def _onto(ctx: ContactContext, f: Poly) -> Poly:
     """f on `ctx`: f itself if it lives there, else F^* of f from ctx's mirror.
 
     The one map between the two sides of the split; raises ValueError
-    (`ContextMismatch`) on a polynomial that lives on neither context.
+    (`ContextMismatch`) on a polynomial that lives on neither context.  F^*
+    fixes every x^i, and a context and its mirror share (m, n) and so their
+    packed layout, so a mirror polynomial in the x's alone is relabelled:
+    its packed terms are read on `ctx`, with no substitution.
     """
     if f.algebra is ctx.algebra:
         return f
+    if f.algebra is ctx.mirror.algebra and f.uses_only(ctx.ix_x):
+        return Poly._trusted(ctx.algebra, dict(f._packed))
     return legendre_pullback(Section(ctx.mirror, f), ctx).body
 
 
@@ -301,6 +311,11 @@ class SplitCJInstance:
     and (a, b, c)); `rho`/`rho_dual` is a list over i of 1-tensors
     (`rho[i][(a,)]`) and `c`/`c_dual` a list over cc of 2-tensors
     (`c[cc][(a, b)]`, a < b).
+
+    Built on first use and kept: Theta, -Theta and the closed route's
+    Taylor coefficients m_0..m_3 with their memo per word
+    (`closed_coefficients`).  They assume the tensors are not changed
+    after construction.
     """
 
     def __init__(self, m: int, n: int, *,
@@ -370,6 +385,21 @@ class SplitCJInstance:
     def minus_theta(self) -> Section:
         """-Theta, one Section: every derived bracket reuses its memoised Hamiltonian operator."""
         return -self.theta
+
+    @cached_property
+    def closed_coefficients(self) -> Dict[int, Callable[[Word], Vector]]:
+        """The closed route's m_0..m_3 as Taylor coefficients, each memoised per canonical word.
+
+        Built on first use and owned by the instance: every
+        `deformation_brackets(self, "closed")` wraps these functions in a
+        fresh Q, so all of them share one memo, and an entry replaced on
+        one Q never reaches the instance or another Q.
+        """
+        ops = {0: lambda: upsilon_A_section(self),
+               1: _de_rham_derivation(_side_A(self)),
+               2: lambda s, t: m2_closed(self, s, t),
+               3: lambda s, t, w: m3_closed(self, s, t, w)}
+        return {k: _memoised(_taylor_coefficient(self, op)) for k, op in ops.items()}
 
 
 # --- one side of the split ---------------------------------------------------
@@ -1043,15 +1073,15 @@ def deformation_brackets(inst: SplitCJInstance, route: str = "derived") -> Taylo
     route='closed' uses Upsilon_A (`upsilon_A_section`), the de Rham
     derivation and the closed formulas `m2_closed` and `m3_closed` (module
     docstring).  The two must agree on every input, m_0 included; the test
-    suite enforces this.
+    suite enforces this.  The closed coefficients and their memo are the
+    instance's (`SplitCJInstance.closed_coefficients`), wrapped in a new Q
+    on every call, so an entry replaced on the returned Q stays on it; the
+    derived route's fold and its kept brackets belong to the returned Q.
     """
     if route == "derived":
         coefficients = _derived_coefficients(inst, contact_vdata(inst), (0, 1, 2, 3))
     elif route == "closed":
-        coefficients = {0: _taylor_coefficient(inst, lambda: upsilon_A_section(inst)),
-                        1: _taylor_coefficient(inst, _de_rham_derivation(_side_A(inst))),
-                        2: _taylor_coefficient(inst, lambda s, t: m2_closed(inst, s, t)),
-                        3: _taylor_coefficient(inst, lambda s, t, w: m3_closed(inst, s, t, w))}
+        coefficients = inst.closed_coefficients
     else:
         raise ValueError(f"unknown route {route!r}")
     Q = TaylorCoderivation(deformation_space(inst), coefficients)

@@ -12,7 +12,8 @@ plain text, in which a check fails exactly when it has a witness.  `main`
 alone writes it and sets the exit code: 0 when every check passed, 1 on a
 mathematical failure, 2 on bad input or an unwritable `--out` (one `error:`
 line on stderr).  `complement` checks every canonical word up to the
-truncation.  Identical inputs and seeds produce byte-identical reports.
+truncation, and refuses one that asks for more than `MAX_WORDS` words
+before listing any.  Identical inputs and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .cjalg import (
     check_cj_axioms,
     contact_vdata,
     deformation_brackets,
+    deformation_space,
     first_nonzero,
     graph_frame,
     is_dirac_jacobi,
@@ -51,6 +53,9 @@ from .vdata import validate
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
+# Most canonical words `complement` checks: a rank-4 file at --trunc 5 asks
+# for 13,073, a rank-5 one for 335,137, too many to finish.
+MAX_WORDS = 100_000
 
 
 class Report:
@@ -211,6 +216,10 @@ def cmd_complement(args) -> Report:
     if args.epsilon not in doc.epsilons:
         raise InstanceFileError(f"unknown epsilon name {args.epsilon!r}")
     eps = doc.epsilons[args.epsilon]
+    count = deformation_space(inst).word_count(basis_keys(inst), args.trunc)
+    if count > MAX_WORDS:
+        raise InstanceFileError(f"--trunc {args.trunc} asks for {count:,} canonical words, "
+                                f"more than the bound of {MAX_WORDS:,}")
     report = Report()
     if not _passes_check(inst, report):
         return report
@@ -352,7 +361,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="named epsilon tensor from the file")
     p.add_argument("--trunc", type=_positive_int, default=5,
                    help="word-length truncation (>= 1); every canonical word "
-                        "up to it is checked")
+                        f"up to it is checked, at most {MAX_WORDS:,} words")
     p.add_argument("--corrupt-m2", action="store_true", help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(fn=cmd_complement)

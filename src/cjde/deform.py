@@ -1,17 +1,21 @@
 """Deformation workflow over point-base instances, read off the L-infinity algebra.
 
-`ComplexMatrices` owns the closed-route structure of the instance,
+`ComplexMatrices` holds the closed-route structure of the instance,
 `Q = deformation_brackets(inst, "closed")`, the codifferential with m_1 =
-d_{A,L}, m_2 and m_3 memoised per word.  Over a point base the L-valued form
-spaces are finite dimensional, so m_1 becomes sparse rows {column: scalar}
-on the `form_basis` words (u^{a_1}...u^{a_k} with a_1 < ... < a_k, the keys
-of `deformation_space`), the vector format of every other layer.  Kernels,
-images and cohomology representatives come from exact elimination over Q on
-those rows, each step a `gca.add_into`, to the unique reduced row echelon
-form; coordinates of forms and kernel vectors are dense lists.  Every
-entry, coordinate and solution keeps the scalar rule of the `gca`
-docstring, and the one division is `gca._reciprocal`.  A `LinearSystem`
-keeps one elimination and answers any number of right-hand sides from it.
+d_{A,L}, m_2 and m_3.  The instance owns those coefficients and their memo
+per word (`SplitCJInstance.closed_coefficients`), so the complex,
+`extend_mc` (through `h3.complex.Q`) and `mc_residual_coefficients`, each
+with its own Q, evaluate each word once per instance.  Over a point base
+the L-valued form spaces are finite dimensional, so m_1 becomes sparse rows
+{column: scalar} on the `form_basis` words (u^{a_1}...u^{a_k} with
+a_1 < ... < a_k, the keys of `deformation_space`), the vector format of
+every other layer.  Kernels, images and cohomology representatives come
+from exact elimination over Q on those rows, each step a `gca.add_into`, to
+the unique reduced row echelon form; coordinates of forms and kernel
+vectors are dense lists.  Every entry, coordinate and solution keeps the
+scalar rule of the `gca` docstring, and the one division is
+`gca._reciprocal`.  A `LinearSystem` keeps one elimination and answers any
+number of right-hand sides from it.
 
 `Cohomology` holds H^k as the data a homotopy transfer reads (Berglund,
 arXiv:0909.3485): representatives (i), class coordinates (p) and primitives

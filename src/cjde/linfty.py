@@ -40,8 +40,12 @@ derived route's keeps the unprojected bracket of each word prefix
 (`vdata.derived_bracket_fold`) and one letter section per basis key, and
 e^M's keeps M(w) and E_j(w) per sub-word; such a memo belongs to the
 coefficient function, so it is freed with the function and so with its Q
-or M.  The word sums' sign bookkeeping is kept by the `GradedSpace` under
-the same rule: its tables (each key's parity; the unshuffles and set
+or M.  A function may also outlive one Q: the closed route's m_0..m_3
+are memoised once per instance (`cjalg.SplitCJInstance.closed_coefficients`)
+and each Q built from them wraps them afresh, so the instance's Qs share
+its values while an entry replaced on one Q never reaches the others.  The
+word sums' sign bookkeeping is kept by the `GradedSpace` under the same
+rule: its tables (each key's parity; the unshuffles and set
 partitions of a word's positions, listed once per length; the Koszul sign
 of each such order per parity pattern of a word, worked out with
 `gca.koszul_sign` the first time a term needs it) belong to the space and
@@ -230,6 +234,18 @@ class GradedSpace:
         return [combo for L in range(min_len, max_len + 1)
                 for combo in itertools.combinations_with_replacement(basis, L)
                 if self._is_canonical(combo)]
+
+    def word_count(self, basis: Sequence[object], max_len: int) -> int:
+        """len(self.words(basis, max_len)) for distinct keys, in closed form.
+
+        A canonical word is a multiset of the E even keys with a set of j of
+        the O odd ones, so the words of length at most max_len number
+        sum_j C(O, j) C(E + max_len - j, E); no word is listed.
+        """
+        odd = sum(map(self._is_odd, basis))
+        even = len(basis) - odd
+        return sum(math.comb(odd, j) * math.comb(even + max_len - j, even)
+                   for j in range(min(odd, max_len) + 1))
 
     def expand_word_of_vectors(self, vectors: Sequence[Vector]) -> SVector:
         """Multilinear expansion of v_1 (+) ... (+) v_k into canonical words."""

@@ -56,7 +56,7 @@ from cjde.vdata import higher_derived_bracket
 from conftest import (FIXTURES, antisymmetric_entry, assert_m2_closed_on_two_words,
                       assert_routes_agree, basis_keys, dense_courant_tensor, load_fixture,
                       printed, random_base_poly, random_form_section, random_instance,
-                      random_x_poly)
+                      random_poly, random_x_poly, settled)
 
 
 FIXTURE_NAMES = sorted(f[:-len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
@@ -197,10 +197,51 @@ def test_onto_round_trips_base_polynomials(m):
         cjalg_module._onto(ctx, ContactContext(m, 3).x(0))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_onto_relabels_x_polynomials_as_the_pullback_would(m):
+    """F^* fixes every x^i, so `_onto` relabels a mirror polynomial in the
+    x's alone: in both directions it equals `legendre_pullback`, the oracle,
+    on the same algebra, and the result is settled."""
+    ctx = ContactContext(m, 3)
+    rng = random.Random(f"relabel {m}")
+    for src, dst in ((ctx.mirror, ctx), (ctx, ctx.mirror)):
+        for _ in range(30):
+            f = random_poly(src, rng, weight=4, terms=4, indices=src.ix_x)
+            f = f + src.algebra.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            got = cjalg_module._onto(dst, f)
+            want = legendre_pullback(Section(src, f), dst).body
+            assert got.algebra is dst.algebra and got == want
+            assert all(map(settled, got.terms.values()))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_onto_pulls_back_polynomials_with_fiber_letters(m):
+    """A polynomial with a u, pa or p letter (beside x's) still goes through
+    F^*, which moves those letters: `_onto` equals the pullback, not the
+    relabelled terms."""
+    ctx = ContactContext(m, 3)
+    rng = random.Random(f"fiber {m}")
+    for src, dst in ((ctx.mirror, ctx), (ctx, ctx.mirror)):
+        for letter in (src.ix_u[0], src.ix_pa[1], src.ix_p):
+            f = random_poly(src, rng, indices=src.ix_x) + \
+                src.algebra.gen(letter) * random_poly(src, rng, weight=2, indices=src.ix_x)
+            if f.uses_only(src.ix_x):
+                continue
+            got = cjalg_module._onto(dst, f)
+            assert got == legendre_pullback(Section(src, f), dst).body
+            assert got._packed != f._packed
+    with pytest.raises(ValueError):
+        cjalg_module._onto(ctx, ContactContext(m, 3).mirror.x(0))
+    with pytest.raises(ValueError):
+        cjalg_module._onto(ctx.mirror, ContactContext(m, 3).x(0) * 2)
+
+
 def test_extract_instance_builds_one_image_table_per_direction(monkeypatch):
     """F^*'s generator images are built once per destination context and kept
-    on it: building and reading back djmix's Theta carries the dual side's
-    entries into the mirror and its forms back, one table each way."""
+    on it: building djmix's Theta carries the dual side's forms onto the
+    instance's context (its entries, base polynomials, are relabelled with no
+    table), and reading Theta back carries it into the mirror, one table each
+    way."""
     built = []
     images = contact_module._legendre_images
 
@@ -212,7 +253,7 @@ def test_extract_instance_builds_one_image_table_per_direction(monkeypatch):
     inst = load_fixture("djmix").instance
     extract_instance(inst, inst.theta)
     extract_instance(inst, inst.theta)
-    assert built == [inst.context.mirror, inst.context]
+    assert built == [inst.context, inst.context.mirror]
 
 
 def test_mirror_polynomial_is_not_a_structure_function():

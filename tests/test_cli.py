@@ -13,6 +13,7 @@ from cjde import cli, contact, gca
 from cjde.cli import Report, main
 from cjde.cjalg import change_complement
 from cjde.instancefile import MAX_EXPONENT, load_instance
+from cjde.linfty import GradedSpace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -204,6 +205,24 @@ def test_nonpositive_order_or_trunc_exits_2(args, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "must be at least 1" in out.err
+
+
+def test_complement_bounds_the_word_count_before_listing_words(monkeypatch, tmp_path, capsys):
+    """A rank-5 file at the default truncation asks for 335,137 canonical
+    words, past `cli.MAX_WORDS`: an input error naming the count and the
+    bound, raised before any word is listed."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("GradedSpace.words was called")
+
+    monkeypatch.setattr(GradedSpace, "words", no_listing)
+    zero = [["0"] * 5 for _ in range(5)]
+    path = tmp_path / "rank5.json"
+    path.write_text(json.dumps({"schema": 1, "base_dim": 0, "rank": 5,
+                                "epsilons": {"eps1": zero}}))
+    _assert_one_error_line(*run_cli(["complement", str(path), "--epsilon", "eps1"], capsys),
+                           "--trunc 5 asks for 335,137 canonical words, more than the "
+                           f"bound of {cli.MAX_WORDS:,}")
+    assert cli.MAX_WORDS == 100_000
 
 
 def test_complement_checks_every_word(capsys):

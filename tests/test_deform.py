@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cjde.cjalg as cjalg_module
 import cjde.deform as deform_module
 from cjde.cjalg import (
     DeformationForm,
@@ -13,12 +14,14 @@ from cjde.cjalg import (
     change_complement,
     check_cj_axioms,
     de_rham,
+    deformation_brackets,
     graph_frame,
     m2_closed,
     m3_closed,
     mc_residual_form,
     section_to_vector,
     vector_to_section,
+    word_to_sections,
 )
 from cjde.contact import Section, jacobi_bracket
 from cjde.deform import (
@@ -35,7 +38,7 @@ from cjde.deform import (
     search_obstructed_instance,
 )
 
-from conftest import load_fixture, ordered_curve_coefficient, settled
+from conftest import basis_keys, load_fixture, ordered_curve_coefficient, settled
 
 F = Fraction
 
@@ -337,6 +340,80 @@ def test_extend_mc_solves_once_per_nonzero_residual(monkeypatch):
     assert (eliminations, len(solves)) == ([], 1)
     kuranishi(inst, eta, h3)
     assert (eliminations, len(solves)) == ([], 2)
+
+
+def counting_closed_route(monkeypatch):
+    """Record the arguments of every `m2_closed` and `m3_closed` evaluation,
+    as tuples of packed bodies, under the names the closed route looks up."""
+    calls = {"m2_closed": [], "m3_closed": []}
+    for name, record in calls.items():
+        def counting(inst, *args, real=getattr(cjalg_module, name), record=record):
+            record.append(tuple(tuple(sorted(s.body._packed.items())) for s in args))
+            return real(inst, *args)
+        monkeypatch.setattr(cjalg_module, name, counting)
+    return calls
+
+
+def test_closed_route_is_evaluated_once_per_instance(monkeypatch):
+    """The instance owns the closed route's memo: dgla1's complex, its
+    extension to order 12 and the MC residual coefficients of the curve share
+    it, so each m_2 and m_3 word is evaluated once, and a second identical
+    pass evaluates nothing."""
+    calls = counting_closed_route(monkeypatch)
+    doc = load_fixture("dgla1")
+    inst, eta = doc.instance, doc.deformations["eta1"]
+
+    def one_pass():
+        h3 = cohomology(inst, 3, ComplexMatrices(inst))
+        curve = extend_mc(inst, eta, 12, h3)
+        assert curve.ok and curve.order() == 12
+        assert all(r.is_zero() for r in mc_residual_coefficients(inst, curve.coefficients, 12))
+
+    one_pass()
+    first = {name: len(args) for name, args in calls.items()}
+    assert first["m2_closed"] and first["m3_closed"]
+    for args in calls.values():
+        assert len(set(args)) == len(args)
+    one_pass()
+    assert {name: len(args) for name, args in calls.items()} == first
+
+
+def nonzero_m2_word(inst):
+    Q = deformation_brackets(inst, "closed")
+    return next(w for w in Q.space.words(basis_keys(inst), 2, 2) if Q.coefficient(2, w))
+
+
+def test_a_replaced_closed_entry_stays_on_its_own_q(dgla1):
+    """Replacing m_2 on one closed-route Q reaches neither the instance's memo
+    nor another Q of it: a second Q and a new complex's Q still give the
+    true m_2, before and after the replaced entry is read."""
+    word = nonzero_m2_word(dgla1)
+    true = section_to_vector(dgla1, m2_closed(dgla1, *word_to_sections(dgla1, word)))
+    other = deformation_brackets(dgla1, "closed")
+    Q = deformation_brackets(dgla1, "closed")
+    Q.coefficients[2] = lambda w: {}
+    assert other.coefficient(2, word) == true
+    assert Q.coefficient(2, word) == {}
+    assert other.coefficient(2, word) == true
+    assert ComplexMatrices(dgla1).Q.coefficient(2, word) == true
+    assert deformation_brackets(dgla1, "closed").coefficient(2, word) == true
+
+
+def test_two_instances_share_no_closed_memo(monkeypatch, dgla1, obst1):
+    """The memo belongs to each instance: the same word on another instance of
+    the same (m, n), or on a second load of the same file, is evaluated again,
+    on that instance's structure."""
+    word = nonzero_m2_word(dgla1)
+    expected = section_to_vector(obst1, m2_closed(obst1, *word_to_sections(obst1, word)))
+    calls = counting_closed_route(monkeypatch)
+    deformation_brackets(dgla1, "closed").coefficient(2, word)
+    assert calls["m2_closed"] == []
+    assert deformation_brackets(obst1, "closed").coefficient(2, word) == expected
+    first, second = load_fixture("dgla1").instance, load_fixture("dgla1").instance
+    assert deformation_brackets(first, "closed").coefficient(2, word) == \
+        deformation_brackets(second, "closed").coefficient(2, word)
+    assert len(calls["m2_closed"]) == 3
+    assert first.closed_coefficients is not second.closed_coefficients
 
 
 def test_extend_mc_rejects_a_residual_that_is_not_a_cocycle(monkeypatch):

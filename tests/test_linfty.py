@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cjde.cjalg import change_complement, deformation_brackets, deformation_space
+from cjde.cjalg import SplitCJInstance, change_complement, deformation_brackets, deformation_space
 from cjde.gca import add_into, koszul_sign
 from cjde.linfty import (
     GradedSpace,
@@ -285,6 +285,16 @@ def test_checks_need_sub_words_first(V):
             check_codifferential(Q, words)
         with pytest.raises(ValueError, match="sub-word"):
             check_morphism(ident, Q, Q, words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_count_is_the_number_of_words_listed(n):
+    """`word_count` counts in closed form what `words` lists, on the u-form
+    basis of each rank from 1 to 4 and each truncation from 1 to 5."""
+    inst = SplitCJInstance(0, n)
+    space, keys = deformation_space(inst), basis_keys(inst)
+    for trunc in range(1, 6):
+        assert space.word_count(keys, trunc) == len(space.words(keys, trunc))
 
 
 def after_its_sub_words(word):
